@@ -87,20 +87,13 @@ void BM_ApportionTolerances(benchmark::State& state) {
 }
 BENCHMARK(BM_ApportionTolerances)->Arg(2)->Arg(8)->Arg(64);
 
-Simulator::Config scheduler_config(SchedulerBackend backend) {
-  Simulator::Config config;
-  config.scheduler = backend;
-  return config;
-}
-
-// The CI regression gate's calibration benchmark: pinned to the binary
-// heap so its meaning never shifts when the default backend (or the
-// BROADWAY_SCHEDULER variable) changes — the gate compares engine-bench /
+// The CI regression gate's calibration benchmark: a bulk schedule-then-
+// drain of the simulator alone — the gate compares engine-bench /
 // calibration ratios across machines and baselines.
 void BM_SimulatorScheduleRun(benchmark::State& state) {
   const int events = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    Simulator sim(scheduler_config(SchedulerBackend::kBinaryHeap));
+    Simulator sim;
     for (int i = 0; i < events; ++i) {
       sim.schedule_at(((i * 7919) % events) + 1.0, [] {});
     }
@@ -111,19 +104,16 @@ void BM_SimulatorScheduleRun(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatorScheduleRun)->Arg(1000)->Arg(10000);
 
-// Head-to-head scheduler sweep: N self-rescheduling timers with irregular
-// periods — the shape of a fleet poll schedule, where the event at the
-// queue head constantly re-enqueues itself somewhere in the near future.
-// range(0): 0 = binary heap, 1 = calendar; range(1): timer count.
+// Scheduler sweep: N self-rescheduling timers with irregular periods —
+// the shape of a fleet poll schedule, where the event at the queue head
+// constantly re-enqueues itself somewhere in the near future.  Arg =
+// timer count.
 void BM_SchedulerSweep(benchmark::State& state) {
-  const Simulator::Config config = scheduler_config(
-      state.range(0) == 0 ? SchedulerBackend::kBinaryHeap
-                          : SchedulerBackend::kCalendar);
-  const int timers = static_cast<int>(state.range(1));
+  const int timers = static_cast<int>(state.range(0));
   constexpr TimePoint kHorizon = 2000.0;
   std::int64_t events = 0;
   for (auto _ : state) {
-    Simulator sim(config);
+    Simulator sim;
     std::vector<std::unique_ptr<PeriodicTask>> tasks;
     tasks.reserve(static_cast<std::size_t>(timers));
     for (int i = 0; i < timers; ++i) {
@@ -145,10 +135,8 @@ void BM_SchedulerSweep(benchmark::State& state) {
   state.SetItemsProcessed(events);
 }
 BENCHMARK(BM_SchedulerSweep)
-    ->Args({0, 256})
-    ->Args({1, 256})
-    ->Args({0, 4096})
-    ->Args({1, 4096})
+    ->Arg(256)
+    ->Arg(4096)
     ->Unit(benchmark::kMillisecond);
 
 // The per-poll observation-history build + restriction, exactly as

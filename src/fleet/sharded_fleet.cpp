@@ -359,9 +359,7 @@ void ShardedFleet::build_shards() {
       slices_of_proxy_[shard.proxies[local]].push_back(
           {static_cast<std::uint32_t>(s), static_cast<std::uint32_t>(local)});
     }
-    Simulator::Config sim_config;
-    if (config_.scheduler) sim_config.scheduler = *config_.scheduler;
-    shard.sim = std::make_unique<Simulator>(sim_config);
+    shard.sim = std::make_unique<Simulator>();
     shard.origin =
         std::make_unique<OriginServer>(*shard.sim, config_.origin);
     config_.origin_setup(*shard.origin);

@@ -66,7 +66,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -119,10 +118,6 @@ struct ShardedFleetConfig {
 
   /// Per-shard origin replica configuration.
   OriginServer::Config origin;
-
-  /// Event-queue backend for every shard simulator; unset = the
-  /// Simulator default (the BROADWAY_SCHEDULER environment knob).
-  std::optional<SchedulerBackend> scheduler;
 
   /// Window-edge policy (see WindowPolicy).  Never changes merged
   /// output; kAdaptive only reduces barrier/exchange iterations.

@@ -38,14 +38,6 @@ OriginServer::Config make_origin_config(bool history_enabled) {
   return config;
 }
 
-// Simulator cannot be returned by value (it owns pending callbacks and is
-// non-movable), so the scenario hands back a Config to construct in place.
-Simulator::Config scenario_sim_config(const ScenarioBase& scenario) {
-  Simulator::Config config;
-  if (scenario.scheduler) config.scheduler = *scenario.scheduler;
-  return config;
-}
-
 /// Horizon of a run: the explicit duration when set, else the longest
 /// trace.  Fidelity over one trace is always evaluated up to
 /// min(trace horizon, run horizon) — never past the ground truth.
@@ -64,7 +56,7 @@ TemporalRunResult run_temporal(const UpdateTrace& trace,
                                Duration delta,
                                const ScenarioBase& scenario,
                                bool origin_history) {
-  Simulator sim(scenario_sim_config(scenario));
+  Simulator sim;
   OriginServer origin(sim, make_origin_config(origin_history));
   PollingEngine engine(sim, origin, scenario.engine);
   engine.set_poll_log_retention(scenario.poll_log_retention);
@@ -106,7 +98,7 @@ TemporalRunResult run_baseline_individual(const UpdateTrace& trace,
 MutualTemporalRunResult run_mutual_temporal(
     const UpdateTrace& trace_a, const UpdateTrace& trace_b,
     const MutualTemporalRunConfig& config) {
-  Simulator sim(scenario_sim_config(config.base));
+  Simulator sim;
   OriginServer origin(sim, make_origin_config(config.base.origin_history));
   PollingEngine engine(sim, origin, config.base.engine);
   engine.set_poll_log_retention(config.base.poll_log_retention);
@@ -165,7 +157,7 @@ MutualTemporalRunResult run_mutual_temporal(
 
 ValueRunResult run_value_individual(const ValueTrace& trace,
                                     const ValueRunConfig& config) {
-  Simulator sim(scenario_sim_config(config));
+  Simulator sim;
   OriginServer origin(sim);
   PollingEngine engine(sim, origin, config.engine);
   engine.set_poll_log_retention(config.poll_log_retention);
@@ -194,7 +186,7 @@ ValueRunResult run_value_individual(const ValueTrace& trace,
 MutualValueRunResult run_mutual_value(const ValueTrace& trace_a,
                                       const ValueTrace& trace_b,
                                       const MutualValueRunConfig& config) {
-  Simulator sim(scenario_sim_config(config));
+  Simulator sim;
   OriginServer origin(sim);
   PollingEngine engine(sim, origin, config.engine);
   engine.set_poll_log_retention(config.poll_log_retention);
@@ -308,7 +300,7 @@ FleetRunResult summarize_fleet(Fleet& fleet, std::size_t origin_requests,
 FleetRunResult run_fleet_temporal(const std::vector<UpdateTrace>& traces,
                                   const FleetRunConfig& config) {
   BROADWAY_CHECK_MSG(!traces.empty(), "fleet run needs >= 1 trace");
-  Simulator sim(scenario_sim_config(config.base));
+  Simulator sim;
   OriginServer origin(sim, make_origin_config(config.base.origin_history));
   ProxyFleet fleet(sim, origin, make_fleet_config(config));
 
@@ -378,7 +370,7 @@ ClientFleetRunResult run_fleet_client_temporal(
     }
   };
   if (config.threads <= 1) {
-    Simulator sim(scenario_sim_config(config.fleet.base));
+    Simulator sim;
     OriginServer origin(sim,
                         make_origin_config(config.fleet.base.origin_history));
     for (const UpdateTrace& trace : traces) {
@@ -403,7 +395,6 @@ ClientFleetRunResult run_fleet_client_temporal(
     sharded.threads = config.threads;
     sharded.shards = config.shards;
     sharded.window_policy = config.window_policy;
-    sharded.scheduler = config.fleet.base.scheduler;
     sharded.origin = make_origin_config(config.fleet.base.origin_history);
     sharded.origin_setup = [&traces](OriginServer& origin) {
       for (const UpdateTrace& trace : traces) {

@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -38,9 +37,6 @@ struct ScenarioBase {
   /// traffic, transaction sampling).  The engine's loss-injection stream
   /// keeps its own EngineConfig::seed.
   std::uint64_t seed = 42;
-  /// Event-queue backend override; unset = the Simulator default (the
-  /// BROADWAY_SCHEDULER environment knob).
-  std::optional<SchedulerBackend> scheduler;
   /// Per-object poll-log retention window (0 = unlimited).  Bounds
   /// memory on long horizons; counters stay exact, record series shorten.
   std::size_t poll_log_retention = 0;
@@ -241,9 +237,9 @@ FleetRunResult run_fleet_temporal(const std::vector<UpdateTrace>& traces,
 /// client_traffic.h), and an offline pass samples k-object read
 /// transactions against the δ-group bound (client/read_transactions.h).
 struct ClientFleetRunConfig {
-  /// The fleet under test.  Scenario knobs (duration, seed, scheduler,
-  /// retention) live in fleet.base; the client and transaction seeds
-  /// derive from fleet.base.seed so one seed pins the whole run.
+  /// The fleet under test.  Scenario knobs (duration, seed, retention)
+  /// live in fleet.base; the client and transaction seeds derive from
+  /// fleet.base.seed so one seed pins the whole run.
   FleetRunConfig fleet;
   /// Client traffic shape (rate, Zipf exponent, diurnal profile,
   /// clients_per_proxy, record_requests).  `seed` is overridden with

@@ -1,15 +1,9 @@
 #include "origin/origin_server.h"
 
 #include "util/check.h"
-#include "util/env.h"
 #include "util/log.h"
 
 namespace broadway {
-
-bool OriginServer::Config::default_batch_trace_attachment() {
-  return env_choice("BROADWAY_TRACE_ATTACHMENT", {"batch", "per-update"},
-                    /*fallback=*/0) == 0;
-}
 
 OriginServer::OriginServer(Simulator& sim) : OriginServer(sim, Config()) {}
 

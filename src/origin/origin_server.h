@@ -52,11 +52,7 @@ class OriginServer {
     /// interleaving with polls is byte-identical either way — pinned by
     /// tests/test_scheduler_differential.cpp.  Batching keeps the pending
     /// set proportional to the number of *traces*, not updates.
-    bool batch_trace_attachment = default_batch_trace_attachment();
-
-    /// True, unless the BROADWAY_TRACE_ATTACHMENT environment variable is
-    /// "per-update" (the differential tests and CI flip it).
-    static bool default_batch_trace_attachment();
+    bool batch_trace_attachment = true;
   };
 
   explicit OriginServer(Simulator& sim);

@@ -3,25 +3,8 @@
 #include <cmath>
 
 #include "util/check.h"
-#include "util/env.h"
 
 namespace broadway {
-
-SchedulerBackend Simulator::Config::default_scheduler() {
-  return env_choice("BROADWAY_SCHEDULER",
-                    {"calendar", "heap", "binary-heap"},
-                    /*fallback=*/0) == 0
-             ? SchedulerBackend::kCalendar
-             : SchedulerBackend::kBinaryHeap;
-}
-
-Simulator::Simulator(Config config)
-    : backend_(config.scheduler),
-      calendar_(&Simulator::entry_live, this) {}
-
-bool Simulator::entry_live(const void* context, EventId id) {
-  return static_cast<const Simulator*>(context)->live_slot(id) != nullptr;
-}
 
 const Simulator::Slot* Simulator::live_slot(EventId id) const {
   const std::uint32_t index = slot_of(id);
@@ -46,34 +29,11 @@ void Simulator::release(std::uint32_t index) {
   --pending_count_;
 }
 
-// ---- backend facade --------------------------------------------------------
-
-void Simulator::queue_push(const EventEntry& entry) {
-  if (backend_ == SchedulerBackend::kBinaryHeap) {
-    heap_.push(entry);
-  } else {
-    calendar_.push(entry);
-  }
-}
-
-const EventEntry* Simulator::queue_peek() {
-  if (backend_ == SchedulerBackend::kBinaryHeap) {
-    // Pop tombstones until the head is live (or the heap is empty).
-    while (!heap_.empty() && live_slot(heap_.top().id) == nullptr) {
-      heap_.pop();
-    }
-    return heap_.empty() ? nullptr : &heap_.top();
-  }
-  return calendar_.peek();
-}
-
-EventEntry Simulator::queue_pop() {
-  if (backend_ == SchedulerBackend::kBinaryHeap) {
-    const EventEntry entry = heap_.top();
+const EventEntry* Simulator::peek_live() {
+  while (!heap_.empty() && live_slot(heap_.top().id) == nullptr) {
     heap_.pop();
-    return entry;
   }
-  return calendar_.pop();
+  return heap_.empty() ? nullptr : &heap_.top();
 }
 
 // ---- scheduling ------------------------------------------------------------
@@ -101,7 +61,7 @@ EventId Simulator::schedule_with_seq(TimePoint t, std::uint64_t seq,
   slot.live = true;
   ++pending_count_;
   const EventId id = make_id(index, slot.generation);
-  queue_push(EventEntry{t, seq, id});
+  heap_.push(EventEntry{t, seq, id});
   return id;
 }
 
@@ -146,8 +106,9 @@ TimePoint Simulator::fire_time(EventId id) const {
 // ---- execution -------------------------------------------------------------
 
 bool Simulator::step() {
-  if (queue_peek() == nullptr) return false;
-  const EventEntry entry = queue_pop();
+  if (peek_live() == nullptr) return false;
+  const EventEntry entry = heap_.top();
+  heap_.pop();
   Slot* slot = live_slot(entry.id);
   BROADWAY_CHECK(slot != nullptr);
   Callback fn = std::move(slot->fn);
@@ -172,7 +133,7 @@ bool Simulator::step() {
 
 Simulator::NextEvent Simulator::next_event_info() {
   NextEvent info;
-  const EventEntry* head = queue_peek();
+  const EventEntry* head = peek_live();
   if (head == nullptr) return info;
   const Slot* slot = live_slot(head->id);
   BROADWAY_CHECK(slot != nullptr);
@@ -187,7 +148,7 @@ Simulator::NextEvent Simulator::next_event_info() {
 void Simulator::advance_clock(TimePoint t) {
   BROADWAY_CHECK_MSG(t >= now_, "advance_clock into the past: t="
                                     << t << " now=" << now_);
-  const EventEntry* head = queue_peek();
+  const EventEntry* head = peek_live();
   BROADWAY_CHECK_MSG(head == nullptr || head->time >= t,
                      "advance_clock would skip a pending event");
   now_ = t;
@@ -203,7 +164,7 @@ std::size_t Simulator::run_until(TimePoint horizon) {
   BROADWAY_CHECK_MSG(horizon >= now_, "run_until in the past");
   std::size_t executed = 0;
   while (true) {
-    const EventEntry* head = queue_peek();
+    const EventEntry* head = peek_live();
     if (head == nullptr || head->time > horizon) break;
     step();
     ++executed;

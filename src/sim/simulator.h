@@ -19,16 +19,13 @@
 // EventId encodes slot index + generation), so scheduling an event is a
 // slot reuse plus a queue push — no per-event node allocation, no hashing
 // — and cancellation just bumps the slot's generation, turning the queue
-// entry into a tombstone that pop skips.  At fleet scale every poll is at
-// least one event; this is the floor under the whole simulation.
-//
-// Scheduler backends (see event_queue.h): the ordered queue itself is
-// either a binary heap (the reference) or a calendar/bucket queue (the
-// default — O(1) expected schedule/pop).  Config::scheduler selects one;
-// the BROADWAY_SCHEDULER environment variable ("heap" / "calendar")
-// overrides the default so the whole test suite can run under either
-// backend.  tests/test_sim_event_queue.cpp pins the two to byte-identical
-// fire sequences.
+// entry into a tombstone that the next peek pops and discards.  The
+// ordered queue itself is a binary heap (std::priority_queue) of small
+// (time, seq, id) entries: O(log n) per operation, and at this codebase's
+// pending-set sizes the cheapest structure measured end to end.  It is the
+// only one; tests/test_sim_simulator.cpp pins its fire order against a
+// naive scan-for-the-minimum model.  At fleet scale every poll is at least
+// one event; this is the floor under the whole simulation.
 //
 // FIFO sequence reservation: same-instant order is decided by a global
 // sequence number stamped at schedule time.  A caller that replaces N
@@ -43,10 +40,30 @@
 #include <queue>
 #include <vector>
 
-#include "sim/event_queue.h"
 #include "util/time.h"
 
 namespace broadway {
+
+/// Handle for a scheduled event; valid until the event fires or is
+/// cancelled.  Layout (slot index + generation) is the Simulator's.
+using EventId = std::uint64_t;
+
+/// Sentinel returned by APIs that may have nothing scheduled.
+inline constexpr EventId kInvalidEventId = 0;
+
+/// One pending queue entry: fire time, FIFO tie-break, event handle.
+struct EventEntry {
+  TimePoint time;
+  std::uint64_t seq;
+  EventId id;
+};
+
+/// Strict event ordering: earlier time first, then lower sequence number
+/// (same-instant FIFO).
+inline bool fires_before(const EventEntry& a, const EventEntry& b) {
+  if (a.time != b.time) return a.time < b.time;
+  return a.seq < b.seq;
+}
 
 /// The simulation engine.  Not thread-safe: a simulation is a single
 /// logical timeline.
@@ -65,27 +82,12 @@ class Simulator {
     std::uint64_t seq = 0;         ///< FIFO tie-break sequence number
   };
 
-  /// Engine configuration.
-  struct Config {
-    /// Pending-event structure; defaults to the calendar queue, or to
-    /// the BROADWAY_SCHEDULER environment variable when set.
-    SchedulerBackend scheduler = default_scheduler();
-
-    /// kCalendar, unless BROADWAY_SCHEDULER names a backend ("heap" /
-    /// "binary-heap" / "calendar"); unknown values warn and fall back.
-    static SchedulerBackend default_scheduler();
-  };
-
-  Simulator() : Simulator(Config{}) {}
-  explicit Simulator(Config config);
+  Simulator() = default;
 
   // A simulation owns its pending callbacks; copying one timeline into
   // another has no meaningful semantics.
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
-
-  /// The backend this simulator runs on.
-  SchedulerBackend scheduler() const { return backend_; }
 
   /// Current simulation time.  Starts at 0.
   TimePoint now() const { return now_; }
@@ -199,22 +201,14 @@ class Simulator {
   const Slot* live_slot(EventId id) const;
   Slot* live_slot(EventId id);
 
-  /// CalendarQueue liveness predicate (tombstone purging).
-  static bool entry_live(const void* context, EventId id);
-
   /// Release a slot back to the free list (bumps the generation).
   void release(std::uint32_t index);
 
   EventId schedule_with_seq(TimePoint t, std::uint64_t seq, Callback fn);
 
-  // ---- backend facade ----
-
-  void queue_push(const EventEntry& entry);
-  /// Earliest live entry, or nullptr when nothing is pending (dead heap
-  /// entries are dropped; the calendar purges internally).
-  const EventEntry* queue_peek();
-  /// Remove the entry last returned by queue_peek().
-  EventEntry queue_pop();
+  /// Earliest live entry, or nullptr when nothing is pending.  Tombstones
+  /// (entries of cancelled events) at the head are popped on the way.
+  const EventEntry* peek_live();
 
   TimePoint now_ = 0.0;
   EventId current_event_ = kInvalidEventId;
@@ -222,9 +216,7 @@ class Simulator {
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
   std::size_t pending_count_ = 0;
-  SchedulerBackend backend_;
   std::priority_queue<EventEntry, std::vector<EventEntry>, Later> heap_;
-  CalendarQueue calendar_;
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
 };

@@ -5,13 +5,12 @@
 // proxy-side streams; this file pins the layer above them — per-proxy
 // ClientMetrics (including the floating-point OnlineStats), the merged
 // fleet metrics, the recorded request streams, and the read-transaction
-// evaluation derived from the logs — across {1, 2, 4, 8} worker threads
-// and both scheduler backends.  Client streams are seeded and tagged by
-// global proxy id and read only shard-local state, so determinism holds
-// by construction; these tests are the teeth.
+// evaluation derived from the logs — across {1, 2, 4, 8} worker threads.
+// Client streams are seeded and tagged by global proxy id and read only
+// shard-local state, so determinism holds by construction; these tests
+// are the teeth.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <utility>
@@ -33,30 +32,6 @@
 
 namespace broadway {
 namespace {
-
-// Set an environment variable for the current scope (the CI matrix
-// idiom; see test_scheduler_differential.cpp).
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    if (old != nullptr) previous_ = old;
-    had_previous_ = old != nullptr;
-    ::setenv(name, value, /*overwrite=*/1);
-  }
-  ~ScopedEnv() {
-    if (had_previous_) {
-      ::setenv(name_, previous_.c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-
- private:
-  const char* name_;
-  std::string previous_;
-  bool had_previous_ = false;
-};
 
 constexpr Duration kHorizon = 9000.0;
 constexpr std::size_t kThreadCounts[] = {1, 2, 4, 8};
@@ -347,23 +322,19 @@ void expect_artifacts_identical(const Artifacts& reference,
   EXPECT_EQ(reference.relays_dropped_dark, candidate.relays_dropped_dark);
 }
 
-TEST(ClientDifferential, ByteIdenticalAcrossThreadCountsAndSchedulers) {
-  for (const char* scheduler : {"heap", "calendar"}) {
-    ScopedEnv env("BROADWAY_SCHEDULER", scheduler);
-    for (const std::uint64_t seed : {13u, 29u}) {
-      SCOPED_TRACE(std::string(scheduler) + " topology seed " +
-                   std::to_string(seed));
-      const Topology topo = random_topology(seed);
-      const Artifacts reference = reference_run(topo, kHorizon);
-      // The workload must actually exercise the interesting paths.
-      ASSERT_GT(reference.merged.requests, 0u);
-      ASSERT_GT(reference.merged.hits, 0u);
-      ASSERT_GT(reference.transactions.complete, 0u);
-      for (const std::size_t threads : kThreadCounts) {
-        SCOPED_TRACE("threads " + std::to_string(threads));
-        expect_artifacts_identical(reference,
-                                   sharded_run(topo, threads, kHorizon));
-      }
+TEST(ClientDifferential, ByteIdenticalAcrossThreadCounts) {
+  for (const std::uint64_t seed : {13u, 29u}) {
+    SCOPED_TRACE("topology seed " + std::to_string(seed));
+    const Topology topo = random_topology(seed);
+    const Artifacts reference = reference_run(topo, kHorizon);
+    // The workload must actually exercise the interesting paths.
+    ASSERT_GT(reference.merged.requests, 0u);
+    ASSERT_GT(reference.merged.hits, 0u);
+    ASSERT_GT(reference.transactions.complete, 0u);
+    for (const std::size_t threads : kThreadCounts) {
+      SCOPED_TRACE("threads " + std::to_string(threads));
+      expect_artifacts_identical(reference,
+                                 sharded_run(topo, threads, kHorizon));
     }
   }
 }
@@ -373,25 +344,21 @@ TEST(ClientDifferential, ByteIdenticalAcrossThreadCountsAndSchedulers) {
 // several proxies per shard); the window policy stays a free knob.  Both
 // must leave every client-side observation byte-identical.
 TEST(ClientDifferential, WindowPolicyAndPartitionSweepIsByteIdentical) {
-  for (const char* scheduler : {"heap", "calendar"}) {
-    ScopedEnv env("BROADWAY_SCHEDULER", scheduler);
-    const std::uint64_t seed = 29u;
-    SCOPED_TRACE(std::string(scheduler) + " topology seed " +
-                 std::to_string(seed));
-    const Topology topo = random_topology(seed);
-    const Artifacts reference = reference_run(topo, kHorizon);
-    ASSERT_GT(reference.merged.requests, 0u);
-    for (const WindowPolicy policy :
-         {WindowPolicy::kFixed, WindowPolicy::kAdaptive}) {
-      for (const std::size_t threads : kThreadCounts) {
-        SCOPED_TRACE(
-            std::string(policy == WindowPolicy::kFixed ? "fixed"
-                                                       : "adaptive") +
-            " windows, " + std::to_string(threads) + " threads");
-        expect_artifacts_identical(
-            reference,
-            sharded_run(topo, threads, kHorizon, topo.proxies + 3, policy));
-      }
+  const std::uint64_t seed = 29u;
+  SCOPED_TRACE("topology seed " + std::to_string(seed));
+  const Topology topo = random_topology(seed);
+  const Artifacts reference = reference_run(topo, kHorizon);
+  ASSERT_GT(reference.merged.requests, 0u);
+  for (const WindowPolicy policy :
+       {WindowPolicy::kFixed, WindowPolicy::kAdaptive}) {
+    for (const std::size_t threads : kThreadCounts) {
+      SCOPED_TRACE(
+          std::string(policy == WindowPolicy::kFixed ? "fixed"
+                                                     : "adaptive") +
+          " windows, " + std::to_string(threads) + " threads");
+      expect_artifacts_identical(
+          reference,
+          sharded_run(topo, threads, kHorizon, topo.proxies + 3, policy));
     }
   }
 }
@@ -405,61 +372,57 @@ TEST(ClientDifferential, WindowPolicyAndPartitionSweepIsByteIdentical) {
 // next_client_fire into shard_send_bound when fills are on) is exactly
 // the code under test here.
 TEST(ClientDifferential, DemandFillSweepIsByteIdenticalWithInvariant) {
-  for (const char* scheduler : {"heap", "calendar"}) {
-    ScopedEnv env("BROADWAY_SCHEDULER", scheduler);
-    for (const std::uint64_t seed : {13u, 29u}) {
-      SCOPED_TRACE(std::string(scheduler) + " topology seed " +
-                   std::to_string(seed));
-      const Topology topo = random_topology(seed);
-      const Artifacts reference =
-          reference_run(topo, kHorizon, /*demand_fill=*/true);
-      // The workload must actually demand-fill, and filled reads stay
-      // misses (hits + misses == requests is the client-side ledger).
-      ASSERT_GT(reference.merged.demand_fills, 0u);
-      ASSERT_EQ(reference.merged.hits + reference.merged.misses,
-                reference.merged.requests);
-      expect_origin_invariant(reference);
+  for (const std::uint64_t seed : {13u, 29u}) {
+    SCOPED_TRACE("topology seed " + std::to_string(seed));
+    const Topology topo = random_topology(seed);
+    const Artifacts reference =
+        reference_run(topo, kHorizon, /*demand_fill=*/true);
+    // The workload must actually demand-fill, and filled reads stay
+    // misses (hits + misses == requests is the client-side ledger).
+    ASSERT_GT(reference.merged.demand_fills, 0u);
+    ASSERT_EQ(reference.merged.hits + reference.merged.misses,
+              reference.merged.requests);
+    expect_origin_invariant(reference);
 
-      // Demand filling must strictly reduce the client miss count on the
-      // same topology and seeds (the fills-off run differs only in the
-      // engine knob; locality stays on so the request streams match).
-      FleetConfig off_config = fleet_config(topo.proxies, true);
-      off_config.engine.demand_fill = false;
-      {
-        Simulator sim;
-        OriginServer origin(sim);
-        for (const UpdateTrace& trace : topo.traces) {
-          origin.attach_update_trace(trace.name(), trace);
-        }
-        ProxyFleet off_fleet(sim, origin, off_config);
-        const auto factory = limd_factory();
-        for (const UpdateTrace& trace : topo.traces) {
-          off_fleet.add_temporal_object_everywhere(trace.name(), factory);
-        }
-        off_fleet.start();
-        sim.run_until(kHorizon);
-        const ClientMetrics off = off_fleet.merged_client_metrics();
-        EXPECT_EQ(off.demand_fills, 0u);
-        EXPECT_LT(reference.merged.misses, off.misses);
+    // Demand filling must strictly reduce the client miss count on the
+    // same topology and seeds (the fills-off run differs only in the
+    // engine knob; locality stays on so the request streams match).
+    FleetConfig off_config = fleet_config(topo.proxies, true);
+    off_config.engine.demand_fill = false;
+    {
+      Simulator sim;
+      OriginServer origin(sim);
+      for (const UpdateTrace& trace : topo.traces) {
+        origin.attach_update_trace(trace.name(), trace);
       }
+      ProxyFleet off_fleet(sim, origin, off_config);
+      const auto factory = limd_factory();
+      for (const UpdateTrace& trace : topo.traces) {
+        off_fleet.add_temporal_object_everywhere(trace.name(), factory);
+      }
+      off_fleet.start();
+      sim.run_until(kHorizon);
+      const ClientMetrics off = off_fleet.merged_client_metrics();
+      EXPECT_EQ(off.demand_fills, 0u);
+      EXPECT_LT(reference.merged.misses, off.misses);
+    }
 
-      for (const std::size_t threads : kThreadCounts) {
-        SCOPED_TRACE("threads " + std::to_string(threads));
-        const Artifacts whole =
-            sharded_run(topo, threads, kHorizon, /*shards=*/0,
-                        WindowPolicy::kAdaptive, /*demand_fill=*/true);
-        expect_artifacts_identical(reference, whole);
-        expect_origin_invariant(whole);
-        for (const WindowPolicy policy :
-             {WindowPolicy::kFixed, WindowPolicy::kAdaptive}) {
-          SCOPED_TRACE(policy == WindowPolicy::kFixed ? "fixed windows"
-                                                      : "adaptive windows");
-          const Artifacts partitioned =
-              sharded_run(topo, threads, kHorizon, topo.proxies + 3, policy,
-                          /*demand_fill=*/true);
-          expect_artifacts_identical(reference, partitioned);
-          expect_origin_invariant(partitioned);
-        }
+    for (const std::size_t threads : kThreadCounts) {
+      SCOPED_TRACE("threads " + std::to_string(threads));
+      const Artifacts whole =
+          sharded_run(topo, threads, kHorizon, /*shards=*/0,
+                      WindowPolicy::kAdaptive, /*demand_fill=*/true);
+      expect_artifacts_identical(reference, whole);
+      expect_origin_invariant(whole);
+      for (const WindowPolicy policy :
+           {WindowPolicy::kFixed, WindowPolicy::kAdaptive}) {
+        SCOPED_TRACE(policy == WindowPolicy::kFixed ? "fixed windows"
+                                                    : "adaptive windows");
+        const Artifacts partitioned =
+            sharded_run(topo, threads, kHorizon, topo.proxies + 3, policy,
+                        /*demand_fill=*/true);
+        expect_artifacts_identical(reference, partitioned);
+        expect_origin_invariant(partitioned);
       }
     }
   }
@@ -483,46 +446,44 @@ TEST(ClientDifferential, FaultInjectionSweepIsByteIdentical) {
   faults.retry_backoff_cap = 8.0;
   faults.relay_retry_limit = 4;
 
-  for (const char* scheduler : {"heap", "calendar"}) {
-    ScopedEnv env("BROADWAY_SCHEDULER", scheduler);
-    const std::uint64_t seed = 13u;
-    SCOPED_TRACE(std::string(scheduler) + " topology seed " +
-                 std::to_string(seed));
-    const Topology topo = random_topology(seed);
-    const Artifacts reference =
-        reference_run(topo, kHorizon, /*demand_fill=*/true, faults);
-    // The outages must actually degrade service — reads served dark,
-    // stale hits among them, losses retried.  (Dark *misses* need a cold
-    // cache at crash time; test_fleet_faults pins that classification
-    // with a purpose-built cold-start scenario.)
-    ASSERT_GT(reference.merged.dark_reads, 0u);
-    ASSERT_GT(reference.merged.dark_stale, 0u);
-    ASSERT_GT(reference.relays_lost, 0u);
-    ASSERT_GT(reference.relays_retried, 0u);
-    EXPECT_EQ(reference.merged.hits + reference.merged.misses,
-              reference.merged.requests);
-    EXPECT_EQ(reference.relays_sent,
-              reference.relays_delivered + reference.relays_in_flight +
-                  reference.relays_lost);
-    // Dark reads never demand-fill: every recorded dark read is unfilled.
-    for (const ClientRequestRecord& record : reference.records) {
-      if (record.read.dark) EXPECT_FALSE(record.read.filled);
+  const std::uint64_t seed = 13u;
+  SCOPED_TRACE("topology seed " + std::to_string(seed));
+  const Topology topo = random_topology(seed);
+  const Artifacts reference =
+      reference_run(topo, kHorizon, /*demand_fill=*/true, faults);
+  // The outages must actually degrade service — reads served dark,
+  // stale hits among them, losses retried.  (Dark *misses* need a cold
+  // cache at crash time; test_fleet_faults pins that classification
+  // with a purpose-built cold-start scenario.)
+  ASSERT_GT(reference.merged.dark_reads, 0u);
+  ASSERT_GT(reference.merged.dark_stale, 0u);
+  ASSERT_GT(reference.relays_lost, 0u);
+  ASSERT_GT(reference.relays_retried, 0u);
+  EXPECT_EQ(reference.merged.hits + reference.merged.misses,
+            reference.merged.requests);
+  EXPECT_EQ(reference.relays_sent,
+            reference.relays_delivered + reference.relays_in_flight +
+                reference.relays_lost);
+  // Dark reads never demand-fill: every recorded dark read is unfilled.
+  for (const ClientRequestRecord& record : reference.records) {
+    if (record.read.dark) {
+      EXPECT_FALSE(record.read.filled);
     }
+  }
 
-    for (const std::size_t threads : kThreadCounts) {
-      SCOPED_TRACE("threads " + std::to_string(threads));
+  for (const std::size_t threads : kThreadCounts) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    expect_artifacts_identical(
+        reference, sharded_run(topo, threads, kHorizon, /*shards=*/0,
+                               WindowPolicy::kAdaptive,
+                               /*demand_fill=*/true, faults));
+    for (const WindowPolicy policy :
+         {WindowPolicy::kFixed, WindowPolicy::kAdaptive}) {
+      SCOPED_TRACE(policy == WindowPolicy::kFixed ? "fixed windows"
+                                                  : "adaptive windows");
       expect_artifacts_identical(
-          reference, sharded_run(topo, threads, kHorizon, /*shards=*/0,
-                                 WindowPolicy::kAdaptive,
-                                 /*demand_fill=*/true, faults));
-      for (const WindowPolicy policy :
-           {WindowPolicy::kFixed, WindowPolicy::kAdaptive}) {
-        SCOPED_TRACE(policy == WindowPolicy::kFixed ? "fixed windows"
-                                                    : "adaptive windows");
-        expect_artifacts_identical(
-            reference, sharded_run(topo, threads, kHorizon, topo.proxies + 3,
-                                   policy, /*demand_fill=*/true, faults));
-      }
+          reference, sharded_run(topo, threads, kHorizon, topo.proxies + 3,
+                                 policy, /*demand_fill=*/true, faults));
     }
   }
 }

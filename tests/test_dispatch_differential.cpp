@@ -7,10 +7,9 @@
 // coordinators, overlapping member sets, ungrouped bystander objects, loss
 // injection and a mid-run crash — both dispatch modes must produce
 // byte-identical poll logs, identical TTR series, identical triggered-poll
-// counts and identical fidelity, under both scheduler backends.  A second
-// set of pins covers the mechanism itself: the per-object subscriber
-// index, and that an engine with zero coordinators performs zero notify
-// work.
+// counts and identical fidelity.  A second set of pins covers the
+// mechanism itself: the per-object subscriber index, and that an engine
+// with zero coordinators performs zero notify work.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -105,11 +104,8 @@ struct RunArtifacts {
   double mutual_fidelity = 0.0;
 };
 
-RunArtifacts run_topology(const Topology& topology,
-                          SchedulerBackend backend, bool legacy_dispatch) {
-  Simulator::Config sim_config;
-  sim_config.scheduler = backend;
-  Simulator sim(sim_config);
+RunArtifacts run_topology(const Topology& topology, bool legacy_dispatch) {
+  Simulator sim;
   OriginServer origin(sim);
 
   EngineConfig config;
@@ -184,27 +180,22 @@ TEST(DispatchDifferential, RoutedMatchesLegacyOverRandomTopologies) {
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     const Topology topology = make_topology(seed);
     ASSERT_FALSE(topology.groups.empty());
-    for (const SchedulerBackend backend :
-         {SchedulerBackend::kBinaryHeap, SchedulerBackend::kCalendar}) {
-      SCOPED_TRACE("seed " + std::to_string(seed) + ", backend " +
-                   (backend == SchedulerBackend::kBinaryHeap ? "heap"
-                                                             : "calendar"));
-      const RunArtifacts routed =
-          run_topology(topology, backend, /*legacy_dispatch=*/false);
-      const RunArtifacts legacy =
-          run_topology(topology, backend, /*legacy_dispatch=*/true);
-      ASSERT_FALSE(routed.records.empty());
-      expect_records_identical(routed.records, legacy.records);
-      EXPECT_EQ(routed.ttr_series, legacy.ttr_series);
-      EXPECT_EQ(routed.triggered, legacy.triggered);
-      EXPECT_EQ(routed.individual_fidelity, legacy.individual_fidelity);
-      EXPECT_EQ(routed.mutual_fidelity, legacy.mutual_fidelity);
-      // The broadcast path dispatches at least as many notifications as
-      // the routed path (every coordinator, every temporal poll); routing
-      // skips the non-subscribers without changing any observable above.
-      EXPECT_GE(legacy.notifies, routed.notifies);
-      EXPECT_GT(routed.notifies, 0u);
-    }
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const RunArtifacts routed =
+        run_topology(topology, /*legacy_dispatch=*/false);
+    const RunArtifacts legacy =
+        run_topology(topology, /*legacy_dispatch=*/true);
+    ASSERT_FALSE(routed.records.empty());
+    expect_records_identical(routed.records, legacy.records);
+    EXPECT_EQ(routed.ttr_series, legacy.ttr_series);
+    EXPECT_EQ(routed.triggered, legacy.triggered);
+    EXPECT_EQ(routed.individual_fidelity, legacy.individual_fidelity);
+    EXPECT_EQ(routed.mutual_fidelity, legacy.mutual_fidelity);
+    // The broadcast path dispatches at least as many notifications as
+    // the routed path (every coordinator, every temporal poll); routing
+    // skips the non-subscribers without changing any observable above.
+    EXPECT_GE(legacy.notifies, routed.notifies);
+    EXPECT_GT(routed.notifies, 0u);
   }
 }
 

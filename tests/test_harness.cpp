@@ -85,22 +85,6 @@ TEST(Harness, DurationKnobTruncatesTheRun) {
   EXPECT_GT(half.polls, 0u);
 }
 
-TEST(Harness, SchedulerKnobIsResultInvariant) {
-  // The calendar queue is pinned event-for-event against the heap, so an
-  // explicit backend override must not change any result.
-  const UpdateTrace trace = make_cnn_fn_trace();
-  TemporalRunConfig config;
-  config.delta = minutes(10.0);
-  config.scheduler = SchedulerBackend::kBinaryHeap;
-  const auto heap = run_limd_individual(trace, config);
-  config.scheduler = SchedulerBackend::kCalendar;
-  const auto calendar = run_limd_individual(trace, config);
-  EXPECT_EQ(heap.polls, calendar.polls);
-  EXPECT_EQ(heap.ttr_series, calendar.ttr_series);
-  EXPECT_DOUBLE_EQ(heap.fidelity.fidelity_time(),
-                   calendar.fidelity.fidelity_time());
-}
-
 TEST(Harness, RetentionKnobKeepsPollCountsExact) {
   const UpdateTrace trace = make_cnn_fn_trace();
   TemporalRunConfig config;

@@ -1,25 +1,20 @@
-// End-to-end scheduler/attachment differential tests.
+// Batch-vs-per-update trace attachment differential.
 //
-// The calendar event queue (Simulator::Config::scheduler) and batch trace
-// attachment (OriginServer::Config::batch_trace_attachment) both change
-// *how* events are stored and created, and must change nothing about
-// *what* the simulation computes.  These tests run full harness
-// simulations — a cooperative-push fleet (run_fleet_temporal plus a
-// direct ProxyFleet run for log-level access) and a value-domain run —
-// under every combination of {heap, calendar} x {batch, per-update},
-// selected the way CI selects them (the BROADWAY_SCHEDULER /
-// BROADWAY_TRACE_ATTACHMENT environment variables), and assert
-// byte-identical poll logs, TTR series, fidelity and counters.
+// Batch trace attachment (OriginServer::Config::batch_trace_attachment)
+// replaces one pre-scheduled simulator event per trace update with one
+// self-rechaining event per trace.  It changes *how* update events are
+// created and must change nothing about *what* the simulation computes.
+// These tests run a lossy cooperative-push fleet and a lossy value-domain
+// engine with the origin in each attachment mode and assert byte-identical
+// poll logs, TTR series and counters.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "consistency/limd.h"
 #include "fleet/proxy_fleet.h"
-#include "harness/experiments.h"
 #include "origin/origin_server.h"
 #include "proxy/polling_engine.h"
 #include "sim/simulator.h"
@@ -30,45 +25,10 @@
 namespace broadway {
 namespace {
 
-// Set an environment variable for the current scope, restoring the prior
-// value on exit.  The suite is single-threaded; this is how the CI matrix
-// and any user of the knobs actually selects a backend.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    if (old != nullptr) previous_ = old;
-    had_previous_ = old != nullptr;
-    ::setenv(name, value, /*overwrite=*/1);
-  }
-  ~ScopedEnv() {
-    if (had_previous_) {
-      ::setenv(name_, previous_.c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-
- private:
-  const char* name_;
-  std::string previous_;
-  bool had_previous_ = false;
-};
-
-struct Variant {
-  const char* scheduler;
-  const char* attachment;
-};
-
-constexpr Variant kVariants[] = {
-    {"heap", "per-update"},
-    {"heap", "batch"},
-    {"calendar", "per-update"},
-    {"calendar", "batch"},
-};
-
-std::string variant_name(const Variant& variant) {
-  return std::string(variant.scheduler) + "/" + variant.attachment;
+OriginServer::Config attachment(bool batch) {
+  OriginServer::Config config;
+  config.batch_trace_attachment = batch;
+  return config;
 }
 
 UpdateTrace irregular_trace(const std::string& name, std::uint64_t seed,
@@ -129,184 +89,114 @@ struct FleetArtifacts {
   std::vector<PollRecord> records;  // all proxies, proxy-major
   std::vector<std::vector<std::pair<TimePoint, Duration>>> ttr_series;
   std::size_t origin_requests = 0;
+  std::size_t origin_polls = 0;
   std::size_t relays_delivered = 0;
   std::size_t relays_applied = 0;
-  FleetRunResult harness;
 };
 
-FleetArtifacts run_fleet_variant() {
+FleetArtifacts run_fleet(bool batch) {
   constexpr Duration kHorizon = 25000.0;
   const std::vector<UpdateTrace> traces = fleet_traces(kHorizon);
 
-  FleetArtifacts artifacts;
-  {
-    // Direct fleet run: full poll logs and TTR series per proxy.
-    Simulator sim;
-    OriginServer origin(sim);
-    for (const UpdateTrace& trace : traces) {
-      origin.attach_update_trace(trace.name(), trace);
-    }
-    FleetConfig config;
-    config.proxies = 3;
-    config.cooperative_push = true;
-    config.relay_latency = 0.5;
-    config.engine.rtt = 0.1;
-    config.engine.loss_probability = 0.03;
-    config.engine.retry_delay = 2.0;
-    ProxyFleet fleet(sim, origin, config);
-    for (const UpdateTrace& trace : traces) {
-      fleet.add_temporal_object_everywhere(trace.name(), [] {
-        return std::make_unique<LimdPolicy>(
-            LimdPolicy::Config::paper_defaults(600.0));
-      });
-    }
-    fleet.start();
-    sim.run_until(kHorizon);
-    for (std::size_t p = 0; p < fleet.size(); ++p) {
-      const auto& records = fleet.proxy(p).poll_log().records();
-      artifacts.records.insert(artifacts.records.end(), records.begin(),
-                               records.end());
-      for (const UpdateTrace& trace : traces) {
-        artifacts.ttr_series.push_back(
-            fleet.proxy(p).ttr_series(trace.name()));
-      }
-    }
-    artifacts.origin_requests = origin.requests_served();
-    artifacts.relays_delivered = fleet.relays_delivered();
-    artifacts.relays_applied = fleet.relays_applied();
+  Simulator sim;
+  OriginServer origin(sim, attachment(batch));
+  for (const UpdateTrace& trace : traces) {
+    origin.attach_update_trace(trace.name(), trace);
   }
-  // Harness-level run: the whole reporting surface.
-  FleetRunConfig harness_config;
-  harness_config.proxies = 2;
-  harness_config.cooperative_push = true;
-  harness_config.base.delta = 600.0;
-  artifacts.harness = run_fleet_temporal(traces, harness_config);
+  FleetConfig config;
+  config.proxies = 3;
+  config.cooperative_push = true;
+  config.relay_latency = 0.5;
+  config.engine.rtt = 0.1;
+  config.engine.loss_probability = 0.03;
+  config.engine.retry_delay = 2.0;
+  ProxyFleet fleet(sim, origin, config);
+  for (const UpdateTrace& trace : traces) {
+    fleet.add_temporal_object_everywhere(trace.name(), [] {
+      return std::make_unique<LimdPolicy>(
+          LimdPolicy::Config::paper_defaults(600.0));
+    });
+  }
+  fleet.start();
+  sim.run_until(kHorizon);
+
+  FleetArtifacts artifacts;
+  for (std::size_t p = 0; p < fleet.size(); ++p) {
+    const auto& records = fleet.proxy(p).poll_log().records();
+    artifacts.records.insert(artifacts.records.end(), records.begin(),
+                             records.end());
+    for (const UpdateTrace& trace : traces) {
+      artifacts.ttr_series.push_back(fleet.proxy(p).ttr_series(trace.name()));
+    }
+  }
+  artifacts.origin_requests = origin.requests_served();
+  artifacts.origin_polls = fleet.origin_polls();
+  artifacts.relays_delivered = fleet.relays_delivered();
+  artifacts.relays_applied = fleet.relays_applied();
   return artifacts;
 }
 
-TEST(SchedulerDifferential, FleetRunsAreByteIdentical) {
-  std::vector<FleetArtifacts> results;
-  for (const Variant& variant : kVariants) {
-    SCOPED_TRACE(variant_name(variant));
-    ScopedEnv scheduler("BROADWAY_SCHEDULER", variant.scheduler);
-    ScopedEnv attachment("BROADWAY_TRACE_ATTACHMENT", variant.attachment);
-    results.push_back(run_fleet_variant());
-  }
-  const FleetArtifacts& reference = results.front();
-  ASSERT_FALSE(reference.records.empty());
-  for (std::size_t v = 1; v < results.size(); ++v) {
-    SCOPED_TRACE(variant_name(kVariants[v]) + " vs " +
-                 variant_name(kVariants[0]));
-    const FleetArtifacts& candidate = results[v];
-    expect_records_identical(reference.records, candidate.records);
-    EXPECT_EQ(reference.ttr_series, candidate.ttr_series);
-    EXPECT_EQ(reference.origin_requests, candidate.origin_requests);
-    EXPECT_EQ(reference.relays_delivered, candidate.relays_delivered);
-    EXPECT_EQ(reference.relays_applied, candidate.relays_applied);
-    EXPECT_EQ(reference.harness.origin_requests,
-              candidate.harness.origin_requests);
-    EXPECT_EQ(reference.harness.origin_polls, candidate.harness.origin_polls);
-    EXPECT_EQ(reference.harness.relays_delivered,
-              candidate.harness.relays_delivered);
-    EXPECT_EQ(reference.harness.relays_applied,
-              candidate.harness.relays_applied);
-    EXPECT_EQ(reference.harness.origin_polls_per_second,
-              candidate.harness.origin_polls_per_second);
-    EXPECT_EQ(reference.harness.mean_fidelity_time,
-              candidate.harness.mean_fidelity_time);
-    EXPECT_EQ(reference.harness.min_fidelity_time,
-              candidate.harness.min_fidelity_time);
-    EXPECT_EQ(reference.harness.mean_fidelity_violations,
-              candidate.harness.mean_fidelity_violations);
-  }
+TEST(AttachmentDifferential, FleetRunsAreByteIdentical) {
+  const FleetArtifacts per_update = run_fleet(/*batch=*/false);
+  const FleetArtifacts batch = run_fleet(/*batch=*/true);
+  ASSERT_FALSE(per_update.records.empty());
+  EXPECT_GT(per_update.relays_delivered, 0u);
+  expect_records_identical(per_update.records, batch.records);
+  EXPECT_EQ(per_update.ttr_series, batch.ttr_series);
+  EXPECT_EQ(per_update.origin_requests, batch.origin_requests);
+  EXPECT_EQ(per_update.origin_polls, batch.origin_polls);
+  EXPECT_EQ(per_update.relays_delivered, batch.relays_delivered);
+  EXPECT_EQ(per_update.relays_applied, batch.relays_applied);
 }
 
 // ---- value domain ----------------------------------------------------------
 
 struct ValueArtifacts {
   std::vector<PollRecord> records;
-  ValueRunResult harness;
+  std::vector<std::pair<TimePoint, Duration>> ttr_series;
+  std::size_t polls = 0;
+  std::size_t origin_requests = 0;
 };
 
-ValueArtifacts run_value_variant() {
+ValueArtifacts run_value(bool batch) {
   constexpr Duration kHorizon = 8000.0;
   const ValueTrace trace = wiggly_trace("/stock/x", 77, kHorizon);
 
+  Simulator sim;
+  OriginServer origin(sim, attachment(batch));
+  origin.attach_value_trace(trace.name(), trace);
+  EngineConfig engine;
+  engine.rtt = 0.05;
+  engine.loss_probability = 0.02;
+  engine.retry_delay = 1.5;
+  PollingEngine proxy(sim, origin, engine);
+  AdaptiveValueTtrPolicy::Config policy;
+  policy.delta = 0.5;
+  policy.bounds = {1.0, 300.0};
+  proxy.add_value_object(trace.name(), policy);
+  proxy.start();
+  sim.run_until(kHorizon);
+
   ValueArtifacts artifacts;
-  {
-    // Direct engine run for log-level access (the harness returns only
-    // aggregates).
-    Simulator sim;
-    OriginServer origin(sim);
-    origin.attach_value_trace(trace.name(), trace);
-    EngineConfig engine;
-    engine.rtt = 0.05;
-    engine.loss_probability = 0.02;
-    engine.retry_delay = 1.5;
-    PollingEngine proxy(sim, origin, engine);
-    AdaptiveValueTtrPolicy::Config policy;
-    policy.delta = 0.5;
-    policy.bounds = {1.0, 300.0};
-    proxy.add_value_object(trace.name(), policy);
-    proxy.start();
-    sim.run_until(kHorizon);
-    artifacts.records = proxy.poll_log().records();
-  }
-  ValueRunConfig config;
-  config.delta = 0.5;
-  config.bounds = {1.0, 300.0};
-  artifacts.harness = run_value_individual(trace, config);
+  artifacts.records = proxy.poll_log().records();
+  artifacts.ttr_series = proxy.ttr_series(trace.name());
+  artifacts.polls = proxy.polls_performed();
+  artifacts.origin_requests = origin.requests_served();
   return artifacts;
 }
 
-TEST(SchedulerDifferential, ValueRunsAreByteIdentical) {
-  std::vector<ValueArtifacts> results;
-  for (const Variant& variant : kVariants) {
-    SCOPED_TRACE(variant_name(variant));
-    ScopedEnv scheduler("BROADWAY_SCHEDULER", variant.scheduler);
-    ScopedEnv attachment("BROADWAY_TRACE_ATTACHMENT", variant.attachment);
-    results.push_back(run_value_variant());
-  }
-  const ValueArtifacts& reference = results.front();
-  ASSERT_FALSE(reference.records.empty());
-  for (std::size_t v = 1; v < results.size(); ++v) {
-    SCOPED_TRACE(variant_name(kVariants[v]) + " vs " +
-                 variant_name(kVariants[0]));
-    const ValueArtifacts& candidate = results[v];
-    expect_records_identical(reference.records, candidate.records);
-    EXPECT_EQ(reference.harness.polls, candidate.harness.polls);
-    EXPECT_EQ(reference.harness.fidelity.windows,
-              candidate.harness.fidelity.windows);
-    EXPECT_EQ(reference.harness.fidelity.violations,
-              candidate.harness.fidelity.violations);
-    EXPECT_EQ(reference.harness.fidelity.out_sync_time,
-              candidate.harness.fidelity.out_sync_time);
-    EXPECT_EQ(reference.harness.fidelity.horizon,
-              candidate.harness.fidelity.horizon);
-  }
+TEST(AttachmentDifferential, ValueRunsAreByteIdentical) {
+  const ValueArtifacts per_update = run_value(/*batch=*/false);
+  const ValueArtifacts batch = run_value(/*batch=*/true);
+  ASSERT_FALSE(per_update.records.empty());
+  expect_records_identical(per_update.records, batch.records);
+  EXPECT_EQ(per_update.ttr_series, batch.ttr_series);
+  EXPECT_EQ(per_update.polls, batch.polls);
+  EXPECT_EQ(per_update.origin_requests, batch.origin_requests);
 }
 
-// The env knobs themselves: what CI sets must be what the constructors
-// read.
-TEST(SchedulerDifferential, EnvironmentSelectsBackends) {
-  {
-    ScopedEnv scheduler("BROADWAY_SCHEDULER", "heap");
-    Simulator sim;
-    EXPECT_EQ(sim.scheduler(), SchedulerBackend::kBinaryHeap);
-  }
-  {
-    ScopedEnv scheduler("BROADWAY_SCHEDULER", "calendar");
-    Simulator sim;
-    EXPECT_EQ(sim.scheduler(), SchedulerBackend::kCalendar);
-  }
-  {
-    ScopedEnv attachment("BROADWAY_TRACE_ATTACHMENT", "per-update");
-    EXPECT_FALSE(OriginServer::Config().batch_trace_attachment);
-  }
-  {
-    ScopedEnv attachment("BROADWAY_TRACE_ATTACHMENT", "batch");
-    EXPECT_TRUE(OriginServer::Config().batch_trace_attachment);
-  }
+TEST(AttachmentDifferential, BatchIsTheDefault) {
+  EXPECT_TRUE(OriginServer::Config().batch_trace_attachment);
 }
 
 }  // namespace

@@ -2,12 +2,12 @@
 //
 // ShardedFleet partitions the fleet across per-shard simulators and runs
 // them on worker threads with conservative-lookahead windows; exactly
-// like heap-vs-calendar and routed-vs-broadcast before it, the
-// single-simulator ProxyFleet is the differential reference.  These
-// tests run randomized topologies under {1, 2, 4, 8} threads and both
-// scheduler backends and assert byte-identical per-proxy poll logs, TTR
-// series, merged record streams and fleet counters — determinism at any
-// thread count is the acceptance bar, not statistical closeness.
+// like routed-vs-broadcast before it, the single-simulator ProxyFleet is
+// the differential reference.  These tests run randomized topologies
+// under {1, 2, 4, 8} threads and assert byte-identical per-proxy poll
+// logs, TTR series, merged record streams and fleet counters —
+// determinism at any thread count is the acceptance bar, not statistical
+// closeness.
 //
 // The workloads use adaptive (LIMD) policies and non-harmonic constants
 // (relay latency != rtt != retry delay), so same-instant collisions
@@ -19,7 +19,6 @@
 // src/fleet/sharded_fleet.h.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <utility>
@@ -40,30 +39,6 @@
 
 namespace broadway {
 namespace {
-
-// Set an environment variable for the current scope (the CI matrix
-// idiom; see test_scheduler_differential.cpp).
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    if (old != nullptr) previous_ = old;
-    had_previous_ = old != nullptr;
-    ::setenv(name, value, /*overwrite=*/1);
-  }
-  ~ScopedEnv() {
-    if (had_previous_) {
-      ::setenv(name_, previous_.c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-
- private:
-  const char* name_;
-  std::string previous_;
-  bool had_previous_ = false;
-};
 
 constexpr Duration kHorizon = 12000.0;
 constexpr std::size_t kThreadCounts[] = {1, 2, 4, 8};
@@ -390,21 +365,17 @@ FaultSchedule heavy_faults() {
 
 // ---- the differential ------------------------------------------------------
 
-TEST(ShardedDifferential, ByteIdenticalAcrossThreadCountsAndSchedulers) {
-  for (const char* scheduler : {"heap", "calendar"}) {
-    ScopedEnv env("BROADWAY_SCHEDULER", scheduler);
-    for (const std::uint64_t seed : {11u, 23u, 47u}) {
-      SCOPED_TRACE(std::string(scheduler) + " topology seed " +
-                   std::to_string(seed));
-      const Topology topo = random_topology(seed);
-      const Artifacts reference = reference_run(topo, kHorizon);
-      ASSERT_FALSE(reference.merged.empty());
-      EXPECT_GT(reference.relays_delivered, 0u);
-      for (const std::size_t threads : kThreadCounts) {
-        SCOPED_TRACE("threads " + std::to_string(threads));
-        expect_artifacts_identical(reference,
-                                   sharded_run(topo, threads, kHorizon));
-      }
+TEST(ShardedDifferential, ByteIdenticalAcrossThreadCounts) {
+  for (const std::uint64_t seed : {11u, 23u, 47u}) {
+    SCOPED_TRACE("topology seed " + std::to_string(seed));
+    const Topology topo = random_topology(seed);
+    const Artifacts reference = reference_run(topo, kHorizon);
+    ASSERT_FALSE(reference.merged.empty());
+    EXPECT_GT(reference.relays_delivered, 0u);
+    for (const std::size_t threads : kThreadCounts) {
+      SCOPED_TRACE("threads " + std::to_string(threads));
+      expect_artifacts_identical(reference,
+                                 sharded_run(topo, threads, kHorizon));
     }
   }
 }
@@ -470,99 +441,17 @@ TEST(ShardedDifferential, DeltaGroupsAreColocated) {
 // The window-edge policy and the shard map are pure performance knobs:
 // fixed and adaptive edges, legacy whole-proxy maps (shards = 0) and
 // object-partitioned maps with more shards than the fleet has proxies
-// must all reproduce the reference run exactly, at every thread count,
-// under both schedulers.  A split proxy has no single per-proxy log (its
+// must all reproduce the reference run exactly, at every thread count.
+// A split proxy has no single per-proxy log (its
 // slices are merged on demand), so the comparison pins the merged
 // stream, every unsplit proxy's log, and the fleet counters.
 TEST(ShardedDifferential, WindowPolicyAndPartitionSweepIsByteIdentical) {
-  for (const char* scheduler : {"heap", "calendar"}) {
-    ScopedEnv env("BROADWAY_SCHEDULER", scheduler);
-    for (const std::uint64_t seed : {7u, 39u}) {
-      SCOPED_TRACE(std::string(scheduler) + " topology seed " +
-                   std::to_string(seed));
-      const Topology topo = random_topology(seed);
-      const Artifacts reference = reference_run(topo, kHorizon);
-      ASSERT_FALSE(reference.merged.empty());
-      EXPECT_GT(reference.relays_delivered, 0u);
-      for (const WindowPolicy policy :
-           {WindowPolicy::kFixed, WindowPolicy::kAdaptive}) {
-        for (const std::size_t shards : {std::size_t{0}, topo.proxies + 3}) {
-          for (const std::size_t threads : kThreadCounts) {
-            SCOPED_TRACE(
-                std::string(policy == WindowPolicy::kFixed ? "fixed"
-                                                           : "adaptive") +
-                " windows, " + std::to_string(shards) + " shards, " +
-                std::to_string(threads) + " threads");
-            auto fleet = make_sharded(topo, threads, shards, policy);
-            fleet->start();
-            if (shards > 0) {
-              // A requested count above the proxy count must actually be
-              // honoured: more shards than proxies, at least one proxy
-              // split across shards.
-              EXPECT_GT(fleet->shard_count(), topo.proxies);
-              bool any_split = false;
-              for (std::size_t p = 0; p < topo.proxies; ++p) {
-                if (fleet->slice_count(p) > 1) any_split = true;
-              }
-              EXPECT_TRUE(any_split);
-            }
-            fleet->run_until(kHorizon);
-            expect_records_identical(reference.merged,
-                                     fleet->merged_poll_records());
-            for (std::size_t p = 0; p < topo.proxies; ++p) {
-              if (fleet->slice_count(p) != 1) continue;
-              SCOPED_TRACE("proxy " + std::to_string(p));
-              expect_records_identical(reference.records_by_proxy[p],
-                                       fleet->proxy(p).poll_log().records());
-            }
-            EXPECT_EQ(reference.origin_requests, fleet->origin_requests());
-            EXPECT_EQ(reference.origin_polls, fleet->origin_polls());
-            EXPECT_EQ(reference.relays_sent, fleet->relays_sent());
-            EXPECT_EQ(reference.relays_delivered, fleet->relays_delivered());
-            EXPECT_EQ(reference.relays_applied, fleet->relays_applied());
-            EXPECT_EQ(reference.relays_in_flight, fleet->relays_in_flight());
-            const FleetOriginLoad load = fleet->origin_load();
-            EXPECT_EQ(reference.load.origin_messages, load.origin_messages);
-            EXPECT_EQ(reference.load.origin_polls, load.origin_polls);
-            EXPECT_EQ(reference.load.relay_refreshes, load.relay_refreshes);
-            EXPECT_EQ(reference.load.failed, load.failed);
-          }
-        }
-      }
-    }
-  }
-}
-
-// The fault-injection acceptance bar: with crash/recovery windows, relay
-// loss, latency jitter, capped-backoff retries and δ-group failover all
-// active at once, every artifact — per-proxy poll logs, TTR series, the
-// merged record stream, origin load, and the full fault ledger — must
-// reproduce byte-identically across thread counts, whole-proxy and
-// partitioned shard layouts, both window policies and both scheduler
-// backends.  The fixed-vs-adaptive axis doubles as the fault-heavy
-// window differential: the adaptive edge folds export-retry fire times,
-// pending local relay retries and crash/recovery transitions, and a
-// missing fold would surface here as a sub-bound send (fail-fast) or a
-// diverging log.
-TEST(ShardedDifferential, FaultInjectionSweepIsByteIdentical) {
-  const FaultSchedule faults = heavy_faults();
-  for (const char* scheduler : {"heap", "calendar"}) {
-    ScopedEnv env("BROADWAY_SCHEDULER", scheduler);
-    const std::uint64_t seed = 23u;
-    SCOPED_TRACE(std::string(scheduler) + " topology seed " +
-                 std::to_string(seed));
+  for (const std::uint64_t seed : {7u, 39u}) {
+    SCOPED_TRACE("topology seed " + std::to_string(seed));
     const Topology topo = random_topology(seed);
-    const Artifacts reference =
-        reference_run(topo, kHorizon, /*clients=*/false, faults);
+    const Artifacts reference = reference_run(topo, kHorizon);
     ASSERT_FALSE(reference.merged.empty());
-    // The schedule must actually bite in the reference run: losses,
-    // retries, and relays dropped at a dark destination all occur.
-    EXPECT_GT(reference.relays_lost, 0u);
-    EXPECT_GT(reference.relays_retried, 0u);
-    EXPECT_GT(reference.relays_dropped_dark, 0u);
-    EXPECT_EQ(reference.relays_sent,
-              reference.relays_delivered + reference.relays_in_flight +
-                  reference.relays_lost);
+    EXPECT_GT(reference.relays_delivered, 0u);
     for (const WindowPolicy policy :
          {WindowPolicy::kFixed, WindowPolicy::kAdaptive}) {
       for (const std::size_t shards : {std::size_t{0}, topo.proxies + 3}) {
@@ -572,13 +461,20 @@ TEST(ShardedDifferential, FaultInjectionSweepIsByteIdentical) {
                                                          : "adaptive") +
               " windows, " + std::to_string(shards) + " shards, " +
               std::to_string(threads) + " threads");
-          auto fleet = make_sharded(topo, threads, shards, policy,
-                                    /*clients=*/false, faults);
+          auto fleet = make_sharded(topo, threads, shards, policy);
           fleet->start();
+          if (shards > 0) {
+            // A requested count above the proxy count must actually be
+            // honoured: more shards than proxies, at least one proxy
+            // split across shards.
+            EXPECT_GT(fleet->shard_count(), topo.proxies);
+            bool any_split = false;
+            for (std::size_t p = 0; p < topo.proxies; ++p) {
+              if (fleet->slice_count(p) > 1) any_split = true;
+            }
+            EXPECT_TRUE(any_split);
+          }
           fleet->run_until(kHorizon);
-          // A split proxy has no per-proxy log (fail-fast accessors), so
-          // the per-proxy comparison covers unsplit proxies and the
-          // merged stream pins the rest.
           expect_records_identical(reference.merged,
                                    fleet->merged_poll_records());
           for (std::size_t p = 0; p < topo.proxies; ++p) {
@@ -593,19 +489,86 @@ TEST(ShardedDifferential, FaultInjectionSweepIsByteIdentical) {
           EXPECT_EQ(reference.relays_delivered, fleet->relays_delivered());
           EXPECT_EQ(reference.relays_applied, fleet->relays_applied());
           EXPECT_EQ(reference.relays_in_flight, fleet->relays_in_flight());
-          EXPECT_EQ(reference.relays_lost, fleet->relays_lost());
-          EXPECT_EQ(reference.relays_retried, fleet->relays_retried());
-          EXPECT_EQ(reference.relays_dropped_dark,
-                    fleet->relays_dropped_dark());
           const FleetOriginLoad load = fleet->origin_load();
           EXPECT_EQ(reference.load.origin_messages, load.origin_messages);
           EXPECT_EQ(reference.load.origin_polls, load.origin_polls);
           EXPECT_EQ(reference.load.relay_refreshes, load.relay_refreshes);
           EXPECT_EQ(reference.load.failed, load.failed);
-          EXPECT_EQ(fleet->relays_sent(),
-                    fleet->relays_delivered() + fleet->relays_in_flight() +
-                        fleet->relays_lost());
         }
+      }
+    }
+  }
+}
+
+// The fault-injection acceptance bar: with crash/recovery windows, relay
+// loss, latency jitter, capped-backoff retries and δ-group failover all
+// active at once, every artifact — per-proxy poll logs, TTR series, the
+// merged record stream, origin load, and the full fault ledger — must
+// reproduce byte-identically across thread counts, whole-proxy and
+// partitioned shard layouts and both window policies.  The
+// fixed-vs-adaptive axis doubles as the fault-heavy window differential:
+// the adaptive edge folds export-retry fire times,
+// pending local relay retries and crash/recovery transitions, and a
+// missing fold would surface here as a sub-bound send (fail-fast) or a
+// diverging log.
+TEST(ShardedDifferential, FaultInjectionSweepIsByteIdentical) {
+  const FaultSchedule faults = heavy_faults();
+  const std::uint64_t seed = 23u;
+  SCOPED_TRACE("topology seed " + std::to_string(seed));
+  const Topology topo = random_topology(seed);
+  const Artifacts reference =
+      reference_run(topo, kHorizon, /*clients=*/false, faults);
+  ASSERT_FALSE(reference.merged.empty());
+  // The schedule must actually bite in the reference run: losses,
+  // retries, and relays dropped at a dark destination all occur.
+  EXPECT_GT(reference.relays_lost, 0u);
+  EXPECT_GT(reference.relays_retried, 0u);
+  EXPECT_GT(reference.relays_dropped_dark, 0u);
+  EXPECT_EQ(reference.relays_sent,
+            reference.relays_delivered + reference.relays_in_flight +
+                reference.relays_lost);
+  for (const WindowPolicy policy :
+       {WindowPolicy::kFixed, WindowPolicy::kAdaptive}) {
+    for (const std::size_t shards : {std::size_t{0}, topo.proxies + 3}) {
+      for (const std::size_t threads : kThreadCounts) {
+        SCOPED_TRACE(
+            std::string(policy == WindowPolicy::kFixed ? "fixed"
+                                                       : "adaptive") +
+            " windows, " + std::to_string(shards) + " shards, " +
+            std::to_string(threads) + " threads");
+        auto fleet = make_sharded(topo, threads, shards, policy,
+                                  /*clients=*/false, faults);
+        fleet->start();
+        fleet->run_until(kHorizon);
+        // A split proxy has no per-proxy log (fail-fast accessors), so
+        // the per-proxy comparison covers unsplit proxies and the
+        // merged stream pins the rest.
+        expect_records_identical(reference.merged,
+                                 fleet->merged_poll_records());
+        for (std::size_t p = 0; p < topo.proxies; ++p) {
+          if (fleet->slice_count(p) != 1) continue;
+          SCOPED_TRACE("proxy " + std::to_string(p));
+          expect_records_identical(reference.records_by_proxy[p],
+                                   fleet->proxy(p).poll_log().records());
+        }
+        EXPECT_EQ(reference.origin_requests, fleet->origin_requests());
+        EXPECT_EQ(reference.origin_polls, fleet->origin_polls());
+        EXPECT_EQ(reference.relays_sent, fleet->relays_sent());
+        EXPECT_EQ(reference.relays_delivered, fleet->relays_delivered());
+        EXPECT_EQ(reference.relays_applied, fleet->relays_applied());
+        EXPECT_EQ(reference.relays_in_flight, fleet->relays_in_flight());
+        EXPECT_EQ(reference.relays_lost, fleet->relays_lost());
+        EXPECT_EQ(reference.relays_retried, fleet->relays_retried());
+        EXPECT_EQ(reference.relays_dropped_dark,
+                  fleet->relays_dropped_dark());
+        const FleetOriginLoad load = fleet->origin_load();
+        EXPECT_EQ(reference.load.origin_messages, load.origin_messages);
+        EXPECT_EQ(reference.load.origin_polls, load.origin_polls);
+        EXPECT_EQ(reference.load.relay_refreshes, load.relay_refreshes);
+        EXPECT_EQ(reference.load.failed, load.failed);
+        EXPECT_EQ(fleet->relays_sent(),
+                  fleet->relays_delivered() + fleet->relays_in_flight() +
+                      fleet->relays_lost());
       }
     }
   }
@@ -621,53 +584,49 @@ TEST(ShardedDifferential, FaultInjectionSweepIsByteIdentical) {
 // test does not expect any proxy to split — it expects the *results* to
 // survive the request.
 TEST(ShardedDifferential, DemandFillClientSweepIsByteIdentical) {
-  for (const char* scheduler : {"heap", "calendar"}) {
-    ScopedEnv env("BROADWAY_SCHEDULER", scheduler);
-    for (const std::uint64_t seed : {7u, 39u}) {
-      SCOPED_TRACE(std::string(scheduler) + " topology seed " +
-                   std::to_string(seed));
-      const Topology topo = random_topology(seed);
-      const Artifacts reference =
-          reference_run(topo, kHorizon, /*clients=*/true);
-      ASSERT_FALSE(reference.merged.empty());
-      ASSERT_GT(reference.load.demand_fills, 0u);
-      expect_load_matches_records(reference);
-      for (const WindowPolicy policy :
-           {WindowPolicy::kFixed, WindowPolicy::kAdaptive}) {
-        for (const std::size_t shards : {std::size_t{0}, topo.proxies + 3}) {
-          for (const std::size_t threads : kThreadCounts) {
-            SCOPED_TRACE(
-                std::string(policy == WindowPolicy::kFixed ? "fixed"
-                                                           : "adaptive") +
-                " windows, " + std::to_string(shards) + " shards, " +
-                std::to_string(threads) + " threads");
-            auto fleet = make_sharded(topo, threads, shards, policy,
-                                      /*clients=*/true);
-            fleet->start();
-            fleet->run_until(kHorizon);
-            Artifacts candidate;
-            for (std::size_t p = 0; p < fleet->size(); ++p) {
-              candidate.records_by_proxy.push_back(
-                  fleet->proxy(p).poll_log().records());
-              for (const UpdateTrace& trace : topo.traces) {
-                candidate.ttr_series.push_back(
-                    fleet->proxy(p).ttr_series(trace.name()));
-              }
+  for (const std::uint64_t seed : {7u, 39u}) {
+    SCOPED_TRACE("topology seed " + std::to_string(seed));
+    const Topology topo = random_topology(seed);
+    const Artifacts reference =
+        reference_run(topo, kHorizon, /*clients=*/true);
+    ASSERT_FALSE(reference.merged.empty());
+    ASSERT_GT(reference.load.demand_fills, 0u);
+    expect_load_matches_records(reference);
+    for (const WindowPolicy policy :
+         {WindowPolicy::kFixed, WindowPolicy::kAdaptive}) {
+      for (const std::size_t shards : {std::size_t{0}, topo.proxies + 3}) {
+        for (const std::size_t threads : kThreadCounts) {
+          SCOPED_TRACE(
+              std::string(policy == WindowPolicy::kFixed ? "fixed"
+                                                         : "adaptive") +
+              " windows, " + std::to_string(shards) + " shards, " +
+              std::to_string(threads) + " threads");
+          auto fleet = make_sharded(topo, threads, shards, policy,
+                                    /*clients=*/true);
+          fleet->start();
+          fleet->run_until(kHorizon);
+          Artifacts candidate;
+          for (std::size_t p = 0; p < fleet->size(); ++p) {
+            candidate.records_by_proxy.push_back(
+                fleet->proxy(p).poll_log().records());
+            for (const UpdateTrace& trace : topo.traces) {
+              candidate.ttr_series.push_back(
+                  fleet->proxy(p).ttr_series(trace.name()));
             }
-            candidate.merged = fleet->merged_poll_records();
-            candidate.origin_requests = fleet->origin_requests();
-            candidate.origin_polls = fleet->origin_polls();
-            candidate.relays_sent = fleet->relays_sent();
-            candidate.relays_delivered = fleet->relays_delivered();
-            candidate.relays_applied = fleet->relays_applied();
-            candidate.relays_in_flight = fleet->relays_in_flight();
-            candidate.relays_lost = fleet->relays_lost();
-            candidate.relays_retried = fleet->relays_retried();
-            candidate.relays_dropped_dark = fleet->relays_dropped_dark();
-            candidate.load = fleet->origin_load();
-            expect_artifacts_identical(reference, candidate);
-            expect_load_matches_records(candidate);
           }
+          candidate.merged = fleet->merged_poll_records();
+          candidate.origin_requests = fleet->origin_requests();
+          candidate.origin_polls = fleet->origin_polls();
+          candidate.relays_sent = fleet->relays_sent();
+          candidate.relays_delivered = fleet->relays_delivered();
+          candidate.relays_applied = fleet->relays_applied();
+          candidate.relays_in_flight = fleet->relays_in_flight();
+          candidate.relays_lost = fleet->relays_lost();
+          candidate.relays_retried = fleet->relays_retried();
+          candidate.relays_dropped_dark = fleet->relays_dropped_dark();
+          candidate.load = fleet->origin_load();
+          expect_artifacts_identical(reference, candidate);
+          expect_load_matches_records(candidate);
         }
       }
     }

@@ -1,370 +1,289 @@
-// The calendar queue and its differential pin against the binary heap.
-//
-// A scheduler swap is exactly the kind of change that silently reorders
-// same-instant events, so the calendar backend is held to *observable
-// identity* with the heap: the same seeded mix of schedule / cancel /
-// reschedule / current_event operations must produce byte-identical fire
-// sequences — including bursts of events at one instant, where only the
-// FIFO sequence number separates them.  Targeted pins cover the calendar
-// mechanics the random mix cannot see directly: tombstone purging, bucket
-// resizing mid-run, the sparse-regime cursor jump, and EventId generation
-// reuse under the calendar backend.
-#include "sim/event_queue.h"
+// Ordering contract of the Simulator's event queue: reserved sequence
+// numbers, and a naive scan-for-the-minimum model as the ordering oracle
+// for random op mixes.
+#include "sim/simulator.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <set>
+#include <functional>
+#include <utility>
 #include <vector>
 
-#include "sim/simulator.h"
 #include "util/check.h"
 #include "util/rng.h"
 
 namespace broadway {
 namespace {
 
-Simulator::Config backend_config(SchedulerBackend backend) {
-  Simulator::Config config;
-  config.scheduler = backend;
-  return config;
+TEST(Simulator, ReservedSequencesTieBreakAsIfScheduledAtReservation) {
+  Simulator sim;
+  std::vector<int> order;
+  // Reserve three numbers *before* the competing event is scheduled...
+  const std::uint64_t base = sim.reserve_sequence(3);
+  sim.schedule_at(5.0, [&] { order.push_back(99); });
+  // ...then spend them afterwards, even out of reservation order.
+  sim.schedule_at_reserved(5.0, base + 2, [&] { order.push_back(2); });
+  sim.schedule_at_reserved(5.0, base + 0, [&] { order.push_back(0); });
+  sim.schedule_at_reserved(5.0, base + 1, [&] { order.push_back(1); });
+  sim.run();
+  // All three reserved events outrank the later-sequenced competitor.
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 99}));
 }
 
-// ---- CalendarQueue unit pins -----------------------------------------------
+TEST(Simulator, UnreservedSequenceIsRejected) {
+  Simulator sim;
+  EXPECT_THROW(sim.schedule_at_reserved(1.0, 17, [] {}), CheckFailure);
+}
 
-TEST(CalendarQueue, PopsInTimeThenFifoOrder) {
-  CalendarQueue queue;
-  // Scrambled times, including a same-instant burst at t = 7 whose seq
-  // numbers are deliberately pushed out of order.
-  const std::vector<EventEntry> entries = {
-      {7.0, 12, 101}, {3.0, 2, 102},  {7.0, 10, 103}, {1.0, 1, 104},
-      {7.0, 11, 105}, {9.0, 20, 106}, {3.0, 5, 107},
+// ---- ordering oracle -------------------------------------------------------
+
+// Reference model of the ordering contract: a flat vector of live
+// (time, seq, tag) entries, and firing scans for the (time, seq) minimum.
+// No heap, no slot pool, no tombstones — too slow for real runs, and
+// obviously correct.  Sequence numbers advance exactly as the Simulator's
+// do (one per schedule, `count` per reservation), so the model and the
+// engine agree on every same-instant tie-break.
+class NaiveScheduler {
+ public:
+  using FireFn = std::function<void(int tag)>;
+
+  TimePoint now() const { return now_; }
+  std::size_t pending() const { return entries_.size(); }
+  std::uint64_t executed() const { return executed_; }
+
+  void schedule(TimePoint t, int tag) {
+    entries_.push_back({t, next_seq_++, tag});
+  }
+
+  std::uint64_t reserve(std::uint64_t count) {
+    const std::uint64_t base = next_seq_;
+    next_seq_ += count;
+    return base;
+  }
+
+  void schedule_reserved(TimePoint t, std::uint64_t seq, int tag) {
+    entries_.push_back({t, seq, tag});
+  }
+
+  bool is_pending(int tag) const { return find(tag) != entries_.end(); }
+
+  bool cancel(int tag) {
+    const auto it = find(tag);
+    if (it == entries_.end()) return false;
+    entries_.erase(it);
+    return true;
+  }
+
+  std::size_t run(std::size_t limit, const FireFn& fire) {
+    std::size_t fired = 0;
+    while (fired < limit && fire_next(kTimeInfinity, fire)) ++fired;
+    return fired;
+  }
+
+  std::size_t run_until(TimePoint horizon, const FireFn& fire) {
+    std::size_t fired = 0;
+    while (fire_next(horizon, fire)) ++fired;
+    now_ = horizon;
+    return fired;
+  }
+
+ private:
+  struct Entry {
+    TimePoint time;
+    std::uint64_t seq;
+    int tag;
   };
-  for (const EventEntry& entry : entries) queue.push(entry);
-  std::vector<EventEntry> popped;
-  while (queue.peek() != nullptr) popped.push_back(queue.pop());
-  ASSERT_EQ(popped.size(), entries.size());
-  for (std::size_t i = 1; i < popped.size(); ++i) {
-    EXPECT_TRUE(fires_before(popped[i - 1], popped[i]))
-        << "out of order at " << i;
-  }
-  EXPECT_EQ(popped.front().id, 104u);
-  // The t = 7 burst must come out in seq order 10, 11, 12.
-  EXPECT_EQ(popped[3].id, 103u);
-  EXPECT_EQ(popped[4].id, 105u);
-  EXPECT_EQ(popped[5].id, 101u);
-}
 
-TEST(CalendarQueue, GrowsAndShrinksWithLoad) {
-  CalendarQueue queue;
-  const std::size_t initial_buckets = queue.bucket_count();
-  for (std::uint64_t i = 0; i < 1000; ++i) {
-    queue.push(EventEntry{static_cast<double>((i * 7919) % 1000), i, i + 1});
+  std::vector<Entry>::const_iterator find(int tag) const {
+    return std::find_if(entries_.begin(), entries_.end(),
+                        [tag](const Entry& e) { return e.tag == tag; });
   }
-  EXPECT_GT(queue.resizes(), 0u);
-  EXPECT_GT(queue.bucket_count(), initial_buckets);
-  // The derived width should reflect the ~1 s mean inter-event interval,
-  // not the 1.0 default by accident of never resizing.
-  EXPECT_GT(queue.bucket_width(), 0.0);
-  double last = -1.0;
-  std::size_t drained = 0;
-  while (queue.peek() != nullptr) {
-    const EventEntry entry = queue.pop();
-    EXPECT_GE(entry.time, last);
-    last = entry.time;
-    ++drained;
-  }
-  EXPECT_EQ(drained, 1000u);
-  // Shrinks back toward the floor as the load drains.
-  EXPECT_LE(queue.bucket_count(), 2 * initial_buckets);
-}
 
-TEST(CalendarQueue, ResizeMidRunPreservesOrder) {
-  CalendarQueue queue;
-  std::uint64_t seq = 0;
-  std::vector<double> expected;
-  // Interleave pushes and pops so rebuilds happen while a partially
-  // drained year is in flight.
-  double last = -1.0;
-  std::vector<double> popped;
-  for (int round = 0; round < 40; ++round) {
-    for (int i = 0; i < 25; ++i) {
-      const double t = 100.0 * round + (i * 37) % 100;
-      if (t < last) continue;  // keep the monotonic-schedule contract
-      queue.push(EventEntry{t, seq, seq + 1});
-      ++seq;
-      expected.push_back(t);
+  // Fire the earliest entry if it is due by `horizon`.
+  bool fire_next(TimePoint horizon, const FireFn& fire) {
+    if (entries_.empty()) return false;
+    auto min = entries_.begin();
+    for (auto it = entries_.begin(); it != entries_.end(); ++it) {
+      if (it->time < min->time ||
+          (it->time == min->time && it->seq < min->seq)) {
+        min = it;
+      }
     }
-    for (int i = 0; i < 10 && queue.peek() != nullptr; ++i) {
-      const EventEntry entry = queue.pop();
-      EXPECT_GE(entry.time, last);
-      last = entry.time;
-      popped.push_back(entry.time);
-    }
+    if (min->time > horizon) return false;
+    const Entry entry = *min;
+    entries_.erase(min);
+    now_ = entry.time;
+    ++executed_;
+    fire(entry.tag);
+    return true;
   }
-  while (queue.peek() != nullptr) popped.push_back(queue.pop().time);
-  std::sort(expected.begin(), expected.end());
-  EXPECT_EQ(popped, expected);
-  EXPECT_GT(queue.resizes(), 1u);
-}
 
-TEST(CalendarQueue, ArenaRecyclesChunksAcrossDrainRefill) {
-  // Bucket storage is a per-queue slab with a free list: draining the
-  // queue returns every chunk to the free list, and an equal refill reuses
-  // them instead of allocating new ones — the slab never grows past the
-  // workload's high-water mark.
-  CalendarQueue queue;
-  std::uint64_t seq = 0;
-  const auto fill = [&queue, &seq](double base) {
-    for (int i = 0; i < 500; ++i) {
-      queue.push(EventEntry{base + static_cast<double>((i * 131) % 500),
-                            seq, seq + 1});
-      ++seq;
-    }
-  };
-  fill(0.0);
-  const std::size_t high_water = queue.arena_chunks();
-  EXPECT_GT(high_water, 0u);
-  while (queue.peek() != nullptr) queue.pop();
-  EXPECT_TRUE(queue.empty());
-  // Refill at the same load (later times keep the monotonic-schedule
-  // contract): recycled chunks, no slab growth beyond the first cycle's
-  // high-water mark (small slack: bucket-boundary rounding of the shifted
-  // times can chain one or two extra chunks).
-  fill(1000.0);
-  EXPECT_LE(queue.arena_chunks(), high_water + 4);
-  std::size_t drained = 0;
-  double last = -1.0;
-  while (queue.peek() != nullptr) {
-    const EventEntry entry = queue.pop();
-    EXPECT_GE(entry.time, last);
-    last = entry.time;
-    ++drained;
-  }
-  EXPECT_EQ(drained, 500u);
-}
-
-struct TombstoneSet {
-  std::set<EventId> dead;
-  static bool live(const void* context, EventId id) {
-    const auto* self = static_cast<const TombstoneSet*>(context);
-    return self->dead.find(id) == self->dead.end();
-  }
+  TimePoint now_ = 0.0;
+  std::uint64_t next_seq_ = 0;
+  std::uint64_t executed_ = 0;
+  std::vector<Entry> entries_;
 };
 
-TEST(CalendarQueue, PurgesTombstonesOnTheWay) {
-  TombstoneSet tombstones;
-  CalendarQueue queue(&TombstoneSet::live, &tombstones);
-  for (std::uint64_t i = 0; i < 100; ++i) {
-    queue.push(EventEntry{static_cast<double>(i), i, i + 1});
-  }
-  // Kill the current head and a band in the middle.
-  tombstones.dead.insert(1);
-  for (EventId id = 40; id < 60; ++id) tombstones.dead.insert(id);
-  std::vector<EventId> popped;
-  while (queue.peek() != nullptr) popped.push_back(queue.pop().id);
-  EXPECT_EQ(popped.size(), 79u);
-  for (const EventId id : popped) {
-    EXPECT_EQ(tombstones.dead.count(id), 0u);
-  }
-  EXPECT_EQ(popped.front(), 2u);  // the dead head was skipped
-  EXPECT_EQ(queue.size(), 0u);    // purged, not merely skipped
-}
-
-TEST(CalendarQueue, CancelledCachedMinimumIsDropped) {
-  TombstoneSet tombstones;
-  CalendarQueue queue(&TombstoneSet::live, &tombstones);
-  queue.push(EventEntry{1.0, 0, 1});
-  queue.push(EventEntry{2.0, 1, 2});
-  ASSERT_NE(queue.peek(), nullptr);
-  EXPECT_EQ(queue.peek()->id, 1u);
-  // Cancel after the peek located (and cached) the minimum.
-  tombstones.dead.insert(1);
-  ASSERT_NE(queue.peek(), nullptr);
-  EXPECT_EQ(queue.peek()->id, 2u);
-  EXPECT_EQ(queue.pop().id, 2u);
-  EXPECT_EQ(queue.peek(), nullptr);
-}
-
-TEST(CalendarQueue, SparseEventsFarApartStillOrdered) {
-  CalendarQueue queue;
-  // Events many calendar years apart force the direct-search jump.
-  queue.push(EventEntry{10.0, 0, 1});
-  queue.push(EventEntry{1.0e6, 1, 2});
-  queue.push(EventEntry{5.0e8, 2, 3});
-  ASSERT_NE(queue.peek(), nullptr);
-  EXPECT_EQ(queue.pop().id, 1u);
-  EXPECT_EQ(queue.pop().id, 2u);
-  // A push behind the jumped cursor must rewind it.
-  queue.push(EventEntry{1.5e6, 3, 4});
-  EXPECT_EQ(queue.pop().id, 4u);
-  EXPECT_EQ(queue.pop().id, 3u);
-  EXPECT_EQ(queue.peek(), nullptr);
-}
-
-TEST(CalendarQueue, SameInstantBurstStaysFifoAcrossResizes) {
-  CalendarQueue queue;
-  for (std::uint64_t i = 0; i < 500; ++i) {
-    queue.push(EventEntry{42.0, i, i + 1});
-  }
-  for (std::uint64_t i = 0; i < 500; ++i) {
-    ASSERT_NE(queue.peek(), nullptr);
-    EXPECT_EQ(queue.pop().seq, i);
-  }
-}
-
-// ---- randomized differential crosscheck ------------------------------------
-
-// One recorded firing: (time, op tag).  EventIds are backend-internal, so
-// identity is asserted over what an observer of the simulation can see.
+// One recorded firing: (time, script tag).  EventIds are engine-internal,
+// so identity is asserted over what an observer of the simulation sees.
 using FireLog = std::vector<std::pair<TimePoint, int>>;
 
-// Drive one simulator through a seeded op mix and return its fire log.
-// The script derives every decision from its own Rng so both backends see
-// exactly the same operations; `pending` maps script-level handles to the
-// backend's EventIds.
-FireLog run_script(SchedulerBackend backend, std::uint64_t seed) {
-  Simulator sim(backend_config(backend));
-  FireLog log;
-  Rng rng(seed);
-  std::vector<EventId> pending;
-  int tag = 0;
+// Tags at or above this mark follow-up events scheduled from inside a
+// firing callback; they never chain further.
+constexpr int kFollowUpTag = 1 << 20;
 
-  const auto schedule = [&](TimePoint t, int my_tag) {
-    const EventId id = sim.schedule_at(t, [&sim, &log, my_tag] {
-      // current_event() must identify the running callback on both
-      // backends (the engine's retry path depends on it).
-      BROADWAY_CHECK(sim.current_event() != kInvalidEventId);
-      log.emplace_back(sim.now(), my_tag);
-    });
-    pending.push_back(id);
+// Drive a Simulator and the naive model in lockstep through one seeded op
+// mix — schedules with quantised delays (same-instant ties), cancels,
+// reschedules, same-instant bursts, reserved sequences spent out of order
+// and phases later, callbacks that schedule follow-ups (some at the
+// current instant), and advances by step count or to a horizon that often
+// lands exactly on pending event times.  Every cancel, is_pending and
+// fire_time answer and every phase-end clock / pending / executed reading
+// is compared on the way; the two fire logs are returned for comparison.
+std::pair<FireLog, FireLog> run_lockstep(std::uint64_t seed) {
+  Simulator sim;
+  NaiveScheduler model;
+  FireLog sim_log;
+  FireLog model_log;
+  Rng rng(seed);
+  std::vector<std::pair<EventId, int>> pending;  // (engine id, script tag)
+  std::vector<std::uint64_t> reserved;           // unspent sequence numbers
+  int next_tag = 0;
+
+  // Every 5th script event schedules a follow-up from its callback, at
+  // delay 0, 0.25 or 0.5 — the chained-timer pattern.
+  const auto follows_up = [](int tag) {
+    return tag < kFollowUpTag && tag % 5 == 0;
+  };
+  const auto follow_up_delay = [](int tag) { return (tag % 3) * 0.25; };
+
+  std::function<void(int)> sim_fire = [&](int tag) {
+    BROADWAY_CHECK(sim.current_event() != kInvalidEventId);
+    sim_log.emplace_back(sim.now(), tag);
+    if (follows_up(tag)) {
+      const int child = tag + kFollowUpTag;
+      sim.schedule_after(follow_up_delay(tag),
+                         [&sim_fire, child] { sim_fire(child); });
+    }
+  };
+  const NaiveScheduler::FireFn model_fire = [&](int tag) {
+    model_log.emplace_back(model.now(), tag);
+    if (follows_up(tag)) {
+      model.schedule(model.now() + follow_up_delay(tag), tag + kFollowUpTag);
+    }
+  };
+
+  const auto schedule = [&](TimePoint t) {
+    const int tag = next_tag++;
+    const EventId id = sim.schedule_at(t, [&sim_fire, tag] { sim_fire(tag); });
+    pending.emplace_back(id, tag);
+    model.schedule(t, tag);
+  };
+  const auto cancel_random = [&] {
+    const std::size_t victim = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(pending.size()) - 1));
+    const auto [id, tag] = pending[victim];
+    EXPECT_EQ(sim.fire_time(id) == kTimeInfinity, !model.is_pending(tag));
+    EXPECT_EQ(sim.cancel(id), model.cancel(tag));
+    EXPECT_FALSE(sim.cancel(id));  // cancelling twice is a no-op
+    pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(victim));
   };
 
   for (int phase = 0; phase < 30; ++phase) {
     const int ops = static_cast<int>(rng.uniform_int(5, 40));
     for (int op = 0; op < ops; ++op) {
       const double dice = rng.uniform01();
-      if (dice < 0.55 || pending.empty()) {
-        // Quantised delays manufacture plenty of same-instant ties,
-        // including zero-delay events at the current instant.
-        const double delay = rng.uniform_int(0, 40) * 0.25;
-        schedule(sim.now() + delay, tag++);
-      } else if (dice < 0.75) {
-        const std::size_t victim = static_cast<std::size_t>(
-            rng.uniform_int(0, static_cast<std::int64_t>(pending.size()) - 1));
-        sim.cancel(pending[victim]);
-        pending.erase(pending.begin() +
-                      static_cast<std::ptrdiff_t>(victim));
-      } else if (dice < 0.9) {
+      if (dice < 0.45 || pending.empty()) {
+        schedule(sim.now() + rng.uniform_int(0, 40) * 0.25);
+      } else if (dice < 0.62) {
+        cancel_random();
+      } else if (dice < 0.77) {
         // Reschedule: cancel + schedule at a fresh instant, like
         // PeriodicTask::reschedule does.
-        const std::size_t victim = static_cast<std::size_t>(
-            rng.uniform_int(0, static_cast<std::int64_t>(pending.size()) - 1));
-        sim.cancel(pending[victim]);
-        pending.erase(pending.begin() +
-                      static_cast<std::ptrdiff_t>(victim));
-        const double delay = rng.uniform_int(0, 40) * 0.25;
-        schedule(sim.now() + delay, tag++);
-      } else {
+        cancel_random();
+        schedule(sim.now() + rng.uniform_int(0, 40) * 0.25);
+      } else if (dice < 0.87) {
         // Burst: several events at one shared instant.
         const double t = sim.now() + rng.uniform_int(0, 20) * 0.5;
         const int burst = static_cast<int>(rng.uniform_int(2, 6));
-        for (int i = 0; i < burst; ++i) schedule(t, tag++);
+        for (int i = 0; i < burst; ++i) schedule(t);
+      } else if (dice < 0.93) {
+        const std::uint64_t count =
+            static_cast<std::uint64_t>(rng.uniform_int(1, 4));
+        const std::uint64_t base = sim.reserve_sequence(count);
+        EXPECT_EQ(base, model.reserve(count));
+        for (std::uint64_t i = 0; i < count; ++i) reserved.push_back(base + i);
+      } else if (!reserved.empty()) {
+        // Spend a random reserved number: it may predate every event
+        // pending at this instant.
+        const std::size_t pick = static_cast<std::size_t>(rng.uniform_int(
+            0, static_cast<std::int64_t>(reserved.size()) - 1));
+        const std::uint64_t seq = reserved[pick];
+        reserved.erase(reserved.begin() + static_cast<std::ptrdiff_t>(pick));
+        const TimePoint t = sim.now() + rng.uniform_int(0, 8) * 0.5;
+        const int tag = next_tag++;
+        const EventId id = sim.schedule_at_reserved(
+            t, seq, [&sim_fire, tag] { sim_fire(tag); });
+        pending.emplace_back(id, tag);
+        model.schedule_reserved(t, seq, tag);
       }
     }
-    // Advance: sometimes a bounded number of steps, sometimes to a
-    // horizon (which exercises peek-without-pop at the boundary).
     if (rng.bernoulli(0.5)) {
-      sim.run(static_cast<std::size_t>(rng.uniform_int(1, 30)));
+      const std::size_t limit =
+          static_cast<std::size_t>(rng.uniform_int(1, 30));
+      EXPECT_EQ(sim.run(limit), model.run(limit, model_fire));
     } else {
-      sim.run_until(sim.now() + rng.uniform_int(0, 12) * 1.0);
+      // Integral horizons on a 0.25 grid: often exactly an event time,
+      // sometimes the current instant itself.
+      const TimePoint horizon = sim.now() + rng.uniform_int(0, 12) * 1.0;
+      EXPECT_EQ(sim.run_until(horizon), model.run_until(horizon, model_fire));
     }
-    pending.erase(std::remove_if(pending.begin(), pending.end(),
-                                 [&sim](EventId id) {
-                                   return !sim.is_pending(id);
-                                 }),
+    EXPECT_EQ(sim.now(), model.now()) << "phase " << phase;
+    EXPECT_EQ(sim.pending(), model.pending()) << "phase " << phase;
+    EXPECT_EQ(sim.executed(), model.executed()) << "phase " << phase;
+    const auto fired = [&](const std::pair<EventId, int>& entry) {
+      const bool live = sim.is_pending(entry.first);
+      EXPECT_EQ(live, model.is_pending(entry.second));
+      return !live;
+    };
+    pending.erase(std::remove_if(pending.begin(), pending.end(), fired),
                   pending.end());
   }
-  sim.run();
-  return log;
-}
-
-TEST(SchedulerDifferential, RandomOpMixFiresIdentically) {
-  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-    const FireLog heap = run_script(SchedulerBackend::kBinaryHeap, seed);
-    const FireLog calendar = run_script(SchedulerBackend::kCalendar, seed);
-    ASSERT_FALSE(heap.empty());
-    EXPECT_EQ(heap, calendar) << "fire sequences diverged for seed " << seed;
-  }
-}
-
-TEST(SchedulerDifferential, CountersAgree) {
-  for (std::uint64_t seed = 11; seed <= 13; ++seed) {
-    Simulator heap(backend_config(SchedulerBackend::kBinaryHeap));
-    Simulator calendar(backend_config(SchedulerBackend::kCalendar));
-    for (Simulator* sim : {&heap, &calendar}) {
-      Rng rng(seed);
-      for (int i = 0; i < 500; ++i) {
-        const EventId id =
-            sim->schedule_at(rng.uniform_int(0, 200) * 0.5, [] {});
-        if (rng.bernoulli(0.3)) sim->cancel(id);
-      }
-      sim->run_until(60.0);
-    }
-    EXPECT_EQ(heap.pending(), calendar.pending());
-    EXPECT_EQ(heap.executed(), calendar.executed());
-    EXPECT_DOUBLE_EQ(heap.now(), calendar.now());
-  }
-}
-
-// ---- Simulator-level calendar pins -----------------------------------------
-
-TEST(CalendarSimulator, EventIdsAreNeverRevivedBySlotReuse) {
-  // The calendar-backend twin of the simulator's generation-reuse pin.
-  Simulator sim(backend_config(SchedulerBackend::kCalendar));
-  const EventId first = sim.schedule_at(1.0, [] {});
-  sim.run();
-  EXPECT_FALSE(sim.is_pending(first));
-  std::vector<EventId> later;
-  for (int i = 0; i < 64; ++i) {
-    later.push_back(sim.schedule_at(10.0 + i, [] {}));
-  }
-  EXPECT_FALSE(sim.is_pending(first));
-  EXPECT_FALSE(sim.cancel(first));
-  EXPECT_EQ(sim.fire_time(first), kTimeInfinity);
-  for (const EventId id : later) EXPECT_TRUE(sim.is_pending(id));
-  sim.run();
+  EXPECT_EQ(sim.run(), model.run(SIZE_MAX, model_fire));
   EXPECT_EQ(sim.pending(), 0u);
+  return {sim_log, model_log};
 }
 
-TEST(CalendarSimulator, BackendSelectionIsReported) {
-  Simulator heap(backend_config(SchedulerBackend::kBinaryHeap));
-  Simulator calendar(backend_config(SchedulerBackend::kCalendar));
-  EXPECT_EQ(heap.scheduler(), SchedulerBackend::kBinaryHeap);
-  EXPECT_EQ(calendar.scheduler(), SchedulerBackend::kCalendar);
-}
-
-TEST(ReservedSequences, TieBreakAsIfScheduledAtReservationTime) {
-  for (const SchedulerBackend backend :
-       {SchedulerBackend::kBinaryHeap, SchedulerBackend::kCalendar}) {
-    Simulator sim(backend_config(backend));
-    std::vector<int> order;
-    // Reserve three numbers *before* the competing event is scheduled...
-    const std::uint64_t base = sim.reserve_sequence(3);
-    sim.schedule_at(5.0, [&] { order.push_back(99); });
-    // ...then spend them afterwards, even out of reservation order.
-    sim.schedule_at_reserved(5.0, base + 2, [&] { order.push_back(2); });
-    sim.schedule_at_reserved(5.0, base + 0, [&] { order.push_back(0); });
-    sim.schedule_at_reserved(5.0, base + 1, [&] { order.push_back(1); });
-    sim.run();
-    // All three reserved events outrank the later-sequenced competitor.
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 99}));
+TEST(SimulatorOracle, RandomOpMixFiresLikeTheNaiveModel) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    const auto [sim_log, model_log] = run_lockstep(seed);
+    ASSERT_FALSE(model_log.empty());
+    EXPECT_EQ(sim_log, model_log) << "fire sequences diverged for seed "
+                                  << seed;
   }
 }
 
-TEST(ReservedSequences, UnreservedSequenceIsRejected) {
-  Simulator sim;
-  EXPECT_THROW(sim.schedule_at_reserved(1.0, 17, [] {}), CheckFailure);
+TEST(SimulatorOracle, CountersAgreeWithTheNaiveModel) {
+  for (std::uint64_t seed = 11; seed <= 13; ++seed) {
+    Simulator sim;
+    NaiveScheduler model;
+    Rng rng(seed);
+    for (int i = 0; i < 500; ++i) {
+      const TimePoint t = rng.uniform_int(0, 200) * 0.5;
+      const EventId id = sim.schedule_at(t, [] {});
+      model.schedule(t, i);
+      if (rng.bernoulli(0.3)) {
+        EXPECT_TRUE(sim.cancel(id));
+        EXPECT_TRUE(model.cancel(i));
+      }
+    }
+    sim.run_until(60.0);
+    model.run_until(60.0, [](int) {});
+    EXPECT_EQ(sim.pending(), model.pending());
+    EXPECT_EQ(sim.executed(), model.executed());
+    EXPECT_DOUBLE_EQ(sim.now(), model.now());
+  }
 }
 
 }  // namespace

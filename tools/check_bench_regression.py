@@ -28,8 +28,7 @@ import argparse
 import json
 import sys
 
-# Pinned to the binary-heap backend in bench_micro so its meaning never
-# shifts when the default scheduler changes.
+# A bulk schedule-then-drain of the simulator alone (bench_micro).
 CALIBRATION = "BM_SimulatorScheduleRun/10000"
 GATED = [
     "BM_EngineTemporalSweep/64",
@@ -39,10 +38,8 @@ GATED = [
     # crash windows): the delta against BM_FleetRelayStorm is the price of
     # the counter-keyed draws and the per-attempt ledger.
     "BM_FleetFaultSweep/proxies:4",
-    # Raw scheduler sweeps, both backends: the heap entry guards the
-    # reference backend, the calendar entry the default one.
-    "BM_SchedulerSweep/0/4096",
-    "BM_SchedulerSweep/1/4096",
+    # Raw scheduler sweep: self-rescheduling timers on the event queue.
+    "BM_SchedulerSweep/4096",
     # Coordinator dispatch: fan-out isolation at 8 and 64 groups plus the
     # end-to-end grouped sweep.  Baselines were measured on the legacy
     # string-keyed broadcast path, so these also record the routing win.
