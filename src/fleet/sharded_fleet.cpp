@@ -234,16 +234,6 @@ void ShardedFleet::build_shards() {
   for (std::size_t i = 0; i < pairs_.size(); ++i) {
     pairs_[i].root = pair_components.find(i);
   }
-  // Per-proxy registration ranks for merge_slice_logs: pairs_ is in
-  // registration-scan order, so the per-proxy subsequence is the order
-  // the reference engine registered — and therefore started — the
-  // proxy's objects.
-  reg_rank_.assign(proxy_count_, {});
-  for (const PairInfo& pair : pairs_) {
-    auto& ranks = reg_rank_[pair.proxy];
-    ranks.try_emplace(pair.uri, ranks.size());
-  }
-
   // ---- shard layout ----
   std::vector<std::vector<std::size_t>> shard_members;
   if (config_.shards == 0) {
@@ -374,13 +364,6 @@ void ShardedFleet::build_shards() {
   // Original call order (temporal before value, matching the reference
   // runs the differential tests construct); each pair goes to the slice
   // its component was assigned to.
-  auto local_of = [this](std::size_t s, std::size_t proxy) {
-    const std::vector<std::size_t>& members = shards_[s].proxies;
-    const auto it =
-        std::lower_bound(members.begin(), members.end(), proxy);
-    BROADWAY_CHECK(it != members.end() && *it == proxy);
-    return static_cast<std::size_t>(it - members.begin());
-  };
   for (const TemporalRegistration& reg : temporal_registrations_) {
     const std::size_t s = pairs_[pair_index.at({reg.proxy, reg.uri})].shard;
     shards_[s].fleet->add_temporal_object(local_of(s, reg.proxy), reg.uri,
@@ -407,30 +390,80 @@ void ShardedFleet::build_shards() {
   }
 }
 
+std::size_t ShardedFleet::local_of(std::size_t shard,
+                                   std::size_t proxy) const {
+  const std::vector<std::size_t>& members = shards_[shard].proxies;
+  const auto it = std::lower_bound(members.begin(), members.end(), proxy);
+  BROADWAY_CHECK(it != members.end() && *it == proxy);
+  return static_cast<std::size_t>(it - members.begin());
+}
+
+void ShardedFleet::build_registration_ranks() {
+  // Per-proxy registration ranks for merge_slice_logs, indexed by
+  // ObjectId (identical on every replica — checked in start()): pairs_ is
+  // in registration-scan order, so the per-proxy subsequence is the
+  // order the reference engine registered — and therefore started — the
+  // proxy's objects.  Only partition-split proxies are ever merged.
+  const UriTable& table = shards_[0].origin->uri_table();
+  reg_rank_.assign(proxy_count_, {});
+  std::vector<std::size_t> next_rank(proxy_count_, 0);
+  for (const PairInfo& pair : pairs_) {
+    if (slices_of_proxy_[pair.proxy].size() <= 1) continue;
+    const ObjectId object = table.find(pair.uri);
+    BROADWAY_CHECK(object != kInvalidObjectId);
+    std::vector<std::size_t>& ranks = reg_rank_[pair.proxy];
+    if (ranks.size() <= object) ranks.resize(object + 1, SIZE_MAX);
+    ranks[object] = next_rank[pair.proxy]++;
+  }
+}
+
 void ShardedFleet::build_remote_dests() {
   if (!config_.fleet.cooperative_push || shards_.size() <= 1) return;
   // Relay eligibility (tracked && self-scheduled) is fixed once start()
-  // has run, so the fan-out lists are computed once.  Destinations are
-  // kept in ascending global proxy id — the order the one-simulator
-  // reference sends to them, and therefore the order their per-sender
-  // sequence numbers must follow.  A (proxy, object) pair lives on
-  // exactly one slice, so per source shard each proxy contributes at
-  // most one destination, and the source pair itself is never among
-  // them (its slice is the source shard).
-  const std::size_t objects = shards_[0].origin->uri_table().size();
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    Shard& shard = shards_[s];
+  // has run, so the fan-out lists are computed once, from the registered
+  // pairs in O(pairs): an object's destinations are its relay-eligible
+  // pairs, and only a shard hosting one of its pairs polls — and so
+  // exports — the object.  Destinations are kept in ascending global
+  // proxy id — the order the one-simulator reference sends to them, and
+  // therefore the order their per-sender sequence numbers must follow.
+  // A (proxy, object) pair lives on exactly one slice, so per source
+  // shard each proxy contributes at most one destination, and the source
+  // pair itself is never among them (its slice is the source shard).
+  struct Tracker {
+    std::size_t proxy;
+    RemoteDest dest;
+  };
+  const UriTable& table = shards_[0].origin->uri_table();
+  const std::size_t objects = table.size();
+  std::vector<std::vector<Tracker>> eligible(objects);
+  std::vector<std::vector<std::uint32_t>> hosts(objects);
+  for (const PairInfo& pair : pairs_) {
+    const ObjectId object = table.find(pair.uri);
+    BROADWAY_CHECK(object != kInvalidObjectId);
+    const auto shard = static_cast<std::uint32_t>(pair.shard);
+    hosts[object].push_back(shard);
+    const std::size_t local = local_of(pair.shard, pair.proxy);
+    if (!shards_[shard].fleet->proxy(local).relay_eligible(object)) continue;
+    eligible[object].push_back(
+        {pair.proxy, {shard, static_cast<std::uint32_t>(local)}});
+  }
+  for (Shard& shard : shards_) {
     shard.remote_dests.assign(objects, std::vector<RemoteDest>());
-    for (ObjectId object = 0; object < static_cast<ObjectId>(objects);
-         ++object) {
-      for (std::size_t proxy = 0; proxy < proxy_count_; ++proxy) {
-        for (const SliceRef& slice : slices_of_proxy_[proxy]) {
-          if (slice.shard == s) continue;  // local siblings relay in-fleet
-          const PollingEngine& engine =
-              shards_[slice.shard].fleet->proxy(slice.local);
-          if (!engine.relay_eligible(object)) continue;
-          shard.remote_dests[object].push_back({slice.shard, slice.local});
-        }
+  }
+  for (std::size_t object = 0; object < objects; ++object) {
+    std::vector<Tracker>& trackers = eligible[object];
+    std::sort(trackers.begin(), trackers.end(),
+              [](const Tracker& a, const Tracker& b) {
+                return a.proxy < b.proxy;
+              });
+    std::vector<std::uint32_t>& on = hosts[object];
+    std::sort(on.begin(), on.end());
+    on.erase(std::unique(on.begin(), on.end()), on.end());
+    for (const std::uint32_t s : on) {
+      std::vector<RemoteDest>& dests = shards_[s].remote_dests[object];
+      for (const Tracker& tracker : trackers) {
+        // Local siblings relay in-fleet.
+        if (tracker.dest.shard != s) dests.push_back(tracker.dest);
       }
     }
   }
@@ -470,10 +503,7 @@ void ShardedFleet::build_send_watches() {
   for (std::size_t i = 0; i < pairs_.size(); ++i) {
     if (!marked[pairs_[i].root]) continue;
     const std::size_t s = pairs_[i].shard;
-    const std::vector<std::size_t>& members = shards_[s].proxies;
-    const std::size_t local = static_cast<std::size_t>(
-        std::lower_bound(members.begin(), members.end(), pairs_[i].proxy) -
-        members.begin());
+    const std::size_t local = local_of(s, pairs_[i].proxy);
     shards_[s].export_watch.push_back(
         {&shards_[s].fleet->proxy(local), pair_object[i]});
     std::vector<bool>& flags = filters[s][local];
@@ -514,6 +544,8 @@ void ShardedFleet::start() {
                              << reference.uri(id));
     }
   }
+
+  build_registration_ranks();
 
   // Seal the tables: from here on the poll pipeline only looks uris up,
   // and an unexpected intern fails loudly instead of skewing ids.
@@ -1031,9 +1063,11 @@ std::vector<PollRecord> ShardedFleet::merge_slice_logs(
     cursors.push_back({&records, 0});
     total += records.size();
   }
-  const std::map<std::string, std::size_t>& ranks = reg_rank_[proxy];
+  const std::vector<std::size_t>& ranks = reg_rank_[proxy];
   const auto rank_of = [&ranks](const PollRecord& record) {
-    return ranks.at(record.uri);
+    BROADWAY_CHECK(record.object < ranks.size() &&
+                   ranks[record.object] != SIZE_MAX);
+    return ranks[record.object];
   };
   std::vector<PollRecord> merged;
   merged.reserve(total);

@@ -37,7 +37,10 @@
 //    the same setup callback, so intern order — and therefore every
 //    ObjectId — is identical across shards (verified at start());
 //    origin state is a pure function of time given the traces, so
-//    replicas never need reconciling.  All UriTables are frozen at
+//    replicas never need reconciling.  Replica objects are trace-backed
+//    (origin/origin_server.h): every shard attaches every trace, but an
+//    object its proxies never read is never replayed, and catch-up runs
+//    on the shard's own thread.  All UriTables are frozen at
 //    start(): the hot path does lookups only, and an unexpected intern
 //    is a loud CheckFailure instead of a cross-shard id skew.
 //
@@ -64,7 +67,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -331,6 +333,9 @@ class ShardedFleet {
   static bool message_order(const Message& a, const Message& b);
   void build_shards();
   void build_partitioned_layout();
+  /// Local index of global proxy `proxy` within shard `shard`.
+  std::size_t local_of(std::size_t shard, std::size_t proxy) const;
+  void build_registration_ranks();
   void build_remote_dests();
   void build_send_watches();
   void export_relay(std::size_t shard_index, std::size_t from_global,
@@ -376,11 +381,13 @@ class ShardedFleet {
     std::size_t shard = 0;  // hosting shard
   };
   std::vector<PairInfo> pairs_;
-  // Per-proxy registration ranks (uri -> position in the proxy's
-  // registration order): the cross-slice tie-break merge_slice_logs uses
-  // to replay the reference's same-instant record order for pairs that
-  // were allowed to split (see the colocation rules in build_shards).
-  std::vector<std::map<std::string, std::size_t>> reg_rank_;
+  // Per-proxy registration ranks indexed by ObjectId (position in the
+  // proxy's registration order; SIZE_MAX for objects it does not track;
+  // empty for unsplit proxies): the cross-slice tie-break
+  // merge_slice_logs uses to replay the reference's same-instant record
+  // order for pairs that were allowed to split (see the colocation rules
+  // in build_shards).
+  std::vector<std::vector<std::size_t>> reg_rank_;
   std::vector<double> window_costs_;  // per-shard hints, reused
   std::unique_ptr<ThreadPool> pool_;
 };

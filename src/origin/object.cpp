@@ -37,6 +37,50 @@ void VersionedObject::apply_update(TimePoint t,
   if (new_value) value_ = new_value;
 }
 
+void VersionedObject::queue_updates(std::vector<TimePoint> times,
+                                    std::vector<double> values) {
+  if (times.empty()) return;
+  BROADWAY_CHECK_MSG(queued() == 0,
+                     uri_ << ": already replays a trace with "
+                          << queued() << " updates pending");
+  BROADWAY_CHECK_MSG(values.empty() != value_.has_value(),
+                     uri_ << ": value/temporal domain mismatch");
+  BROADWAY_CHECK_MSG(values.empty() || values.size() == times.size(),
+                     uri_ << ": " << values.size() << " values for "
+                          << times.size() << " update instants");
+  TimePoint previous = last_modified();
+  for (TimePoint t : times) {
+    BROADWAY_CHECK_MSG(t >= previous, uri_ << ": trace update at " << t
+                                           << " out of order or before "
+                                           << previous);
+    previous = t;
+  }
+  queued_times_ = std::move(times);
+  queued_values_ = std::move(values);
+}
+
+void VersionedObject::apply_queued(TimePoint now, bool inclusive) {
+  const std::size_t end = queued_times_.size();
+  std::size_t i = next_queued_;
+  for (; i < end; ++i) {
+    const TimePoint t = queued_times_[i];
+    if (t > now || (t == now && !inclusive)) break;
+    if (queued_values_.empty()) {
+      apply_update(t);
+    } else {
+      apply_update(t, queued_values_[i]);
+    }
+  }
+  next_queued_ = i;
+  if (next_queued_ == end) {
+    // The trace is spent: release it instead of holding O(trace length)
+    // per object for the rest of the run.
+    queued_times_ = {};
+    queued_values_ = {};
+    next_queued_ = 0;
+  }
+}
+
 std::vector<TimePoint> VersionedObject::history_since(
     TimePoint t, std::size_t limit) const {
   auto first = std::upper_bound(modifications_.begin(), modifications_.end(),

@@ -5,6 +5,11 @@
 // last fetched.  The object keeps its full modification history so the
 // server can answer the paper's proposed X-Modification-History extension
 // and so tests can validate proxy-side inference against ground truth.
+//
+// Trace-backed objects: the origin queues a replayed trace on its object
+// (queue_updates), and catch_up() applies the queued updates that are due
+// whenever the object is read.  An object nobody reads costs nothing; a
+// polled one costs one cursor step per update.
 #pragma once
 
 #include <optional>
@@ -15,8 +20,9 @@
 
 namespace broadway {
 
-/// One origin-side object.  Mutated only through `apply_update`, which
-/// enforces monotone time and version growth.
+/// One origin-side object.  Mutated only through `apply_update` (directly
+/// or by catching up queued trace updates), which enforces monotone time
+/// and version growth.
 class VersionedObject {
  public:
   /// Create version 0 at `creation_time`.  `value` is the numeric payload
@@ -42,6 +48,27 @@ class VersionedObject {
   /// Apply an update at time `t` (must be >= last_modified()).  For
   /// value-domain objects pass the new value.
   void apply_update(TimePoint t, std::optional<double> new_value = std::nullopt);
+
+  /// Queue trace updates for catch_up() to apply.  `times` must be
+  /// non-decreasing and not before last_modified(); `values` is empty for
+  /// temporal objects, else parallel to `times`.  An object replays one
+  /// trace at a time: the previous one must be fully applied.
+  void queue_updates(std::vector<TimePoint> times,
+                     std::vector<double> values = {});
+
+  /// Apply the queued updates due by `now`: every one before `now`, and
+  /// those exactly at `now` too when `inclusive`.  Cheap when nothing is
+  /// due.
+  void catch_up(TimePoint now, bool inclusive) {
+    if (next_queued_ >= queued_times_.size()) return;
+    const TimePoint next = queued_times_[next_queued_];
+    if (next < now || (inclusive && next == now)) {
+      apply_queued(now, inclusive);
+    }
+  }
+
+  /// Queued updates not yet applied.
+  std::size_t queued() const { return queued_times_.size() - next_queued_; }
 
   /// Modification instants strictly after `t`, oldest first, capped at
   /// `limit` *most recent* entries (0 = no cap).  This is the payload of
@@ -92,6 +119,13 @@ class VersionedObject {
   TimePoint wire_last_modified_;
   std::optional<double> value_;
   std::vector<std::string> embedded_links_;
+  /// Trace updates not yet applied start at next_queued_; the vectors are
+  /// released once the last one is.
+  std::vector<TimePoint> queued_times_;
+  std::vector<double> queued_values_;  ///< empty for temporal objects
+  std::size_t next_queued_ = 0;
+
+  void apply_queued(TimePoint now, bool inclusive);
 };
 
 }  // namespace broadway

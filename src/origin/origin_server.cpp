@@ -1,7 +1,6 @@
 #include "origin/origin_server.h"
 
 #include "util/check.h"
-#include "util/log.h"
 
 namespace broadway {
 
@@ -31,17 +30,7 @@ VersionedObject& OriginServer::attach_update_trace(const std::string& uri,
                                                    const UpdateTrace& trace) {
   VersionedObject* existing = store_.find(uri);
   VersionedObject& object = existing ? *existing : add_object(uri);
-  if (config_.batch_trace_attachment) {
-    attach_chained(object, trace.updates(), {});
-    return object;
-  }
-  for (TimePoint t : trace.updates()) {
-    BROADWAY_CHECK_MSG(t >= sim_.now(), "trace update in the past at " << t);
-    VersionedObject* target = &object;
-    sim_.schedule_at(t, [this, target] {
-      target->apply_update(sim_.now());
-    });
-  }
+  queue_trace(object, trace.updates(), {});
   return object;
 }
 
@@ -49,79 +38,36 @@ VersionedObject& OriginServer::attach_value_trace(const std::string& uri,
                                                   const ValueTrace& trace) {
   BROADWAY_CHECK_MSG(!store_.contains(uri), "duplicate value object " << uri);
   VersionedObject& object = add_value_object(uri, trace.initial_value());
-  if (config_.batch_trace_attachment) {
-    std::vector<TimePoint> times;
-    std::vector<double> values;
-    times.reserve(trace.steps().size());
-    values.reserve(trace.steps().size());
-    for (const auto& step : trace.steps()) {
-      times.push_back(step.time);
-      values.push_back(step.value);
-    }
-    attach_chained(object, std::move(times), std::move(values));
-    return object;
-  }
+  std::vector<TimePoint> times;
+  std::vector<double> values;
+  times.reserve(trace.steps().size());
+  values.reserve(trace.steps().size());
   for (const auto& step : trace.steps()) {
-    BROADWAY_CHECK_MSG(step.time >= sim_.now(),
-                       "trace step in the past at " << step.time);
-    VersionedObject* target = &object;
-    const double value = step.value;
-    sim_.schedule_at(step.time, [this, target, value] {
-      target->apply_update(sim_.now(), value);
-    });
+    times.push_back(step.time);
+    values.push_back(step.value);
   }
+  queue_trace(object, std::move(times), std::move(values));
   return object;
 }
 
-void OriginServer::attach_chained(VersionedObject& object,
-                                  std::vector<TimePoint> times,
-                                  std::vector<double> values) {
+void OriginServer::queue_trace(VersionedObject& object,
+                               std::vector<TimePoint> times,
+                               std::vector<double> values) {
   if (times.empty()) return;
-  // The chain needs non-decreasing instants to re-enqueue itself; traces
-  // guarantee it, but fail loudly here rather than mid-simulation.
-  TimePoint previous = sim_.now();
-  for (TimePoint t : times) {
-    BROADWAY_CHECK_MSG(t >= previous,
-                       "trace update out of order or in the past at " << t);
-    previous = t;
-  }
-  auto cursor = std::make_unique<TraceCursor>();
-  cursor->target = &object;
-  cursor->times = std::move(times);
-  cursor->values = std::move(values);
-  // One reserved sequence number per update: the chain fires in exactly
-  // the same-instant order the eager per-update schedule would have.
-  cursor->seq_base = sim_.reserve_sequence(cursor->times.size());
-  TraceCursor* raw = cursor.get();
-  trace_cursors_.push_back(std::move(cursor));
-  sim_.schedule_at_reserved(raw->times.front(), raw->seq_base,
-                            [this, raw] { step_trace(*raw); });
+  BROADWAY_CHECK_MSG(times.front() >= sim_.now(),
+                     "trace update in the past at " << times.front());
+  // Bring the object to now first, so the queue holds only the future.
+  catch_up(object);
+  object.queue_updates(std::move(times), std::move(values));
 }
 
-void OriginServer::step_trace(TraceCursor& cursor) {
-  const std::size_t index = cursor.next++;
-  if (cursor.values.empty()) {
-    cursor.target->apply_update(sim_.now());
-  } else {
-    cursor.target->apply_update(sim_.now(), cursor.values[index]);
-  }
-  const std::size_t following = cursor.next;
-  if (following < cursor.times.size()) {
-    TraceCursor* raw = &cursor;
-    sim_.schedule_at_reserved(cursor.times[following],
-                              cursor.seq_base + following,
-                              [this, raw] { step_trace(*raw); });
-  } else {
-    // The chain is done: release the replay data now instead of holding
-    // O(trace length) per finished trace until origin destruction (the
-    // cursor object itself stays put — addresses must remain stable).
-    cursor.times = {};
-    cursor.values = {};
+void OriginServer::catch_up_all() const {
+  for (VersionedObject* object : by_id_) {
+    if (object != nullptr) catch_up(*object);
   }
 }
 
-const VersionedObject* OriginServer::find_object(
-    const Request& request) const {
+VersionedObject* OriginServer::find_object(const Request& request) {
   if (request.object != kInvalidObjectId) {
     return request.object < by_id_.size() ? by_id_[request.object] : nullptr;
   }
@@ -137,7 +83,8 @@ Response OriginServer::handle(const Request& request) {
 void OriginServer::handle(const Request& request, Response& out) {
   out.reset();
   ++requests_served_;
-  const VersionedObject* object = find_object(request);
+  VersionedObject* object = find_object(request);
+  if (object != nullptr) catch_up(*object);
   // The typed path covers the engine's GET polls; anything else (HEAD,
   // codec-parsed messages) renders headers as before.
   const bool typed = request.meta.active && request.method == Method::kGet;

@@ -1,16 +1,31 @@
 // The origin web server model.
 //
-// Applies trace-driven updates to its object store on the simulator's
+// Replays trace-driven updates on its objects along the simulator's
 // timeline and answers HTTP requests with the conditional-GET semantics the
 // paper's mechanisms rely on (paper §5): an `if-modified-since` request is
 // answered 304 when the object is unchanged, otherwise 200 with the new
 // body, Last-Modified, the value extension for value-domain objects, and —
 // when enabled — the X-Modification-History extension of §5.1.
+//
+// Trace-backed objects.  The origin is observed only through requests
+// (§5), so its state matters only at the instants something reads it.
+// attach_*_trace queues a trace's instants (and values) on the object
+// and schedules nothing; every read — handle(), object_by_id(), store() —
+// first applies the object's queued updates that are due.  An update at
+// t < now() is always due.  One at t == now() is due once the simulator
+// has entered now() (Simulator::reached) — the point at which an update
+// event scheduled for t at attach time would have fired, so the lazy
+// replay is indistinguishable from an eager one.  In particular a synchronous fetch at t = 0 before any event
+// fires (PollingEngine::start) does not see a t = 0 update, while a
+// handle() after run_until(t) or from an event at t does.
+//
+// Catch-up mutates objects from const accessors, so an origin must be
+// read on the thread that drives its simulator (a ShardedFleet replica
+// on its shard's thread).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -45,14 +60,6 @@ class OriginServer {
     bool history_enabled = true;
     std::size_t history_limit = 16;
     bool render_bodies = true;
-    /// Attach traces as ONE self-rechaining simulator event per trace
-    /// (the chain re-enqueues itself at the next update instant) instead
-    /// of one pre-scheduled event per update.  The chain spends FIFO
-    /// sequence numbers reserved at attach time, so same-instant
-    /// interleaving with polls is byte-identical either way — pinned by
-    /// tests/test_scheduler_differential.cpp.  Batching keeps the pending
-    /// set proportional to the number of *traces*, not updates.
-    bool batch_trace_attachment = true;
   };
 
   explicit OriginServer(Simulator& sim);
@@ -68,13 +75,12 @@ class OriginServer {
   VersionedObject& add_value_object(const std::string& uri,
                                     double initial_value);
 
-  /// Create the object (if needed) and schedule one update event per trace
-  /// instant.  Must be called before the simulation passes the first
-  /// update.
+  /// Create the object (if needed) and queue the trace's update instants
+  /// on it (see the file comment).  No update may lie in the past.
   VersionedObject& attach_update_trace(const std::string& uri,
                                        const UpdateTrace& trace);
 
-  /// Create a value object and schedule its ticks.
+  /// Create a value object and queue its ticks.
   VersionedObject& attach_value_trace(const std::string& uri,
                                       const ValueTrace& trace);
 
@@ -99,15 +105,24 @@ class OriginServer {
     return uris_.find(uri);
   }
 
-  /// Direct (non-HTTP) read access for evaluators and tests.
-  const ObjectStore& store() const { return store_; }
-  ObjectStore& store() { return store_; }
+  /// Direct (non-HTTP) read access for evaluators and tests.  Catches up
+  /// every hosted object first (O(objects)).
+  const ObjectStore& store() const {
+    catch_up_all();
+    return store_;
+  }
+  ObjectStore& store() {
+    catch_up_all();
+    return store_;
+  }
 
-  /// Hosted object for an interned id; nullptr when the table interned a
-  /// uri this origin does not host (e.g. a proxy-only registration).
-  /// O(1) — the client layer's ground-truth read.
+  /// Hosted object for an interned id, caught up to now; nullptr when the
+  /// table interned a uri this origin does not host (e.g. a proxy-only
+  /// registration).  O(1) — the client layer's ground-truth read.
   const VersionedObject* object_by_id(ObjectId id) const {
-    return id < by_id_.size() ? by_id_[id] : nullptr;
+    VersionedObject* object = id < by_id_.size() ? by_id_[id] : nullptr;
+    if (object != nullptr) catch_up(*object);
+    return object;
   }
 
   const Config& config() const { return config_; }
@@ -119,17 +134,6 @@ class OriginServer {
   std::size_t responses_304() const { return responses_304_; }
 
  private:
-  /// Replay state of one batch-attached trace: the chained event applies
-  /// update `next` and re-enqueues itself for `next + 1` with the
-  /// sequence number reserved for it at attach time.
-  struct TraceCursor {
-    VersionedObject* target = nullptr;
-    std::vector<TimePoint> times;
-    std::vector<double> values;  ///< empty for temporal traces
-    std::size_t next = 0;
-    std::uint64_t seq_base = 0;
-  };
-
   Simulator& sim_;
   Config config_;
   ObjectStore store_;
@@ -137,24 +141,22 @@ class OriginServer {
   /// Dense ObjectId -> object lookup (nullptr where the table interned a
   /// uri this origin does not host, e.g. a proxy-only registration).
   std::vector<VersionedObject*> by_id_;
-  /// Cursors of batch-attached traces (stable addresses: the chained
-  /// events capture raw pointers).
-  std::vector<std::unique_ptr<TraceCursor>> trace_cursors_;
   std::size_t requests_served_ = 0;
   std::size_t responses_200_ = 0;
   std::size_t responses_304_ = 0;
 
   /// Lookup for the request: by interned id when present, else by uri.
-  const VersionedObject* find_object(const Request& request) const;
+  VersionedObject* find_object(const Request& request);
 
-  /// Batch attachment: validate the trace, reserve its sequence numbers
-  /// and schedule the head of the chain.  `values` is empty for temporal
-  /// traces, else parallel to `times`.
-  void attach_chained(VersionedObject& object, std::vector<TimePoint> times,
-                      std::vector<double> values);
+  /// Apply `object`'s queued trace updates that are due now.
+  void catch_up(VersionedObject& object) const {
+    object.catch_up(sim_.now(), sim_.reached(sim_.now()));
+  }
+  void catch_up_all() const;
 
-  /// Apply update `cursor.next` and re-enqueue the chain.
-  void step_trace(TraceCursor& cursor);
+  /// Validate `times` against the clock and queue them on `object`.
+  void queue_trace(VersionedObject& object, std::vector<TimePoint> times,
+                   std::vector<double> values);
 
   void respond_full(const VersionedObject& object,
                     std::optional<TimePoint> since, bool typed,

@@ -14,8 +14,9 @@ PushChannel::PushChannel(Simulator& sim, OriginServer& origin,
 
 void PushChannel::subscribe(const std::string& uri, Delivery delivery) {
   BROADWAY_CHECK(delivery != nullptr);
-  BROADWAY_CHECK_MSG(origin_.store().contains(uri),
-                     "no such object " << uri);
+  BROADWAY_CHECK_MSG(
+      origin_.object_by_id(origin_.object_id(uri)) != nullptr,
+      "no such object " << uri);
   BROADWAY_CHECK_MSG(
       subscriptions_.find(uri) == subscriptions_.end(),
       "duplicate subscription for " << uri);
@@ -73,8 +74,8 @@ void PushChannel::attach_pushed_trace(const std::string& uri,
                                       const UpdateTrace& trace) {
   origin_.attach_update_trace(uri, trace);
   for (TimePoint t : trace.updates()) {
-    // After the origin applies the update at t (FIFO order: the origin's
-    // event was scheduled first), notify the channel.
+    // The origin replays the trace lazily; a delivery reads through
+    // handle(), which applies the update at t before answering.
     sim_.schedule_at(t, [this, uri] { on_update(uri); });
   }
 }

@@ -59,8 +59,8 @@ class PushChannel {
   /// attaches it alongside the update trace (see attach_pushed_trace).
   void on_update(const std::string& uri);
 
-  /// Convenience: create the object, schedule its trace updates *and*
-  /// wire each update to this channel.
+  /// Convenience: create the object, queue its trace updates at the
+  /// origin *and* schedule one on_update event per update.
   void attach_pushed_trace(const std::string& uri, const UpdateTrace& trace);
   void attach_pushed_trace(const std::string& uri, const ValueTrace& trace);
 

@@ -38,8 +38,7 @@ const EventEntry* Simulator::peek_live() {
 
 // ---- scheduling ------------------------------------------------------------
 
-EventId Simulator::schedule_with_seq(TimePoint t, std::uint64_t seq,
-                                     Callback fn) {
+EventId Simulator::schedule_at(TimePoint t, Callback fn) {
   BROADWAY_CHECK_MSG(std::isfinite(t), "schedule_at(" << t << ")");
   BROADWAY_CHECK_MSG(t >= now_,
                      "schedule_at in the past: t=" << t << " now=" << now_);
@@ -61,30 +60,13 @@ EventId Simulator::schedule_with_seq(TimePoint t, std::uint64_t seq,
   slot.live = true;
   ++pending_count_;
   const EventId id = make_id(index, slot.generation);
-  heap_.push(EventEntry{t, seq, id});
+  heap_.push(EventEntry{t, next_seq_++, id});
   return id;
-}
-
-EventId Simulator::schedule_at(TimePoint t, Callback fn) {
-  return schedule_with_seq(t, next_seq_++, std::move(fn));
 }
 
 EventId Simulator::schedule_after(Duration d, Callback fn) {
   BROADWAY_CHECK_MSG(d >= 0.0, "schedule_after(" << d << ")");
   return schedule_at(now_ + d, std::move(fn));
-}
-
-std::uint64_t Simulator::reserve_sequence(std::uint64_t count) {
-  const std::uint64_t base = next_seq_;
-  next_seq_ += count;
-  return base;
-}
-
-EventId Simulator::schedule_at_reserved(TimePoint t, std::uint64_t seq,
-                                        Callback fn) {
-  BROADWAY_CHECK_MSG(seq < next_seq_,
-                     "sequence " << seq << " was never reserved");
-  return schedule_with_seq(t, seq, std::move(fn));
 }
 
 bool Simulator::cancel(EventId id) {
@@ -116,6 +98,7 @@ bool Simulator::step() {
   release(slot_of(entry.id));
   BROADWAY_CHECK_MSG(entry.time >= now_, "event time went backwards");
   now_ = entry.time;
+  entered_ = now_;
   ++executed_;
   // Expose the running event's id for the duration of the callback
   // (callbacks nest only through step()-free paths, so a plain save and
@@ -152,6 +135,7 @@ void Simulator::advance_clock(TimePoint t) {
   BROADWAY_CHECK_MSG(head == nullptr || head->time >= t,
                      "advance_clock would skip a pending event");
   now_ = t;
+  entered_ = t;
 }
 
 std::size_t Simulator::run(std::size_t limit) {
@@ -170,6 +154,7 @@ std::size_t Simulator::run_until(TimePoint horizon) {
     ++executed;
   }
   now_ = horizon;
+  entered_ = horizon;
   return executed;
 }
 

@@ -23,16 +23,16 @@
 // ordered queue itself is a binary heap (std::priority_queue) of small
 // (time, seq, id) entries: O(log n) per operation, and at this codebase's
 // pending-set sizes the cheapest structure measured end to end.  It is the
-// only one; tests/test_sim_simulator.cpp pins its fire order against a
+// only one; tests/test_sim_event_queue.cpp pins its fire order against a
 // naive scan-for-the-minimum model.  At fleet scale every poll is at least
 // one event; this is the floor under the whole simulation.
 //
-// FIFO sequence reservation: same-instant order is decided by a global
-// sequence number stamped at schedule time.  A caller that replaces N
-// up-front schedules with one self-rechaining event (batch trace
-// attachment) can reserve the N numbers at attach time and spend them as
-// the chain advances — the interleaving with every other event is then
-// exactly as if all N had been scheduled eagerly.
+// Entered instants: a freshly constructed simulator sits at time 0
+// without having *entered* it — nothing has fired there yet.  reached()
+// tells lazily-replayed state (the origin's trace-backed objects) whether
+// work due at the current instant is already visible: the simulator
+// enters an instant by firing an event there, by finishing run_until at
+// it, or by advance_clock to it.
 #pragma once
 
 #include <cstdint>
@@ -92,6 +92,11 @@ class Simulator {
   /// Current simulation time.  Starts at 0.
   TimePoint now() const { return now_; }
 
+  /// Whether the timeline has reached instant `t`: `t` is in the past,
+  /// or `t` is the current instant and the simulator has entered it (see
+  /// the file comment).  Before anything runs, reached(0) is false.
+  bool reached(TimePoint t) const { return t < now_ || t <= entered_; }
+
   /// Schedule `fn` to run at absolute time `t`.  `t` must not be in the
   /// past (it may equal `now()`, in which case the event runs after all
   /// currently-runnable events scheduled earlier).
@@ -99,16 +104,6 @@ class Simulator {
 
   /// Schedule `fn` to run `d` from now.  `d` must be non-negative.
   EventId schedule_after(Duration d, Callback fn);
-
-  /// Reserve `count` consecutive FIFO sequence numbers and return the
-  /// first.  Events scheduled later with these numbers (via
-  /// schedule_at_reserved) tie-break against same-instant events exactly
-  /// as if they had been scheduled at reservation time.
-  std::uint64_t reserve_sequence(std::uint64_t count);
-
-  /// Schedule `fn` at `t` with a previously reserved sequence number.
-  /// Each reserved number must be used at most once.
-  EventId schedule_at_reserved(TimePoint t, std::uint64_t seq, Callback fn);
 
   /// Cancel a pending event.  Returns true if the event existed and was
   /// removed; false if it already fired, was already cancelled, or never
@@ -204,13 +199,13 @@ class Simulator {
   /// Release a slot back to the free list (bumps the generation).
   void release(std::uint32_t index);
 
-  EventId schedule_with_seq(TimePoint t, std::uint64_t seq, Callback fn);
-
   /// Earliest live entry, or nullptr when nothing is pending.  Tombstones
   /// (entries of cancelled events) at the head are popped on the way.
   const EventEntry* peek_live();
 
   TimePoint now_ = 0.0;
+  /// Latest instant entered (<= now_); -infinity until the first one.
+  TimePoint entered_ = -kTimeInfinity;
   EventId current_event_ = kInvalidEventId;
   std::uint32_t schedule_tag_ = 0;
   std::uint64_t next_seq_ = 0;

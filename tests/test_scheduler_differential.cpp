@@ -1,14 +1,18 @@
-// Batch-vs-per-update trace attachment differential.
+// Golden digests of trace replay.
 //
-// Batch trace attachment (OriginServer::Config::batch_trace_attachment)
-// replaces one pre-scheduled simulator event per trace update with one
-// self-rechaining event per trace.  It changes *how* update events are
-// created and must change nothing about *what* the simulation computes.
-// These tests run a lossy cooperative-push fleet and a lossy value-domain
-// engine with the origin in each attachment mode and assert byte-identical
-// poll logs, TTR series and counters.
+// The origin replays its update traces lazily: a trace is queued on its
+// object and applied when something reads the object (see
+// origin/origin_server.h).  That changes *when* updates are applied and
+// must change nothing about *what* the simulation computes.  These tests
+// run a lossy cooperative-push fleet and a lossy value-domain engine and
+// compare a bit-exact digest of their poll logs, TTR series and counters
+// with the values the eager replay (one simulator event per trace update)
+// produced for the same scenarios.  Digests are per toolchain (gcc on
+// x86_64); a mismatch prints the fresh value next to the pinned one.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -25,11 +29,47 @@
 namespace broadway {
 namespace {
 
-OriginServer::Config attachment(bool batch) {
-  OriginServer::Config config;
-  config.batch_trace_attachment = batch;
-  return config;
-}
+// FNV-1a over the bit patterns of everything fed to it.
+class Digest {
+ public:
+  void bytes(const void* data, std::size_t size) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < size; ++i) {
+      hash_ ^= p[i];
+      hash_ *= 0x100000001b3ULL;
+    }
+  }
+  void u64(std::uint64_t value) { bytes(&value, sizeof value); }
+  void f64(double value) {
+    std::uint64_t bits;
+    std::memcpy(&bits, &value, sizeof bits);
+    u64(bits);
+  }
+  void records(const std::vector<PollRecord>& records) {
+    u64(records.size());
+    for (const PollRecord& record : records) {
+      f64(record.snapshot_time);
+      f64(record.complete_time);
+      u64(record.uri.size());
+      bytes(record.uri.data(), record.uri.size());
+      u64(record.object);
+      u64(static_cast<std::uint64_t>(record.cause));
+      u64(record.modified);
+      u64(record.failed);
+    }
+  }
+  void series(const std::vector<std::pair<TimePoint, Duration>>& series) {
+    u64(series.size());
+    for (const auto& [t, ttr] : series) {
+      f64(t);
+      f64(ttr);
+    }
+  }
+  std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
 
 UpdateTrace irregular_trace(const std::string& name, std::uint64_t seed,
                             Duration horizon) {
@@ -59,47 +99,18 @@ ValueTrace wiggly_trace(const std::string& name, std::uint64_t seed,
   return ValueTrace(name, 100.0, std::move(steps), horizon);
 }
 
-void expect_records_identical(const std::vector<PollRecord>& a,
-                              const std::vector<PollRecord>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    SCOPED_TRACE("record " + std::to_string(i));
-    EXPECT_EQ(a[i].uri, b[i].uri);
-    EXPECT_EQ(a[i].object, b[i].object);
-    EXPECT_EQ(a[i].cause, b[i].cause);
-    EXPECT_EQ(a[i].modified, b[i].modified);
-    EXPECT_EQ(a[i].failed, b[i].failed);
-    EXPECT_EQ(a[i].snapshot_time, b[i].snapshot_time);
-    EXPECT_EQ(a[i].complete_time, b[i].complete_time);
-  }
-}
-
 // ---- cooperative fleet -----------------------------------------------------
 
-std::vector<UpdateTrace> fleet_traces(Duration horizon) {
+TEST(TraceReplayGolden, CooperativeFleet) {
+  constexpr Duration kHorizon = 25000.0;
   std::vector<UpdateTrace> traces;
   for (int i = 0; i < 5; ++i) {
     traces.push_back(
-        irregular_trace("/object/" + std::to_string(i), 300 + i, horizon));
+        irregular_trace("/object/" + std::to_string(i), 300 + i, kHorizon));
   }
-  return traces;
-}
-
-struct FleetArtifacts {
-  std::vector<PollRecord> records;  // all proxies, proxy-major
-  std::vector<std::vector<std::pair<TimePoint, Duration>>> ttr_series;
-  std::size_t origin_requests = 0;
-  std::size_t origin_polls = 0;
-  std::size_t relays_delivered = 0;
-  std::size_t relays_applied = 0;
-};
-
-FleetArtifacts run_fleet(bool batch) {
-  constexpr Duration kHorizon = 25000.0;
-  const std::vector<UpdateTrace> traces = fleet_traces(kHorizon);
 
   Simulator sim;
-  OriginServer origin(sim, attachment(batch));
+  OriginServer origin(sim);
   for (const UpdateTrace& trace : traces) {
     origin.attach_update_trace(trace.name(), trace);
   }
@@ -120,50 +131,33 @@ FleetArtifacts run_fleet(bool batch) {
   fleet.start();
   sim.run_until(kHorizon);
 
-  FleetArtifacts artifacts;
+  Digest digest;
+  std::size_t records = 0;
   for (std::size_t p = 0; p < fleet.size(); ++p) {
-    const auto& records = fleet.proxy(p).poll_log().records();
-    artifacts.records.insert(artifacts.records.end(), records.begin(),
-                             records.end());
+    digest.records(fleet.proxy(p).poll_log().records());
+    records += fleet.proxy(p).poll_log().records().size();
     for (const UpdateTrace& trace : traces) {
-      artifacts.ttr_series.push_back(fleet.proxy(p).ttr_series(trace.name()));
+      digest.series(fleet.proxy(p).ttr_series(trace.name()));
     }
   }
-  artifacts.origin_requests = origin.requests_served();
-  artifacts.origin_polls = fleet.origin_polls();
-  artifacts.relays_delivered = fleet.relays_delivered();
-  artifacts.relays_applied = fleet.relays_applied();
-  return artifacts;
-}
+  digest.u64(origin.requests_served());
+  digest.u64(fleet.origin_polls());
+  digest.u64(fleet.relays_delivered());
+  digest.u64(fleet.relays_applied());
 
-TEST(AttachmentDifferential, FleetRunsAreByteIdentical) {
-  const FleetArtifacts per_update = run_fleet(/*batch=*/false);
-  const FleetArtifacts batch = run_fleet(/*batch=*/true);
-  ASSERT_FALSE(per_update.records.empty());
-  EXPECT_GT(per_update.relays_delivered, 0u);
-  expect_records_identical(per_update.records, batch.records);
-  EXPECT_EQ(per_update.ttr_series, batch.ttr_series);
-  EXPECT_EQ(per_update.origin_requests, batch.origin_requests);
-  EXPECT_EQ(per_update.origin_polls, batch.origin_polls);
-  EXPECT_EQ(per_update.relays_delivered, batch.relays_delivered);
-  EXPECT_EQ(per_update.relays_applied, batch.relays_applied);
+  ASSERT_GT(records, 0u);
+  EXPECT_GT(fleet.relays_delivered(), 0u);
+  EXPECT_EQ(digest.value(), 0x628b9ccadb1e0d50ULL);
 }
 
 // ---- value domain ----------------------------------------------------------
 
-struct ValueArtifacts {
-  std::vector<PollRecord> records;
-  std::vector<std::pair<TimePoint, Duration>> ttr_series;
-  std::size_t polls = 0;
-  std::size_t origin_requests = 0;
-};
-
-ValueArtifacts run_value(bool batch) {
+TEST(TraceReplayGolden, ValueDomainEngine) {
   constexpr Duration kHorizon = 8000.0;
   const ValueTrace trace = wiggly_trace("/stock/x", 77, kHorizon);
 
   Simulator sim;
-  OriginServer origin(sim, attachment(batch));
+  OriginServer origin(sim);
   origin.attach_value_trace(trace.name(), trace);
   EngineConfig engine;
   engine.rtt = 0.05;
@@ -177,26 +171,14 @@ ValueArtifacts run_value(bool batch) {
   proxy.start();
   sim.run_until(kHorizon);
 
-  ValueArtifacts artifacts;
-  artifacts.records = proxy.poll_log().records();
-  artifacts.ttr_series = proxy.ttr_series(trace.name());
-  artifacts.polls = proxy.polls_performed();
-  artifacts.origin_requests = origin.requests_served();
-  return artifacts;
-}
+  Digest digest;
+  digest.records(proxy.poll_log().records());
+  digest.series(proxy.ttr_series(trace.name()));
+  digest.u64(proxy.polls_performed());
+  digest.u64(origin.requests_served());
 
-TEST(AttachmentDifferential, ValueRunsAreByteIdentical) {
-  const ValueArtifacts per_update = run_value(/*batch=*/false);
-  const ValueArtifacts batch = run_value(/*batch=*/true);
-  ASSERT_FALSE(per_update.records.empty());
-  expect_records_identical(per_update.records, batch.records);
-  EXPECT_EQ(per_update.ttr_series, batch.ttr_series);
-  EXPECT_EQ(per_update.polls, batch.polls);
-  EXPECT_EQ(per_update.origin_requests, batch.origin_requests);
-}
-
-TEST(AttachmentDifferential, BatchIsTheDefault) {
-  EXPECT_TRUE(OriginServer::Config().batch_trace_attachment);
+  ASSERT_FALSE(proxy.poll_log().records().empty());
+  EXPECT_EQ(digest.value(), 0x7c97e1c785be13b9ULL);
 }
 
 }  // namespace

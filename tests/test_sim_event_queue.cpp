@@ -1,6 +1,5 @@
-// Ordering contract of the Simulator's event queue: reserved sequence
-// numbers, and a naive scan-for-the-minimum model as the ordering oracle
-// for random op mixes.
+// Ordering contract of the Simulator's event queue: a naive
+// scan-for-the-minimum model as the ordering oracle for random op mixes.
 #include "sim/simulator.h"
 
 #include <gtest/gtest.h>
@@ -16,34 +15,14 @@
 namespace broadway {
 namespace {
 
-TEST(Simulator, ReservedSequencesTieBreakAsIfScheduledAtReservation) {
-  Simulator sim;
-  std::vector<int> order;
-  // Reserve three numbers *before* the competing event is scheduled...
-  const std::uint64_t base = sim.reserve_sequence(3);
-  sim.schedule_at(5.0, [&] { order.push_back(99); });
-  // ...then spend them afterwards, even out of reservation order.
-  sim.schedule_at_reserved(5.0, base + 2, [&] { order.push_back(2); });
-  sim.schedule_at_reserved(5.0, base + 0, [&] { order.push_back(0); });
-  sim.schedule_at_reserved(5.0, base + 1, [&] { order.push_back(1); });
-  sim.run();
-  // All three reserved events outrank the later-sequenced competitor.
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 99}));
-}
-
-TEST(Simulator, UnreservedSequenceIsRejected) {
-  Simulator sim;
-  EXPECT_THROW(sim.schedule_at_reserved(1.0, 17, [] {}), CheckFailure);
-}
-
 // ---- ordering oracle -------------------------------------------------------
 
 // Reference model of the ordering contract: a flat vector of live
 // (time, seq, tag) entries, and firing scans for the (time, seq) minimum.
 // No heap, no slot pool, no tombstones — too slow for real runs, and
 // obviously correct.  Sequence numbers advance exactly as the Simulator's
-// do (one per schedule, `count` per reservation), so the model and the
-// engine agree on every same-instant tie-break.
+// do (one per schedule), so the model and the engine agree on every
+// same-instant tie-break.
 class NaiveScheduler {
  public:
   using FireFn = std::function<void(int tag)>;
@@ -51,19 +30,12 @@ class NaiveScheduler {
   TimePoint now() const { return now_; }
   std::size_t pending() const { return entries_.size(); }
   std::uint64_t executed() const { return executed_; }
+  /// Whether the clock's instant has been entered (an event fired there
+  /// or run_until ended there).
+  bool entered_now() const { return entered_ && entered_at_ == now_; }
 
   void schedule(TimePoint t, int tag) {
     entries_.push_back({t, next_seq_++, tag});
-  }
-
-  std::uint64_t reserve(std::uint64_t count) {
-    const std::uint64_t base = next_seq_;
-    next_seq_ += count;
-    return base;
-  }
-
-  void schedule_reserved(TimePoint t, std::uint64_t seq, int tag) {
-    entries_.push_back({t, seq, tag});
   }
 
   bool is_pending(int tag) const { return find(tag) != entries_.end(); }
@@ -85,6 +57,7 @@ class NaiveScheduler {
     std::size_t fired = 0;
     while (fire_next(horizon, fire)) ++fired;
     now_ = horizon;
+    enter();
     return fired;
   }
 
@@ -114,12 +87,20 @@ class NaiveScheduler {
     const Entry entry = *min;
     entries_.erase(min);
     now_ = entry.time;
+    enter();
     ++executed_;
     fire(entry.tag);
     return true;
   }
 
+  void enter() {
+    entered_ = true;
+    entered_at_ = now_;
+  }
+
   TimePoint now_ = 0.0;
+  bool entered_ = false;
+  TimePoint entered_at_ = 0.0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
   std::vector<Entry> entries_;
@@ -135,9 +116,8 @@ constexpr int kFollowUpTag = 1 << 20;
 
 // Drive a Simulator and the naive model in lockstep through one seeded op
 // mix — schedules with quantised delays (same-instant ties), cancels,
-// reschedules, same-instant bursts, reserved sequences spent out of order
-// and phases later, callbacks that schedule follow-ups (some at the
-// current instant), and advances by step count or to a horizon that often
+// reschedules, same-instant bursts, callbacks that schedule follow-ups
+// (some at the current instant), and advances by step count or to a horizon that often
 // lands exactly on pending event times.  Every cancel, is_pending and
 // fire_time answer and every phase-end clock / pending / executed reading
 // is compared on the way; the two fire logs are returned for comparison.
@@ -148,7 +128,6 @@ std::pair<FireLog, FireLog> run_lockstep(std::uint64_t seed) {
   FireLog model_log;
   Rng rng(seed);
   std::vector<std::pair<EventId, int>> pending;  // (engine id, script tag)
-  std::vector<std::uint64_t> reserved;           // unspent sequence numbers
   int next_tag = 0;
 
   // Every 5th script event schedules a follow-up from its callback, at
@@ -193,7 +172,8 @@ std::pair<FireLog, FireLog> run_lockstep(std::uint64_t seed) {
   for (int phase = 0; phase < 30; ++phase) {
     const int ops = static_cast<int>(rng.uniform_int(5, 40));
     for (int op = 0; op < ops; ++op) {
-      const double dice = rng.uniform01();
+      // Scaled so every op keeps its original share of the mix.
+      const double dice = rng.uniform01() * 0.87;
       if (dice < 0.45 || pending.empty()) {
         schedule(sim.now() + rng.uniform_int(0, 40) * 0.25);
       } else if (dice < 0.62) {
@@ -203,30 +183,11 @@ std::pair<FireLog, FireLog> run_lockstep(std::uint64_t seed) {
         // PeriodicTask::reschedule does.
         cancel_random();
         schedule(sim.now() + rng.uniform_int(0, 40) * 0.25);
-      } else if (dice < 0.87) {
+      } else {
         // Burst: several events at one shared instant.
         const double t = sim.now() + rng.uniform_int(0, 20) * 0.5;
         const int burst = static_cast<int>(rng.uniform_int(2, 6));
         for (int i = 0; i < burst; ++i) schedule(t);
-      } else if (dice < 0.93) {
-        const std::uint64_t count =
-            static_cast<std::uint64_t>(rng.uniform_int(1, 4));
-        const std::uint64_t base = sim.reserve_sequence(count);
-        EXPECT_EQ(base, model.reserve(count));
-        for (std::uint64_t i = 0; i < count; ++i) reserved.push_back(base + i);
-      } else if (!reserved.empty()) {
-        // Spend a random reserved number: it may predate every event
-        // pending at this instant.
-        const std::size_t pick = static_cast<std::size_t>(rng.uniform_int(
-            0, static_cast<std::int64_t>(reserved.size()) - 1));
-        const std::uint64_t seq = reserved[pick];
-        reserved.erase(reserved.begin() + static_cast<std::ptrdiff_t>(pick));
-        const TimePoint t = sim.now() + rng.uniform_int(0, 8) * 0.5;
-        const int tag = next_tag++;
-        const EventId id = sim.schedule_at_reserved(
-            t, seq, [&sim_fire, tag] { sim_fire(tag); });
-        pending.emplace_back(id, tag);
-        model.schedule_reserved(t, seq, tag);
       }
     }
     if (rng.bernoulli(0.5)) {
@@ -242,6 +203,8 @@ std::pair<FireLog, FireLog> run_lockstep(std::uint64_t seed) {
     EXPECT_EQ(sim.now(), model.now()) << "phase " << phase;
     EXPECT_EQ(sim.pending(), model.pending()) << "phase " << phase;
     EXPECT_EQ(sim.executed(), model.executed()) << "phase " << phase;
+    EXPECT_EQ(sim.reached(sim.now()), model.entered_now()) << "phase "
+                                                           << phase;
     const auto fired = [&](const std::pair<EventId, int>& entry) {
       const bool live = sim.is_pending(entry.first);
       EXPECT_EQ(live, model.is_pending(entry.second));

@@ -228,5 +228,30 @@ TEST(Simulator, ManyEventsStaySorted) {
   EXPECT_TRUE(std::is_sorted(fired.begin(), fired.end()));
 }
 
+TEST(Simulator, ReachedTracksEnteredInstants) {
+  Simulator sim;
+  // At time 0 but nothing has run there yet.
+  EXPECT_FALSE(sim.reached(0.0));
+  bool inside = false;
+  sim.schedule_at(0.0, [&] { inside = sim.reached(0.0); });
+  sim.schedule_at(5.0, [] {});
+  sim.step();
+  EXPECT_TRUE(inside);  // firing an event enters its instant
+  EXPECT_TRUE(sim.reached(0.0));
+  EXPECT_FALSE(sim.reached(5.0));
+  sim.step();
+  EXPECT_TRUE(sim.reached(5.0));
+  EXPECT_FALSE(sim.reached(5.5));
+  sim.advance_clock(7.0);
+  EXPECT_TRUE(sim.reached(7.0));
+  sim.run_until(9.0);  // no event at 9: the horizon itself is entered
+  EXPECT_TRUE(sim.reached(9.0));
+  EXPECT_FALSE(sim.reached(9.0 + 1e-9));
+
+  Simulator idle;
+  idle.run_until(0.0);
+  EXPECT_TRUE(idle.reached(0.0));
+}
+
 }  // namespace
 }  // namespace broadway
