@@ -116,16 +116,16 @@ int main(int argc, char** argv) {
           std::cout << proxies << ',' << objects << ',' << mode << ','
                     << result.origin_polls << ','
                     << fmt(result.origin_polls_per_second, 4) << ','
-                    << result.relays_delivered << ','
-                    << result.relays_applied << ','
+                    << result.relays.delivered << ','
+                    << result.relays.applied << ','
                     << fmt(result.mean_fidelity_time, 5) << ','
                     << fmt(result.min_fidelity_time, 5) << '\n';
         } else {
           table.add_row({std::to_string(proxies), std::to_string(objects),
                          mode, std::to_string(result.origin_polls),
                          fmt(result.origin_polls_per_second, 3),
-                         std::to_string(result.relays_delivered),
-                         std::to_string(result.relays_applied),
+                         std::to_string(result.relays.delivered),
+                         std::to_string(result.relays.applied),
                          fmt(result.mean_fidelity_time, 4),
                          fmt(result.min_fidelity_time, 4)});
         }
@@ -215,13 +215,10 @@ int main(int argc, char** argv) {
   lossless_fleet.faults = FaultSchedule{};
   const auto lossless = run_fleet_temporal(fault_traces, lossless_fleet);
   const auto lossy_run = run_fleet_temporal(fault_traces, lossy_fleet);
-  const bool relay_faults_fire = lossy_run.relays_lost > 0 &&
-                                 lossy_run.relays_retried > 0 &&
-                                 lossy_run.relays_delivered > 0;
-  const bool relay_ledger_balances =
-      lossy_run.relays_sent == lossy_run.relays_delivered +
-                                   lossy_run.relays_in_flight +
-                                   lossy_run.relays_lost;
+  const bool relay_faults_fire = lossy_run.relays.lost > 0 &&
+                                 lossy_run.relays.retried > 0 &&
+                                 lossy_run.relays.delivered > 0;
+  const bool relay_ledger_balances = lossy_run.relays.balanced();
   const bool lossy_fidelity_holds =
       lossy_run.mean_fidelity_time >= lossless.mean_fidelity_time - 0.02;
 
@@ -240,7 +237,7 @@ int main(int argc, char** argv) {
       outage_result.clients.dark_reads > 0 &&
       outage_result.clients.dark_stale + outage_result.clients.dark_misses <=
           outage_result.clients.dark_reads &&
-      outage_result.fleet.relays_dropped_dark > 0;
+      outage_result.fleet.relays.dropped_dark > 0;
   if (!csv) {
     table.print(std::cout);
     std::cout << "\nClient traffic (2 cooperative proxies, "
@@ -268,10 +265,7 @@ int main(int argc, char** argv) {
     fault_summary.dark_reads = outage_result.clients.dark_reads;
     fault_summary.dark_stale = outage_result.clients.dark_stale;
     fault_summary.dark_misses = outage_result.clients.dark_misses;
-    fault_summary.relays_lost = outage_result.fleet.relays_lost;
-    fault_summary.relays_retried = outage_result.fleet.relays_retried;
-    fault_summary.relays_dropped_dark =
-        outage_result.fleet.relays_dropped_dark;
+    fault_summary.relays = outage_result.fleet.relays;
     TextTable fault_table;
     fault_table.set_header(
         {"fault injection (crash 2700-4500 s, loss 0.2)", "value"});

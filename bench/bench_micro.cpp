@@ -361,9 +361,7 @@ std::vector<UpdateTrace> make_fanout_traces(std::size_t objects) {
 // string-keyed virtual call into every attached group per poll, each
 // walking its full member list with string compares and uri-hash δ-window
 // probes (the committed BENCH_baseline.json entries were measured on that
-// path — the pre-PR tree — so the trajectory records the routing win;
-// EngineConfig::legacy_dispatch keeps the broadcast *shape* reproducible
-// in-tree for the dispatch differential tests).
+// path — the pre-PR tree — so the trajectory records the routing win).
 void BM_CoordinatorFanout(benchmark::State& state) {
   const std::size_t groups = static_cast<std::size_t>(state.range(0));
   const std::size_t objects = 128;
@@ -583,12 +581,9 @@ BENCHMARK(BM_ShardedFleetSweep)
 // are disjoint, so every relay fan-out is empty and a lookahead window
 // carries nothing — what remains is the pure per-window cost (cost
 // hints, batch dispatch, barrier, bound scan, mailbox exchange).  The
-// fixed policy pays horizon / relay_latency of those rounds; the
-// adaptive policy sees an infinite send bound and collapses the run to
-// one window, so the adaptive:0 / adaptive:1 ratio brackets the
-// windowing overhead the adaptive edge removes.
+// send bound is infinite, so the window edge collapses the run to one
+// window; a regression here means the edge lost its jump.
 void BM_ShardedWindowOverhead(benchmark::State& state) {
-  const bool adaptive = state.range(0) != 0;
   constexpr std::size_t kProxies = 4;
   constexpr std::size_t kObjectsPerProxy = 32;
   const auto traces = std::make_shared<const std::vector<UpdateTrace>>(
@@ -598,10 +593,8 @@ void BM_ShardedWindowOverhead(benchmark::State& state) {
     ShardedFleetConfig config;
     config.fleet.proxies = kProxies;
     config.fleet.cooperative_push = true;
-    config.fleet.relay_latency = 5.0;  // 4000 fixed windows to the horizon
+    config.fleet.relay_latency = 5.0;  // 4000 latency steps to the horizon
     config.threads = 2;
-    config.window_policy =
-        adaptive ? WindowPolicy::kAdaptive : WindowPolicy::kFixed;
     config.origin = bench_origin_config();
     config.origin_setup = [traces](OriginServer& origin) {
       for (const UpdateTrace& trace : *traces) {
@@ -626,24 +619,18 @@ void BM_ShardedWindowOverhead(benchmark::State& state) {
   state.SetItemsProcessed(polls);
 }
 BENCHMARK(BM_ShardedWindowOverhead)
-    ->ArgName("adaptive")
-    ->Arg(0)
-    ->Arg(1)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
 // Sparse-relay topology: each proxy polls its own private working set
 // (the bulk of the events) plus a few slowly-updating objects shared
-// fleet-wide — the only relay traffic.  The fixed policy still cuts the
-// run into horizon / relay_latency windows; the adaptive policy jumps
-// each edge to the next instant a shared pair can send, so the window
-// count tracks the actual cross-shard traffic.  The adaptive:0 vs
-// adaptive:1 pair at each thread count is the tentpole's headline
-// speedup; object partitioning keeps the private pairs spread across
-// more shards than proxies.
+// fleet-wide — the only relay traffic.  Each window edge jumps to the
+// next instant a shared pair can send, so the window count tracks the
+// actual cross-shard traffic rather than horizon / relay_latency; object
+// partitioning keeps the private pairs spread across more shards than
+// proxies.
 void BM_ShardedSparseRelaySweep(benchmark::State& state) {
   const std::size_t threads = static_cast<std::size_t>(state.range(0));
-  const bool adaptive = state.range(1) != 0;
   constexpr std::size_t kProxies = 8;
   constexpr std::size_t kPrivatePerProxy = 48;
   constexpr std::size_t kShared = 4;
@@ -676,8 +663,6 @@ void BM_ShardedSparseRelaySweep(benchmark::State& state) {
     config.fleet.relay_latency = 5.0;
     config.threads = threads;
     config.shards = kProxies + 4;  // object-partitioned layout
-    config.window_policy =
-        adaptive ? WindowPolicy::kAdaptive : WindowPolicy::kFixed;
     config.origin = bench_origin_config();
     config.origin_setup = [traces](OriginServer& origin) {
       for (const UpdateTrace& trace : *traces) {
@@ -707,11 +692,9 @@ void BM_ShardedSparseRelaySweep(benchmark::State& state) {
   state.SetItemsProcessed(refreshes);
 }
 BENCHMARK(BM_ShardedSparseRelaySweep)
-    ->ArgNames({"threads", "adaptive"})
-    ->Args({1, 0})
-    ->Args({1, 1})
-    ->Args({4, 0})
-    ->Args({4, 1})
+    ->ArgName("threads")
+    ->Arg(1)
+    ->Arg(4)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 

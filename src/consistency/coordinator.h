@@ -17,8 +17,7 @@
 // bind() through the `resolve` hook; `subscriptions()` hands the interned
 // ids back to the engine, which routes each poll only to the coordinators
 // actually watching that object.  String-keyed `on_poll` remains as a
-// translating wrapper for tests, examples and the legacy broadcast
-// dispatch mode.
+// translating wrapper for tests.
 #pragma once
 
 #include <functional>
@@ -50,10 +49,9 @@ struct CoordinatorHooks {
 /// Decision interface.  `on_poll` is invoked by the engine after every
 /// completed poll of a group member — including polls the coordinator
 /// itself triggered, so implementations must be self-stabilising (the δ
-/// window test below provides that naturally).  Polls of objects outside
-/// the member list are ignored, so subscription-routed dispatch (only
-/// watching coordinators are called) and broadcast dispatch (every
-/// coordinator hears every poll) are observably identical.
+/// window test below provides that naturally).  The engine calls only the
+/// coordinators subscribed to the polled object; polls of objects outside
+/// the member list are ignored all the same.
 class MutualCoordinator {
  public:
   virtual ~MutualCoordinator() = default;
@@ -62,8 +60,8 @@ class MutualCoordinator {
                        const TemporalPollObservation& obs) = 0;
 
   /// Translating wrapper: resolves `uri` through the bound hooks and
-  /// forwards to the id overload.  One hash per call — tests, examples
-  /// and the legacy broadcast dispatch path only.
+  /// forwards to the id overload.  One hash per call — for tests; the
+  /// engine dispatches by id.
   void on_poll(const std::string& uri, const TemporalPollObservation& obs);
 
   /// Interned ids of the objects this coordinator wants to hear about.

@@ -99,7 +99,7 @@ struct FaultSchedule {
 
   /// Earliest crash or recovery boundary of `proxy` strictly after `t`;
   /// kTimeInfinity when none remain.  The sharded driver folds this into
-  /// its adaptive send bound: a dark proxy's timers are stopped, so
+  /// its window send bound: a dark proxy's timers are stopped, so
   /// without this bound the window edge would jump straight past the
   /// recovery and the re-armed polls behind it.
   TimePoint next_transition_after(std::size_t proxy, TimePoint t) const;

@@ -220,7 +220,7 @@ void ProxyFleet::relay(std::size_t from, std::size_t to, ObjectId object,
                        const Response& response, TimePoint snapshot,
                        std::uint64_t round) {
   if (!faults_active_) {
-    ++relays_sent_;
+    ++relays_.sent;
     if (config_.relay_latency <= 0.0) {
       // Synchronous relay: the receiving engine reads the polling
       // engine's response in place — no copy anywhere on the path.
@@ -233,8 +233,8 @@ void ProxyFleet::relay(std::size_t from, std::size_t to, ObjectId object,
     // (shared_ptr keeps the scheduling closure copyable).
     auto message = std::make_shared<Response>(response);
     message->meta.own_history();
-    ++relays_in_flight_;
-    // Deliveries to watched pairs feed the adaptive window bound: push
+    ++relays_.in_flight;
+    // Deliveries to watched pairs feed the window send bound: push
     // the delivery time now, pop it when the message lands.
     const bool watched = watched_dest(to, object);
     const TimePoint deliver_at = sim_.now() + config_.relay_latency;
@@ -242,7 +242,7 @@ void ProxyFleet::relay(std::size_t from, std::size_t to, ObjectId object,
     sim_.schedule_after(
         config_.relay_latency,
         [this, to, object, message, snapshot, watched, deliver_at] {
-          --relays_in_flight_;
+          --relays_.in_flight;
           if (watched) pending_watched_.erase(pending_watched_.find(deliver_at));
           deliver(to, object, *message, snapshot);
         });
@@ -265,12 +265,12 @@ void ProxyFleet::relay_attempt(std::size_t src_global, std::size_t to,
   // The ledger invariant sent == delivered + in_flight + lost holds at
   // every instant: each attempt is counted sent here and ends up in
   // exactly one of the other three buckets below.
-  ++relays_sent_;
-  if (attempt > 0) ++relays_retried_;
+  ++relays_.sent;
+  if (attempt > 0) ++relays_.retried;
   const std::uint64_t counter = faults.attempt_counter(round, attempt);
   const std::size_t dst_global = proxy_ids_[to];
   if (faults.relay_lost(object, src_global, dst_global, counter)) {
-    ++relays_lost_;
+    ++relays_.lost;
     if (attempt >= faults.relay_retry_limit) return;  // abandoned
     // The retry chain belongs to the network substrate, not the sending
     // engine: a sender crash between attempts does not cancel it.
@@ -293,13 +293,13 @@ void ProxyFleet::relay_attempt(std::size_t src_global, std::size_t to,
     deliver(to, object, *message, snapshot);
     return;
   }
-  ++relays_in_flight_;
+  ++relays_.in_flight;
   const bool watched = watched_dest(to, object);
   const TimePoint deliver_at = sim_.now() + delay;
   if (watched) pending_watched_.insert(deliver_at);
   sim_.schedule_after(
       delay, [this, to, object, message, snapshot, watched, deliver_at] {
-        --relays_in_flight_;
+        --relays_.in_flight;
         if (watched) pending_watched_.erase(pending_watched_.find(deliver_at));
         deliver(to, object, *message, snapshot);
       });
@@ -307,17 +307,17 @@ void ProxyFleet::relay_attempt(std::size_t src_global, std::size_t to,
 
 void ProxyFleet::deliver(std::size_t to, ObjectId object,
                          const Response& response, TimePoint snapshot) {
-  ++relays_delivered_;
+  ++relays_.delivered;
   if (faults_active_ && config_.faults.dark(proxy_ids_[to], sim_.now())) {
     // The dark proxy's process is down: the message arrived (it counts
     // as delivered — the network did its job) but nobody read it.  The
     // pure time-based test makes the drop decision independent of where
     // the crash event sits in this simulator's same-instant event order.
-    ++relays_dropped_dark_;
+    ++relays_.dropped_dark;
     return;
   }
   if (!engines_[to]->apply_relay(object, response, snapshot)) return;
-  ++relays_applied_;
+  ++relays_.applied;
   if (response.ok()) {
     // δ-groups hear about the relayed refresh: the receiving member's
     // copy advanced even though the origin poll happened elsewhere.

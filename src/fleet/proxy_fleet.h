@@ -165,7 +165,7 @@ class ProxyFleet {
   /// per-ObjectId flag vector; pairs beyond its length are unwatched.
   /// Pending latency-delayed relays to watched pairs contribute their
   /// delivery times to next_watched_delivery(), the fleet's share of the
-  /// sharded driver's adaptive window bound.
+  /// sharded driver's window-edge bound.
   void set_send_watch(std::vector<std::vector<bool>> watch) {
     send_watch_ = std::move(watch);
   }
@@ -179,7 +179,7 @@ class ProxyFleet {
   /// Earliest pending local relay-retry firing; kTimeInfinity when none.
   /// A retry that fires inside a lookahead window can deliver and trigger
   /// δ-sibling polls that export, so the sharded driver folds this into
-  /// its adaptive send bound alongside next_watched_delivery().
+  /// its window send bound alongside next_watched_delivery().
   TimePoint next_relay_retry() const {
     return pending_relay_retries_.empty() ? kTimeInfinity
                                           : *pending_relay_retries_.begin();
@@ -193,14 +193,6 @@ class ProxyFleet {
   /// Successful non-initial origin polls across the fleet (the paper's
   /// "number of polls" summed over proxies).
   std::size_t origin_polls() const;
-
-  /// Relay messages delivered on the proxy–proxy channel (counted at the
-  /// receiving proxy; with relay latency, messages still in flight when
-  /// the simulation stops are not included).
-  std::size_t relays_delivered() const { return relays_delivered_; }
-
-  /// Relay messages the receiving proxy accepted (refresh or validation).
-  std::size_t relays_applied() const { return relays_applied_; }
 
   // ---- client traffic ----
 
@@ -227,45 +219,22 @@ class ProxyFleet {
   /// Earliest pending client-stream candidate firing; kTimeInfinity when
   /// no client traffic is armed.  With demand fills on, a client request
   /// can reach the origin and relay out, so the sharded driver folds this
-  /// into its adaptive send bound.
+  /// into its window send bound.
   TimePoint next_client_fire() const {
     return client_traffic_ == nullptr ? kTimeInfinity
                                       : client_traffic_->next_fire();
   }
 
-  /// Relay transmission attempts on the *local* channel (one per
-  /// destination per attempt — a retried relay counts again; exported
-  /// relays are counted by the exporter's owner).  The fault ledger
-  ///   relays_sent == relays_delivered + relays_in_flight + relays_lost
-  /// holds at every instant: an attempt is lost, in flight, or delivered,
-  /// and nothing else.  Without faults and with zero latency every send
-  /// is delivered in the same call, so sent == delivered.
-  std::size_t relays_sent() const { return relays_sent_; }
-
-  /// Local relay messages scheduled but not yet delivered.  At a quiesced
-  /// horizon past the last send + relay_latency this is 0; a sweep that
-  /// stops mid-window sees the exact number of messages the counters have
-  /// not yet absorbed (never silently dropped — extending the run
-  /// delivers them).  Pending retry *waits* are not in flight: a lost
-  /// attempt is already counted in relays_lost and its retry, once sent,
-  /// counts as a fresh attempt.
-  std::size_t relays_in_flight() const { return relays_in_flight_; }
-
-  /// Relay transmission attempts eaten by injected loss
-  /// (FaultSchedule::relay_loss).  Each lost attempt below the retry
-  /// limit schedules a backoff retry; one at the limit abandons the
-  /// relay.
-  std::size_t relays_lost() const { return relays_lost_; }
-
-  /// Retry attempts sent after a loss (attempts with attempt index > 0).
-  /// With a retry limit high enough that abandonment never occurs this
-  /// equals relays_lost.
-  std::size_t relays_retried() const { return relays_retried_; }
-
-  /// Relays delivered to a proxy that was dark (crashed) at the delivery
-  /// instant: the message arrived but nobody read it.  A subset of
-  /// relays_delivered, never of relays_applied.
-  std::size_t relays_dropped_dark() const { return relays_dropped_dark_; }
+  /// The local relay channel's ledger.  Relays exported to other fleet
+  /// instances are counted by the exporter's owner.
+  const RelayLedger& relays() const { return relays_; }
+  std::size_t relays_sent() const { return relays_.sent; }
+  std::size_t relays_delivered() const { return relays_.delivered; }
+  std::size_t relays_applied() const { return relays_.applied; }
+  std::size_t relays_in_flight() const { return relays_.in_flight; }
+  std::size_t relays_lost() const { return relays_.lost; }
+  std::size_t relays_retried() const { return relays_.retried; }
+  std::size_t relays_dropped_dark() const { return relays_.dropped_dark; }
 
   const OriginServer& origin() const { return origin_; }
 
@@ -301,13 +270,7 @@ class ProxyFleet {
   // maintained while faults are active.
   std::vector<std::vector<std::uint64_t>> relay_rounds_;
   bool faults_active_ = false;  // config_.faults.any(), cached
-  std::size_t relays_sent_ = 0;
-  std::size_t relays_in_flight_ = 0;
-  std::size_t relays_delivered_ = 0;
-  std::size_t relays_applied_ = 0;
-  std::size_t relays_lost_ = 0;
-  std::size_t relays_retried_ = 0;
-  std::size_t relays_dropped_dark_ = 0;
+  RelayLedger relays_;
 
   /// Fleet-level stage of engine i's poll pipeline: relay to siblings,
   /// then feed δ-groups.

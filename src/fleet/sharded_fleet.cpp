@@ -470,7 +470,7 @@ void ShardedFleet::build_remote_dests() {
 }
 
 void ShardedFleet::build_send_watches() {
-  // The adaptive window bound needs, per shard, the set of local pairs
+  // The window send bound needs, per shard, the set of local pairs
   // whose own-schedule fire can lead — possibly through a same-instant
   // δ-trigger cascade — to a cross-shard-visible send.  That set is the
   // export closure: pairs with remote relay destinations (the export
@@ -621,7 +621,7 @@ void ShardedFleet::export_relay(std::size_t shard_index,
     message.dest_local = dest.local;
     shard.outbox[dest.shard].push_back(message);
   }
-  shard.exported_sent += dests.size();
+  shard.exported.sent += dests.size();
 }
 
 void ShardedFleet::export_attempt(std::size_t shard_index,
@@ -633,16 +633,16 @@ void ShardedFleet::export_attempt(std::size_t shard_index,
   Shard& shard = shards_[shard_index];
   const FaultSchedule& faults = config_.fleet.faults;
   const std::size_t dst_global = shards_[dest.shard].proxies[dest.local];
-  ++shard.exported_sent;
-  if (attempt > 0) ++shard.exported_retried;
+  ++shard.exported.sent;
+  if (attempt > 0) ++shard.exported.retried;
   const std::uint64_t counter = faults.attempt_counter(round, attempt);
   if (faults.relay_lost(object, from_global, dst_global, counter)) {
-    ++shard.exported_lost;
+    ++shard.exported.lost;
     if (attempt >= faults.relay_retry_limit) return;  // abandoned
     // The retry lives on the sender's shard simulator under the sender
     // chain's schedule tag (schedule_after inherits it), exactly like the
     // reference's retry event; its fire instant is a future cross-shard
-    // send, advertised through export_retries for the adaptive bound.
+    // send, advertised through export_retries for the send bound.
     const Duration backoff = faults.retry_backoff(attempt);
     const TimePoint fire = shard.sim->now() + backoff;
     shard.export_retries.insert(fire);
@@ -837,10 +837,9 @@ void ShardedFleet::run_until(TimePoint horizon) {
   // after the window's edge, so every message deliverable in window k+1
   // is already in its destination inbox when the window starts.
   const Duration latency = config_.fleet.relay_latency;
-  const bool adaptive = config_.window_policy == WindowPolicy::kAdaptive;
   while (now_ < horizon) {
     TimePoint edge = std::min(horizon, now_ + latency);
-    if (adaptive && edge < horizon) {
+    if (edge < horizon) {
       // Jump the edge to min(horizon, max(now + L, bound)), where bound
       // is the earliest instant any shard can next produce a
       // cross-shard-visible send.  Safety: every send in the window
@@ -932,66 +931,19 @@ std::size_t ShardedFleet::origin_polls() const {
   return total;
 }
 
-std::size_t ShardedFleet::relays_sent() const {
-  std::size_t total = 0;
-  for (const Shard& shard : shards_) {
-    total += shard.fleet->relays_sent() + shard.exported_sent;
-  }
-  return total;
-}
-
-std::size_t ShardedFleet::relays_delivered() const {
-  std::size_t total = 0;
-  for (const Shard& shard : shards_) {
-    total += shard.fleet->relays_delivered();
-  }
-  return total;
-}
-
-std::size_t ShardedFleet::relays_applied() const {
-  std::size_t total = 0;
-  for (const Shard& shard : shards_) {
-    total += shard.fleet->relays_applied();
-  }
-  return total;
-}
-
-std::size_t ShardedFleet::relays_in_flight() const {
+RelayLedger ShardedFleet::relays() const {
   // Local in-flight relays are scheduled inside their shard's simulator;
   // cross-shard ones sit in the mailboxes (outboxes are drained into
   // inboxes at every window edge, so at rest the inboxes hold them all).
-  std::size_t total = 0;
+  RelayLedger ledger;
   for (const Shard& shard : shards_) {
-    total += shard.fleet->relays_in_flight() + shard.inbox.size();
+    ledger.merge(shard.fleet->relays()).merge(shard.exported);
+    ledger.in_flight += shard.inbox.size();
     for (const std::vector<Message>& box : shard.outbox) {
-      total += box.size();
+      ledger.in_flight += box.size();
     }
   }
-  return total;
-}
-
-std::size_t ShardedFleet::relays_lost() const {
-  std::size_t total = 0;
-  for (const Shard& shard : shards_) {
-    total += shard.fleet->relays_lost() + shard.exported_lost;
-  }
-  return total;
-}
-
-std::size_t ShardedFleet::relays_retried() const {
-  std::size_t total = 0;
-  for (const Shard& shard : shards_) {
-    total += shard.fleet->relays_retried() + shard.exported_retried;
-  }
-  return total;
-}
-
-std::size_t ShardedFleet::relays_dropped_dark() const {
-  std::size_t total = 0;
-  for (const Shard& shard : shards_) {
-    total += shard.fleet->relays_dropped_dark();
-  }
-  return total;
+  return ledger;
 }
 
 FleetOriginLoad ShardedFleet::origin_load() const {

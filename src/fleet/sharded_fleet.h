@@ -11,10 +11,9 @@
 // without ever seeing a message from its past.  Execution proceeds in
 // windows: run every shard to the window edge in parallel, barrier,
 // exchange the cross-shard relays through per-pair mailboxes, repeat.
-// With WindowPolicy::kFixed the edge advances by relay_latency each
-// time; with kAdaptive (the default) it jumps to the earliest instant
-// any shard can next produce a cross-shard-visible send, collapsing
-// idle stretches into one barrier (see run_until).
+// Each edge jumps to the earliest instant any shard can next produce a
+// cross-shard-visible send (never less than one relay_latency step),
+// collapsing idle stretches into one barrier (see run_until).
 //
 // Determinism is the acceptance bar, not a best effort: a sharded run
 // must produce byte-identical per-proxy poll logs, TTR series and
@@ -61,7 +60,7 @@
 // record stream by (snapshot time, proxy, in-log position) — see
 // metrics/accounting.h.  In-flight relays are never dropped: messages
 // that outlive a run_until horizon stay in the mailboxes and deliver
-// when the clock catches up (relays_in_flight() counts them).
+// when the clock catches up (relays().in_flight counts them).
 #pragma once
 
 #include <cstddef>
@@ -80,21 +79,6 @@
 #include "util/thread_pool.h"
 
 namespace broadway {
-
-/// How the sharded driver chooses each lookahead-window edge.
-enum class WindowPolicy {
-  /// Fixed steps of relay_latency — one barrier + exchange per step,
-  /// whatever the traffic.
-  kFixed,
-  /// Jump each window edge to the earliest instant any shard can next
-  /// produce a cross-shard-visible send (clamped below by one full
-  /// latency step): edge = min(horizon, max(now + L, min_shards(bound))).
-  /// Idle stretches collapse into one window; a window never closes at
-  /// or past bound + L, so no delivery can land on an instant whose
-  /// local events were already consumed.  Byte-identical output to
-  /// kFixed by construction.
-  kAdaptive,
-};
 
 /// Sharded-fleet configuration.
 struct ShardedFleetConfig {
@@ -120,10 +104,6 @@ struct ShardedFleetConfig {
 
   /// Per-shard origin replica configuration.
   OriginServer::Config origin;
-
-  /// Window-edge policy (see WindowPolicy).  Never changes merged
-  /// output; kAdaptive only reduces barrier/exchange iterations.
-  WindowPolicy window_policy = WindowPolicy::kAdaptive;
 
   /// Requested shard count for object-partition sharding.  0 (default)
   /// keeps the legacy layout: one shard per δ-closure of whole proxies.
@@ -175,7 +155,13 @@ class ShardedFleet {
   void start();
 
   /// Advance the whole fleet to `horizon`, running shards in parallel
-  /// windows of relay_latency.  Callable repeatedly with increasing
+  /// lookahead windows.  Each window edge is
+  ///   min(horizon, max(now + L, min over shards of the send bound)),
+  /// where the send bound is the earliest instant a shard can next
+  /// produce a cross-shard-visible send and L the relay latency.  Idle
+  /// stretches collapse into one window; a window never closes at or
+  /// past bound + L, so no delivery can land on an instant whose local
+  /// events were already consumed.  Callable repeatedly with increasing
   /// horizons; cross-shard relays still in flight at one call's horizon
   /// deliver during the next.
   void run_until(TimePoint horizon);
@@ -209,30 +195,19 @@ class ShardedFleet {
   /// Successful non-initial origin polls across the fleet.
   std::size_t origin_polls() const;
 
-  /// Relay messages sent / delivered / accepted, local and cross-shard.
-  std::size_t relays_sent() const;
-  std::size_t relays_delivered() const;
-  std::size_t relays_applied() const;
-
-  /// Relay messages sent but not yet delivered (scheduled local
-  /// deliveries plus mailbox residents).  The ledger invariant
-  /// relays_sent() == relays_delivered() + relays_in_flight() +
-  /// relays_lost() holds at any instant; without injected loss the last
-  /// term is 0 and in-flight drains once the clock passes the last
-  /// send + relay_latency (+ jitter).
-  std::size_t relays_in_flight() const;
-
-  /// Relay attempts dropped by injected loss (FleetConfig::faults),
-  /// local and cross-shard.  Each lost attempt was counted as a fresh
-  /// send; retransmissions re-enter relays_sent() too.
-  std::size_t relays_lost() const;
-
-  /// Retransmission attempts (attempt > 0) scheduled after losses.
-  std::size_t relays_retried() const;
-
-  /// Relays delivered to a crashed (dark) proxy and discarded there —
-  /// counted delivered, never applied.
-  std::size_t relays_dropped_dark() const;
+  /// The relay ledger folded over the shards: each slice fleet's local
+  /// channel, each shard's cross-shard exports, and the cross-shard
+  /// messages still in the mailboxes (in flight).  balanced() holds at
+  /// any instant; without injected loss in-flight drains once the clock
+  /// passes the last send + relay_latency (+ jitter).
+  RelayLedger relays() const;
+  std::size_t relays_sent() const { return relays().sent; }
+  std::size_t relays_delivered() const { return relays().delivered; }
+  std::size_t relays_applied() const { return relays().applied; }
+  std::size_t relays_in_flight() const { return relays().in_flight; }
+  std::size_t relays_lost() const { return relays().lost; }
+  std::size_t relays_retried() const { return relays().retried; }
+  std::size_t relays_dropped_dark() const { return relays().dropped_dark; }
 
   /// Aggregate origin load over every proxy's poll log.
   FleetOriginLoad origin_load() const;
@@ -297,16 +272,15 @@ class ShardedFleet {
     /// restricted to this shard (see build_send_watches).
     std::vector<std::pair<const PollingEngine*, ObjectId>> export_watch;
     std::uint64_t export_seq = 0;
-    std::size_t exported_sent = 0;
+    /// Cross-shard sends from this shard (sent, lost, retried; the
+    /// receiving shard counts deliveries).  Same semantics as the slice
+    /// fleet's ledger: every attempt counts as a fresh send.
+    RelayLedger exported;
     /// Fire times of pending export-path relay retries (fault injection,
     /// FleetConfig::faults).  A lost cross-shard attempt reschedules on
     /// this shard's simulator; its fire is a future cross-shard send the
-    /// adaptive bound must not jump past.
+    /// window send bound must not jump past.
     std::multiset<TimePoint> export_retries;
-    /// Export-path fault ledger (same semantics as the ProxyFleet
-    /// counters: every attempt counts as a fresh send).
-    std::size_t exported_lost = 0;
-    std::size_t exported_retried = 0;
   };
 
   /// One engine slice of a global proxy.

@@ -265,13 +265,7 @@ FleetRunResult summarize_fleet(Fleet& fleet, std::size_t origin_requests,
   result.origin_polls = fleet.origin_polls();
   result.origin_polls_per_second =
       fleet.origin_load().polls_per_second(horizon);
-  result.relays_delivered = fleet.relays_delivered();
-  result.relays_applied = fleet.relays_applied();
-  result.relays_sent = fleet.relays_sent();
-  result.relays_in_flight = fleet.relays_in_flight();
-  result.relays_lost = fleet.relays_lost();
-  result.relays_retried = fleet.relays_retried();
-  result.relays_dropped_dark = fleet.relays_dropped_dark();
+  result.relays = fleet.relays();
   result.dark_time = config.faults.total_dark_time(horizon);
 
   double sum_time = 0.0, sum_violations = 0.0;
@@ -394,7 +388,6 @@ ClientFleetRunResult run_fleet_client_temporal(
     sharded.fleet = fleet_config;
     sharded.threads = config.threads;
     sharded.shards = config.shards;
-    sharded.window_policy = config.window_policy;
     sharded.origin = make_origin_config(config.fleet.base.origin_history);
     sharded.origin_setup = [&traces](OriginServer& origin) {
       for (const UpdateTrace& trace : traces) {

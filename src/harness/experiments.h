@@ -203,18 +203,9 @@ struct FleetRunResult {
   std::size_t origin_polls = 0;
   /// Mean origin polls per second over the longest trace horizon.
   double origin_polls_per_second = 0.0;
-  /// Relay messages sent / accepted on the proxy–proxy channel.
-  std::size_t relays_delivered = 0;
-  std::size_t relays_applied = 0;
-  /// Relay-channel fault ledger (fleet/faults.h).  The pinned invariant
-  /// is relays_sent == relays_delivered + relays_in_flight + relays_lost
-  /// at any instant; all but relays_sent/relays_in_flight are zero in a
-  /// fault-free run.
-  std::size_t relays_sent = 0;
-  std::size_t relays_in_flight = 0;
-  std::size_t relays_lost = 0;
-  std::size_t relays_retried = 0;
-  std::size_t relays_dropped_dark = 0;
+  /// The proxy–proxy relay channel's ledger.  Lost, retried and
+  /// dropped-dark stay zero in a fault-free run.
+  RelayLedger relays;
   /// Scheduled outage time summed over the fleet, clamped to the run
   /// horizon (0 without crash windows).
   Duration dark_time = 0.0;
@@ -257,10 +248,6 @@ struct ClientFleetRunConfig {
   /// LPT-balanced layout with exactly this many shards (may exceed the
   /// proxy count).  Never changes results.
   std::size_t shards = 0;
-  /// Sharded-driver window-edge policy (ignored at threads <= 1).  Fixed
-  /// and adaptive windows produce byte-identical results; adaptive just
-  /// runs fewer barriers on sparse-relay topologies.
-  WindowPolicy window_policy = WindowPolicy::kAdaptive;
 };
 
 struct ClientFleetRunResult {

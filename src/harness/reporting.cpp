@@ -37,14 +37,14 @@ void add_fault_rows(TextTable& table, const FaultSummary& summary) {
     table.add_row({"  stale hits", std::to_string(summary.dark_stale)});
     table.add_row({"  misses", std::to_string(summary.dark_misses)});
   }
-  if (summary.relays_lost > 0 || summary.relays_retried > 0) {
-    table.add_row({"relays lost", std::to_string(summary.relays_lost)});
+  if (summary.relays.lost > 0 || summary.relays.retried > 0) {
+    table.add_row({"relays lost", std::to_string(summary.relays.lost)});
     table.add_row({"relays retried",
-                   std::to_string(summary.relays_retried)});
+                   std::to_string(summary.relays.retried)});
   }
-  if (summary.relays_dropped_dark > 0) {
+  if (summary.relays.dropped_dark > 0) {
     table.add_row({"relays dropped dark",
-                   std::to_string(summary.relays_dropped_dark)});
+                   std::to_string(summary.relays.dropped_dark)});
   }
 }
 

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "metrics/accounting.h"
 #include "proxy/poll_log.h"
 #include "util/table.h"
 #include "util/time.h"
@@ -27,15 +28,13 @@ void add_poll_breakdown_rows(TextTable& table, const PollLog& log);
 
 /// Outage/degradation accounting for one fault-injected fleet run
 /// (fleet/faults.h), in reporting-friendly form.  Callers fill it from a
-/// FleetRunResult's ledger fields and the merged ClientMetrics.
+/// FleetRunResult's relay ledger and the merged ClientMetrics.
 struct FaultSummary {
   Duration dark_time = 0.0;           ///< scheduled outage seconds, fleet-wide
   std::uint64_t dark_reads = 0;       ///< client reads served while dark
   std::uint64_t dark_stale = 0;       ///< of which stale cache hits
   std::uint64_t dark_misses = 0;      ///< of which unfillable misses
-  std::size_t relays_lost = 0;        ///< attempts dropped by injected loss
-  std::size_t relays_retried = 0;     ///< retransmission attempts
-  std::size_t relays_dropped_dark = 0;  ///< delivered to a crashed proxy
+  RelayLedger relays;                 ///< lost, retried, dropped dark
 };
 
 /// Append outage/degradation rows to a summary table, following the

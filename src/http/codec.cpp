@@ -128,8 +128,10 @@ Response parse_response(std::string_view wire) {
   if (parts.size() < 2 || parts[0] != kVersion) {
     throw HttpParseError("bad status line: '" + msg.lines[0] + "'");
   }
+  // Range-check before narrowing: a 64-bit code such as 4294967496
+  // would otherwise wrap to a valid int (200).
   long long code;
-  if (!parse_int64(parts[1], code)) {
+  if (!parse_int64(parts[1], code) || code < 100 || code > 999) {
     throw HttpParseError("bad status code '" + parts[1] + "'");
   }
   const auto status = parse_status(static_cast<int>(code));

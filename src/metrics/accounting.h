@@ -94,6 +94,52 @@ struct FleetOriginLoad {
   }
 };
 
+/// The proxy–proxy relay channel's counters.  Every transmission attempt
+/// (one per destination per attempt) is counted sent and ends up in
+/// exactly one of delivered, in_flight and lost, so balanced() holds at
+/// every instant.  Without faults and with zero latency every send is
+/// delivered in the same call.  Shard-local ledgers fold with merge().
+struct RelayLedger {
+  /// Transmission attempts, retransmissions included.
+  std::size_t sent = 0;
+  /// Attempts that reached the receiving proxy.
+  std::size_t delivered = 0;
+  /// Deliveries the receiving proxy accepted (refresh or validation).
+  std::size_t applied = 0;
+  /// Attempts scheduled but not yet delivered.  Never silently dropped:
+  /// extending the run delivers them.  A pending retry *wait* is not in
+  /// flight — the lost attempt is already counted, and the retry counts
+  /// as a fresh attempt once sent.
+  std::size_t in_flight = 0;
+  /// Attempts eaten by injected loss (fleet/faults.h).  Each lost attempt
+  /// below the retry limit schedules a backoff retry; one at the limit
+  /// abandons the relay.
+  std::size_t lost = 0;
+  /// Retransmission attempts (attempt index > 0).  Equals `lost` when the
+  /// retry limit is never reached.
+  std::size_t retried = 0;
+  /// Deliveries to a proxy that was dark (crashed) at the delivery
+  /// instant: counted delivered, never applied.
+  std::size_t dropped_dark = 0;
+
+  /// The ledger invariant sent == delivered + in_flight + lost.
+  bool balanced() const { return sent == delivered + in_flight + lost; }
+
+  /// Fold another ledger into this one (all counters are plain sums).
+  RelayLedger& merge(const RelayLedger& other) {
+    sent += other.sent;
+    delivered += other.delivered;
+    applied += other.applied;
+    in_flight += other.in_flight;
+    lost += other.lost;
+    retried += other.retried;
+    dropped_dark += other.dropped_dark;
+    return *this;
+  }
+
+  bool operator==(const RelayLedger&) const = default;
+};
+
 /// Aggregate the origin load over any number of proxy poll logs.
 FleetOriginLoad fleet_origin_load(const std::vector<const PollLog*>& logs);
 

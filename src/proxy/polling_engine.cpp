@@ -188,25 +188,18 @@ void PollingEngine::recover() {
 void PollingEngine::exchange(const TrackedObject& object,
                              std::optional<TimePoint> if_modified_since,
                              Response& out) {
+  // Typed sideband: the interned id addresses the object at the origin;
+  // no header rendering.  The uri still rides along (an assign into the
+  // scratch request's retained capacity — no allocation steady-state) so
+  // serialising a typed request for wire-level debugging stays lossless.
   scratch_request_.reset();
   scratch_request_.method = Method::kGet;
-  if (config_.typed_wire) {
-    // Typed sideband: the interned id addresses the object at the origin;
-    // no header rendering.  The uri still rides along (an assign into the
-    // scratch request's retained capacity — no allocation steady-state) so
-    // serialising a typed request for wire-level debugging stays lossless.
-    scratch_request_.uri = object.uri();
-    scratch_request_.object = object.id();
-    scratch_request_.meta.active = true;
-    if (if_modified_since) {
-      scratch_request_.meta.if_modified_since =
-          quantize_wire_seconds(*if_modified_since);
-    }
-  } else {
-    scratch_request_.uri = object.uri();
-    if (if_modified_since) {
-      set_if_modified_since(scratch_request_.headers, *if_modified_since);
-    }
+  scratch_request_.uri = object.uri();
+  scratch_request_.object = object.id();
+  scratch_request_.meta.active = true;
+  if (if_modified_since) {
+    scratch_request_.meta.if_modified_since =
+        quantize_wire_seconds(*if_modified_since);
   }
   origin_.handle(scratch_request_, out);
 }
@@ -437,14 +430,6 @@ PollOutcome PollingEngine::apply_outcome(TrackedObject& object,
 
 void PollingEngine::notify_coordinators(TrackedObject& object,
                                         const TemporalPollObservation& obs) {
-  if (config_.legacy_dispatch) {
-    // The pre-subscription fan-out: every coordinator, one uri hash each.
-    for (auto& coordinator : coordinators_) {
-      ++coordinator_notifies_;
-      coordinator->on_poll(object.uri(), obs);
-    }
-    return;
-  }
   for (MutualCoordinator* coordinator : object.subscribers()) {
     ++coordinator_notifies_;
     coordinator->on_poll(object.id(), obs);
@@ -489,7 +474,7 @@ CoordinatorHooks PollingEngine::make_hooks() {
   // All id-keyed: the δ-window test and trigger path resolve the tracked
   // object by a vector index, never a uri hash.  `resolve` is the one
   // string-keyed entry point, used once per member at bind time (and per
-  // call by the legacy broadcast wrapper).
+  // call by the string-keyed on_poll wrapper tests use).
   CoordinatorHooks hooks;
   hooks.resolve = [this](const std::string& uri) {
     return temporal_object(uri).id();

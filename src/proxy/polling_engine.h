@@ -24,13 +24,13 @@
 // add_coordinator time from the coordinator's interned member set), so the
 // notify stage costs O(subscribers-of-this-object) — nothing at all for
 // ungrouped objects — instead of a string-keyed virtual call per attached
-// coordinator per poll.  Exchanges use
-// the typed wire sideband (RequestMeta/ResponseMeta, see message.h) with a
-// per-engine scratch Request and a small pool of scratch Responses (one
-// per trigger-cascade depth), so a steady-state poll allocates nothing.
-// `EngineConfig::typed_wire = false` forces the legacy header-string
-// representation — the differential tests pin that both produce
-// byte-identical policy decisions, poll logs and fidelity results.
+// coordinator per poll.  Exchanges use the typed wire sideband
+// (RequestMeta/ResponseMeta, see message.h) — the values a real proxy
+// would render into and parse out of the `if-modified-since` and
+// extension headers — with a per-engine scratch Request and a small pool
+// of scratch Responses (one per trigger-cascade depth), so a steady-state
+// poll allocates nothing.  tests/test_wire_differential.cpp pins the
+// typed response against the origin's rendered headers.
 //
 // Failure model:
 //  * lost polls — with `loss_probability`, a poll fails (no response); the
@@ -85,17 +85,6 @@ struct EngineConfig {
   Duration retry_delay = 5.0;
   /// Seed for the loss-injection stream.
   std::uint64_t seed = 42;
-  /// Exchange typed wire metadata in-process (the fast path).  False =
-  /// render and parse header strings per poll, as real HTTP would; kept
-  /// for the typed≡string differential tests and wire-level debugging.
-  bool typed_wire = true;
-  /// Route coordinator notifications through the pre-subscription fan-out:
-  /// every attached coordinator hears every temporal poll through the
-  /// string-keyed `on_poll(uri)` wrapper (one uri hash per coordinator per
-  /// poll).  Kept for the dispatch differential tests; the default
-  /// id-keyed path notifies only the coordinators subscribed to the
-  /// polled object.  Both paths produce byte-identical poll logs.
-  bool legacy_dispatch = false;
   /// Demand-fill the client miss path: a client read that misses the
   /// cache fetches the object from the origin (PollCause::kClientMiss)
   /// through the same pipeline as a policy poll — the filled copy enters
@@ -484,10 +473,8 @@ class PollingEngine {
                             PollCause cause, TimePoint snapshot,
                             TimePoint visible, TimePoint previous);
 
-  // Stage 6: coordinator dispatch.  The id-keyed default walks the
-  // object's subscriber index (empty for ungrouped objects — the loop
-  // body never runs); EngineConfig::legacy_dispatch restores the
-  // broadcast-to-every-coordinator fan-out through the string wrapper.
+  // Stage 6: coordinator dispatch.  Walks the object's subscriber index
+  // (empty for ungrouped objects — the loop body never runs).
   void notify_coordinators(TrackedObject& object,
                            const TemporalPollObservation& obs);
 

@@ -19,7 +19,12 @@ UpdateTrace::UpdateTrace(std::string name, std::vector<TimePoint> updates,
       updates_(std::move(updates)),
       duration_(duration),
       start_hour_(start_hour) {
-  BROADWAY_CHECK_MSG(duration_ > 0.0, "trace duration " << duration_);
+  BROADWAY_CHECK_MSG(std::isfinite(duration_) && duration_ > 0.0,
+                     "trace duration " << duration_);
+  // NaN compares false both ways, so is_sorted alone would let it through.
+  BROADWAY_CHECK_MSG(std::all_of(updates_.begin(), updates_.end(),
+                                 [](TimePoint t) { return std::isfinite(t); }),
+                     "non-finite update time");
   BROADWAY_CHECK(std::is_sorted(updates_.begin(), updates_.end()));
   BROADWAY_CHECK(std::adjacent_find(updates_.begin(), updates_.end()) ==
                  updates_.end());

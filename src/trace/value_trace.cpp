@@ -15,7 +15,10 @@ ValueTrace::ValueTrace(std::string name, double initial_value,
       duration_(duration),
       min_value_(initial_value),
       max_value_(initial_value) {
-  BROADWAY_CHECK_MSG(duration_ > 0.0, "trace duration " << duration_);
+  // A finite duration bounds every step time below (NaN fails every
+  // comparison, so the strict-increase check rejects it too).
+  BROADWAY_CHECK_MSG(std::isfinite(duration_) && duration_ > 0.0,
+                     "trace duration " << duration_);
   TimePoint prev = -1.0;
   for (const Step& s : steps_) {
     BROADWAY_CHECK_MSG(s.time > prev, "steps not strictly increasing at t="

@@ -115,14 +115,7 @@ struct Artifacts {
   TransactionStats transactions;
   FleetOriginLoad origin_load;
   PollCauseCounts causes;
-  // Relay-channel fault ledger; all zero in fault-free runs.  The pinned
-  // invariant: sent == delivered + in_flight + lost.
-  std::size_t relays_sent = 0;
-  std::size_t relays_delivered = 0;
-  std::size_t relays_in_flight = 0;
-  std::size_t relays_lost = 0;
-  std::size_t relays_retried = 0;
-  std::size_t relays_dropped_dark = 0;
+  RelayLedger relays;
 };
 
 // The origin-load invariant, cross-checked the non-tautological way: the
@@ -165,12 +158,7 @@ void collect_origin_accounting(Fleet& fleet, Artifacts& artifacts) {
   for (std::size_t p = 0; p < fleet.size(); ++p) {
     artifacts.causes.merge(count_by_cause(fleet.proxy(p).poll_log()));
   }
-  artifacts.relays_sent = fleet.relays_sent();
-  artifacts.relays_delivered = fleet.relays_delivered();
-  artifacts.relays_in_flight = fleet.relays_in_flight();
-  artifacts.relays_lost = fleet.relays_lost();
-  artifacts.relays_retried = fleet.relays_retried();
-  artifacts.relays_dropped_dark = fleet.relays_dropped_dark();
+  artifacts.relays = fleet.relays();
 }
 
 Artifacts reference_run(const Topology& topo, Duration horizon,
@@ -203,14 +191,12 @@ Artifacts reference_run(const Topology& topo, Duration horizon,
 
 Artifacts sharded_run(const Topology& topo, std::size_t threads,
                       Duration horizon, std::size_t shards = 0,
-                      WindowPolicy policy = WindowPolicy::kAdaptive,
                       bool demand_fill = false,
                       const FaultSchedule& faults = {}) {
   ShardedFleetConfig config;
   config.fleet = fleet_config(topo.proxies, demand_fill, faults);
   config.threads = threads;
   config.shards = shards;
-  config.window_policy = policy;
   config.origin_setup = [traces = topo.traces](OriginServer& origin) {
     for (const UpdateTrace& trace : traces) {
       origin.attach_update_trace(trace.name(), trace);
@@ -314,12 +300,7 @@ void expect_artifacts_identical(const Artifacts& reference,
   EXPECT_EQ(reference.causes.relay, candidate.causes.relay);
   EXPECT_EQ(reference.causes.client_miss, candidate.causes.client_miss);
   EXPECT_EQ(reference.causes.failed, candidate.causes.failed);
-  EXPECT_EQ(reference.relays_sent, candidate.relays_sent);
-  EXPECT_EQ(reference.relays_delivered, candidate.relays_delivered);
-  EXPECT_EQ(reference.relays_in_flight, candidate.relays_in_flight);
-  EXPECT_EQ(reference.relays_lost, candidate.relays_lost);
-  EXPECT_EQ(reference.relays_retried, candidate.relays_retried);
-  EXPECT_EQ(reference.relays_dropped_dark, candidate.relays_dropped_dark);
+  EXPECT_EQ(reference.relays, candidate.relays);
 }
 
 TEST(ClientDifferential, ByteIdenticalAcrossThreadCounts) {
@@ -341,36 +322,29 @@ TEST(ClientDifferential, ByteIdenticalAcrossThreadCounts) {
 
 // Client streams read the whole cache of their proxy, so a partitioned
 // layout pins each proxy's pairs to one slice (the layout may still pack
-// several proxies per shard); the window policy stays a free knob.  Both
-// must leave every client-side observation byte-identical.
-TEST(ClientDifferential, WindowPolicyAndPartitionSweepIsByteIdentical) {
+// several proxies per shard).  It must leave every client-side
+// observation byte-identical.
+TEST(ClientDifferential, PartitionSweepIsByteIdentical) {
   const std::uint64_t seed = 29u;
   SCOPED_TRACE("topology seed " + std::to_string(seed));
   const Topology topo = random_topology(seed);
   const Artifacts reference = reference_run(topo, kHorizon);
   ASSERT_GT(reference.merged.requests, 0u);
-  for (const WindowPolicy policy :
-       {WindowPolicy::kFixed, WindowPolicy::kAdaptive}) {
-    for (const std::size_t threads : kThreadCounts) {
-      SCOPED_TRACE(
-          std::string(policy == WindowPolicy::kFixed ? "fixed"
-                                                     : "adaptive") +
-          " windows, " + std::to_string(threads) + " threads");
-      expect_artifacts_identical(
-          reference,
-          sharded_run(topo, threads, kHorizon, topo.proxies + 3, policy));
-    }
+  for (const std::size_t threads : kThreadCounts) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    expect_artifacts_identical(
+        reference, sharded_run(topo, threads, kHorizon, topo.proxies + 3));
   }
 }
 
 // The tentpole differential: with demand fills and session locality on,
 // every client-side and origin-side artifact — including the kClientMiss
 // poll stream and its relay fan-out — stays byte-identical across thread
-// counts, partitioned shard layouts (shards > proxies) and both window
-// policies, and the origin-load invariant holds in every configuration.
-// The adaptive window's client-candidate fold (ShardedFleet folds
-// next_client_fire into shard_send_bound when fills are on) is exactly
-// the code under test here.
+// counts and partitioned shard layouts (shards > proxies), and the
+// origin-load invariant holds in every configuration.  The window edge's
+// client-candidate fold (ShardedFleet folds next_client_fire into
+// shard_send_bound when fills are on) is exactly the code under test
+// here.
 TEST(ClientDifferential, DemandFillSweepIsByteIdenticalWithInvariant) {
   for (const std::uint64_t seed : {13u, 29u}) {
     SCOPED_TRACE("topology seed " + std::to_string(seed));
@@ -409,20 +383,12 @@ TEST(ClientDifferential, DemandFillSweepIsByteIdenticalWithInvariant) {
 
     for (const std::size_t threads : kThreadCounts) {
       SCOPED_TRACE("threads " + std::to_string(threads));
-      const Artifacts whole =
-          sharded_run(topo, threads, kHorizon, /*shards=*/0,
-                      WindowPolicy::kAdaptive, /*demand_fill=*/true);
-      expect_artifacts_identical(reference, whole);
-      expect_origin_invariant(whole);
-      for (const WindowPolicy policy :
-           {WindowPolicy::kFixed, WindowPolicy::kAdaptive}) {
-        SCOPED_TRACE(policy == WindowPolicy::kFixed ? "fixed windows"
-                                                    : "adaptive windows");
-        const Artifacts partitioned =
-            sharded_run(topo, threads, kHorizon, topo.proxies + 3, policy,
-                        /*demand_fill=*/true);
-        expect_artifacts_identical(reference, partitioned);
-        expect_origin_invariant(partitioned);
+      for (const std::size_t shards : {std::size_t{0}, topo.proxies + 3}) {
+        SCOPED_TRACE(std::to_string(shards) + " shards");
+        const Artifacts run = sharded_run(topo, threads, kHorizon, shards,
+                                          /*demand_fill=*/true);
+        expect_artifacts_identical(reference, run);
+        expect_origin_invariant(run);
       }
     }
   }
@@ -433,7 +399,7 @@ TEST(ClientDifferential, DemandFillSweepIsByteIdenticalWithInvariant) {
 // the demand-fill workload, every client-side artifact — including the
 // dark-read degradation counters and the per-record dark flags — and the
 // relay fault ledger must stay byte-identical across thread counts,
-// whole-proxy and partitioned layouts and both window policies.  Client
+// whole-proxy and partitioned layouts.  Client
 // traffic keeps each proxy whole, so per-proxy metrics stay comparable
 // even under the partitioned request.
 TEST(ClientDifferential, FaultInjectionSweepIsByteIdentical) {
@@ -457,13 +423,11 @@ TEST(ClientDifferential, FaultInjectionSweepIsByteIdentical) {
   // with a purpose-built cold-start scenario.)
   ASSERT_GT(reference.merged.dark_reads, 0u);
   ASSERT_GT(reference.merged.dark_stale, 0u);
-  ASSERT_GT(reference.relays_lost, 0u);
-  ASSERT_GT(reference.relays_retried, 0u);
+  ASSERT_GT(reference.relays.lost, 0u);
+  ASSERT_GT(reference.relays.retried, 0u);
   EXPECT_EQ(reference.merged.hits + reference.merged.misses,
             reference.merged.requests);
-  EXPECT_EQ(reference.relays_sent,
-            reference.relays_delivered + reference.relays_in_flight +
-                reference.relays_lost);
+  EXPECT_TRUE(reference.relays.balanced());
   // Dark reads never demand-fill: every recorded dark read is unfilled.
   for (const ClientRequestRecord& record : reference.records) {
     if (record.read.dark) {
@@ -473,17 +437,11 @@ TEST(ClientDifferential, FaultInjectionSweepIsByteIdentical) {
 
   for (const std::size_t threads : kThreadCounts) {
     SCOPED_TRACE("threads " + std::to_string(threads));
-    expect_artifacts_identical(
-        reference, sharded_run(topo, threads, kHorizon, /*shards=*/0,
-                               WindowPolicy::kAdaptive,
-                               /*demand_fill=*/true, faults));
-    for (const WindowPolicy policy :
-         {WindowPolicy::kFixed, WindowPolicy::kAdaptive}) {
-      SCOPED_TRACE(policy == WindowPolicy::kFixed ? "fixed windows"
-                                                  : "adaptive windows");
+    for (const std::size_t shards : {std::size_t{0}, topo.proxies + 3}) {
+      SCOPED_TRACE(std::to_string(shards) + " shards");
       expect_artifacts_identical(
-          reference, sharded_run(topo, threads, kHorizon, topo.proxies + 3,
-                                 policy, /*demand_fill=*/true, faults));
+          reference, sharded_run(topo, threads, kHorizon, shards,
+                                 /*demand_fill=*/true, faults));
     }
   }
 }

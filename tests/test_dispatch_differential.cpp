@@ -1,17 +1,24 @@
-// The coordinator-dispatch differential: id-keyed subscription-routed
-// dispatch (the default) against the legacy string-keyed broadcast fan-out
-// (EngineConfig::legacy_dispatch).
+// Coordinator dispatch: id-keyed, subscription-routed notification.
 //
-// The dispatch rewrite must be a pure representation change: over seeded
-// random group topologies — multiple triggered and rate-heuristic
-// coordinators, overlapping member sets, ungrouped bystander objects, loss
-// injection and a mid-run crash — both dispatch modes must produce
-// byte-identical poll logs, identical TTR series, identical triggered-poll
-// counts and identical fidelity.  A second set of pins covers the
-// mechanism itself: the per-object subscriber index, and that an engine
-// with zero coordinators performs zero notify work.
+// The engine notifies only the coordinators subscribed to the polled
+// object.  Two references check it over seeded random group topologies —
+// multiple triggered and rate-heuristic coordinators, overlapping member
+// sets, ungrouped bystander objects, loss injection and a mid-run crash:
+//  * a golden digest per topology of the poll log, TTR series, triggered
+//    count and fidelity, captured when the engine could still broadcast
+//    every poll to every coordinator through the string-keyed wrapper,
+//    and both dispatch modes hashed to the same value;
+//  * a naive dispatch model: a recording decorator around every
+//    coordinator logs each on_poll it receives, and the log must equal
+//    what the poll log says the coordinator should hear — every
+//    successful non-initial poll of a member, in poll-log order.
+// A second set of pins covers the mechanism itself: the per-object
+// subscriber index, and that an engine with zero coordinators performs
+// zero notify work.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -20,6 +27,7 @@
 #include "consistency/heuristic.h"
 #include "consistency/limd.h"
 #include "consistency/triggered.h"
+#include "golden_digest.h"
 #include "metrics/fidelity.h"
 #include "metrics/mutual_fidelity.h"
 #include "origin/origin_server.h"
@@ -95,21 +103,110 @@ Topology make_topology(std::uint64_t seed) {
   return topology;
 }
 
-struct RunArtifacts {
-  std::vector<PollRecord> records;
-  std::vector<std::vector<std::pair<TimePoint, Duration>>> ttr_series;
-  std::size_t triggered = 0;
-  std::uint64_t notifies = 0;
-  double individual_fidelity = 0.0;
-  double mutual_fidelity = 0.0;
+// One on_poll call as a coordinator received it.
+struct Received {
+  ObjectId object = kInvalidObjectId;
+  TimePoint poll_time = 0.0;
+  bool modified = false;
 };
 
-RunArtifacts run_topology(const Topology& topology, bool legacy_dispatch) {
+// Transparent decorator that logs every on_poll before forwarding it
+// (shaped like bench/e2e's TimedCoordinator).  Triggered polls re-enter
+// through the inner coordinator's hooks, so nested calls land in the log
+// in arrival order.
+class RecordingCoordinator final : public MutualCoordinator {
+ public:
+  RecordingCoordinator(std::unique_ptr<MutualCoordinator> inner,
+                       std::vector<Received>& log)
+      : inner_(std::move(inner)), log_(log) {}
+
+  using MutualCoordinator::on_poll;
+  void on_poll(ObjectId object, const TemporalPollObservation& obs) override {
+    log_.push_back({object, obs.poll_time, obs.modified});
+    inner_->on_poll(object, obs);
+  }
+  std::vector<ObjectId> subscriptions() const override {
+    return inner_->subscriptions();
+  }
+  void reset() override { inner_->reset(); }
+
+ protected:
+  void on_bind() override { inner_->bind(hooks_); }
+
+ private:
+  std::unique_ptr<MutualCoordinator> inner_;
+  std::vector<Received>& log_;
+};
+
+// The naive dispatch model.  Coordinator c must hear, for each of its
+// members, exactly that member's successful non-initial polls, each
+// matching its poll record, in poll-log order.  Across members the
+// arrival order is poll-log order too, except that a poll triggered from
+// inside a dispatch reaches the later subscribers of the triggering poll
+// before that poll does (dispatch is depth-first).  So an arrival may
+// precede an earlier-logged one only when it is a triggered poll.  Every
+// on_poll is one counted notify.
+void expect_dispatch_matches_model(
+    const std::vector<PollRecord>& records,
+    const std::vector<std::vector<ObjectId>>& members,
+    const std::vector<std::vector<Received>>& received,
+    std::uint64_t notifies) {
+  std::uint64_t calls = 0;
+  for (std::size_t c = 0; c < members.size(); ++c) {
+    SCOPED_TRACE("coordinator " + std::to_string(c));
+    const auto is_member = [&](ObjectId object) {
+      return std::find(members[c].begin(), members[c].end(), object) !=
+             members[c].end();
+    };
+    // Expected arrivals per member, as poll-log indices in log order.
+    std::vector<std::vector<std::size_t>> by_object(
+        *std::max_element(members[c].begin(), members[c].end()) + 1);
+    for (std::size_t i = 0; i < records.size(); ++i) {
+      const PollRecord& record = records[i];
+      if (!record.failed && record.cause != PollCause::kInitial &&
+          is_member(record.object)) {
+        by_object[record.object].push_back(i);
+      }
+    }
+    std::vector<std::size_t> cursor(by_object.size(), 0);
+    std::size_t latest = 0;  // highest log index delivered so far
+    for (std::size_t k = 0; k < received[c].size(); ++k) {
+      const Received& call = received[c][k];
+      SCOPED_TRACE("arrival " + std::to_string(k));
+      ASSERT_TRUE(is_member(call.object)) << "object " << call.object;
+      ASSERT_LT(cursor[call.object], by_object[call.object].size())
+          << "more calls than polls for object " << call.object;
+      const std::size_t index = by_object[call.object][cursor[call.object]++];
+      EXPECT_EQ(call.poll_time, records[index].snapshot_time);
+      EXPECT_EQ(call.modified, records[index].modified);
+      if (index < latest) {
+        EXPECT_EQ(records[latest].cause, PollCause::kTriggered)
+            << "record " << latest << " overtook record " << index;
+      }
+      latest = std::max(latest, index);
+    }
+    for (const ObjectId object : members[c]) {
+      EXPECT_EQ(cursor[object], by_object[object].size())
+          << "object " << object;
+    }
+    calls += received[c].size();
+  }
+  EXPECT_EQ(calls, notifies);
+}
+
+struct TopologyRun {
+  Digest digest;
+  std::size_t records = 0;
+  std::size_t triggered = 0;
+};
+
+// Runs one topology with every coordinator wrapped in a recorder, checks
+// the dispatch against the naive model and digests the run.
+TopologyRun run_topology(const Topology& topology) {
   Simulator sim;
   OriginServer origin(sim);
 
   EngineConfig config;
-  config.legacy_dispatch = legacy_dispatch;
   config.rtt = 0.25;
   config.loss_probability = 0.05;
   config.retry_delay = 4.0;
@@ -122,15 +219,25 @@ RunArtifacts run_topology(const Topology& topology, bool legacy_dispatch) {
         trace.name(), std::make_unique<LimdPolicy>(
                           LimdPolicy::Config::paper_defaults(300.0)));
   }
-  for (const Topology::Group& group : topology.groups) {
+  std::vector<std::vector<Received>> received(topology.groups.size());
+  std::vector<std::vector<ObjectId>> members;
+  for (std::size_t g = 0; g < topology.groups.size(); ++g) {
+    const Topology::Group& group = topology.groups[g];
+    std::unique_ptr<MutualCoordinator> coordinator;
     if (group.heuristic) {
       RateHeuristicCoordinator::Config heuristic;
       heuristic.delta_mutual = group.delta;
-      engine.add_coordinator(std::make_unique<RateHeuristicCoordinator>(
-          group.members, heuristic));
+      coordinator = std::make_unique<RateHeuristicCoordinator>(group.members,
+                                                               heuristic);
     } else {
-      engine.add_coordinator(std::make_unique<TriggeredPollCoordinator>(
-          group.members, group.delta));
+      coordinator = std::make_unique<TriggeredPollCoordinator>(group.members,
+                                                               group.delta);
+    }
+    engine.add_coordinator(std::make_unique<RecordingCoordinator>(
+        std::move(coordinator), received[g]));
+    members.emplace_back();
+    for (const std::string& uri : group.members) {
+      members.back().push_back(origin.object_id(uri));
     }
   }
 
@@ -139,64 +246,49 @@ RunArtifacts run_topology(const Topology& topology, bool legacy_dispatch) {
   engine.crash_and_recover();  // coordinator reset is part of the contract
   sim.run_until(kHorizon);
 
-  RunArtifacts artifacts;
-  artifacts.records = engine.poll_log().records();
+  const std::vector<PollRecord>& records = engine.poll_log().records();
+  expect_dispatch_matches_model(records, members, received,
+                                engine.coordinator_notifies());
+
+  TopologyRun run;
+  run.records = records.size();
+  run.triggered = engine.triggered_polls();
+  run.digest.records(records);
   for (const UpdateTrace& trace : topology.traces) {
-    artifacts.ttr_series.push_back(engine.ttr_series(trace.name()));
+    run.digest.series(engine.ttr_series(trace.name()));
   }
-  artifacts.triggered = engine.triggered_polls();
-  artifacts.notifies = engine.coordinator_notifies();
+  run.digest.u64(engine.triggered_polls());
   const auto polls_a =
       successful_polls(engine.poll_log(), topology.traces[0].name());
   const auto polls_b =
       successful_polls(engine.poll_log(), topology.traces[1].name());
-  artifacts.individual_fidelity =
-      evaluate_temporal_fidelity(topology.traces[0], polls_a, 300.0,
-                                 kHorizon)
-          .fidelity_time();
-  artifacts.mutual_fidelity =
-      evaluate_mutual_temporal(topology.traces[0], polls_a,
-                               topology.traces[1], polls_b, 300.0, kHorizon)
-          .fidelity_time();
-  return artifacts;
-}
-
-void expect_records_identical(const std::vector<PollRecord>& a,
-                              const std::vector<PollRecord>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    SCOPED_TRACE("record " + std::to_string(i));
-    EXPECT_EQ(a[i].uri, b[i].uri);
-    EXPECT_EQ(a[i].object, b[i].object);
-    EXPECT_EQ(a[i].cause, b[i].cause);
-    EXPECT_EQ(a[i].modified, b[i].modified);
-    EXPECT_EQ(a[i].failed, b[i].failed);
-    EXPECT_EQ(a[i].snapshot_time, b[i].snapshot_time);
-    EXPECT_EQ(a[i].complete_time, b[i].complete_time);
-  }
+  run.digest.f64(evaluate_temporal_fidelity(topology.traces[0], polls_a,
+                                            300.0, kHorizon)
+                     .fidelity_time());
+  run.digest.f64(evaluate_mutual_temporal(topology.traces[0], polls_a,
+                                          topology.traces[1], polls_b, 300.0,
+                                          kHorizon)
+                     .fidelity_time());
+  return run;
 }
 
 TEST(DispatchDifferential, RoutedMatchesLegacyOverRandomTopologies) {
+  constexpr std::uint64_t kGolden[] = {
+      0x01f69eb47a60e948ULL, 0x35605f5fea5313e1ULL, 0xa4a9803b085814c9ULL,
+      0xc2b9a9bb58f8dfc3ULL, 0x87107ab00c073dddULL, 0xa5495b93b70a46d3ULL,
+  };
+  std::size_t triggered = 0;
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     const Topology topology = make_topology(seed);
     ASSERT_FALSE(topology.groups.empty());
     SCOPED_TRACE("seed " + std::to_string(seed));
-    const RunArtifacts routed =
-        run_topology(topology, /*legacy_dispatch=*/false);
-    const RunArtifacts legacy =
-        run_topology(topology, /*legacy_dispatch=*/true);
-    ASSERT_FALSE(routed.records.empty());
-    expect_records_identical(routed.records, legacy.records);
-    EXPECT_EQ(routed.ttr_series, legacy.ttr_series);
-    EXPECT_EQ(routed.triggered, legacy.triggered);
-    EXPECT_EQ(routed.individual_fidelity, legacy.individual_fidelity);
-    EXPECT_EQ(routed.mutual_fidelity, legacy.mutual_fidelity);
-    // The broadcast path dispatches at least as many notifications as
-    // the routed path (every coordinator, every temporal poll); routing
-    // skips the non-subscribers without changing any observable above.
-    EXPECT_GE(legacy.notifies, routed.notifies);
-    EXPECT_GT(routed.notifies, 0u);
+    const TopologyRun run = run_topology(topology);
+    ASSERT_GT(run.records, 0u);
+    triggered += run.triggered;
+    EXPECT_EQ(run.digest.value(), kGolden[seed - 1]);
   }
+  // The topologies exercise nested dispatch, not just plain fan-out.
+  EXPECT_GT(triggered, 0u);
 }
 
 TEST(DispatchDifferential, ZeroCoordinatorEngineDoesNoNotifyWork) {

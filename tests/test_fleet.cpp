@@ -128,8 +128,8 @@ TEST(ProxyFleet, CooperativePushReducesOriginLoadAtEqualFidelity) {
   config.cooperative_push = true;
   const FleetRunResult cooperative = run_fleet_temporal(traces, config);
 
-  EXPECT_EQ(independent.relays_delivered, 0u);
-  EXPECT_GT(cooperative.relays_delivered, 0u);
+  EXPECT_EQ(independent.relays.delivered, 0u);
+  EXPECT_GT(cooperative.relays.delivered, 0u);
   EXPECT_LT(cooperative.origin_polls, independent.origin_polls);
   EXPECT_GE(cooperative.mean_fidelity_time,
             independent.mean_fidelity_time - 1e-9);
@@ -457,24 +457,24 @@ TEST(ProxyFleet, InFlightRelaysAreCountedAndDrainedExactly) {
   bool saw_in_flight = false;
   for (TimePoint h = 97.0; h < horizon; h += 97.0) {  // never a multiple
     sim.run_until(h);
-    EXPECT_EQ(fleet->relays_sent(),
-              fleet->relays_delivered() + fleet->relays_in_flight());
-    saw_in_flight = saw_in_flight || fleet->relays_in_flight() > 0;
+    EXPECT_TRUE(fleet->relays().balanced());
+    EXPECT_EQ(fleet->relays().lost, 0u);
+    saw_in_flight = saw_in_flight || fleet->relays().in_flight > 0;
   }
   sim.run_until(horizon + 10.0);  // past the last send + latency
   EXPECT_TRUE(saw_in_flight);
-  EXPECT_EQ(fleet->relays_in_flight(), 0u);
-  EXPECT_EQ(fleet->relays_sent(), fleet->relays_delivered());
-  EXPECT_GT(fleet->relays_delivered(), 0u);
+  const RelayLedger drained = fleet->relays();
+  EXPECT_TRUE(drained.balanced());
+  EXPECT_EQ(drained.lost, 0u);
+  EXPECT_EQ(drained.in_flight, 0u);
+  EXPECT_GT(drained.delivered, 0u);
 
   // Ground truth: the same fleet run straight through.
   Simulator control_sim;
   OriginServer control_origin(control_sim);
   auto control = build(control_sim, control_origin);
   control_sim.run_until(horizon + 10.0);
-  EXPECT_EQ(control->relays_sent(), fleet->relays_sent());
-  EXPECT_EQ(control->relays_delivered(), fleet->relays_delivered());
-  EXPECT_EQ(control->relays_applied(), fleet->relays_applied());
+  EXPECT_EQ(control->relays(), drained);
   const FleetOriginLoad control_load = control->origin_load();
   const FleetOriginLoad paused_load = fleet->origin_load();
   EXPECT_EQ(control_load.origin_messages, paused_load.origin_messages);

@@ -152,7 +152,7 @@ TEST(FaultSchedule, DarknessAndTransitionsArePureTimeFunctions) {
 // ---- the relay fault ledger ------------------------------------------------
 
 // Under relay loss + jitter + retries, the ledger invariant
-//   relays_sent == relays_delivered + relays_in_flight + relays_lost
+//   sent == delivered + in_flight + lost   (RelayLedger::balanced)
 // holds at *every* paused horizon, not just at the end, and every loss is
 // eventually retried (the backoff cap bounds how long a retry can lag its
 // loss, so running one cap past the measurement point drains them).
@@ -185,9 +185,7 @@ TEST(FleetFaults, RelayLedgerBalancesAtEveryPauseAndLossesRetry) {
   bool paused_with_in_flight = false;
   for (TimePoint h = 97.0; h < horizon; h += 97.0) {
     sim.run_until(h);
-    EXPECT_EQ(fleet.relays_sent(),
-              fleet.relays_delivered() + fleet.relays_in_flight() +
-                  fleet.relays_lost())
+    EXPECT_TRUE(fleet.relays().balanced())
         << "ledger out of balance at t=" << h;
     if (fleet.relays_in_flight() > 0) paused_with_in_flight = true;
   }
@@ -207,9 +205,7 @@ TEST(FleetFaults, RelayLedgerBalancesAtEveryPauseAndLossesRetry) {
   // takes nine consecutive losses — it does not happen in this run).
   sim.run_until(horizon + config.faults.retry_backoff_cap + 0.1);
   EXPECT_GE(fleet.relays_retried(), lost_at_horizon);
-  EXPECT_EQ(fleet.relays_sent(),
-            fleet.relays_delivered() + fleet.relays_in_flight() +
-                fleet.relays_lost());
+  EXPECT_TRUE(fleet.relays().balanced());
 }
 
 // ---- crash / recovery ------------------------------------------------------
@@ -300,9 +296,7 @@ TEST(FleetFaults, RelaysToDarkProxyAreDroppedAndAttributed) {
 
   EXPECT_GT(fleet.relays_dropped_dark(), 0u);
   // Dropped relays are still deliveries, never applications.
-  EXPECT_EQ(fleet.relays_sent(),
-            fleet.relays_delivered() + fleet.relays_in_flight() +
-                fleet.relays_lost());
+  EXPECT_TRUE(fleet.relays().balanced());
   EXPECT_LE(fleet.relays_applied(),
             fleet.relays_delivered() - fleet.relays_dropped_dark());
   // Nothing lands in the dark proxy's log during the outage: no own

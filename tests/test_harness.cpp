@@ -160,7 +160,7 @@ TEST(Harness, ClientFleetRunIsIdenticalSingleSimAndSharded) {
 
   EXPECT_EQ(reference.fleet.origin_requests, sharded.fleet.origin_requests);
   EXPECT_EQ(reference.fleet.origin_polls, sharded.fleet.origin_polls);
-  EXPECT_EQ(reference.fleet.relays_applied, sharded.fleet.relays_applied);
+  EXPECT_EQ(reference.fleet.relays, sharded.fleet.relays);
   EXPECT_EQ(reference.fleet.mean_fidelity_time,
             sharded.fleet.mean_fidelity_time);
   EXPECT_EQ(reference.clients.requests, sharded.clients.requests);

@@ -72,6 +72,12 @@ TEST(Codec, ParseResponseErrors) {
   EXPECT_THROW(parse_response("HTTP/1.1 abc OK\r\n\r\n"), HttpParseError);
   EXPECT_THROW(parse_response("HTTP/1.1 999 Weird\r\n\r\n"), HttpParseError);
   EXPECT_THROW(parse_response("SPDY/3 200 OK\r\n\r\n"), HttpParseError);
+  // Codes outside [100, 999]: 4294967496 wraps to 200 in a 32-bit int.
+  EXPECT_THROW(parse_response("HTTP/1.1 4294967496 OK\r\n\r\n"),
+               HttpParseError);
+  EXPECT_THROW(parse_response("HTTP/1.1 99999999999999999999 OK\r\n\r\n"),
+               HttpParseError);
+  EXPECT_THROW(parse_response("HTTP/1.1 -1 OK\r\n\r\n"), HttpParseError);
   // Content-Length that disagrees with the body.
   EXPECT_THROW(parse_response("HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nabc"),
                HttpParseError);

@@ -7,18 +7,17 @@
 // run a lossy cooperative-push fleet and a lossy value-domain engine and
 // compare a bit-exact digest of their poll logs, TTR series and counters
 // with the values the eager replay (one simulator event per trace update)
-// produced for the same scenarios.  Digests are per toolchain (gcc on
-// x86_64); a mismatch prints the fresh value next to the pinned one.
+// produced for the same scenarios (see golden_digest.h).
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "consistency/limd.h"
 #include "fleet/proxy_fleet.h"
+#include "golden_digest.h"
 #include "origin/origin_server.h"
 #include "proxy/polling_engine.h"
 #include "sim/simulator.h"
@@ -28,48 +27,6 @@
 
 namespace broadway {
 namespace {
-
-// FNV-1a over the bit patterns of everything fed to it.
-class Digest {
- public:
-  void bytes(const void* data, std::size_t size) {
-    const auto* p = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < size; ++i) {
-      hash_ ^= p[i];
-      hash_ *= 0x100000001b3ULL;
-    }
-  }
-  void u64(std::uint64_t value) { bytes(&value, sizeof value); }
-  void f64(double value) {
-    std::uint64_t bits;
-    std::memcpy(&bits, &value, sizeof bits);
-    u64(bits);
-  }
-  void records(const std::vector<PollRecord>& records) {
-    u64(records.size());
-    for (const PollRecord& record : records) {
-      f64(record.snapshot_time);
-      f64(record.complete_time);
-      u64(record.uri.size());
-      bytes(record.uri.data(), record.uri.size());
-      u64(record.object);
-      u64(static_cast<std::uint64_t>(record.cause));
-      u64(record.modified);
-      u64(record.failed);
-    }
-  }
-  void series(const std::vector<std::pair<TimePoint, Duration>>& series) {
-    u64(series.size());
-    for (const auto& [t, ttr] : series) {
-      f64(t);
-      f64(ttr);
-    }
-  }
-  std::uint64_t value() const { return hash_; }
-
- private:
-  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
-};
 
 UpdateTrace irregular_trace(const std::string& name, std::uint64_t seed,
                             Duration horizon) {

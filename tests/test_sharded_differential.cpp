@@ -174,13 +174,7 @@ struct Artifacts {
   std::vector<PollRecord> merged;
   std::size_t origin_requests = 0;
   std::size_t origin_polls = 0;
-  std::size_t relays_sent = 0;
-  std::size_t relays_delivered = 0;
-  std::size_t relays_applied = 0;
-  std::size_t relays_in_flight = 0;
-  std::size_t relays_lost = 0;
-  std::size_t relays_retried = 0;
-  std::size_t relays_dropped_dark = 0;
+  RelayLedger relays;
   FleetOriginLoad load;
 };
 
@@ -216,26 +210,18 @@ Artifacts reference_run(const Topology& topo, Duration horizon,
   artifacts.merged = merge_poll_records(std::move(logs));
   artifacts.origin_requests = origin.requests_served();
   artifacts.origin_polls = fleet.origin_polls();
-  artifacts.relays_sent = fleet.relays_sent();
-  artifacts.relays_delivered = fleet.relays_delivered();
-  artifacts.relays_applied = fleet.relays_applied();
-  artifacts.relays_in_flight = fleet.relays_in_flight();
-  artifacts.relays_lost = fleet.relays_lost();
-  artifacts.relays_retried = fleet.relays_retried();
-  artifacts.relays_dropped_dark = fleet.relays_dropped_dark();
+  artifacts.relays = fleet.relays();
   artifacts.load = fleet.origin_load();
   return artifacts;
 }
 
-ShardedFleetConfig sharded_config(
-    const Topology& topo, std::size_t threads, std::size_t shards = 0,
-    WindowPolicy policy = WindowPolicy::kAdaptive, bool clients = false,
-    const FaultSchedule& faults = {}) {
+ShardedFleetConfig sharded_config(const Topology& topo, std::size_t threads,
+                                  std::size_t shards = 0, bool clients = false,
+                                  const FaultSchedule& faults = {}) {
   ShardedFleetConfig config;
   config.fleet = fleet_config(topo.proxies, clients, faults);
   config.threads = threads;
   config.shards = shards;
-  config.window_policy = policy;
   config.origin_setup = [traces = topo.traces](OriginServer& origin) {
     for (const UpdateTrace& trace : traces) {
       origin.attach_update_trace(trace.name(), trace);
@@ -244,12 +230,13 @@ ShardedFleetConfig sharded_config(
   return config;
 }
 
-std::unique_ptr<ShardedFleet> make_sharded(
-    const Topology& topo, std::size_t threads, std::size_t shards = 0,
-    WindowPolicy policy = WindowPolicy::kAdaptive, bool clients = false,
-    const FaultSchedule& faults = {}) {
+std::unique_ptr<ShardedFleet> make_sharded(const Topology& topo,
+                                           std::size_t threads,
+                                           std::size_t shards = 0,
+                                           bool clients = false,
+                                           const FaultSchedule& faults = {}) {
   auto fleet = std::make_unique<ShardedFleet>(
-      sharded_config(topo, threads, shards, policy, clients, faults));
+      sharded_config(topo, threads, shards, clients, faults));
   const auto factory = limd_factory();
   for (const auto& [proxy, uri] : topo.tracked) {
     fleet->add_temporal_object(proxy, uri, factory);
@@ -260,33 +247,29 @@ std::unique_ptr<ShardedFleet> make_sharded(
   return fleet;
 }
 
+/// Artifacts of a finished sharded run (every proxy must be unsplit).
+Artifacts collect(const ShardedFleet& fleet, const Topology& topo) {
+  Artifacts artifacts;
+  for (std::size_t p = 0; p < fleet.size(); ++p) {
+    artifacts.records_by_proxy.push_back(fleet.proxy(p).poll_log().records());
+    for (const UpdateTrace& trace : topo.traces) {
+      artifacts.ttr_series.push_back(fleet.proxy(p).ttr_series(trace.name()));
+    }
+  }
+  artifacts.merged = fleet.merged_poll_records();
+  artifacts.origin_requests = fleet.origin_requests();
+  artifacts.origin_polls = fleet.origin_polls();
+  artifacts.relays = fleet.relays();
+  artifacts.load = fleet.origin_load();
+  return artifacts;
+}
+
 Artifacts sharded_run(const Topology& topo, std::size_t threads,
                       Duration horizon) {
   auto fleet = make_sharded(topo, threads);
   fleet->start();
   fleet->run_until(horizon);
-
-  Artifacts artifacts;
-  for (std::size_t p = 0; p < fleet->size(); ++p) {
-    artifacts.records_by_proxy.push_back(
-        fleet->proxy(p).poll_log().records());
-    for (const UpdateTrace& trace : topo.traces) {
-      artifacts.ttr_series.push_back(
-          fleet->proxy(p).ttr_series(trace.name()));
-    }
-  }
-  artifacts.merged = fleet->merged_poll_records();
-  artifacts.origin_requests = fleet->origin_requests();
-  artifacts.origin_polls = fleet->origin_polls();
-  artifacts.relays_sent = fleet->relays_sent();
-  artifacts.relays_delivered = fleet->relays_delivered();
-  artifacts.relays_applied = fleet->relays_applied();
-  artifacts.relays_in_flight = fleet->relays_in_flight();
-  artifacts.relays_lost = fleet->relays_lost();
-  artifacts.relays_retried = fleet->relays_retried();
-  artifacts.relays_dropped_dark = fleet->relays_dropped_dark();
-  artifacts.load = fleet->origin_load();
-  return artifacts;
+  return collect(*fleet, topo);
 }
 
 void expect_records_identical(const std::vector<PollRecord>& a,
@@ -317,18 +300,35 @@ void expect_artifacts_identical(const Artifacts& reference,
   expect_records_identical(reference.merged, candidate.merged);
   EXPECT_EQ(reference.origin_requests, candidate.origin_requests);
   EXPECT_EQ(reference.origin_polls, candidate.origin_polls);
-  EXPECT_EQ(reference.relays_sent, candidate.relays_sent);
-  EXPECT_EQ(reference.relays_delivered, candidate.relays_delivered);
-  EXPECT_EQ(reference.relays_applied, candidate.relays_applied);
-  EXPECT_EQ(reference.relays_in_flight, candidate.relays_in_flight);
-  EXPECT_EQ(reference.relays_lost, candidate.relays_lost);
-  EXPECT_EQ(reference.relays_retried, candidate.relays_retried);
-  EXPECT_EQ(reference.relays_dropped_dark, candidate.relays_dropped_dark);
+  EXPECT_EQ(reference.relays, candidate.relays);
   EXPECT_EQ(reference.load.origin_messages, candidate.load.origin_messages);
   EXPECT_EQ(reference.load.origin_polls, candidate.load.origin_polls);
   EXPECT_EQ(reference.load.relay_refreshes, candidate.load.relay_refreshes);
   EXPECT_EQ(reference.load.demand_fills, candidate.load.demand_fills);
   EXPECT_EQ(reference.load.failed, candidate.load.failed);
+}
+
+// A possibly partition-split sharded run against the reference.  A split
+// proxy has no per-proxy log (fail-fast accessors), so the per-proxy
+// comparison covers unsplit proxies and the merged stream pins the rest.
+void expect_partitioned_identical(const Artifacts& reference,
+                                  const ShardedFleet& fleet,
+                                  const Topology& topo) {
+  expect_records_identical(reference.merged, fleet.merged_poll_records());
+  for (std::size_t p = 0; p < topo.proxies; ++p) {
+    if (fleet.slice_count(p) != 1) continue;
+    SCOPED_TRACE("proxy " + std::to_string(p));
+    expect_records_identical(reference.records_by_proxy[p],
+                             fleet.proxy(p).poll_log().records());
+  }
+  EXPECT_EQ(reference.origin_requests, fleet.origin_requests());
+  EXPECT_EQ(reference.origin_polls, fleet.origin_polls());
+  EXPECT_EQ(reference.relays, fleet.relays());
+  const FleetOriginLoad load = fleet.origin_load();
+  EXPECT_EQ(reference.load.origin_messages, load.origin_messages);
+  EXPECT_EQ(reference.load.origin_polls, load.origin_polls);
+  EXPECT_EQ(reference.load.relay_refreshes, load.relay_refreshes);
+  EXPECT_EQ(reference.load.failed, load.failed);
 }
 
 // The origin-load counters recounted from the merged record stream: the
@@ -371,7 +371,7 @@ TEST(ShardedDifferential, ByteIdenticalAcrossThreadCounts) {
     const Topology topo = random_topology(seed);
     const Artifacts reference = reference_run(topo, kHorizon);
     ASSERT_FALSE(reference.merged.empty());
-    EXPECT_GT(reference.relays_delivered, 0u);
+    EXPECT_GT(reference.relays.delivered, 0u);
     for (const std::size_t threads : kThreadCounts) {
       SCOPED_TRACE("threads " + std::to_string(threads));
       expect_artifacts_identical(reference,
@@ -415,86 +415,45 @@ TEST(ShardedDifferential, DeltaGroupsAreColocated) {
   EXPECT_EQ(fleet->shard_of(1), fleet->shard_of(3));
   EXPECT_NE(fleet->shard_of(0), fleet->shard_of(1));
   fleet->run_until(kHorizon);
-
-  const Artifacts reference = reference_run(topo, kHorizon);
-  Artifacts candidate;
-  for (std::size_t p = 0; p < fleet->size(); ++p) {
-    candidate.records_by_proxy.push_back(
-        fleet->proxy(p).poll_log().records());
-    for (const UpdateTrace& trace : topo.traces) {
-      candidate.ttr_series.push_back(
-          fleet->proxy(p).ttr_series(trace.name()));
-    }
-  }
-  ASSERT_EQ(reference.records_by_proxy.size(),
-            candidate.records_by_proxy.size());
-  for (std::size_t p = 0; p < reference.records_by_proxy.size(); ++p) {
-    SCOPED_TRACE("proxy " + std::to_string(p));
-    expect_records_identical(reference.records_by_proxy[p],
-                             candidate.records_by_proxy[p]);
-  }
-  EXPECT_EQ(reference.ttr_series, candidate.ttr_series);
+  expect_artifacts_identical(reference_run(topo, kHorizon),
+                             collect(*fleet, topo));
 }
 
-// ---- window policies × object-partitioned shard maps -----------------------
+// ---- object-partitioned shard maps ----------------------------------------
 
-// The window-edge policy and the shard map are pure performance knobs:
-// fixed and adaptive edges, legacy whole-proxy maps (shards = 0) and
-// object-partitioned maps with more shards than the fleet has proxies
-// must all reproduce the reference run exactly, at every thread count.
+// The shard map is a pure performance knob: legacy whole-proxy maps
+// (shards = 0) and object-partitioned maps with more shards than the
+// fleet has proxies must both reproduce the reference run exactly, at
+// every thread count.
 // A split proxy has no single per-proxy log (its
 // slices are merged on demand), so the comparison pins the merged
 // stream, every unsplit proxy's log, and the fleet counters.
-TEST(ShardedDifferential, WindowPolicyAndPartitionSweepIsByteIdentical) {
+TEST(ShardedDifferential, PartitionSweepIsByteIdentical) {
   for (const std::uint64_t seed : {7u, 39u}) {
     SCOPED_TRACE("topology seed " + std::to_string(seed));
     const Topology topo = random_topology(seed);
     const Artifacts reference = reference_run(topo, kHorizon);
     ASSERT_FALSE(reference.merged.empty());
-    EXPECT_GT(reference.relays_delivered, 0u);
-    for (const WindowPolicy policy :
-         {WindowPolicy::kFixed, WindowPolicy::kAdaptive}) {
-      for (const std::size_t shards : {std::size_t{0}, topo.proxies + 3}) {
-        for (const std::size_t threads : kThreadCounts) {
-          SCOPED_TRACE(
-              std::string(policy == WindowPolicy::kFixed ? "fixed"
-                                                         : "adaptive") +
-              " windows, " + std::to_string(shards) + " shards, " +
-              std::to_string(threads) + " threads");
-          auto fleet = make_sharded(topo, threads, shards, policy);
-          fleet->start();
-          if (shards > 0) {
-            // A requested count above the proxy count must actually be
-            // honoured: more shards than proxies, at least one proxy
-            // split across shards.
-            EXPECT_GT(fleet->shard_count(), topo.proxies);
-            bool any_split = false;
-            for (std::size_t p = 0; p < topo.proxies; ++p) {
-              if (fleet->slice_count(p) > 1) any_split = true;
-            }
-            EXPECT_TRUE(any_split);
-          }
-          fleet->run_until(kHorizon);
-          expect_records_identical(reference.merged,
-                                   fleet->merged_poll_records());
+    EXPECT_GT(reference.relays.delivered, 0u);
+    for (const std::size_t shards : {std::size_t{0}, topo.proxies + 3}) {
+      for (const std::size_t threads : kThreadCounts) {
+        SCOPED_TRACE(std::to_string(shards) + " shards, " +
+                     std::to_string(threads) + " threads");
+        auto fleet = make_sharded(topo, threads, shards);
+        fleet->start();
+        if (shards > 0) {
+          // A requested count above the proxy count must actually be
+          // honoured: more shards than proxies, at least one proxy
+          // split across shards.
+          EXPECT_GT(fleet->shard_count(), topo.proxies);
+          bool any_split = false;
           for (std::size_t p = 0; p < topo.proxies; ++p) {
-            if (fleet->slice_count(p) != 1) continue;
-            SCOPED_TRACE("proxy " + std::to_string(p));
-            expect_records_identical(reference.records_by_proxy[p],
-                                     fleet->proxy(p).poll_log().records());
+            if (fleet->slice_count(p) > 1) any_split = true;
           }
-          EXPECT_EQ(reference.origin_requests, fleet->origin_requests());
-          EXPECT_EQ(reference.origin_polls, fleet->origin_polls());
-          EXPECT_EQ(reference.relays_sent, fleet->relays_sent());
-          EXPECT_EQ(reference.relays_delivered, fleet->relays_delivered());
-          EXPECT_EQ(reference.relays_applied, fleet->relays_applied());
-          EXPECT_EQ(reference.relays_in_flight, fleet->relays_in_flight());
-          const FleetOriginLoad load = fleet->origin_load();
-          EXPECT_EQ(reference.load.origin_messages, load.origin_messages);
-          EXPECT_EQ(reference.load.origin_polls, load.origin_polls);
-          EXPECT_EQ(reference.load.relay_refreshes, load.relay_refreshes);
-          EXPECT_EQ(reference.load.failed, load.failed);
+          EXPECT_TRUE(any_split);
         }
+        fleet->run_until(kHorizon);
+        expect_partitioned_identical(reference, *fleet, topo);
       }
     }
   }
@@ -504,13 +463,11 @@ TEST(ShardedDifferential, WindowPolicyAndPartitionSweepIsByteIdentical) {
 // loss, latency jitter, capped-backoff retries and δ-group failover all
 // active at once, every artifact — per-proxy poll logs, TTR series, the
 // merged record stream, origin load, and the full fault ledger — must
-// reproduce byte-identically across thread counts, whole-proxy and
-// partitioned shard layouts and both window policies.  The
-// fixed-vs-adaptive axis doubles as the fault-heavy window differential:
-// the adaptive edge folds export-retry fire times,
-// pending local relay retries and crash/recovery transitions, and a
-// missing fold would surface here as a sub-bound send (fail-fast) or a
-// diverging log.
+// reproduce byte-identically across thread counts and whole-proxy and
+// partitioned shard layouts.  This doubles as the fault-heavy window
+// differential: the window edge folds export-retry fire times, pending
+// local relay retries and crash/recovery transitions, and a missing fold
+// would surface here as a sub-bound send (fail-fast) or a diverging log.
 TEST(ShardedDifferential, FaultInjectionSweepIsByteIdentical) {
   const FaultSchedule faults = heavy_faults();
   const std::uint64_t seed = 23u;
@@ -521,55 +478,20 @@ TEST(ShardedDifferential, FaultInjectionSweepIsByteIdentical) {
   ASSERT_FALSE(reference.merged.empty());
   // The schedule must actually bite in the reference run: losses,
   // retries, and relays dropped at a dark destination all occur.
-  EXPECT_GT(reference.relays_lost, 0u);
-  EXPECT_GT(reference.relays_retried, 0u);
-  EXPECT_GT(reference.relays_dropped_dark, 0u);
-  EXPECT_EQ(reference.relays_sent,
-            reference.relays_delivered + reference.relays_in_flight +
-                reference.relays_lost);
-  for (const WindowPolicy policy :
-       {WindowPolicy::kFixed, WindowPolicy::kAdaptive}) {
-    for (const std::size_t shards : {std::size_t{0}, topo.proxies + 3}) {
-      for (const std::size_t threads : kThreadCounts) {
-        SCOPED_TRACE(
-            std::string(policy == WindowPolicy::kFixed ? "fixed"
-                                                       : "adaptive") +
-            " windows, " + std::to_string(shards) + " shards, " +
-            std::to_string(threads) + " threads");
-        auto fleet = make_sharded(topo, threads, shards, policy,
-                                  /*clients=*/false, faults);
-        fleet->start();
-        fleet->run_until(kHorizon);
-        // A split proxy has no per-proxy log (fail-fast accessors), so
-        // the per-proxy comparison covers unsplit proxies and the
-        // merged stream pins the rest.
-        expect_records_identical(reference.merged,
-                                 fleet->merged_poll_records());
-        for (std::size_t p = 0; p < topo.proxies; ++p) {
-          if (fleet->slice_count(p) != 1) continue;
-          SCOPED_TRACE("proxy " + std::to_string(p));
-          expect_records_identical(reference.records_by_proxy[p],
-                                   fleet->proxy(p).poll_log().records());
-        }
-        EXPECT_EQ(reference.origin_requests, fleet->origin_requests());
-        EXPECT_EQ(reference.origin_polls, fleet->origin_polls());
-        EXPECT_EQ(reference.relays_sent, fleet->relays_sent());
-        EXPECT_EQ(reference.relays_delivered, fleet->relays_delivered());
-        EXPECT_EQ(reference.relays_applied, fleet->relays_applied());
-        EXPECT_EQ(reference.relays_in_flight, fleet->relays_in_flight());
-        EXPECT_EQ(reference.relays_lost, fleet->relays_lost());
-        EXPECT_EQ(reference.relays_retried, fleet->relays_retried());
-        EXPECT_EQ(reference.relays_dropped_dark,
-                  fleet->relays_dropped_dark());
-        const FleetOriginLoad load = fleet->origin_load();
-        EXPECT_EQ(reference.load.origin_messages, load.origin_messages);
-        EXPECT_EQ(reference.load.origin_polls, load.origin_polls);
-        EXPECT_EQ(reference.load.relay_refreshes, load.relay_refreshes);
-        EXPECT_EQ(reference.load.failed, load.failed);
-        EXPECT_EQ(fleet->relays_sent(),
-                  fleet->relays_delivered() + fleet->relays_in_flight() +
-                      fleet->relays_lost());
-      }
+  EXPECT_GT(reference.relays.lost, 0u);
+  EXPECT_GT(reference.relays.retried, 0u);
+  EXPECT_GT(reference.relays.dropped_dark, 0u);
+  EXPECT_TRUE(reference.relays.balanced());
+  for (const std::size_t shards : {std::size_t{0}, topo.proxies + 3}) {
+    for (const std::size_t threads : kThreadCounts) {
+      SCOPED_TRACE(std::to_string(shards) + " shards, " +
+                   std::to_string(threads) + " threads");
+      auto fleet =
+          make_sharded(topo, threads, shards, /*clients=*/false, faults);
+      fleet->start();
+      fleet->run_until(kHorizon);
+      expect_partitioned_identical(reference, *fleet, topo);
+      EXPECT_TRUE(fleet->relays().balanced());
     }
   }
 }
@@ -577,8 +499,8 @@ TEST(ShardedDifferential, FaultInjectionSweepIsByteIdentical) {
 // Demand fills go through the shared poll pipeline, so with client
 // traffic and demand_fill on the *poll-log* differential must still hold:
 // kClientMiss records, their sibling relays and the full cause breakdown
-// reproduce byte-identically at every thread count, under both window
-// policies and with an object-partitioned shard request.  Client-bearing
+// reproduce byte-identically at every thread count and with an
+// object-partitioned shard request.  Client-bearing
 // proxies are whole colocation units (a split proxy cannot serve one
 // client stream from two slices), so unlike the clientless sweep this
 // test does not expect any proxy to split — it expects the *results* to
@@ -592,42 +514,16 @@ TEST(ShardedDifferential, DemandFillClientSweepIsByteIdentical) {
     ASSERT_FALSE(reference.merged.empty());
     ASSERT_GT(reference.load.demand_fills, 0u);
     expect_load_matches_records(reference);
-    for (const WindowPolicy policy :
-         {WindowPolicy::kFixed, WindowPolicy::kAdaptive}) {
-      for (const std::size_t shards : {std::size_t{0}, topo.proxies + 3}) {
-        for (const std::size_t threads : kThreadCounts) {
-          SCOPED_TRACE(
-              std::string(policy == WindowPolicy::kFixed ? "fixed"
-                                                         : "adaptive") +
-              " windows, " + std::to_string(shards) + " shards, " +
-              std::to_string(threads) + " threads");
-          auto fleet = make_sharded(topo, threads, shards, policy,
-                                    /*clients=*/true);
-          fleet->start();
-          fleet->run_until(kHorizon);
-          Artifacts candidate;
-          for (std::size_t p = 0; p < fleet->size(); ++p) {
-            candidate.records_by_proxy.push_back(
-                fleet->proxy(p).poll_log().records());
-            for (const UpdateTrace& trace : topo.traces) {
-              candidate.ttr_series.push_back(
-                  fleet->proxy(p).ttr_series(trace.name()));
-            }
-          }
-          candidate.merged = fleet->merged_poll_records();
-          candidate.origin_requests = fleet->origin_requests();
-          candidate.origin_polls = fleet->origin_polls();
-          candidate.relays_sent = fleet->relays_sent();
-          candidate.relays_delivered = fleet->relays_delivered();
-          candidate.relays_applied = fleet->relays_applied();
-          candidate.relays_in_flight = fleet->relays_in_flight();
-          candidate.relays_lost = fleet->relays_lost();
-          candidate.relays_retried = fleet->relays_retried();
-          candidate.relays_dropped_dark = fleet->relays_dropped_dark();
-          candidate.load = fleet->origin_load();
-          expect_artifacts_identical(reference, candidate);
-          expect_load_matches_records(candidate);
-        }
+    for (const std::size_t shards : {std::size_t{0}, topo.proxies + 3}) {
+      for (const std::size_t threads : kThreadCounts) {
+        SCOPED_TRACE(std::to_string(shards) + " shards, " +
+                     std::to_string(threads) + " threads");
+        auto fleet = make_sharded(topo, threads, shards, /*clients=*/true);
+        fleet->start();
+        fleet->run_until(kHorizon);
+        const Artifacts candidate = collect(*fleet, topo);
+        expect_artifacts_identical(reference, candidate);
+        expect_load_matches_records(candidate);
       }
     }
   }
@@ -659,20 +555,21 @@ TEST(ShardedDifferential, InFlightRelaysDrainExactlyAcrossHorizons) {
   auto fleet = make_sharded(topo, 4);
   fleet->start();
   fleet->run_until(partial);
-  EXPECT_EQ(fleet->relays_sent(),
-            fleet->relays_delivered() + fleet->relays_in_flight());
+  EXPECT_TRUE(fleet->relays().balanced());
+  EXPECT_EQ(fleet->relays().lost, 0u);
   fleet->run_until(kHorizon);
   // Horizon is far past the last send + latency: everything drained.
-  EXPECT_EQ(fleet->relays_in_flight(), 0u);
-  EXPECT_EQ(fleet->relays_sent(), fleet->relays_delivered());
+  const RelayLedger drained = fleet->relays();
+  EXPECT_TRUE(drained.balanced());
+  EXPECT_EQ(drained.lost, 0u);
+  EXPECT_EQ(drained.in_flight, 0u);
 
   // And the two-stage run is byte-identical to the straight one — the
   // pause neither reorders nor loses anything.
   const Artifacts straight = sharded_run(topo, 4, kHorizon);
   std::vector<PollRecord> merged = fleet->merged_poll_records();
   expect_records_identical(straight.merged, merged);
-  EXPECT_EQ(straight.relays_delivered, fleet->relays_delivered());
-  EXPECT_EQ(straight.relays_applied, fleet->relays_applied());
+  EXPECT_EQ(straight.relays, drained);
   const FleetOriginLoad straight_load = straight.load;
   const FleetOriginLoad paused_load = fleet->origin_load();
   EXPECT_EQ(straight_load.origin_messages, paused_load.origin_messages);
@@ -681,25 +578,23 @@ TEST(ShardedDifferential, InFlightRelaysDrainExactlyAcrossHorizons) {
   EXPECT_EQ(straight_load.failed, paused_load.failed);
 }
 
-// Object-partitioned maps keep the same counter exactness under both
-// window policies: pausing mid-window never loses a message, and the
-// resumed run merges to the same stream.
+// Object-partitioned maps keep the same counter exactness: pausing
+// mid-window never loses a message, and the resumed run merges to the
+// same stream.
 TEST(ShardedDifferential, PartitionedInFlightRelaysDrainExactly) {
   const Topology topo = random_topology(31);
   const Artifacts straight = sharded_run(topo, 4, kHorizon);
-  for (const WindowPolicy policy :
-       {WindowPolicy::kFixed, WindowPolicy::kAdaptive}) {
-    SCOPED_TRACE(policy == WindowPolicy::kFixed ? "fixed" : "adaptive");
-    auto fleet = make_sharded(topo, 4, topo.proxies + 2, policy);
-    fleet->start();
-    fleet->run_until(7777.7);
-    EXPECT_EQ(fleet->relays_sent(),
-              fleet->relays_delivered() + fleet->relays_in_flight());
-    fleet->run_until(kHorizon);
-    EXPECT_EQ(fleet->relays_in_flight(), 0u);
-    EXPECT_EQ(fleet->relays_sent(), fleet->relays_delivered());
-    expect_records_identical(straight.merged, fleet->merged_poll_records());
-  }
+  auto fleet = make_sharded(topo, 4, topo.proxies + 2);
+  fleet->start();
+  fleet->run_until(7777.7);
+  EXPECT_TRUE(fleet->relays().balanced());
+  EXPECT_EQ(fleet->relays().lost, 0u);
+  fleet->run_until(kHorizon);
+  const RelayLedger drained = fleet->relays();
+  EXPECT_TRUE(drained.balanced());
+  EXPECT_EQ(drained.lost, 0u);
+  EXPECT_EQ(drained.in_flight, 0u);
+  expect_records_identical(straight.merged, fleet->merged_poll_records());
 }
 
 // ---- fail-fast contracts ---------------------------------------------------

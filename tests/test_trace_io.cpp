@@ -7,6 +7,7 @@
 
 #include "trace/generators.h"
 #include "trace/stock.h"
+#include "util/check.h"
 #include "util/rng.h"
 
 namespace broadway {
@@ -67,6 +68,20 @@ TEST(TraceIo, RejectsMalformed) {
   EXPECT_THROW(
       parse_value_trace("# broadway-value-trace,x,100,1\n1.0\n"),
       std::runtime_error);  // step needs two fields
+}
+
+TEST(TraceIo, RejectsNonFiniteTimes) {
+  // A NaN compares false both ways, so a sortedness check alone lets it
+  // through.
+  EXPECT_THROW(
+      parse_update_trace("# broadway-update-trace,/x,100,0\n1\nnan\n0.5\n"),
+      CheckFailure);
+  EXPECT_THROW(parse_update_trace("# broadway-update-trace,/x,inf,0\n1\n"),
+               CheckFailure);
+  EXPECT_THROW(parse_value_trace("# broadway-value-trace,/x,inf,1\n0.5,2\n"),
+               CheckFailure);
+  EXPECT_THROW(parse_value_trace("# broadway-value-trace,/x,100,1\nnan,2\n"),
+               CheckFailure);
 }
 
 TEST(TraceIo, FileRoundTrip) {

@@ -55,20 +55,15 @@ GATED = [
     "BM_ShardedFleetSweep/threads:2/real_time",
     "BM_ShardedFleetSweep/threads:4/real_time",
     "BM_ShardedFleetSweep/threads:8/real_time",
-    # Window machinery in isolation (zero-relay topology): adaptive:0 is
-    # the per-window barrier+exchange cost paid horizon/latency times,
-    # adaptive:1 the collapsed single-window run.  Gating both keeps the
-    # window loop from quietly fattening and the adaptive edge from
-    # quietly losing its jump.
-    "BM_ShardedWindowOverhead/adaptive:0/real_time",
-    "BM_ShardedWindowOverhead/adaptive:1/real_time",
-    # Sparse-relay sweep under object partitioning: the fixed-vs-adaptive
-    # pairs record the adaptive-window win where cross-shard traffic is
-    # rare, at inline (threads:1) and pooled (threads:4) widths.
-    "BM_ShardedSparseRelaySweep/threads:1/adaptive:0/real_time",
-    "BM_ShardedSparseRelaySweep/threads:1/adaptive:1/real_time",
-    "BM_ShardedSparseRelaySweep/threads:4/adaptive:0/real_time",
-    "BM_ShardedSparseRelaySweep/threads:4/adaptive:1/real_time",
+    # Window machinery in isolation (zero-relay topology): the window
+    # edge collapses the run to one window.  Gating it keeps the edge
+    # from quietly losing its jump.
+    "BM_ShardedWindowOverhead/real_time",
+    # Sparse-relay sweep under object partitioning, where cross-shard
+    # traffic is rare, at inline (threads:1) and pooled (threads:4)
+    # widths.
+    "BM_ShardedSparseRelaySweep/threads:1/real_time",
+    "BM_ShardedSparseRelaySweep/threads:4/real_time",
     # Client traffic over a cooperative fleet: per-request cost of the
     # thinning + Zipf sampling + cache-read + classification pipeline.
     "BM_ClientFleetSweep/proxies:2",
