@@ -152,7 +152,8 @@ void BM_ObservationHistory(benchmark::State& state) {
   Response response;
   response.status = StatusCode::kOk;
   response.meta.active = true;
-  response.meta.set_history_view(wire.data(), wire.size());
+  response.meta.history_present = true;
+  response.meta.history = wire;
   const TimePoint previous = 15.0;  // restriction drops the first entry
   for (auto _ : state) {
     TemporalPollObservation obs;

@@ -96,7 +96,8 @@ NewsRun simulate(const Workload& workload, bool mutual,
   // ObjectIds alongside the uris (the id-keyed dispatch representation).
   GroupRegistry registry(origin.uri_table());
   const ObjectGroup* group = registry.add_syntactic_group(
-      workload.story.name(), story.render_body(), delta_mutual);
+      workload.story.name(), story.at(0.0, false).render_body(),
+      delta_mutual);
 
   // Track every group member with LIMD.
   for (const std::string& uri : group->members) {

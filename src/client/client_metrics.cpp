@@ -24,20 +24,16 @@ ClientMetrics& ClientMetrics::merge(const ClientMetrics& other) {
 
 ClientReadSample classify_client_read(TimePoint now, bool hit,
                                       TimePoint snapshot,
-                                      const VersionedObject* truth) {
+                                      std::optional<ObjectVersion> truth) {
   ClientReadSample sample;
   if (!hit) return sample;
-  BROADWAY_CHECK_MSG(truth != nullptr, "cached object missing at origin");
+  BROADWAY_CHECK_MSG(truth.has_value(), "cached object missing at origin");
   sample.hit = true;
   sample.snapshot = snapshot;
   sample.age = now - snapshot;
   if (truth->modified_since(snapshot)) {
     // Lag: how long ago the first update this copy missed happened.
-    const std::vector<TimePoint>& mods = truth->modifications();
-    auto first_unseen =
-        std::upper_bound(mods.begin(), mods.end(), snapshot);
-    BROADWAY_CHECK(first_unseen != mods.end());
-    sample.staleness = now - *first_unseen;
+    sample.staleness = now - truth->history_since(snapshot, 0).front();
   } else {
     sample.fresh = true;
   }

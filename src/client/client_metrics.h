@@ -17,6 +17,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "origin/object.h"
@@ -99,12 +100,12 @@ struct ClientReadSample {
 
 /// Classify one read against origin ground truth: `snapshot` is the served
 /// copy's server-state instant (ignored on a miss), `truth` the origin's
-/// object (required on a hit).  The copy is stale iff the origin modified
-/// the object strictly after `snapshot`; its staleness is how long ago the
-/// first unseen update happened.
+/// object at `now` (required on a hit).  The copy is stale iff the origin
+/// modified the object strictly after `snapshot`; its staleness is how
+/// long ago the first unseen update happened.
 ClientReadSample classify_client_read(TimePoint now, bool hit,
                                       TimePoint snapshot,
-                                      const VersionedObject* truth);
+                                      std::optional<ObjectVersion> truth);
 
 /// Account one classified read.
 void record_client_read(ClientMetrics& metrics,

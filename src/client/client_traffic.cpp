@@ -169,7 +169,7 @@ void FleetClientTraffic::issue(Stream& stream) {
   const PollingEngine::ClientRead read =
       stream.engine->serve_client_read(object);
   ClientReadSample sample = classify_client_read(
-      sim_.now(), read.hit, read.snapshot, origin_.object_by_id(object));
+      sim_.now(), read.hit, read.snapshot, origin_.read(object));
   sample.filled = read.filled;
   sample.fill_latency = read.fill_latency;
   sample.dark = read.dark;

@@ -19,10 +19,10 @@
 // Determinism is the same bar as the rest of the fleet: proxy i's stream
 // depends only on (config seed, global proxy id), its events are
 // scheduled under the proxy's global id as the Simulator schedule tag,
-// and reads touch only proxy-local state (cache) plus the origin replica
-// hosted on the same shard — so a ShardedFleet run produces byte-identical
-// per-proxy ClientMetrics and request records at any thread count
-// (tests/test_client_differential.cpp).
+// and reads touch only proxy-local state (cache) plus the shared origin,
+// read at the shard's own clock — so a ShardedFleet run produces
+// byte-identical per-proxy ClientMetrics and request records at any
+// thread count (tests/test_client_differential.cpp).
 #pragma once
 
 #include <cstddef>
@@ -97,7 +97,7 @@ class FleetClientTraffic {
     std::size_t global_id = 0;
   };
 
-  /// `origin` is the server (or shard replica) providing ground truth and
+  /// `origin` is the server (or shard reader) providing ground truth and
   /// the shared UriTable.  Bindings must be in ascending global id order
   /// (the fleet layers construct them that way).
   FleetClientTraffic(Simulator& sim, const OriginServer& origin,

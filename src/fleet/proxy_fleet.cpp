@@ -227,12 +227,9 @@ void ProxyFleet::relay(std::size_t from, std::size_t to, ObjectId object,
       deliver(to, object, response, snapshot);
       return;
     }
-    // One copy: the PollEvent's references die with the poll pipeline,
-    // and a typed history span points into origin storage the object may
-    // outgrow before delivery — detach it into the in-flight message
+    // One copy: the PollEvent's references die with the poll pipeline
     // (shared_ptr keeps the scheduling closure copyable).
     auto message = std::make_shared<Response>(response);
-    message->meta.own_history();
     ++relays_.in_flight;
     // Deliveries to watched pairs feed the window send bound: push
     // the delivery time now, pop it when the message lands.
@@ -251,7 +248,6 @@ void ProxyFleet::relay(std::size_t from, std::size_t to, ObjectId object,
   // Fault path: a lost first attempt must still retry after the
   // PollEvent's references die, so the copy happens up front.
   auto message = std::make_shared<Response>(response);
-  message->meta.own_history();
   relay_attempt(proxy_ids_[from], to, object, std::move(message), snapshot,
                 round, /*attempt=*/0);
 }

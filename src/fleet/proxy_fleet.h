@@ -138,7 +138,7 @@ class ProxyFleet {
   /// once per relayable poll (inside the poll event, after local
   /// siblings were handled); the callee fans out to proxies hosted
   /// elsewhere.  Event references die with the call — copy the response
-  /// (and own_history()) before stashing it.  `round` is the sender's
+  /// before stashing it.  `round` is the sender's
   /// per-(proxy, object) relay fan-out round — a pure function of the
   /// sender's poll history — which keys the exporter's fault draws so a
   /// remote destination draws exactly what it would have drawn locally.
@@ -281,8 +281,7 @@ class ProxyFleet {
   /// relaying proxy's poll fire time, `round` the sender's fan-out round
   /// for the fault draws.  The fault-free synchronous path hands the
   /// pipeline's response straight through by reference; a latency-delayed
-  /// or fault-injected relay copies it (detaching the typed history span
-  /// first — the origin may update the object before delivery).
+  /// or fault-injected relay copies it.
   void relay(std::size_t from, std::size_t to, ObjectId object,
              const Response& response, TimePoint snapshot,
              std::uint64_t round);

@@ -350,9 +350,15 @@ void ShardedFleet::build_shards() {
           {static_cast<std::uint32_t>(s), static_cast<std::uint32_t>(local)});
     }
     shard.sim = std::make_unique<Simulator>();
-    shard.origin =
-        std::make_unique<OriginServer>(*shard.sim, config_.origin);
-    config_.origin_setup(*shard.origin);
+    if (s == 0) {
+      // The one origin content, built once; every other shard reads it.
+      shard.origin =
+          std::make_unique<OriginServer>(*shard.sim, config_.origin);
+      config_.origin_setup(*shard.origin);
+    } else {
+      shard.origin =
+          std::make_unique<OriginServer>(*shard.sim, *shards_[0].origin);
+    }
     FleetConfig slice = config_.fleet;
     slice.proxy_ids = shard.proxies;
     shard.fleet =
@@ -400,7 +406,7 @@ std::size_t ShardedFleet::local_of(std::size_t shard,
 
 void ShardedFleet::build_registration_ranks() {
   // Per-proxy registration ranks for merge_slice_logs, indexed by
-  // ObjectId (identical on every replica — checked in start()): pairs_ is
+  // ObjectId (one table, shared by every shard): pairs_ is
   // in registration-scan order, so the per-proxy subsequence is the
   // order the reference engine registered — and therefore started — the
   // proxy's objects.  Only partition-split proxies are ever merged.
@@ -527,31 +533,12 @@ void ShardedFleet::start() {
             << config_.fleet.relay_latency);
   }
 
-  // Every replica must have interned the same uris in the same order —
-  // ObjectIds travel across shards inside relay messages.
-  const UriTable& reference = shards_[0].origin->uri_table();
-  for (std::size_t s = 1; s < shards_.size(); ++s) {
-    const UriTable& replica = shards_[s].origin->uri_table();
-    BROADWAY_CHECK_MSG(replica.size() == reference.size(),
-                       "origin replicas interned different uri sets ("
-                           << replica.size() << " vs " << reference.size()
-                           << "); origin_setup must attach every object");
-    for (ObjectId id = 0; id < static_cast<ObjectId>(reference.size());
-         ++id) {
-      BROADWAY_CHECK_MSG(replica.uri(id) == reference.uri(id),
-                         "origin replicas disagree on ObjectId "
-                             << id << ": " << replica.uri(id) << " vs "
-                             << reference.uri(id));
-    }
-  }
-
   build_registration_ranks();
 
-  // Seal the tables: from here on the poll pipeline only looks uris up,
-  // and an unexpected intern fails loudly instead of skewing ids.
-  for (Shard& shard : shards_) {
-    shard.origin->uri_table().freeze();
-  }
+  // Seal the shared content: from here on the poll pipeline only looks
+  // uris up, concurrently from every shard, and an unexpected intern or
+  // attach fails loudly.
+  shards_[0].origin->uri_table().freeze();
   // Start engines shard-by-shard, proxies ascending within each (the
   // slice starts its proxies in local order == ascending global order).
   for (Shard& shard : shards_) {
@@ -590,10 +577,8 @@ void ShardedFleet::export_relay(std::size_t shard_index,
   const std::vector<RemoteDest>& dests = shard.remote_dests[event.object];
   if (dests.empty()) return;
   // One copy per message, shared across its destinations (the PollEvent's
-  // references die with this call; the history span must be detached from
-  // origin storage the object may outgrow before delivery).
+  // references die with this call).
   auto response = std::make_shared<Response>(event.response);
-  response->meta.own_history();
   if (config_.fleet.faults.any()) {
     // Per-destination attempt chain: loss and jitter draw from the same
     // counter-keyed streams the slice fleets (and the one-simulator
@@ -907,10 +892,6 @@ PollingEngine& ShardedFleet::proxy(std::size_t proxy) {
 const PollingEngine& ShardedFleet::proxy(std::size_t proxy) const {
   const SliceRef& slice = sole_slice(proxy);
   return shards_[slice.shard].fleet->proxy(slice.local);
-}
-
-const OriginServer& ShardedFleet::origin_for_proxy(std::size_t proxy) const {
-  return *shards_[sole_slice(proxy).shard].origin;
 }
 
 // ---- accounting ------------------------------------------------------------

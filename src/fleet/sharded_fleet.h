@@ -2,7 +2,7 @@
 //
 // ProxyFleet runs N proxies on ONE simulator — one logical timeline, one
 // core.  ShardedFleet partitions the fleet into shards that each own a
-// full simulation stack (Simulator, OriginServer replica, a ProxyFleet
+// simulation stack (Simulator, a reader of the shared origin, a ProxyFleet
 // *slice* hosting that shard's proxies, metrics), and runs the shards on
 // a ThreadPool.  The proxy–proxy relay latency is the classic
 // conservative-lookahead window of parallel discrete-event simulation: a
@@ -32,16 +32,16 @@
 //    events via Simulator::advance_clock + ProxyFleet::deliver_relay
 //    under the sender's tag, exactly as if the reference's delivery
 //    event had fired there.
-//  * Replicated, frozen state.  Each shard's origin replica is built by
-//    the same setup callback, so intern order — and therefore every
-//    ObjectId — is identical across shards (verified at start());
-//    origin state is a pure function of time given the traces, so
-//    replicas never need reconciling.  Replica objects are trace-backed
-//    (origin/origin_server.h): every shard attaches every trace, but an
-//    object its proxies never read is never replayed, and catch-up runs
-//    on the shard's own thread.  All UriTables are frozen at
-//    start(): the hot path does lookups only, and an unexpected intern
-//    is a loud CheckFailure instead of a cross-shard id skew.
+//  * Shared, frozen state.  Origin state at time t is a pure function of
+//    the update traces (origin/origin_server.h), so there is one origin
+//    content — objects, traces and the UriTable, built once by the setup
+//    callback — and every shard reads it through its own OriginServer,
+//    which answers at that shard's clock (the same-instant rule of
+//    Simulator::reached) and keeps that shard's request counters.  Every
+//    ObjectId is therefore the same on every shard by construction.  The
+//    content is frozen at start(): reads are const and need no
+//    synchronisation, and a late intern or trace attach is a loud
+//    CheckFailure.
 //
 // δ-groups couple their member proxies synchronously (a member's poll
 // can trigger immediate early polls on sibling members), so grouped
@@ -95,14 +95,12 @@ struct ShardedFleetConfig {
   /// this value.
   std::size_t threads = 1;
 
-  /// Builds one shard's origin content.  Called once per shard; must
-  /// attach the same traces in the same order every time so replicas
-  /// intern identically (verified at start()).  Runs before any proxy
-  /// registration touches the shard.
+  /// Builds the origin content every shard reads.  Called once, at
+  /// start(), on the one shared origin, before any proxy registration.
   using OriginSetup = std::function<void(OriginServer&)>;
   OriginSetup origin_setup;
 
-  /// Per-shard origin replica configuration.
+  /// Origin configuration every shard's reader answers with.
   OriginServer::Config origin;
 
   /// Requested shard count for object-partition sharding.  0 (default)
@@ -150,7 +148,7 @@ class ShardedFleet {
   void add_delta_group(std::vector<FleetMember> members,
                        Duration delta_mutual);
 
-  /// Build the shards, replay registrations, freeze every UriTable,
+  /// Build the shards, replay registrations, freeze the shared origin,
   /// start every engine.  No registration may follow.
   void start();
 
@@ -183,13 +181,12 @@ class ShardedFleet {
   /// proxy — partition-split proxies have no one engine to return).
   PollingEngine& proxy(std::size_t proxy);
   const PollingEngine& proxy(std::size_t proxy) const;
-  /// The origin replica serving global proxy `proxy`.
-  const OriginServer& origin_for_proxy(std::size_t proxy) const;
 
   // ---- accounting (deterministic merges over the shards) ----
 
-  /// Origin requests served, summed over the replicas (each replica
-  /// serves exactly its own proxies, so the sum is the fleet total).
+  /// Origin requests served, summed over the shards' readers (each
+  /// counts exactly its own proxies' requests, so the sum is the fleet
+  /// total).
   std::size_t origin_requests() const;
 
   /// Successful non-initial origin polls across the fleet.
@@ -257,6 +254,8 @@ class ShardedFleet {
 
   struct Shard {
     std::unique_ptr<Simulator> sim;
+    /// This shard's reader of the shared origin content (shard 0's is
+    /// the one origin_setup built).
     std::unique_ptr<OriginServer> origin;
     std::unique_ptr<ProxyFleet> fleet;
     std::vector<std::size_t> proxies;  ///< global ids, ascending

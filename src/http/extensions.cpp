@@ -190,10 +190,7 @@ void materialize_headers(Response& response) {
     set_object_value(response.headers, *response.meta.value);
   }
   if (response.meta.history_present) {
-    std::vector<TimePoint> instants(
-        response.meta.history_data(),
-        response.meta.history_data() + response.meta.history_size());
-    set_modification_history(response.headers, instants);
+    set_modification_history(response.headers, response.meta.history);
   }
   if (response.status == StatusCode::kOk) {
     // Mirror the string path's entity header so a materialised typed 200

@@ -114,8 +114,7 @@ bool wire_modification_history(const Response& response, Container& out) {
   out.clear();
   if (response.meta.active) {
     if (response.meta.history_present) {
-      out.assign(response.meta.history_data(),
-                 response.meta.history_data() + response.meta.history_size());
+      out.assign(response.meta.history.begin(), response.meta.history.end());
     }
     return true;
   }

@@ -95,14 +95,11 @@ struct RequestMeta {
 };
 
 /// Typed response-side wire metadata: Last-Modified, the value extension,
-/// and the X-Modification-History payload.  History is carried as a *span*
-/// so the origin can point straight into its per-object history storage
-/// instead of rendering and re-parsing a header string per poll.  The span
-/// is valid for the synchronous in-process exchange; copying the message
-/// (e.g. a latency-delayed fleet relay) must call own_history() first —
-/// copies of an owned history stay owned and deep-copy correctly.
-class ResponseMeta {
- public:
+/// and the X-Modification-History payload.  The message owns its history,
+/// so copies (e.g. a latency-delayed fleet relay) are self-contained;
+/// clear() keeps the buffer's capacity, so a scratch Response reused
+/// across polls stops allocating once warm.
+struct ResponseMeta {
   bool active = false;
   /// Millisecond-quantised Last-Modified.
   std::optional<TimePoint> last_modified;
@@ -112,48 +109,16 @@ class ResponseMeta {
   /// history header and an absent one decode identically, but the
   /// materialised header set differs).
   bool history_present = false;
-
-  const TimePoint* history_data() const {
-    return use_owned_ ? owned_.data() : view_;
-  }
-  std::size_t history_size() const {
-    return use_owned_ ? owned_.size() : view_size_;
-  }
-
-  /// Point at externally-owned, ascending, ms-quantised instants.
-  void set_history_view(const TimePoint* data, std::size_t size) {
-    history_present = true;
-    use_owned_ = false;
-    view_ = data;
-    view_size_ = size;
-  }
-
-  /// Copy a viewed history into owned storage (no-op when already owned).
-  /// Required before the message outlives the exchange that produced it.
-  void own_history() {
-    if (use_owned_ || !history_present) return;
-    owned_.assign(view_, view_ + view_size_);
-    use_owned_ = true;
-    view_ = nullptr;
-    view_size_ = 0;
-  }
+  /// Ascending, ms-quantised modification instants.
+  std::vector<TimePoint> history;
 
   void clear() {
     active = false;
     last_modified.reset();
     value.reset();
     history_present = false;
-    use_owned_ = false;
-    view_ = nullptr;
-    view_size_ = 0;
-    owned_.clear();  // keeps capacity for scratch reuse
+    history.clear();  // keeps capacity for scratch reuse
   }
-
- private:
-  const TimePoint* view_ = nullptr;
-  std::size_t view_size_ = 0;
-  std::vector<TimePoint> owned_;
-  bool use_owned_ = false;
 };
 
 /// An HTTP request.  `uri` is the absolute path identifying a cached

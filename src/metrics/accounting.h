@@ -156,7 +156,7 @@ struct ProxyPollRecords {
 /// sender's earlier poll snapshot but is logged at delivery), so a
 /// stable sort over the proxy-ordered concatenation is the defined
 /// semantics — the same bytes whether the logs came from one simulator
-/// or from per-shard replicas, at any thread count.
+/// or from per-shard slices, at any thread count.
 std::vector<PollRecord> merge_poll_records(
     std::vector<ProxyPollRecords> logs);
 

@@ -6,13 +6,17 @@
 // server can answer the paper's proposed X-Modification-History extension
 // and so tests can validate proxy-side inference against ground truth.
 //
-// Trace-backed objects: the origin queues a replayed trace on its object
-// (queue_updates), and catch_up() applies the queued updates that are due
-// whenever the object is read.  An object nobody reads costs nothing; a
-// polled one costs one cursor step per update.
+// Trace-backed and immutable: an object holds its creation time and value
+// plus every update instant (and value) of its trace, and the state a
+// reader sees is a pure function of the reader's clock — version n has the
+// trace's first n updates applied (ObjectVersion).  Nothing is replayed
+// and nothing mutates on read, so any number of simulators may read one
+// object concurrently once its content is built.
 #pragma once
 
+#include <cstddef>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -20,9 +24,48 @@
 
 namespace broadway {
 
-/// One origin-side object.  Mutated only through `apply_update` (directly
-/// or by catching up queued trace updates), which enforces monotone time
-/// and version growth.
+class VersionedObject;
+
+/// One object as a reader sees it: the first `version()` updates of its
+/// trace applied.  A cheap view, valid while the object lives.
+class ObjectVersion {
+ public:
+  ObjectVersion(const VersionedObject& object, std::size_t version)
+      : object_(&object), version_(version) {}
+
+  const VersionedObject& object() const { return *object_; }
+
+  /// Version number (0-based; equals the number of updates applied).
+  std::size_t version() const { return version_; }
+
+  /// Instant of the most recent modification (creation time for version 0).
+  TimePoint last_modified() const;
+
+  /// Numeric value, if this is a value-domain object.
+  std::optional<double> value() const;
+
+  /// Whether the object has been modified strictly after `t`.
+  bool modified_since(TimePoint t) const { return last_modified() > t; }
+
+  /// Modification instants strictly after `t`, oldest first, capped at
+  /// `limit` *most recent* entries (0 = no cap).  This is the payload of
+  /// the X-Modification-History extension (exact, not ms-quantised).
+  std::span<const TimePoint> history_since(TimePoint t,
+                                           std::size_t limit) const;
+
+  /// Synthesised HTML body for this version, embedding the version stamp
+  /// and any declared related links (used by the syntactic grouping
+  /// machinery and by examples).
+  std::string render_body() const;
+
+ private:
+  const VersionedObject* object_;
+  std::size_t version_;
+};
+
+/// One origin-side object: creation state plus its update trace.  Built
+/// through `append_updates`, which enforces monotone time; read through
+/// `at`.
 class VersionedObject {
  public:
   /// Create version 0 at `creation_time`.  `value` is the numeric payload
@@ -32,73 +75,22 @@ class VersionedObject {
                   std::optional<double> value = std::nullopt);
 
   const std::string& uri() const { return uri_; }
-
-  /// Current version number (0-based; equals number of updates applied).
-  std::size_t version() const { return modifications_.size(); }
-
-  /// Instant of the most recent modification (creation time for version 0).
-  TimePoint last_modified() const;
-
-  /// Numeric value, if this is a value-domain object.
-  std::optional<double> value() const { return value_; }
-
-  /// Whether the object has been modified strictly after `t`.
-  bool modified_since(TimePoint t) const { return last_modified() > t; }
-
-  /// Apply an update at time `t` (must be >= last_modified()).  For
-  /// value-domain objects pass the new value.
-  void apply_update(TimePoint t, std::optional<double> new_value = std::nullopt);
-
-  /// Queue trace updates for catch_up() to apply.  `times` must be
-  /// non-decreasing and not before last_modified(); `values` is empty for
-  /// temporal objects, else parallel to `times`.  An object replays one
-  /// trace at a time: the previous one must be fully applied.
-  void queue_updates(std::vector<TimePoint> times,
-                     std::vector<double> values = {});
-
-  /// Apply the queued updates due by `now`: every one before `now`, and
-  /// those exactly at `now` too when `inclusive`.  Cheap when nothing is
-  /// due.
-  void catch_up(TimePoint now, bool inclusive) {
-    if (next_queued_ >= queued_times_.size()) return;
-    const TimePoint next = queued_times_[next_queued_];
-    if (next < now || (inclusive && next == now)) {
-      apply_queued(now, inclusive);
-    }
-  }
-
-  /// Queued updates not yet applied.
-  std::size_t queued() const { return queued_times_.size() - next_queued_; }
-
-  /// Modification instants strictly after `t`, oldest first, capped at
-  /// `limit` *most recent* entries (0 = no cap).  This is the payload of
-  /// the X-Modification-History extension.
-  std::vector<TimePoint> history_since(TimePoint t, std::size_t limit) const;
-
-  /// The same selection as history_since, but as a zero-copy span of
-  /// *millisecond-quantised* instants — exactly the values a proxy would
-  /// read back from the rendered header.  Valid until the next
-  /// apply_update(); the typed wire path points ResponseMeta at it.
-  struct WireHistorySpan {
-    const TimePoint* data = nullptr;
-    std::size_t size = 0;
-  };
-  WireHistorySpan wire_history_since(TimePoint t, std::size_t limit) const;
-
-  /// Millisecond-quantised last_modified(), as the wire reports it.
-  TimePoint wire_last_modified() const { return wire_last_modified_; }
-
-  /// Full modification history (ascending).  Ground truth for tests.
-  const std::vector<TimePoint>& modifications() const {
-    return modifications_;
-  }
-
   TimePoint creation_time() const { return creation_time_; }
 
-  /// Synthesised HTML body for the current version, embedding the version
-  /// stamp and any declared related links (used by the syntactic grouping
-  /// machinery and by examples).
-  std::string render_body() const;
+  /// Append trace updates.  `times` must be non-decreasing and not before
+  /// the last update (or the creation time); `values` is empty for
+  /// temporal objects, else parallel to `times`.
+  void append_updates(std::vector<TimePoint> times,
+                      std::vector<double> values = {});
+
+  /// Every update instant of the trace, ascending — due or not.
+  const std::vector<TimePoint>& updates() const { return times_; }
+
+  /// The object as a reader at `now` sees it: every update before `now`
+  /// applied, and those exactly at `now` too when `inclusive`.  `from`
+  /// is a hint — a version the reader saw at an earlier clock, so at most
+  /// the answer: O(1) when no further update is due, else O(log n).
+  ObjectVersion at(TimePoint now, bool inclusive, std::size_t from = 0) const;
 
   /// Declare embedded objects that render_body() should reference, e.g.
   /// images accompanying a news story (paper §1 example 1).
@@ -108,24 +100,14 @@ class VersionedObject {
   }
 
  private:
+  friend class ObjectVersion;
+
   std::string uri_;
   TimePoint creation_time_;
-  std::vector<TimePoint> modifications_;
-  /// modifications_, ms-quantised once per update (index-aligned).  The
-  /// history *selection* always compares the exact instants so the typed
-  /// span matches history_since entry for entry; only the transported
-  /// values are quantised.
-  std::vector<TimePoint> wire_modifications_;
-  TimePoint wire_last_modified_;
-  std::optional<double> value_;
+  std::optional<double> initial_value_;
+  std::vector<TimePoint> times_;
+  std::vector<double> values_;  ///< empty for temporal objects
   std::vector<std::string> embedded_links_;
-  /// Trace updates not yet applied start at next_queued_; the vectors are
-  /// released once the last one is.
-  std::vector<TimePoint> queued_times_;
-  std::vector<double> queued_values_;  ///< empty for temporal objects
-  std::size_t next_queued_ = 0;
-
-  void apply_queued(TimePoint now, bool inclusive);
 };
 
 }  // namespace broadway

@@ -1,31 +1,38 @@
 // The origin web server model.
 //
-// Replays trace-driven updates on its objects along the simulator's
-// timeline and answers HTTP requests with the conditional-GET semantics the
-// paper's mechanisms rely on (paper §5): an `if-modified-since` request is
+// Answers HTTP requests with the conditional-GET semantics the paper's
+// mechanisms rely on (paper §5): an `if-modified-since` request is
 // answered 304 when the object is unchanged, otherwise 200 with the new
 // body, Last-Modified, the value extension for value-domain objects, and —
 // when enabled — the X-Modification-History extension of §5.1.
 //
 // Trace-backed objects.  The origin is observed only through requests
-// (§5), so its state matters only at the instants something reads it.
-// attach_*_trace queues a trace's instants (and values) on the object
-// and schedules nothing; every read — handle(), object_by_id(), store() —
-// first applies the object's queued updates that are due.  An update at
+// (§5), so its state at time t is a pure function of the update traces.
+// attach_*_trace stores a trace's instants (and values) on the object and
+// schedules nothing; a read locates the version due at the reader's clock
+// (VersionedObject::at: a binary search resuming from the version this
+// reader last saw, O(1) while nothing new is due).  An update at
 // t < now() is always due.  One at t == now() is due once the simulator
 // has entered now() (Simulator::reached) — the point at which an update
-// event scheduled for t at attach time would have fired, so the lazy
-// replay is indistinguishable from an eager one.  In particular a synchronous fetch at t = 0 before any event
-// fires (PollingEngine::start) does not see a t = 0 update, while a
-// handle() after run_until(t) or from an event at t does.
+// event scheduled for t at attach time would have fired, so the lazy read
+// is indistinguishable from an eager replay.  In particular a synchronous
+// fetch at t = 0 before any event fires (PollingEngine::start) does not
+// see a t = 0 update, while a handle() after run_until(t) or from an
+// event at t does.
 //
-// Catch-up mutates objects from const accessors, so an origin must be
-// read on the thread that drives its simulator (a ShardedFleet replica
-// on its shard's thread).
+// Shared content.  The content (an ObjectStore: objects plus UriTable)
+// is shared, not copied, and reads of it are const: after freeze
+// (UriTable::freeze — no object may be created or attached from then on)
+// any number of OriginServers, each on its own simulator and thread, may
+// serve the same content without synchronisation.  A ShardedFleet builds
+// the content once and gives every shard a reader (the sharing
+// constructor).  A reader keeps only its own state — clock, request
+// counters, per-object version hints — so each one belongs to one thread.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -43,10 +50,10 @@ namespace broadway {
 /// Origin server bound to a simulator.  One instance can host any number
 /// of objects, each driven by its own trace.
 ///
-/// The server owns the UriTable every co-located consumer (polling
-/// engines, their caches and poll logs, the fleet relay path) shares:
-/// interning happens once at registration, and the poll hot path carries
-/// dense ObjectId handles end to end.
+/// The server's content owns the UriTable every co-located consumer
+/// (polling engines, their caches and poll logs, the fleet relay path)
+/// shares: interning happens once at registration, and the poll hot path
+/// carries dense ObjectId handles end to end.
 class OriginServer {
  public:
   /// `history_limit` caps the X-Modification-History entries per response
@@ -65,6 +72,11 @@ class OriginServer {
   explicit OriginServer(Simulator& sim);
   OriginServer(Simulator& sim, Config config);
 
+  /// A second reader of `shared`'s content (objects and UriTable, shared,
+  /// not copied) and config, answering at `sim`'s clock with its own
+  /// request counters.
+  OriginServer(Simulator& sim, OriginServer& shared);
+
   OriginServer(const OriginServer&) = delete;
   OriginServer& operator=(const OriginServer&) = delete;
 
@@ -75,12 +87,12 @@ class OriginServer {
   VersionedObject& add_value_object(const std::string& uri,
                                     double initial_value);
 
-  /// Create the object (if needed) and queue the trace's update instants
-  /// on it (see the file comment).  No update may lie in the past.
+  /// Create the object (if needed) and append the trace's update instants
+  /// to it (see the file comment).  No update may lie in the past.
   VersionedObject& attach_update_trace(const std::string& uri,
                                        const UpdateTrace& trace);
 
-  /// Create a value object and queue its ticks.
+  /// Create a value object and store its ticks.
   VersionedObject& attach_value_trace(const std::string& uri,
                                       const ValueTrace& trace);
 
@@ -91,42 +103,39 @@ class OriginServer {
   /// first), so a polling engine can reuse one scratch Response across
   /// polls.  Requests with an active typed sideband are answered on the
   /// typed path: validators, value and history land in out.meta (history
-  /// as a span into this server's per-object storage — valid until the
-  /// object's next update) and no header strings are rendered.
+  /// ms-quantised into its owned buffer) and no header strings are
+  /// rendered.
   void handle(const Request& request, Response& out);
 
   /// The shared intern table.  Engines bound to this origin key their
   /// caches and poll logs through it.
-  UriTable& uri_table() { return uris_; }
-  const UriTable& uri_table() const { return uris_; }
+  UriTable& uri_table() { return store_->uri_table(); }
+  const UriTable& uri_table() const { return store_->uri_table(); }
 
   /// Interned id for a hosted object's uri; kInvalidObjectId if unknown.
   ObjectId object_id(const std::string& uri) const {
-    return uris_.find(uri);
+    return uri_table().find(uri);
   }
 
-  /// Direct (non-HTTP) read access for evaluators and tests.  Catches up
-  /// every hosted object first (O(objects)).
-  const ObjectStore& store() const {
-    catch_up_all();
-    return store_;
-  }
-  ObjectStore& store() {
-    catch_up_all();
-    return store_;
-  }
+  /// The hosted objects (immutable content; see read() for their state).
+  const ObjectStore& store() const { return *store_; }
 
-  /// Hosted object for an interned id, caught up to now; nullptr when the
-  /// table interned a uri this origin does not host (e.g. a proxy-only
-  /// registration).  O(1) — the client layer's ground-truth read.
+  /// Hosted object for an interned id; nullptr when the table interned a
+  /// uri this origin does not host (e.g. a proxy-only registration).
   const VersionedObject* object_by_id(ObjectId id) const {
-    VersionedObject* object = id < by_id_.size() ? by_id_[id] : nullptr;
-    if (object != nullptr) catch_up(*object);
-    return object;
+    return store_->by_id(id);
+  }
+
+  /// Hosted object `id` at this server's clock — the version handle()
+  /// would serve now; nullopt when not hosted.  The client layer's
+  /// ground-truth read.
+  std::optional<ObjectVersion> read(ObjectId id) const {
+    const VersionedObject* object = object_by_id(id);
+    if (object == nullptr) return std::nullopt;
+    return current(id, *object);
   }
 
   const Config& config() const { return config_; }
-  void set_config(Config config) { config_ = config; }
 
   /// Request accounting (cross-checks the proxy's poll counters).
   std::size_t requests_served() const { return requests_served_; }
@@ -136,29 +145,21 @@ class OriginServer {
  private:
   Simulator& sim_;
   Config config_;
-  ObjectStore store_;
-  UriTable uris_;
-  /// Dense ObjectId -> object lookup (nullptr where the table interned a
-  /// uri this origin does not host, e.g. a proxy-only registration).
-  std::vector<VersionedObject*> by_id_;
+  std::shared_ptr<ObjectStore> store_;
   std::size_t requests_served_ = 0;
   std::size_t responses_200_ = 0;
   std::size_t responses_304_ = 0;
+  /// Per-object version this reader last saw.  Its clock never runs
+  /// backwards, so a read resumes there: O(1) while nothing new is due.
+  mutable std::vector<std::uint32_t> seen_;
 
-  /// Lookup for the request: by interned id when present, else by uri.
-  VersionedObject* find_object(const Request& request);
+  ObjectVersion current(ObjectId id, const VersionedObject& object) const;
 
-  /// Apply `object`'s queued trace updates that are due now.
-  void catch_up(VersionedObject& object) const {
-    object.catch_up(sim_.now(), sim_.reached(sim_.now()));
-  }
-  void catch_up_all() const;
+  /// Validate `times` against the clock and append them to `object`.
+  void append_trace(VersionedObject& object, std::vector<TimePoint> times,
+                    std::vector<double> values);
 
-  /// Validate `times` against the clock and queue them on `object`.
-  void queue_trace(VersionedObject& object, std::vector<TimePoint> times,
-                   std::vector<double> values);
-
-  void respond_full(const VersionedObject& object,
+  void respond_full(const ObjectVersion& object,
                     std::optional<TimePoint> since, bool typed,
                     Response& out);
 };

@@ -74,8 +74,8 @@ void PushChannel::attach_pushed_trace(const std::string& uri,
                                       const UpdateTrace& trace) {
   origin_.attach_update_trace(uri, trace);
   for (TimePoint t : trace.updates()) {
-    // The origin replays the trace lazily; a delivery reads through
-    // handle(), which applies the update at t before answering.
+    // A delivery reads through handle(), which sees the update at t from
+    // an event at t.
     sim_.schedule_at(t, [this, uri] { on_update(uri); });
   }
 }

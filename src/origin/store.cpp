@@ -1,5 +1,7 @@
 #include "origin/store.h"
 
+#include <algorithm>
+
 #include "util/check.h"
 
 namespace broadway {
@@ -7,27 +9,24 @@ namespace broadway {
 VersionedObject& ObjectStore::create(const std::string& uri,
                                      TimePoint creation_time,
                                      std::optional<double> value) {
+  BROADWAY_CHECK_MSG(!uris_.frozen(),
+                     "origin content is frozen; cannot add " << uri);
   BROADWAY_CHECK_MSG(!contains(uri), "duplicate object " << uri);
   auto object = std::make_unique<VersionedObject>(uri, creation_time, value);
-  VersionedObject& ref = *object;
-  objects_.emplace(uri, std::move(object));
-  return ref;
+  const ObjectId id = uris_.intern(uri);
+  if (objects_.size() <= id) objects_.resize(id + 1);
+  objects_[id] = std::move(object);
+  ++size_;
+  return *objects_[id];
 }
 
 VersionedObject* ObjectStore::find(const std::string& uri) {
-  auto it = objects_.find(uri);
-  return it == objects_.end() ? nullptr : it->second.get();
+  const ObjectId id = uris_.find(uri);
+  return id < objects_.size() ? objects_[id].get() : nullptr;
 }
 
 const VersionedObject* ObjectStore::find(const std::string& uri) const {
-  auto it = objects_.find(uri);
-  return it == objects_.end() ? nullptr : it->second.get();
-}
-
-VersionedObject& ObjectStore::at(const std::string& uri) {
-  VersionedObject* object = find(uri);
-  BROADWAY_CHECK_MSG(object != nullptr, "no such object " << uri);
-  return *object;
+  return by_id(uris_.find(uri));
 }
 
 const VersionedObject& ObjectStore::at(const std::string& uri) const {
@@ -36,14 +35,13 @@ const VersionedObject& ObjectStore::at(const std::string& uri) const {
   return *object;
 }
 
-bool ObjectStore::contains(const std::string& uri) const {
-  return objects_.find(uri) != objects_.end();
-}
-
 std::vector<std::string> ObjectStore::uris() const {
   std::vector<std::string> out;
-  out.reserve(objects_.size());
-  for (const auto& [uri, object] : objects_) out.push_back(uri);
+  out.reserve(size_);
+  for (const auto& object : objects_) {
+    if (object != nullptr) out.push_back(object->uri());
+  }
+  std::sort(out.begin(), out.end());
   return out;
 }
 

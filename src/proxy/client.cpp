@@ -59,7 +59,7 @@ void ClientWorkload::issue_request() {
   const ClientReadSample sample = classify_client_read(
       sim_.now(), entry != nullptr,
       entry != nullptr ? entry->snapshot_time : 0.0,
-      origin_.object_by_id(object));
+      origin_.read(object));
   record_client_read(stats_, sample);
 }
 

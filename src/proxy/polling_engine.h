@@ -95,8 +95,7 @@ struct EngineConfig {
 
 /// One successful origin poll, as seen by a fleet-level observer.  All
 /// references point at pipeline-owned state and are valid only for the
-/// duration of the listener call — copy what must outlive it (for a
-/// Response, ResponseMeta::own_history() first).
+/// duration of the listener call — copy what must outlive it.
 struct PollEvent {
   const std::string& uri;
   /// Interned id of `uri` in the engine's shared table.

@@ -29,7 +29,7 @@
 //
 // Entered instants: a freshly constructed simulator sits at time 0
 // without having *entered* it — nothing has fired there yet.  reached()
-// tells lazily-replayed state (the origin's trace-backed objects) whether
+// tells clock-derived state (the origin's trace-backed objects) whether
 // work due at the current instant is already visible: the simulator
 // enters an instant by firing an event there, by finishing run_until at
 // it, or by advance_clock to it.

@@ -32,20 +32,19 @@ namespace {
 
 TEST(ClassifyClientRead, MissCarriesNoFreshness) {
   const ClientReadSample sample =
-      classify_client_read(50.0, /*hit=*/false, 0.0, nullptr);
+      classify_client_read(50.0, /*hit=*/false, 0.0, std::nullopt);
   EXPECT_FALSE(sample.hit);
   EXPECT_FALSE(sample.fresh);
 }
 
 TEST(ClassifyClientRead, FreshAndStaleAgainstGroundTruth) {
   VersionedObject truth("/x", 0.0);
-  truth.apply_update(100.0);
-  truth.apply_update(200.0);
+  truth.append_updates({100.0, 200.0});
 
   // Served copy reflects t = 120: it missed the update at 200 (first
   // unseen), so at now = 250 it has been stale for 50 s and is 130 s old.
-  const ClientReadSample stale =
-      classify_client_read(250.0, /*hit=*/true, 120.0, &truth);
+  const ClientReadSample stale = classify_client_read(
+      250.0, /*hit=*/true, 120.0, truth.at(250.0, true));
   EXPECT_TRUE(stale.hit);
   EXPECT_FALSE(stale.fresh);
   EXPECT_EQ(stale.snapshot, 120.0);
@@ -53,21 +52,42 @@ TEST(ClassifyClientRead, FreshAndStaleAgainstGroundTruth) {
   EXPECT_EQ(stale.staleness, 50.0);
 
   // A copy reflecting t = 220 saw every update: fresh despite its age.
-  const ClientReadSample fresh =
-      classify_client_read(250.0, /*hit=*/true, 220.0, &truth);
+  const ClientReadSample fresh = classify_client_read(
+      250.0, /*hit=*/true, 220.0, truth.at(250.0, true));
   EXPECT_TRUE(fresh.fresh);
   EXPECT_EQ(fresh.age, 30.0);
   EXPECT_EQ(fresh.staleness, 0.0);
 }
 
-TEST(ClientMetrics, RecordAndMergeAccounting) {
+TEST(ClassifyClientRead, GroundTruthIsTheReadersVersion) {
+  // The trace's update at 200 is not yet due for a reader at 150: the
+  // t = 120 copy is fresh there, and only the reader past 200 sees it
+  // stale.  Same-instant: due once the reader has entered 200.
   VersionedObject truth("/x", 0.0);
-  truth.apply_update(100.0);
+  truth.append_updates({100.0, 200.0});
+  EXPECT_TRUE(
+      classify_client_read(150.0, true, 120.0, truth.at(150.0, true)).fresh);
+  EXPECT_TRUE(
+      classify_client_read(200.0, true, 120.0, truth.at(200.0, false)).fresh);
+  const ClientReadSample entered =
+      classify_client_read(200.0, true, 120.0, truth.at(200.0, true));
+  EXPECT_FALSE(entered.fresh);
+  EXPECT_EQ(entered.staleness, 0.0);
+}
+
+TEST(ClientMetrics, RecordAndMergeAccounting) {
+  VersionedObject object("/x", 0.0);
+  object.append_updates({100.0});
+  const auto truth = [&object](TimePoint now) {
+    return object.at(now, true);
+  };
 
   ClientMetrics a;
-  record_client_read(a, classify_client_read(150.0, true, 120.0, &truth));
-  record_client_read(a, classify_client_read(150.0, true, 50.0, &truth));
-  record_client_read(a, classify_client_read(150.0, false, 0.0, nullptr));
+  record_client_read(a,
+                     classify_client_read(150.0, true, 120.0, truth(150.0)));
+  record_client_read(a, classify_client_read(150.0, true, 50.0, truth(150.0)));
+  record_client_read(a,
+                     classify_client_read(150.0, false, 0.0, std::nullopt));
   EXPECT_EQ(a.requests, 3u);
   EXPECT_EQ(a.hits, 2u);
   EXPECT_EQ(a.misses, 1u);
@@ -78,7 +98,8 @@ TEST(ClientMetrics, RecordAndMergeAccounting) {
   EXPECT_EQ(a.staleness.max(), 50.0);  // 150 - (first unseen at 100)
 
   ClientMetrics b;
-  record_client_read(b, classify_client_read(200.0, true, 120.0, &truth));
+  record_client_read(b,
+                     classify_client_read(200.0, true, 120.0, truth(200.0)));
   ClientMetrics merged = a;
   merged.merge(b);
   EXPECT_EQ(merged.requests, 4u);

@@ -179,30 +179,25 @@ TEST(Request, ResetReturnsToDefaults) {
   EXPECT_FALSE(req.meta.if_modified_since.has_value());
 }
 
-TEST(ResponseMeta, HistoryViewAndOwnership) {
-  const std::vector<TimePoint> storage = {1.0, 2.0, 3.0};
+TEST(ResponseMeta, HistoryIsOwnedAndResetKeepsCapacity) {
   Response response;
   response.meta.active = true;
-  response.meta.set_history_view(storage.data(), storage.size());
-  ASSERT_EQ(response.meta.history_size(), 3u);
-  EXPECT_EQ(response.meta.history_data(), storage.data());  // zero-copy
+  response.meta.history_present = true;
+  response.meta.history = {1.0, 2.0, 3.0};
 
-  // Detaching copies the span into owned storage...
-  response.meta.own_history();
-  ASSERT_EQ(response.meta.history_size(), 3u);
-  EXPECT_NE(response.meta.history_data(), storage.data());
-  EXPECT_EQ(response.meta.history_data()[2], 3.0);
-
-  // ...and a copy of an owned history is independent and deep.
+  // A copy is deep: it outlives and is independent of the original.
   Response copy = response;
-  ASSERT_EQ(copy.meta.history_size(), 3u);
-  EXPECT_NE(copy.meta.history_data(), response.meta.history_data());
-  EXPECT_EQ(copy.meta.history_data()[0], 1.0);
+  response.meta.history[0] = 9.0;
+  ASSERT_EQ(copy.meta.history.size(), 3u);
+  EXPECT_EQ(copy.meta.history[0], 1.0);
 
+  // Reset empties the message but keeps the buffer for scratch reuse.
+  const std::size_t capacity = response.meta.history.capacity();
   response.reset();
   EXPECT_FALSE(response.meta.active);
   EXPECT_FALSE(response.meta.history_present);
-  EXPECT_EQ(response.meta.history_size(), 0u);
+  EXPECT_TRUE(response.meta.history.empty());
+  EXPECT_EQ(response.meta.history.capacity(), capacity);
 }
 
 }  // namespace

@@ -26,14 +26,14 @@ Response loopback_exchange(OriginServer& origin, const Request& request) {
 TEST(WireLoopback, ConditionalGetFreshness) {
   Simulator sim;
   OriginServer origin(sim);
-  origin.add_object("/page");
-  sim.run_until(100.0);
+  origin.attach_update_trace("/page", UpdateTrace("/page", {100.0}, 200.0));
+  sim.run_until(99.0);
 
   const Response fresh =
       loopback_exchange(origin, Request::conditional_get("/page", 50.0));
   EXPECT_TRUE(fresh.not_modified());
 
-  origin.store().at("/page").apply_update(100.0);
+  sim.run_until(100.0);
   const Response stale =
       loopback_exchange(origin, Request::conditional_get("/page", 50.0));
   EXPECT_TRUE(stale.ok());
@@ -44,9 +44,9 @@ TEST(WireLoopback, ConditionalGetFreshness) {
 TEST(WireLoopback, HistoryExtensionSurvivesTheWire) {
   Simulator sim;
   OriginServer origin(sim);
-  VersionedObject& object = origin.add_object("/page");
+  origin.attach_update_trace(
+      "/page", UpdateTrace("/page", {100.0, 200.0, 300.0}, 400.0));
   sim.run_until(400.0);
-  for (double t : {100.0, 200.0, 300.0}) object.apply_update(t);
 
   const Response response =
       loopback_exchange(origin, Request::conditional_get("/page", 150.0));
@@ -94,9 +94,7 @@ TEST(WireLoopback, SubSecondPrecisionPreserved) {
   // the simulation's sub-second validators intact across the wire.
   Simulator sim;
   OriginServer origin(sim);
-  VersionedObject& object = origin.add_object("/page");
-  sim.run_until(10.0);
-  object.apply_update(3.625);
+  origin.attach_update_trace("/page", UpdateTrace("/page", {3.625}, 10.0));
   sim.run_until(100.0);
 
   const Response response =

@@ -140,7 +140,7 @@ TEST(PushChannel, UnsubscribedObjectsIgnored) {
   channel.attach_pushed_trace("/quiet", trace);
   rig.sim.run_until(100.0);
   EXPECT_EQ(channel.pushes_delivered(), 0u);
-  EXPECT_EQ(rig.origin.store().at("/quiet").version(), 1u);
+  EXPECT_EQ(rig.origin.read(rig.origin.object_id("/quiet"))->version(), 1u);
 }
 
 TEST(PushChannel, Validation) {

@@ -621,27 +621,64 @@ TEST(ShardedDifferential, RegistrationAfterStartIsRejected) {
       CheckFailure);
 }
 
-TEST(ShardedDifferential, MismatchedOriginReplicasAreRejected) {
-  Topology topo = random_topology(11);
-  topo.groups.clear();  // ungrouped: every proxy is its own shard
-  ShardedFleetConfig config = sharded_config(topo, 2);
-  // A setup callback with per-replica behaviour (here: an extra object
-  // on every shard after the first) skews intern order — caught at
-  // start(), not discovered as silent id corruption mid-run.
-  config.origin_setup = [traces = topo.traces,
-                         calls = std::make_shared<int>(0)](
-                            OriginServer& origin) {
-    for (const UpdateTrace& trace : traces) {
-      origin.attach_update_trace(trace.name(), trace);
+// Every shard reads one origin content: the setup callback runs once,
+// whatever the shard count, and the run still reproduces the reference.
+TEST(ShardedDifferential, OriginSetupRunsOnce) {
+  const Topology topo = random_topology(23);
+  const Artifacts reference = reference_run(topo, kHorizon);
+  for (const std::size_t shards : {1u, 4u, 16u}) {
+    SCOPED_TRACE(std::to_string(shards) + " shards");
+    ShardedFleetConfig config = sharded_config(topo, 4, shards);
+    auto calls = std::make_shared<int>(0);
+    config.origin_setup = [setup = config.origin_setup,
+                           calls](OriginServer& origin) {
+      ++*calls;
+      setup(origin);
+    };
+    ShardedFleet fleet(config);
+    const auto factory = limd_factory();
+    for (const auto& [proxy, uri] : topo.tracked) {
+      fleet.add_temporal_object(proxy, uri, factory);
     }
-    if ((*calls)++ > 0) origin.add_object("/replica-only");
+    for (const auto& [members, delta] : topo.groups) {
+      fleet.add_delta_group(members, delta);
+    }
+    EXPECT_EQ(*calls, 0);  // not before start()
+    fleet.start();
+    if (shards > 1) {
+      EXPECT_GT(fleet.shard_count(), 1u);
+    }
+    fleet.run_until(kHorizon);
+    EXPECT_EQ(*calls, 1);
+    expect_partitioned_identical(reference, fleet, topo);
+  }
+}
+
+// The shared content is frozen at start(): a late attach or object would
+// change what other shards' readers see mid-run, so it fails loudly.
+TEST(ShardedDifferential, AttachAfterStartIsRejected) {
+  const Topology topo = random_topology(11);
+  ShardedFleetConfig config = sharded_config(topo, 2, 4);
+  OriginServer* shared = nullptr;
+  config.origin_setup = [setup = config.origin_setup,
+                         &shared](OriginServer& origin) {
+    shared = &origin;
+    setup(origin);
   };
   ShardedFleet fleet(config);
   const auto factory = limd_factory();
   for (const auto& [proxy, uri] : topo.tracked) {
     fleet.add_temporal_object(proxy, uri, factory);
   }
-  EXPECT_THROW(fleet.start(), CheckFailure);
+  fleet.start();
+  ASSERT_NE(shared, nullptr);
+  const UpdateTrace& first = topo.traces.front();
+  EXPECT_THROW(shared->attach_update_trace(first.name(), first),
+               CheckFailure);
+  EXPECT_THROW(shared->attach_update_trace(
+                   "/late", UpdateTrace("/late", {1.0}, kHorizon)),
+               CheckFailure);
+  EXPECT_THROW(shared->add_object("/late"), CheckFailure);
 }
 
 }  // namespace

@@ -115,7 +115,8 @@ TEST(SmallVector, ObservationHistorySpillsThroughTheWirePath) {
   Response typed;
   typed.status = StatusCode::kOk;
   typed.meta.active = true;
-  typed.meta.set_history_view(instants.data(), instants.size());
+  typed.meta.history_present = true;
+  typed.meta.history = instants;
 
   Response wire;
   wire.status = StatusCode::kOk;
@@ -141,7 +142,8 @@ TEST(SmallVector, ShortHistoryStaysInline) {
   typed.status = StatusCode::kOk;
   typed.meta.active = true;
   const std::vector<TimePoint> instants = {10.0, 20.0, 30.0};
-  typed.meta.set_history_view(instants.data(), instants.size());
+  typed.meta.history_present = true;
+  typed.meta.history = instants;
   TemporalPollObservation obs;
   ASSERT_TRUE(wire_modification_history(typed, obs.history));
   EXPECT_EQ(obs.history.size(), 3u);

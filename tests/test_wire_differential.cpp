@@ -106,12 +106,12 @@ TEST(WireDifferential, OriginMatrix) {
       config.history_limit = 3;  // exercise capping
       config.render_bodies = render_bodies;
       OriginServer origin(sim, config);
-      VersionedObject& page = origin.add_object("/page");
-      origin.add_value_object("/stock", 160.0625);
+      origin.attach_update_trace(
+          "/page",
+          UpdateTrace("/page", {100.125, 200.25, 300.0009, 300.5}, 400.0));
+      origin.attach_value_trace(
+          "/stock", ValueTrace("/stock", 160.0625, {{350.0, 161.75}}, 400.0));
       sim.run_until(400.0);
-      for (const double t : {100.125, 200.25, 300.0009, 300.5})
-        page.apply_update(t);
-      origin.store().at("/stock").apply_update(350.0, 161.75);
 
       for (const std::string uri : {"/page", "/stock"}) {
         expect_equivalent(origin, uri, std::nullopt);       // 200, full history
