@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "util/check.h"
+#include "util/id_slots.h"
 #include "util/rng.h"
 
 namespace broadway {
@@ -61,16 +62,16 @@ TransactionStats evaluate_read_transactions(
                        "poll log dropped " << log->dropped_records()
                                            << " records under retention; "
                                               "transactions need full logs");
-    std::vector<std::size_t> slot;  // object id -> series index + 1
+    IdSlots<std::size_t> slot;  // object id -> series index
     for (const PollRecord& record : log->records()) {
       if (record.failed) continue;
-      if (slot.size() <= record.object) slot.resize(record.object + 1, 0);
-      if (slot[record.object] == 0) {
+      auto [index, inserted] = slot.try_emplace(record.object);
+      if (inserted) {
+        index = series.size();
         series.emplace_back();
-        slot[record.object] = series.size();
       }
-      series[slot[record.object] - 1].entries.emplace_back(
-          record.complete_time, record.snapshot_time);
+      series[index].entries.emplace_back(record.complete_time,
+                                         record.snapshot_time);
     }
   }
   for (ServeSeries& s : series) {

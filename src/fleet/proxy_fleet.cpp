@@ -137,9 +137,7 @@ FleetDeltaGroup& ProxyFleet::add_delta_group(std::vector<FleetMember> members,
   for (std::size_t i = 0; i < group->members().size(); ++i) {
     const std::size_t proxy_index = group->members()[i].proxy;
     const ObjectId object = group->member_ids()[i];
-    auto& by_object = groups_by_member_[proxy_index];
-    if (by_object.size() <= object) by_object.resize(object + 1);
-    by_object[object].push_back(group.get());
+    groups_by_member_[proxy_index][object].push_back(group.get());
   }
   groups_.push_back(std::move(group));
   return *groups_.back();
@@ -211,9 +209,7 @@ void ProxyFleet::on_poll(std::size_t proxy_index, const PollEvent& event) {
 
 std::uint64_t ProxyFleet::next_relay_round(std::size_t proxy_index,
                                            ObjectId object) {
-  auto& rounds = relay_rounds_[proxy_index];
-  if (rounds.size() <= object) rounds.resize(object + 1, 0);
-  return rounds[object]++;
+  return relay_rounds_[proxy_index][object]++;
 }
 
 void ProxyFleet::relay(std::size_t from, std::size_t to, ObjectId object,
@@ -328,9 +324,9 @@ void ProxyFleet::deliver(std::size_t to, ObjectId object,
 void ProxyFleet::notify_groups(std::size_t proxy_index, ObjectId object,
                                const TemporalPollObservation& obs) {
   if (groups_by_member_.empty()) return;  // no δ-groups registered
-  const auto& by_object = groups_by_member_[proxy_index];
-  if (object >= by_object.size()) return;
-  for (FleetDeltaGroup* group : by_object[object]) {
+  const auto* groups = groups_by_member_[proxy_index].find(object);
+  if (groups == nullptr) return;
+  for (FleetDeltaGroup* group : *groups) {
     group->on_poll(proxy_index, object, obs);
   }
 }

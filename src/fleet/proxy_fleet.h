@@ -42,6 +42,7 @@
 #include "proxy/polling_engine.h"
 #include "sim/simulator.h"
 #include "util/check.h"
+#include "util/id_slots.h"
 #include "util/small_vector.h"
 
 namespace broadway {
@@ -249,10 +250,9 @@ class ProxyFleet {
   // groups watching that member, so notify_groups costs
   // O(groups-watching-this-object) — nothing for ungrouped objects —
   // instead of a virtual call into every registered group per poll.
-  // Object ids index the fleet-shared origin table, so a plain vector
-  // (sized lazily) serves as the map.
-  std::vector<std::vector<SmallVector<FleetDeltaGroup*, 2>>>
-      groups_by_member_;
+  // Sparse slots hold only the grouped members, not every id of the
+  // fleet-shared origin table.
+  std::vector<IdSlots<SmallVector<FleetDeltaGroup*, 2>>> groups_by_member_;
   std::vector<std::size_t> proxy_ids_;  // local index -> global proxy id
   std::unique_ptr<FleetClientTraffic> client_traffic_;  // null = no clients
   RelayExporter relay_exporter_;
@@ -267,8 +267,9 @@ class ProxyFleet {
   std::multiset<TimePoint> pending_relay_retries_;
   // Per-(local proxy, object) relay fan-out round counters: incremented
   // once per relayable poll, they key the per-attempt fault draws.  Only
-  // maintained while faults are active.
-  std::vector<std::vector<std::uint64_t>> relay_rounds_;
+  // maintained while faults are active; sparse slots hold the objects
+  // that have relayed.
+  std::vector<IdSlots<std::uint64_t>> relay_rounds_;
   bool faults_active_ = false;  // config_.faults.any(), cached
   RelayLedger relays_;
 

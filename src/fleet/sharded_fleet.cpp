@@ -405,21 +405,20 @@ std::size_t ShardedFleet::local_of(std::size_t shard,
 }
 
 void ShardedFleet::build_registration_ranks() {
-  // Per-proxy registration ranks for merge_slice_logs, indexed by
-  // ObjectId (one table, shared by every shard): pairs_ is
-  // in registration-scan order, so the per-proxy subsequence is the
-  // order the reference engine registered — and therefore started — the
+  // Per-proxy registration ranks for merge_slice_logs, keyed by
+  // ObjectId (one table, shared by every shard): pairs_ is in
+  // registration-scan order, so the per-proxy subsequence is the order
+  // the reference engine registered — and therefore started — the
   // proxy's objects.  Only partition-split proxies are ever merged.
   const UriTable& table = shards_[0].origin->uri_table();
   reg_rank_.assign(proxy_count_, {});
-  std::vector<std::size_t> next_rank(proxy_count_, 0);
   for (const PairInfo& pair : pairs_) {
     if (slices_of_proxy_[pair.proxy].size() <= 1) continue;
     const ObjectId object = table.find(pair.uri);
     BROADWAY_CHECK(object != kInvalidObjectId);
-    std::vector<std::size_t>& ranks = reg_rank_[pair.proxy];
-    if (ranks.size() <= object) ranks.resize(object + 1, SIZE_MAX);
-    ranks[object] = next_rank[pair.proxy]++;
+    IdSlots<std::size_t>& ranks = reg_rank_[pair.proxy];
+    const std::size_t rank = ranks.size();
+    ranks[object] = rank;
   }
 }
 
@@ -439,39 +438,42 @@ void ShardedFleet::build_remote_dests() {
     std::size_t proxy;
     RemoteDest dest;
   };
+  struct Fanout {
+    std::vector<Tracker> eligible;
+    std::vector<std::uint32_t> hosts;
+  };
   const UriTable& table = shards_[0].origin->uri_table();
-  const std::size_t objects = table.size();
-  std::vector<std::vector<Tracker>> eligible(objects);
-  std::vector<std::vector<std::uint32_t>> hosts(objects);
+  IdSlots<Fanout> fanout;
   for (const PairInfo& pair : pairs_) {
     const ObjectId object = table.find(pair.uri);
     BROADWAY_CHECK(object != kInvalidObjectId);
     const auto shard = static_cast<std::uint32_t>(pair.shard);
-    hosts[object].push_back(shard);
+    Fanout& entry = fanout[object];
+    entry.hosts.push_back(shard);
     const std::size_t local = local_of(pair.shard, pair.proxy);
     if (!shards_[shard].fleet->proxy(local).relay_eligible(object)) continue;
-    eligible[object].push_back(
+    entry.eligible.push_back(
         {pair.proxy, {shard, static_cast<std::uint32_t>(local)}});
   }
-  for (Shard& shard : shards_) {
-    shard.remote_dests.assign(objects, std::vector<RemoteDest>());
-  }
-  for (std::size_t object = 0; object < objects; ++object) {
-    std::vector<Tracker>& trackers = eligible[object];
+  auto entry = fanout.begin();
+  for (const ObjectId object : fanout.ids()) {
+    std::vector<Tracker>& trackers = entry->eligible;
     std::sort(trackers.begin(), trackers.end(),
               [](const Tracker& a, const Tracker& b) {
                 return a.proxy < b.proxy;
               });
-    std::vector<std::uint32_t>& on = hosts[object];
+    std::vector<std::uint32_t>& on = entry->hosts;
     std::sort(on.begin(), on.end());
     on.erase(std::unique(on.begin(), on.end()), on.end());
     for (const std::uint32_t s : on) {
-      std::vector<RemoteDest>& dests = shards_[s].remote_dests[object];
+      std::vector<RemoteDest> dests;
       for (const Tracker& tracker : trackers) {
         // Local siblings relay in-fleet.
         if (tracker.dest.shard != s) dests.push_back(tracker.dest);
       }
+      if (!dests.empty()) shards_[s].remote_dests[object] = std::move(dests);
     }
+    ++entry;
   }
 }
 
@@ -497,8 +499,7 @@ void ShardedFleet::build_send_watches() {
   for (std::size_t i = 0; i < pairs_.size(); ++i) {
     pair_object[i] = table.find(pairs_[i].uri);
     const Shard& home = shards_[pairs_[i].shard];
-    if (pair_object[i] < home.remote_dests.size() &&
-        !home.remote_dests[pair_object[i]].empty()) {
+    if (home.remote_dests.contains(pair_object[i])) {
       marked[pairs_[i].root] = true;
     }
   }
@@ -573,9 +574,8 @@ void ShardedFleet::export_relay(std::size_t shard_index,
                                 const PollEvent& event,
                                 std::uint64_t round) {
   Shard& shard = shards_[shard_index];
-  if (event.object >= shard.remote_dests.size()) return;
-  const std::vector<RemoteDest>& dests = shard.remote_dests[event.object];
-  if (dests.empty()) return;
+  const std::vector<RemoteDest>* dests = shard.remote_dests.find(event.object);
+  if (dests == nullptr) return;
   // One copy per message, shared across its destinations (the PollEvent's
   // references die with this call).
   auto response = std::make_shared<Response>(event.response);
@@ -584,7 +584,7 @@ void ShardedFleet::export_relay(std::size_t shard_index,
     // counter-keyed streams the slice fleets (and the one-simulator
     // reference) use, so the outcome per (object, src, dst, attempt) is
     // layout-invariant by construction.
-    for (const RemoteDest& dest : dests) {
+    for (const RemoteDest& dest : *dests) {
       export_attempt(shard_index, from_global, dest, event.object,
                      event.snapshot, response, round, 0);
     }
@@ -601,12 +601,12 @@ void ShardedFleet::export_relay(std::size_t shard_index,
   message.object = event.object;
   message.snapshot = event.snapshot;
   message.response = response;
-  for (const RemoteDest& dest : dests) {
+  for (const RemoteDest& dest : *dests) {
     message.seq = shard.export_seq++;
     message.dest_local = dest.local;
     shard.outbox[dest.shard].push_back(message);
   }
-  shard.exported.sent += dests.size();
+  shard.exported.sent += dests->size();
 }
 
 void ShardedFleet::export_attempt(std::size_t shard_index,
@@ -964,8 +964,8 @@ std::vector<ClientRequestRecord> ShardedFleet::merged_client_records() const {
   return merge_client_records(std::move(streams));
 }
 
-std::vector<PollRecord> ShardedFleet::merge_slice_logs(
-    std::size_t proxy) const {
+void ShardedFleet::merge_slice_logs(std::size_t proxy,
+                                    std::vector<PollRecord>& out) const {
   // A partition-split proxy's records live in several slice logs.
   // Rebuild the reference single-engine log order by merging on append
   // time — the instant the reference engine would have appended the
@@ -996,15 +996,14 @@ std::vector<PollRecord> ShardedFleet::merge_slice_logs(
     cursors.push_back({&records, 0});
     total += records.size();
   }
-  const std::vector<std::size_t>& ranks = reg_rank_[proxy];
+  const IdSlots<std::size_t>& ranks = reg_rank_[proxy];
   const auto rank_of = [&ranks](const PollRecord& record) {
-    BROADWAY_CHECK(record.object < ranks.size() &&
-                   ranks[record.object] != SIZE_MAX);
-    return ranks[record.object];
+    const std::size_t* rank = ranks.find(record.object);
+    BROADWAY_CHECK(rank != nullptr);
+    return *rank;
   };
-  std::vector<PollRecord> merged;
-  merged.reserve(total);
-  while (merged.size() < total) {
+  const std::size_t end = out.size() + total;
+  while (out.size() < end) {
     std::size_t best = SIZE_MAX;
     for (std::size_t c = 0; c < cursors.size(); ++c) {
       if (cursors[c].next >= cursors[c].records->size()) continue;
@@ -1020,34 +1019,40 @@ std::vector<PollRecord> ShardedFleet::merge_slice_logs(
         best = c;
       }
     }
-    merged.push_back((*cursors[best].records)[cursors[best].next]);
+    out.push_back((*cursors[best].records)[cursors[best].next]);
     ++cursors[best].next;
   }
-  return merged;
 }
 
 std::vector<PollRecord> ShardedFleet::merged_poll_records() const {
-  // merge_poll_records keys on (snapshot_time, proxy, in-log position),
-  // so each proxy's records must arrive in its reference in-log order:
-  // directly for single-slice proxies, via the slice merge for split
-  // ones (owned storage, reserved up front so the pointers stay put).
-  std::vector<std::vector<PollRecord>> split_storage;
-  split_storage.reserve(proxy_count_);
-  std::vector<ProxyPollRecords> logs;
-  logs.reserve(proxy_count_);
+  // The merge_poll_records order, built in one buffer: each proxy's
+  // records in its reference in-log order (the slice log of a
+  // single-slice proxy, the slice merge of a split one), proxies
+  // ascending, then the one stable sort by snapshot time.  Split proxies
+  // merge straight into the buffer, so no record is copied twice.
+  std::size_t total = 0;
+  for (const std::vector<SliceRef>& slices : slices_of_proxy_) {
+    for (const SliceRef& slice : slices) {
+      total += shards_[slice.shard]
+                   .fleet->proxy(slice.local)
+                   .poll_log()
+                   .size();
+    }
+  }
+  std::vector<PollRecord> merged;
+  merged.reserve(total);
   for (std::size_t proxy = 0; proxy < proxy_count_; ++proxy) {
     const std::vector<SliceRef>& slices = slices_of_proxy_[proxy];
     if (slices.size() == 1) {
-      logs.push_back({proxy, &shards_[slices[0].shard]
-                                  .fleet->proxy(slices[0].local)
-                                  .poll_log()
-                                  .records()});
+      const PollLog& log =
+          shards_[slices[0].shard].fleet->proxy(slices[0].local).poll_log();
+      merged.insert(merged.end(), log.begin(), log.end());
     } else {
-      split_storage.push_back(merge_slice_logs(proxy));
-      logs.push_back({proxy, &split_storage.back()});
+      merge_slice_logs(proxy, merged);
     }
   }
-  return merge_poll_records(std::move(logs));
+  order_merged_poll_records(merged);
+  return merged;
 }
 
 }  // namespace broadway

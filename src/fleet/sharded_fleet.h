@@ -53,7 +53,12 @@
 // and a hot proxy no longer serializes a run.  Either way the layout
 // depends only on the topology and the `shards` knob — never on the
 // thread count — so merged output is thread-schedule independent by
-// construction.
+// construction.  Every ObjectId-keyed table of a shard — its engine
+// slices' caches, poll-log indices and tracked objects, the slice fleet's
+// group index and relay rounds, the origin reader's version hints and
+// the shard's remote fan-out lists — is an IdSlots (util/id_slots.h)
+// holding only the pairs the shard hosts, so raising the shard count
+// adds O(pairs), not O(objects) per slice.
 //
 // Accounting merges deterministically at sweep end: FleetOriginLoad
 // counters are sums, and merged_poll_records() orders the fleet-wide
@@ -76,6 +81,7 @@
 #include "origin/origin_server.h"
 #include "proxy/polling_engine.h"
 #include "sim/simulator.h"
+#include "util/id_slots.h"
 #include "util/thread_pool.h"
 
 namespace broadway {
@@ -264,8 +270,9 @@ class ShardedFleet {
     /// Messages produced this window, keyed by destination shard.
     std::vector<std::vector<Message>> outbox;
     /// Remote destinations per object for relays leaving this shard,
-    /// ascending global proxy id.  Empty slot = no remote trackers.
-    std::vector<std::vector<RemoteDest>> remote_dests;
+    /// ascending global proxy id.  Only objects this shard polls and
+    /// some other shard tracks have a slot.
+    IdSlots<std::vector<RemoteDest>> remote_dests;
     /// Local (engine, object) pairs whose next own-schedule fire bounds
     /// this shard's next cross-shard-visible send — the export closure
     /// restricted to this shard (see build_send_watches).
@@ -332,8 +339,10 @@ class ShardedFleet {
   TimePoint shard_send_bound(const Shard& shard, TimePoint cutoff) const;
   /// The single slice of an unsplit proxy (CHECKs slice_count == 1).
   const SliceRef& sole_slice(std::size_t proxy) const;
-  /// Merge a split proxy's slice logs back into reference in-log order.
-  std::vector<PollRecord> merge_slice_logs(std::size_t proxy) const;
+  /// Append a split proxy's slice logs to `out`, merged back into
+  /// reference in-log order.
+  void merge_slice_logs(std::size_t proxy,
+                        std::vector<PollRecord>& out) const;
 
   ShardedFleetConfig config_;
   std::size_t proxy_count_ = 0;
@@ -354,13 +363,12 @@ class ShardedFleet {
     std::size_t shard = 0;  // hosting shard
   };
   std::vector<PairInfo> pairs_;
-  // Per-proxy registration ranks indexed by ObjectId (position in the
-  // proxy's registration order; SIZE_MAX for objects it does not track;
-  // empty for unsplit proxies): the cross-slice tie-break
-  // merge_slice_logs uses to replay the reference's same-instant record
-  // order for pairs that were allowed to split (see the colocation rules
-  // in build_shards).
-  std::vector<std::vector<std::size_t>> reg_rank_;
+  // Per-proxy registration ranks keyed by ObjectId (position in the
+  // proxy's registration order; empty for unsplit proxies): the
+  // cross-slice tie-break merge_slice_logs uses to replay the reference's
+  // same-instant record order for pairs that were allowed to split (see
+  // the colocation rules in build_shards).
+  std::vector<IdSlots<std::size_t>> reg_rank_;
   std::vector<double> window_costs_;  // per-shard hints, reused
   std::unique_ptr<ThreadPool> pool_;
 };

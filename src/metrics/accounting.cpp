@@ -81,11 +81,15 @@ std::vector<PollRecord> merge_poll_records(
   for (const ProxyPollRecords& log : logs) {
     merged.insert(merged.end(), log.records->begin(), log.records->end());
   }
-  std::stable_sort(merged.begin(), merged.end(),
+  order_merged_poll_records(merged);
+  return merged;
+}
+
+void order_merged_poll_records(std::vector<PollRecord>& concatenation) {
+  std::stable_sort(concatenation.begin(), concatenation.end(),
                    [](const PollRecord& a, const PollRecord& b) {
                      return a.snapshot_time < b.snapshot_time;
                    });
-  return merged;
 }
 
 std::vector<std::size_t> polls_per_bucket(const std::vector<PollRecord>& log,

@@ -160,6 +160,12 @@ struct ProxyPollRecords {
 std::vector<PollRecord> merge_poll_records(
     std::vector<ProxyPollRecords> logs);
 
+/// The ordering step of merge_poll_records, for callers that build the
+/// proxy-ascending concatenation themselves (each proxy's records
+/// contiguous and in in-log order, proxies ascending): a stable sort by
+/// snapshot time, in place.
+void order_merged_poll_records(std::vector<PollRecord>& concatenation);
+
 /// Successful polls per time bucket over [0, horizon), optionally filtered
 /// by cause and/or uri (empty = all).  The Fig. 6(b) series is
 /// polls_per_bucket(log, 2h, horizon, PollCause::kTriggered).

@@ -58,10 +58,10 @@ void OriginServer::append_trace(VersionedObject& object,
 
 ObjectVersion OriginServer::current(ObjectId id,
                                     const VersionedObject& object) const {
-  if (seen_.size() <= id) seen_.resize(uri_table().size());
+  std::uint32_t& seen = seen_[id];
   const ObjectVersion version =
-      object.at(sim_.now(), sim_.reached(sim_.now()), seen_[id]);
-  seen_[id] = static_cast<std::uint32_t>(version.version());
+      object.at(sim_.now(), sim_.reached(sim_.now()), seen);
+  seen = static_cast<std::uint32_t>(version.version());
   return version;
 }
 

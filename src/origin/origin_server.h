@@ -43,6 +43,7 @@
 #include "sim/simulator.h"
 #include "trace/update_trace.h"
 #include "trace/value_trace.h"
+#include "util/id_slots.h"
 #include "util/uri_table.h"
 
 namespace broadway {
@@ -151,7 +152,9 @@ class OriginServer {
   std::size_t responses_304_ = 0;
   /// Per-object version this reader last saw.  Its clock never runs
   /// backwards, so a read resumes there: O(1) while nothing new is due.
-  mutable std::vector<std::uint32_t> seen_;
+  /// Sparse slots: a shard's reader holds only the objects its proxies
+  /// read.
+  mutable IdSlots<std::uint32_t> seen_;
 
   ObjectVersion current(ObjectId id, const VersionedObject& object) const;
 

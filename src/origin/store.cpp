@@ -13,16 +13,14 @@ VersionedObject& ObjectStore::create(const std::string& uri,
                      "origin content is frozen; cannot add " << uri);
   BROADWAY_CHECK_MSG(!contains(uri), "duplicate object " << uri);
   auto object = std::make_unique<VersionedObject>(uri, creation_time, value);
-  const ObjectId id = uris_.intern(uri);
-  if (objects_.size() <= id) objects_.resize(id + 1);
-  objects_[id] = std::move(object);
-  ++size_;
-  return *objects_[id];
+  VersionedObject& created = *object;
+  objects_[uris_.intern(uri)] = std::move(object);
+  return created;
 }
 
 VersionedObject* ObjectStore::find(const std::string& uri) {
-  const ObjectId id = uris_.find(uri);
-  return id < objects_.size() ? objects_[id].get() : nullptr;
+  auto* object = objects_.find(uris_.find(uri));
+  return object == nullptr ? nullptr : object->get();
 }
 
 const VersionedObject* ObjectStore::find(const std::string& uri) const {
@@ -37,10 +35,8 @@ const VersionedObject& ObjectStore::at(const std::string& uri) const {
 
 std::vector<std::string> ObjectStore::uris() const {
   std::vector<std::string> out;
-  out.reserve(size_);
-  for (const auto& object : objects_) {
-    if (object != nullptr) out.push_back(object->uri());
-  }
+  out.reserve(objects_.size());
+  for (const auto& object : objects_) out.push_back(object->uri());
   std::sort(out.begin(), out.end());
   return out;
 }

@@ -8,11 +8,12 @@
 #include <vector>
 
 #include "origin/object.h"
+#include "util/id_slots.h"
 #include "util/uri_table.h"
 
 namespace broadway {
 
-/// Owning uri -> VersionedObject map, indexed by the interned ObjectId.
+/// Owning uri -> VersionedObject map, keyed by the interned ObjectId.
 /// Pointers returned by `find` stay valid for the life of the store
 /// (objects are never removed; a web origin in this model retires content
 /// by updating it, not deleting it).  Once the table is frozen no object
@@ -31,7 +32,8 @@ class ObjectStore {
   /// Lookup by interned id; nullptr when the table interned a uri this
   /// store does not host (e.g. a proxy-only registration).  O(1).
   const VersionedObject* by_id(ObjectId id) const {
-    return id < objects_.size() ? objects_[id].get() : nullptr;
+    const auto* object = objects_.find(id);
+    return object == nullptr ? nullptr : object->get();
   }
 
   /// Lookup that requires presence.
@@ -41,7 +43,7 @@ class ObjectStore {
     return find(uri) != nullptr;
   }
 
-  std::size_t size() const { return size_; }
+  std::size_t size() const { return objects_.size(); }
 
   /// All uris, sorted (deterministic iteration for tests and reports).
   std::vector<std::string> uris() const;
@@ -51,9 +53,9 @@ class ObjectStore {
 
  private:
   UriTable uris_;
-  /// Dense ObjectId -> object (null where the uri is not hosted here).
-  std::vector<std::unique_ptr<VersionedObject>> objects_;
-  std::size_t size_ = 0;
+  /// ObjectId -> object, for the ids this store hosts (the table may also
+  /// hold proxy-only registrations).
+  IdSlots<std::unique_ptr<VersionedObject>> objects_;
 };
 
 }  // namespace broadway

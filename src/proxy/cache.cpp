@@ -12,47 +12,35 @@ ProxyCache::ProxyCache()
 
 ProxyCache::ProxyCache(UriTable& table) : table_(&table) {}
 
-std::optional<CacheEntry>& ProxyCache::slot(ObjectId id) {
-  if (entries_.size() <= id) entries_.resize(id + 1);
-  return entries_[id];
-}
-
 void ProxyCache::store(CacheEntry entry) {
   BROADWAY_CHECK_MSG(!entry.uri.empty(), "cache entry without uri");
-  std::optional<CacheEntry>& existing = slot(table_->intern(entry.uri));
-  if (existing) {
-    BROADWAY_CHECK_MSG(entry.snapshot_time >= existing->snapshot_time,
+  auto [existing, inserted] = entries_.try_emplace(table_->intern(entry.uri));
+  if (!inserted) {
+    BROADWAY_CHECK_MSG(entry.snapshot_time >= existing.snapshot_time,
                        entry.uri << ": snapshot would move backwards");
-    entry.refresh_count = existing->refresh_count + 1;
-    *existing = std::move(entry);
-    return;
+    entry.refresh_count = existing.refresh_count + 1;
   }
-  ++count_;
   existing = std::move(entry);
 }
 
 CacheEntry& ProxyCache::refresh_entry(ObjectId id, TimePoint snapshot) {
-  std::optional<CacheEntry>& existing = slot(id);
-  if (existing) {
-    BROADWAY_CHECK_MSG(snapshot >= existing->snapshot_time,
-                       existing->uri << ": snapshot would move backwards");
-    ++existing->refresh_count;
-    return *existing;
+  auto [existing, inserted] = entries_.try_emplace(id);
+  if (inserted) {
+    existing.uri = table_->uri(id);
+    return existing;
   }
-  ++count_;
-  existing.emplace();
-  existing->uri = table_->uri(id);
-  return *existing;
+  BROADWAY_CHECK_MSG(snapshot >= existing.snapshot_time,
+                     existing.uri << ": snapshot would move backwards");
+  ++existing.refresh_count;
+  return existing;
 }
 
 const CacheEntry* ProxyCache::find(ObjectId id) const {
-  if (id >= entries_.size() || !entries_[id]) return nullptr;
-  return &*entries_[id];
+  return entries_.find(id);
 }
 
 const CacheEntry* ProxyCache::find(const std::string& uri) const {
-  const ObjectId id = table_->find(uri);
-  return id == kInvalidObjectId ? nullptr : find(id);
+  return find(table_->find(uri));
 }
 
 const CacheEntry& ProxyCache::at(const std::string& uri) const {
@@ -62,8 +50,7 @@ const CacheEntry& ProxyCache::at(const std::string& uri) const {
 }
 
 const CacheEntry* ProxyCache::lookup_counted(ObjectId id) {
-  const CacheEntry* entry =
-      id == kInvalidObjectId ? nullptr : find(id);
+  const CacheEntry* entry = find(id);
   if (entry != nullptr) {
     ++hits_;
   } else {
@@ -78,17 +65,14 @@ const CacheEntry* ProxyCache::lookup_counted(const std::string& uri) {
 
 std::vector<std::string> ProxyCache::uris() const {
   std::vector<std::string> out;
-  out.reserve(count_);
-  for (const auto& entry : entries_) {
-    if (entry) out.push_back(entry->uri);
-  }
+  out.reserve(entries_.size());
+  for (const CacheEntry& entry : entries_) out.push_back(entry.uri);
   std::sort(out.begin(), out.end());
   return out;
 }
 
 void ProxyCache::clear() {
   entries_.clear();
-  count_ = 0;
 }
 
 }  // namespace broadway

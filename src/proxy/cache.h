@@ -6,10 +6,16 @@
 // last-modified instant the server reported.  The paper assumes an
 // infinitely large cache (§6.1.1), so there is no eviction.
 //
-// Storage is keyed by interned ObjectId (dense vector — a cache lookup on
-// the poll hot path is one bounds check and one indexed load); the
-// string-uri accessors translate through the shared UriTable and exist for
-// tests, reports and the client-facing read path.
+// Storage is keyed by interned ObjectId in sparse slots (util/id_slots.h):
+// a cache costs its entries plus a small id -> slot map, never a payload
+// per id of the shared table, so an engine slice caching a hundred objects
+// of a large origin pays for a hundred.  The string-uri accessors
+// translate through the shared UriTable and exist for tests, reports and
+// the client-facing read path.
+//
+// Entry pointers (find, lookup_counted) and references (refresh_entry) are
+// invalidated by the next insert of a new object and by clear(): look the
+// entry up again after anything that may store.
 #pragma once
 
 #include <memory>
@@ -17,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "util/id_slots.h"
 #include "util/time.h"
 #include "util/uri_table.h"
 
@@ -74,10 +81,10 @@ class ProxyCache {
   bool contains(const std::string& uri) const {
     return find(uri) != nullptr;
   }
-  std::size_t size() const { return count_; }
+  std::size_t size() const { return entries_.size(); }
 
   /// Hit/miss accounting for client-facing reads.  The id overload is
-  /// the client-traffic hot path (one bounds check, one indexed load);
+  /// the client-traffic hot path (one slot lookup);
   /// the string overload translates through the shared table.
   const CacheEntry* lookup_counted(ObjectId id);
   const CacheEntry* lookup_counted(const std::string& uri);
@@ -94,12 +101,9 @@ class ProxyCache {
  private:
   std::unique_ptr<UriTable> owned_table_;  // null when sharing
   UriTable* table_;
-  std::vector<std::optional<CacheEntry>> entries_;  // indexed by ObjectId
-  std::size_t count_ = 0;
+  IdSlots<CacheEntry> entries_;
   std::size_t hits_ = 0;
   std::size_t misses_ = 0;
-
-  std::optional<CacheEntry>& slot(ObjectId id);
 };
 
 }  // namespace broadway

@@ -18,11 +18,6 @@ PollLog::PollLog()
 
 PollLog::PollLog(UriTable& table) : table_(&table) {}
 
-PollLog::UriIndex& PollLog::index_for(ObjectId object) {
-  if (by_id_.size() <= object) by_id_.resize(object + 1);
-  return by_id_[object];
-}
-
 void PollLog::count(UriIndex& index, const PollRecord& record) {
   ++index.live;
   if (window_ > 0 && index.live > window_) ++evictable_;
@@ -55,11 +50,15 @@ void PollLog::count(UriIndex& index, const PollRecord& record) {
 void PollLog::append(PollRecord record) {
   if (record.object == kInvalidObjectId) {
     record.object = table_->intern(record.uri);
-  }
-  if (record.uri.empty()) {
+  } else if (record.uri.empty()) {
     record.uri = table_->uri(record.object);
+  } else {
+    BROADWAY_CHECK_MSG(table_->find(record.uri) == record.object,
+                       "poll record uri " << record.uri
+                                          << " does not name object "
+                                          << record.object);
   }
-  count(index_for(record.object), record);
+  count(by_id_[record.object], record);
   records_.push_back(std::move(record));
   maybe_compact();
 }
@@ -74,15 +73,13 @@ void PollLog::append(ObjectId object, PollCause cause, bool modified,
   record.cause = cause;
   record.modified = modified;
   record.failed = failed;
-  count(index_for(object), record);
+  count(by_id_[object], record);
   records_.push_back(std::move(record));
   maybe_compact();
 }
 
 const PollLog::UriIndex* PollLog::find(const std::string& uri) const {
-  const ObjectId id = table_->find(uri);
-  if (id == kInvalidObjectId || id >= by_id_.size()) return nullptr;
-  return &by_id_[id];
+  return by_id_.find(table_->find(uri));
 }
 
 const std::vector<std::size_t>& PollLog::successful_records(
@@ -93,7 +90,8 @@ const std::vector<std::size_t>& PollLog::successful_records(
 
 const std::vector<std::size_t>& PollLog::successful_records(
     ObjectId object) const {
-  return object < by_id_.size() ? by_id_[object].successful : kNoRecords;
+  const UriIndex* index = by_id_.find(object);
+  return index == nullptr ? kNoRecords : index->successful;
 }
 
 std::vector<TimePoint> PollLog::completion_times(
@@ -124,7 +122,8 @@ std::size_t PollLog::polls_performed(const std::string& uri) const {
 }
 
 std::size_t PollLog::polls_performed(ObjectId object) const {
-  return object < by_id_.size() ? by_id_[object].performed : 0;
+  const UriIndex* index = by_id_.find(object);
+  return index == nullptr ? 0 : index->performed;
 }
 
 std::size_t PollLog::triggered_polls(const std::string& uri) const {
@@ -146,7 +145,8 @@ std::size_t PollLog::demand_fills(const std::string& uri) const {
 }
 
 std::size_t PollLog::demand_fills(ObjectId object) const {
-  return object < by_id_.size() ? by_id_[object].demand : 0;
+  const UriIndex* index = by_id_.find(object);
+  return index == nullptr ? 0 : index->demand;
 }
 
 void PollLog::set_retention_window(std::size_t window) {
@@ -169,17 +169,20 @@ void PollLog::compact() {
   if (window_ == 0 || evictable_ == 0) return;
   // Per-object: drop the oldest (live - window) records.  One forward
   // pass keeps relative order, so the rebuilt successful indices stay
-  // ascending in both record order and time.
-  std::vector<std::size_t> drop(by_id_.size(), 0);
-  for (std::size_t id = 0; id < by_id_.size(); ++id) {
-    if (by_id_[id].live > window_) drop[id] = by_id_[id].live - window_;
+  // ascending in both record order and time.  Drop counts are kept per
+  // index slot, one lookup per record.
+  std::vector<std::size_t> drop;
+  drop.reserve(by_id_.size());
+  for (const UriIndex& index : by_id_) {
+    drop.push_back(index.live > window_ ? index.live - window_ : 0);
   }
   std::vector<PollRecord> kept;
   kept.reserve(records_.size() - evictable_);
   for (PollRecord& record : records_) {
-    BROADWAY_CHECK(record.object < drop.size());
-    if (drop[record.object] > 0) {
-      --drop[record.object];
+    const std::uint32_t slot = by_id_.slot_of(record.object);
+    BROADWAY_CHECK(slot != IdSlots<UriIndex>::kNoSlot);
+    if (drop[slot] > 0) {
+      --drop[slot];
       continue;
     }
     kept.push_back(std::move(record));
@@ -192,7 +195,7 @@ void PollLog::compact() {
     index.live = 0;
   }
   for (std::size_t i = 0; i < records_.size(); ++i) {
-    UriIndex& index = by_id_[records_[i].object];
+    UriIndex& index = *by_id_.find(records_[i].object);
     ++index.live;
     if (!records_[i].failed) index.successful.push_back(i);
   }

@@ -11,9 +11,11 @@
 // and O(1) lookups respectively.
 //
 // Records and the index are keyed by interned ObjectId (the engine appends
-// by id — no hashing, no string copies on the hot path beyond the record's
-// human-readable uri field); string-uri queries translate through the
-// table.
+// by id — no string hashing, no string copies on the hot path beyond the
+// record's human-readable uri field); string-uri queries translate through
+// the table.  The per-object index lives in sparse slots (util/id_slots.h),
+// so a log costs its records plus one index per object it has actually
+// seen, however many ids the shared table holds.
 //
 // Long-horizon runs can cap memory with a retention window
 // (set_retention_window): each object keeps only its newest W records,
@@ -28,6 +30,7 @@
 #include <vector>
 
 #include "consistency/types.h"
+#include "util/id_slots.h"
 #include "util/time.h"
 #include "util/uri_table.h"
 
@@ -72,10 +75,12 @@ class PollLog {
 
   /// Append one record, updating the per-object index and the counters.
   /// Interns record.uri when record.object is defaulted; fills record.uri
-  /// from the table when only the id is set.
+  /// from the table when only the id is set.  When both are set they must
+  /// name the same object (CheckFailure otherwise): the id-indexed and the
+  /// uri-filtered queries would disagree about a mismatched record.
   void append(PollRecord record);
 
-  /// Hot-path append by interned id: no hashing, no lookup.
+  /// Hot-path append by interned id: no string hashing, one slot lookup.
   void append(ObjectId object, PollCause cause, bool modified, bool failed,
               TimePoint snapshot, TimePoint complete);
 
@@ -181,7 +186,6 @@ class PollLog {
 
   /// nullptr when the object has no records.
   const UriIndex* find(const std::string& uri) const;
-  UriIndex& index_for(ObjectId object);
 
   void count(UriIndex& index, const PollRecord& record);
   void maybe_compact();
@@ -189,7 +193,7 @@ class PollLog {
   std::unique_ptr<UriTable> owned_table_;  // null when sharing
   UriTable* table_;
   std::vector<PollRecord> records_;
-  std::vector<UriIndex> by_id_;
+  IdSlots<UriIndex> by_id_;
   std::size_t performed_total_ = 0;
   std::size_t triggered_total_ = 0;
   std::size_t relay_total_ = 0;

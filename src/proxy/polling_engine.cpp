@@ -34,9 +34,8 @@ TrackedObject& PollingEngine::register_object(
   BROADWAY_CHECK_MSG(tracked(id) == nullptr,
                      "duplicate registration of " << object->uri());
   object->set_id(id);
-  if (objects_by_id_.size() <= id) objects_by_id_.resize(id + 1);
+  TrackedObject* raw = object.get();
   objects_by_id_[id] = std::move(object);
-  TrackedObject* raw = objects_by_id_[id].get();
   // Keep the deterministic sorted-by-uri sweep order of the uri-keyed map
   // this structure replaces (registration is cold; insertion cost is
   // irrelevant).

@@ -19,7 +19,11 @@
 // Hot-path representation: uris are interned once at registration into the
 // origin's shared UriTable; the pipeline carries dense ObjectId handles
 // into the cache, the poll log, the coordinator dispatch and the fleet
-// relay path.  Coordinator notification is subscription-routed: each
+// relay path.  The engine's own tables (tracked objects, cache entries,
+// poll-log indices) are IdSlots keyed by those ids, so an engine costs
+// O(objects it tracks) however large the shared table is — an engine
+// slice of a sharded fleet tracks a few of the origin's ids.
+// Coordinator notification is subscription-routed: each
 // TrackedObject carries the list of coordinators watching it (built at
 // add_coordinator time from the coordinator's interned member set), so the
 // notify stage costs O(subscribers-of-this-object) — nothing at all for
@@ -69,6 +73,7 @@
 #include "proxy/tracked_object.h"
 #include "sim/periodic.h"
 #include "sim/simulator.h"
+#include "util/id_slots.h"
 #include "util/rng.h"
 #include "util/uri_table.h"
 
@@ -415,10 +420,12 @@ class PollingEngine {
   bool dark_ = false;
 
   // unique_ptr elements: scheduled tasks and groups capture raw object
-  // pointers, which must survive container growth.  Indexed by ObjectId;
-  // ordered_ repeats them sorted by uri for deterministic start/recovery
-  // sweeps (the iteration order of the uri-keyed map this replaces).
-  std::vector<std::unique_ptr<TrackedObject>> objects_by_id_;
+  // pointers, which must survive container growth.  Keyed by ObjectId in
+  // sparse slots, so an engine slice pays for the objects it tracks, not
+  // for every id of the shared table; ordered_ repeats them sorted by uri
+  // for deterministic start/recovery sweeps (the iteration order of the
+  // uri-keyed map this replaces).
+  IdSlots<std::unique_ptr<TrackedObject>> objects_by_id_;
   std::vector<TrackedObject*> ordered_;
   std::vector<std::unique_ptr<MutualCoordinator>> coordinators_;
   std::vector<std::unique_ptr<VirtualGroup>> virtual_groups_;
@@ -492,10 +499,12 @@ class PollingEngine {
                                  bool self_scheduled);
 
   const TrackedObject* tracked(ObjectId id) const {
-    return id < objects_by_id_.size() ? objects_by_id_[id].get() : nullptr;
+    const auto* object = objects_by_id_.find(id);
+    return object == nullptr ? nullptr : object->get();
   }
   TrackedObject* tracked(ObjectId id) {
-    return id < objects_by_id_.size() ? objects_by_id_[id].get() : nullptr;
+    auto* object = objects_by_id_.find(id);
+    return object == nullptr ? nullptr : object->get();
   }
 
   CoordinatorHooks make_hooks();

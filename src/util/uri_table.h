@@ -4,9 +4,10 @@
 // full `std::string` uris — one hash + compare (and often one copy) per
 // poll per layer.  A UriTable interns each uri once and hands out a dense
 // uint32 ObjectId; the origin store, the proxy cache, the poll log and the
-// fleet relay path all index plain vectors by that id instead.  String
-// uris remain available for reports, tests and public accessors via
-// `uri(id)`.
+// fleet relay path all key their tables by that id instead, through
+// IdSlots (util/id_slots.h), which costs what a table holds rather than
+// one entry per id of the table.  String uris remain available for
+// reports, tests and public accessors via `uri(id)`.
 //
 // Storage is a deque so interned strings never move: `uri(id)` references
 // and the string_views handed to PollRecord stay valid for the life of the

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "util/check.h"
 
 namespace broadway {
@@ -69,6 +72,55 @@ TEST(ProxyCache, UrisAndClear) {
   cache.clear();
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_FALSE(cache.contains("/a"));
+}
+
+// A cache sharing a large table holds a few scattered, high ids: lookups,
+// sorted uris() and a store -> clear() -> re-store cycle behave exactly as
+// on a table holding only those ids.
+TEST(ProxyCache, SparseHighIdsInASharedTable) {
+  UriTable table;
+  for (int i = 0; i < 5000; ++i) {
+    table.intern("/untracked/" + std::to_string(i));
+  }
+  ProxyCache cache(table);
+  const std::vector<std::string> uris = {"/z", "/m", "/a", "/q"};
+  std::vector<ObjectId> ids;
+  for (const std::string& uri : uris) {
+    for (int i = 0; i < 700; ++i) {  // spread the tracked ids apart
+      table.intern(uri + "/gap/" + std::to_string(i));
+    }
+    ids.push_back(table.intern(uri));
+  }
+  for (std::size_t i = 0; i < uris.size(); ++i) {
+    CacheEntry& fresh = cache.refresh_entry(ids[i], 5.0);
+    EXPECT_EQ(fresh.uri, uris[i]);
+    EXPECT_EQ(fresh.refresh_count, 0u);
+    fresh.snapshot_time = 5.0;
+  }
+  cache.store(entry("/m", 6.0));
+  EXPECT_EQ(cache.size(), 4u);
+  EXPECT_EQ(cache.uris(),
+            (std::vector<std::string>{"/a", "/m", "/q", "/z"}));
+  EXPECT_EQ(cache.at("/m").refresh_count, 1u);
+  EXPECT_EQ(cache.find(ids[2])->uri, "/a");
+  EXPECT_EQ(cache.find(table.find("/untracked/42")), nullptr);
+  EXPECT_EQ(cache.find(kInvalidObjectId), nullptr);
+  EXPECT_EQ(cache.lookup_counted(table.find("/untracked/7")), nullptr);
+  EXPECT_EQ(cache.misses(), 1u);
+
+  cache.clear();
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_TRUE(cache.uris().empty());
+  for (const ObjectId id : ids) EXPECT_EQ(cache.find(id), nullptr);
+  // Re-store after the clear, in another order: a fresh entry (no
+  // refresh count carried over), and monotonicity restarts with it.
+  cache.store(entry("/q", 1.0));
+  cache.store(entry("/z", 2.0));
+  cache.store(entry("/q", 3.0));
+  EXPECT_EQ(cache.uris(), (std::vector<std::string>{"/q", "/z"}));
+  EXPECT_EQ(cache.at("/q").refresh_count, 1u);
+  EXPECT_DOUBLE_EQ(cache.at("/z").snapshot_time, 2.0);
+  EXPECT_EQ(cache.find(ids[2]), nullptr);
 }
 
 TEST(ProxyCache, RejectsAnonymousEntry) {

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -20,6 +21,7 @@
 #include "trace/generators.h"
 #include "trace/update_trace.h"
 #include "trace/value_trace.h"
+#include "util/check.h"
 #include "util/rng.h"
 
 namespace broadway {
@@ -125,6 +127,40 @@ TEST(PollLog, IndexMatchesBruteForceOnRandomizedWorkload) {
   std::vector<std::string> queried = uris;
   queried.push_back("/never-polled");
   expect_log_matches_scan(log, queried);
+}
+
+TEST(PollLog, AppendRejectsUriIdMismatch) {
+  // A record naming one object by uri and another by id would be indexed
+  // under the id while the uri-filtered scans (fidelity, accounting)
+  // attribute it to the uri.  The log refuses it instead.
+  UriTable table;
+  const ObjectId a = table.intern("/a");
+  const ObjectId b = table.intern("/b");
+  PollLog log(table);
+  PollRecord mismatched;
+  mismatched.uri = "/a";
+  mismatched.object = b;
+  EXPECT_THROW(log.append(mismatched), CheckFailure);
+  PollRecord unknown_uri;
+  unknown_uri.uri = "/never-interned";
+  unknown_uri.object = a;
+  EXPECT_THROW(log.append(unknown_uri), CheckFailure);
+  EXPECT_TRUE(log.empty());
+  EXPECT_EQ(log.polls_performed(), 0u);
+
+  PollRecord consistent;
+  consistent.uri = "/b";
+  consistent.object = b;
+  consistent.cause = PollCause::kScheduled;
+  log.append(consistent);
+  PollRecord id_only;
+  id_only.object = a;
+  id_only.cause = PollCause::kScheduled;
+  log.append(id_only);
+  ASSERT_EQ(log.size(), 2u);
+  EXPECT_EQ(log[1].uri, "/a");
+  EXPECT_EQ(log.polls_performed("/a"), 1u);
+  EXPECT_EQ(log.polls_performed("/b"), 1u);
 }
 
 TEST(PollLog, UnknownUriAnswersEmpty) {
@@ -296,6 +332,110 @@ TEST(PollLogRetention, CountersMatchUnwindowedExactly) {
       if (i > 0) EXPECT_GT(successful[i], successful[i - 1]);
     }
   }
+}
+
+// Reference retention: the newest `window` records of each uri, in log
+// order.
+std::vector<PollRecord> scan_retained(const std::vector<PollRecord>& records,
+                                      std::size_t window) {
+  std::map<std::string, std::size_t> remaining;
+  for (const PollRecord& record : records) ++remaining[record.uri];
+  std::vector<PollRecord> kept;
+  for (const PollRecord& record : records) {
+    if (remaining[record.uri]-- <= window) kept.push_back(record);
+  }
+  return kept;
+}
+
+// Logs sharing a table whose first 5000 ids (and the gaps between the
+// tracked ones) nobody polls: the index, the counters and compaction
+// behave exactly as the linear-scan oracles say, with every tracked id
+// sparse and high.
+TEST(PollLogRetention, SparseHighIdsMatchScanOracle) {
+  UriTable table;
+  for (int i = 0; i < 5000; ++i) {
+    table.intern("/untracked/" + std::to_string(i));
+  }
+  const std::vector<std::string> uris = {"/p", "/q", "/r", "/s", "/t"};
+  std::vector<ObjectId> ids;
+  for (std::size_t u = 0; u < uris.size(); ++u) {
+    for (std::size_t i = 0; i < 300 * u; ++i) {
+      table.intern(uris[u] + "/gap/" + std::to_string(i));
+    }
+    ids.push_back(table.intern(uris[u]));
+  }
+  // No kRelay: the scan oracle counts every successful non-initial
+  // record as a poll.
+  const PollCause causes[] = {PollCause::kInitial, PollCause::kScheduled,
+                              PollCause::kTriggered, PollCause::kRetry,
+                              PollCause::kClientMiss};
+  constexpr std::size_t kWindow = 8;
+  PollLog full(table);
+  PollLog windowed(table);
+  windowed.set_retention_window(kWindow);
+  Rng rng(5000);
+  TimePoint t = 0.0;
+  for (int i = 0; i < 3000; ++i) {
+    const std::size_t u = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(uris.size()) - 1));
+    const PollCause cause = causes[rng.uniform_int(0, 4)];
+    const bool failed = rng.bernoulli(0.15);
+    const bool modified = !failed && rng.bernoulli(0.5);
+    t += rng.uniform(0.0, 5.0);
+    // Alternate the two append paths: by id, and a record naming the
+    // object by id only.
+    if (i % 2 == 0) {
+      full.append(ids[u], cause, modified, failed, t, t + 1.0);
+      windowed.append(ids[u], cause, modified, failed, t, t + 1.0);
+    } else {
+      PollRecord record;
+      record.snapshot_time = t;
+      record.complete_time = t + 1.0;
+      record.object = ids[u];
+      record.cause = cause;
+      record.modified = modified;
+      record.failed = failed;
+      full.append(record);
+      windowed.append(std::move(record));
+    }
+  }
+  std::vector<std::string> queried = uris;
+  queried.push_back("/untracked/17");
+  expect_log_matches_scan(full, queried);
+
+  windowed.compact();
+  const std::vector<PollRecord> expected =
+      scan_retained(full.records(), kWindow);
+  ASSERT_EQ(windowed.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(windowed[i].object, expected[i].object) << i;
+    EXPECT_EQ(windowed[i].uri, expected[i].uri) << i;
+    EXPECT_EQ(windowed[i].snapshot_time, expected[i].snapshot_time) << i;
+    EXPECT_EQ(windowed[i].cause, expected[i].cause) << i;
+    EXPECT_EQ(windowed[i].failed, expected[i].failed) << i;
+  }
+  EXPECT_EQ(windowed.dropped_records(), full.size() - expected.size());
+  // Counters are totals and never rewind; the index covers what is kept.
+  EXPECT_EQ(windowed.polls_performed(), full.polls_performed());
+  EXPECT_EQ(windowed.triggered_polls(), full.triggered_polls());
+  EXPECT_EQ(windowed.demand_fills(), full.demand_fills());
+  EXPECT_EQ(windowed.failed_polls(), full.failed_polls());
+  for (std::size_t u = 0; u < uris.size(); ++u) {
+    SCOPED_TRACE(uris[u]);
+    EXPECT_EQ(windowed.polls_performed(ids[u]), full.polls_performed(ids[u]));
+    EXPECT_EQ(windowed.demand_fills(ids[u]), full.demand_fills(ids[u]));
+    EXPECT_EQ(windowed.completion_times(uris[u]),
+              scan_completion_times(expected, uris[u]));
+    const std::vector<std::size_t>& successful =
+        windowed.successful_records(ids[u]);
+    EXPECT_EQ(successful, windowed.successful_records(uris[u]));
+    for (const std::size_t index : successful) {
+      ASSERT_LT(index, windowed.size());
+      EXPECT_EQ(windowed[index].object, ids[u]);
+      EXPECT_FALSE(windowed[index].failed);
+    }
+  }
+  EXPECT_TRUE(windowed.successful_records(table.find("/untracked/17")).empty());
 }
 
 TEST(PollLogRetention, WindowCanBeEnabledAfterTheFact) {
