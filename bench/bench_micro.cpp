@@ -533,8 +533,8 @@ BENCHMARK(BM_FleetFaultSweep)
 // threads:1 runs the identical sharded machinery inline (mailboxes,
 // windows, canonical merge), so the ratio to higher thread counts
 // isolates parallel speedup from sharding overhead.  Real time is the
-// measured quantity: with workers doing the simulating, the calling
-// thread's CPU time measures only the barrier.
+// measured quantity: the calling thread simulates only its share of each
+// window, so its CPU time does not measure the sweep.
 void BM_ShardedFleetSweep(benchmark::State& state) {
   const std::size_t threads = static_cast<std::size_t>(state.range(0));
   constexpr std::size_t kProxies = 8;

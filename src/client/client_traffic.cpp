@@ -1,11 +1,53 @@
 #include "client/client_traffic.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "util/check.h"
 
 namespace broadway {
+
+PopularityCdf::PopularityCdf(const std::vector<double>& weights) {
+  BROADWAY_CHECK_MSG(!weights.empty(), "empty popularity CDF");
+  double total = 0.0;
+  cumulative_.reserve(weights.size());
+  for (double weight : weights) {
+    BROADWAY_CHECK_MSG(weight >= 0.0, "negative popularity weight " << weight);
+    total += weight;
+    cumulative_.push_back(total);
+  }
+  BROADWAY_CHECK_MSG(total > 0.0, "all client popularity weights 0");
+  // Normalise to a CDF whose last entry is *exactly* 1.0: draws are
+  // uniform in [0, 1), so upper_bound is then guaranteed an in-range
+  // index — index() can fail fast instead of clamping.
+  for (double& c : cumulative_) c /= total;
+  cumulative_.back() = 1.0;
+
+  // Guide table over K = 2^k >= size() equal buckets of [0, 1):
+  // guide_[b] is the first i with cumulative_[i] > b/K.  b/K and
+  // floor(u * K) are exact in binary, so a draw u in bucket b has its
+  // answer at or after guide_[b] and at or before guide_[b + 1].
+  const std::size_t buckets = std::bit_ceil(cumulative_.size());
+  guide_.resize(buckets + 1);
+  std::size_t i = 0;
+  for (std::size_t b = 0; b <= buckets; ++b) {
+    const double edge = static_cast<double>(b) / static_cast<double>(buckets);
+    while (i < cumulative_.size() && cumulative_[i] <= edge) ++i;
+    guide_[b] = static_cast<std::uint32_t>(i);
+  }
+}
+
+std::size_t PopularityCdf::index(double u) const {
+  BROADWAY_CHECK_MSG(u >= 0.0 && u < 1.0, "popularity draw u = " << u);
+  const double buckets = static_cast<double>(guide_.size() - 1);
+  std::size_t index = guide_[static_cast<std::size_t>(u * buckets)];
+  // The backward walk never runs for the table built above; it keeps the
+  // answer exactly upper_bound's regardless.
+  while (index > 0 && cumulative_[index - 1] > u) --index;
+  while (cumulative_[index] <= u) ++index;
+  return index;
+}
 
 FleetClientTraffic::FleetClientTraffic(Simulator& sim,
                                        const OriginServer& origin,
@@ -95,17 +137,7 @@ void FleetClientTraffic::build_universe() {
   BROADWAY_CHECK_MSG(!objects_.empty(),
                      "no objects with sampling mass for clients to request");
 
-  cumulative_.reserve(weights.size());
-  for (double weight : weights) {
-    total_weight_ += weight;
-    cumulative_.push_back(total_weight_);
-  }
-  BROADWAY_CHECK_MSG(total_weight_ > 0.0, "all client popularity weights 0");
-  // Normalise to a CDF whose last entry is *exactly* 1.0: draws are
-  // uniform in [0, 1), so upper_bound is then guaranteed an in-range
-  // index — object_at can fail fast instead of clamping.
-  for (double& c : cumulative_) c /= total_weight_;
-  cumulative_.back() = 1.0;
+  cdf_ = PopularityCdf(weights);
 }
 
 void FleetClientTraffic::start() {
@@ -130,14 +162,21 @@ void FleetClientTraffic::stop() {
 }
 
 Duration FleetClientTraffic::fire(Stream& stream) {
-  // Thinning: this candidate becomes a request with probability
-  // intensity(now)/peak.  The draw happens unconditionally, so the
-  // stream consumes the same RNG sequence whatever the profile shape.
-  const double hour =
-      std::fmod(sim_.now() / 3600.0 + config_.start_hour, 24.0);
-  const double accept = config_.profile.intensity(hour) / peak_intensity_;
-  if (stream.rng.uniform01() < accept) issue(stream);
-  return stream.rng.exponential(peak_rate_);
+  for (;;) {
+    // Thinning: this candidate becomes a request with probability
+    // intensity(now)/peak.  The draw happens unconditionally, so the
+    // stream consumes the same RNG sequence whatever the profile shape.
+    const double hour =
+        std::fmod(sim_.now() / 3600.0 + config_.start_hour, 24.0);
+    const double accept = config_.profile.intensity(hour) / peak_intensity_;
+    if (stream.rng.uniform01() < accept) issue(stream);
+    const Duration gap = stream.rng.exponential(peak_rate_);
+    // Run ahead while the next candidate would be the simulator's very
+    // next event anyway; on a tie, at the run's bound or with anything
+    // else due first, hand it to the queue (the task arms now + gap, the
+    // same instant).
+    if (!sim_.try_advance(sim_.now() + gap)) return gap;
+  }
 }
 
 void FleetClientTraffic::issue(Stream& stream) {
@@ -186,11 +225,7 @@ void FleetClientTraffic::issue(Stream& stream) {
 }
 
 ObjectId FleetClientTraffic::object_at(double u) const {
-  const std::size_t index = static_cast<std::size_t>(
-      std::upper_bound(cumulative_.begin(), cumulative_.end(), u) -
-      cumulative_.begin());
-  BROADWAY_CHECK_MSG(index < objects_.size(), "popularity draw u = " << u);
-  return objects_[index];
+  return objects_[cdf_.index(u)];
 }
 
 ObjectId FleetClientTraffic::session_object(std::uint64_t client,

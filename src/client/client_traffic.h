@@ -4,10 +4,17 @@
 // from several clients" (§6.1.1).  This layer drives those requests at a
 // fleet of proxies: each proxy receives one *aggregated* Poisson request
 // stream standing in for its whole client population — millions of
-// simulated clients cost one self-rescheduling event per proxy, not one
+// simulated clients cost one self-rescheduling stream per proxy, not one
 // per client.  Per-request client ids are drawn deterministically from
 // the proxy's stream, so a request is still attributable to a stable
 // client identity without any per-client state.
+//
+// A request costs no queue event of its own either: after each candidate
+// the stream runs ahead to the next one in place (Simulator::try_advance)
+// whenever nothing else is due before it, and goes back through the
+// event queue only when another event, a same-instant tie or the run's
+// bound comes first.  The candidates fire at the same instants, in the
+// same order relative to every other event, as one event each would.
 //
 // Request shape: object selection is Zipf-popularity over the origin's
 // hosted objects (or explicit id-keyed weights), and the request *rate*
@@ -82,6 +89,27 @@ struct ClientTrafficConfig {
   /// Off keeps memory flat regardless of run length; metrics always
   /// accumulate.
   bool record_requests = false;
+};
+
+/// Inverse-CDF sampler over popularity weights: index(u) for u in [0, 1)
+/// is the first i whose cumulative mass exceeds u — exactly
+/// std::upper_bound over cumulative(), found through a guide table of
+/// 2^k >= size() equal-width buckets in O(1) expected steps.
+class PopularityCdf {
+ public:
+  PopularityCdf() = default;
+  /// Non-negative weights with a positive sum.  Zero weights are allowed
+  /// (flat CDF steps no draw can land on).
+  explicit PopularityCdf(const std::vector<double>& weights);
+
+  /// Fails fast unless 0 <= u < 1.
+  std::size_t index(double u) const;
+  /// Normalised CDF; back() == 1.0 exactly.
+  const std::vector<double>& cumulative() const { return cumulative_; }
+
+ private:
+  std::vector<double> cumulative_;
+  std::vector<std::uint32_t> guide_;  // bucket b -> upper_bound(b / K)
 };
 
 /// Aggregated client streams over a set of proxies (a whole fleet, or one
@@ -166,8 +194,7 @@ class FleetClientTraffic {
   // unique_ptr elements: the periodic tasks capture raw Stream pointers.
   std::vector<std::unique_ptr<Stream>> streams_;
   std::vector<ObjectId> objects_;      // universe, popularity-rank order
-  std::vector<double> cumulative_;     // normalised CDF; back() == 1.0
-  double total_weight_ = 0.0;
+  PopularityCdf cdf_;                  // over objects_
   double peak_intensity_ = 0.0;        // thinning envelope (profile units)
   double peak_rate_ = 0.0;             // candidate rate = rate * peak/mean
   bool started_ = false;
@@ -178,8 +205,7 @@ class FleetClientTraffic {
   Duration fire(Stream& stream);
   void issue(Stream& stream);
   /// CDF-inverse of u in [0, 1): the object whose cumulative mass first
-  /// exceeds u.  Fails fast on an out-of-range draw — the CDF ends at
-  /// exactly 1.0, so any u < 1.0 resolves in range.
+  /// exceeds u.  Fails fast on an out-of-range draw.
   ObjectId object_at(double u) const;
   /// Slot `slot` of `client`'s session working set (counter-keyed, see
   /// ClientTrafficConfig::session_locality).

@@ -674,6 +674,11 @@ void ShardedFleet::run_shard_window(std::size_t shard_index,
   while (delivered < shard.inbox.size() &&
          shard.inbox[delivered].deliver_at <= window_end) {
     const Message& message = shard.inbox[delivered];
+    // Everything strictly before the delivery fires first under the
+    // canonical key; as one bounded run, so client streams can run ahead
+    // up to (never onto) the delivery instant.  Only the same-instant
+    // ties below need the key, one event at a time.
+    shard.sim->run_before(message.deliver_at);  // <= window_end here
     for (;;) {
       const Simulator::NextEvent head = shard.sim->next_event_info();
       if (!head.valid || head.time > window_end) break;
@@ -743,9 +748,11 @@ TimePoint ShardedFleet::shard_send_bound(const Shard& shard,
   //    argument (the slice fleet tracks those deliveries);
   //  * a watched pair's own refresh timer or pending lost-poll retry;
   //  * with demand fills on, a client-stream candidate firing — a miss
-  //    fetches through to the origin inside the request event and relays
-  //    out like any poll.  Candidate instants over-approximate requests
+  //    fetches through to the origin inside the request and relays out
+  //    like any poll.  Candidate instants over-approximate requests
   //    (thinning may reject, the read may hit), which is conservative.
+  //    Streams run ahead only inside a window, so at a barrier each
+  //    one's next candidate is its pending queue event.
   // Under fault injection three more sources join (see below): pending
   // export-path retries (their fires ARE cross-shard sends), pending
   // local relay retries (their deliveries can trigger watched δ-sibling

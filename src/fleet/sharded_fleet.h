@@ -31,7 +31,9 @@
 //    reference fires those events.  Messages are injected between local
 //    events via Simulator::advance_clock + ProxyFleet::deliver_relay
 //    under the sender's tag, exactly as if the reference's delivery
-//    event had fired there.
+//    event had fired there.  Local events strictly before a delivery run
+//    as one Simulator::run_before, so client streams run ahead up to the
+//    delivery instant but never onto it.
 //  * Shared, frozen state.  Origin state at time t is a pure function of
 //    the update traces (origin/origin_server.h), so there is one origin
 //    content — objects, traces and the UriTable, built once by the setup
@@ -95,10 +97,11 @@ struct ShardedFleetConfig {
   /// assigns proxies to shards itself.
   FleetConfig fleet;
 
-  /// Worker threads driving the shards (<= 1 runs shards inline on the
-  /// calling thread, in shard order).  The shard *structure* — and hence
-  /// every simulation result — depends only on the topology, never on
-  /// this value.
+  /// Threads driving the shards, the calling thread included (it works
+  /// each window's batch alongside threads - 1 pool workers; <= 1 runs
+  /// shards inline on the calling thread, in shard order).  The shard
+  /// *structure* — and hence every simulation result — depends only on
+  /// the topology, never on this value.
   std::size_t threads = 1;
 
   /// Builds the origin content every shard reads.  Called once, at

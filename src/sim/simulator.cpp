@@ -144,18 +144,50 @@ std::size_t Simulator::run(std::size_t limit) {
   return executed;
 }
 
-std::size_t Simulator::run_until(TimePoint horizon) {
-  BROADWAY_CHECK_MSG(horizon >= now_, "run_until in the past");
+std::size_t Simulator::run_bounded(TimePoint bound, bool inclusive) {
+  // Restore the enclosing bound on every exit, a throwing callback
+  // included, so a caught failure cannot leave run-ahead enabled.
+  struct BoundScope {
+    TimePoint& slot;
+    TimePoint outer;
+    ~BoundScope() { slot = outer; }
+  } scope{run_bound_, run_bound_};
+  run_bound_ = bound;
   std::size_t executed = 0;
   while (true) {
     const EventEntry* head = peek_live();
-    if (head == nullptr || head->time > horizon) break;
+    if (head == nullptr || head->time > bound ||
+        (!inclusive && head->time == bound)) {
+      break;
+    }
     step();
     ++executed;
   }
+  return executed;
+}
+
+std::size_t Simulator::run_until(TimePoint horizon) {
+  BROADWAY_CHECK_MSG(horizon >= now_, "run_until in the past");
+  const std::size_t executed = run_bounded(horizon, /*inclusive=*/true);
   now_ = horizon;
   entered_ = horizon;
   return executed;
+}
+
+std::size_t Simulator::run_before(TimePoint fence) {
+  BROADWAY_CHECK_MSG(fence >= now_, "run_before in the past");
+  return run_bounded(fence, /*inclusive=*/false);
+}
+
+bool Simulator::try_advance(TimePoint t) {
+  BROADWAY_CHECK_MSG(t >= now_,
+                     "try_advance into the past: t=" << t << " now=" << now_);
+  if (!(t < run_bound_)) return false;
+  const EventEntry* head = peek_live();
+  if (head != nullptr && !(t < head->time)) return false;
+  now_ = t;
+  entered_ = t;
+  return true;
 }
 
 }  // namespace broadway

@@ -32,7 +32,19 @@
 // tells clock-derived state (the origin's trace-backed objects) whether
 // work due at the current instant is already visible: the simulator
 // enters an instant by firing an event there, by finishing run_until at
-// it, or by advance_clock to it.
+// it, by advance_clock to it, or by running ahead to it.
+//
+// Run bounds and run-ahead: run_until(h) and run_before(f) are *bounded*
+// runs — every event due by h (strictly before f) fires, later ones stay
+// pending.  Inside a bounded run a callback may run ahead: try_advance(t)
+// moves the clock to t without an event iff t is strictly before both
+// the earliest live event and the run's bound, i.e. iff an event
+// scheduled now for t would have been the very next one to fire.  A
+// self-rescheduling chain (the client request streams) uses this to do
+// its next firing's work in place instead of paying a heap push, pop and
+// callback dispatch per firing; the fire order is exactly the queue's.
+// Outside a bounded run — in step() and run(), where a caller counts
+// events — try_advance always refuses.
 #pragma once
 
 #include <cstdint>
@@ -125,8 +137,23 @@ class Simulator {
 
   /// Run all events with time <= horizon, then advance the clock to
   /// `horizon` (even if no event fires exactly there).  Events scheduled
-  /// beyond the horizon remain pending.
+  /// beyond the horizon remain pending.  A bounded run with bound
+  /// `horizon` (see try_advance).
   std::size_t run_until(TimePoint horizon);
+
+  /// Run all events with time < fence; events at or after the fence stay
+  /// pending and the clock stays where the last one left it (it does not
+  /// move to the fence).  A bounded run with bound `fence`.  For drivers
+  /// that must interleave external work at the fence instant itself.
+  std::size_t run_before(TimePoint fence);
+
+  /// Run ahead to `t` (>= now()) from inside a bounded run: if `t` is
+  /// strictly before the earliest live event and strictly before the
+  /// run's bound, move the clock to `t`, enter it and return true;
+  /// otherwise change nothing and return false.  Always false outside
+  /// run_until / run_before.  The caller does at `t` exactly what an
+  /// event scheduled for `t` would have done — it would have fired next.
+  bool try_advance(TimePoint t);
 
   /// Earliest pending event, without running it: fire time, the clock
   /// value at which it was scheduled, and the schedule tag in force then.
@@ -159,7 +186,9 @@ class Simulator {
   /// pending-retry set) without capturing its own id at schedule time.
   EventId current_event() const { return current_event_; }
 
-  /// Total events executed over the lifetime of the simulator.
+  /// Total queue events executed over the lifetime of the simulator.
+  /// Work done by running ahead (try_advance) is not an event and is not
+  /// counted.
   std::uint64_t executed() const { return executed_; }
 
  private:
@@ -203,7 +232,14 @@ class Simulator {
   /// (entries of cancelled events) at the head are popped on the way.
   const EventEntry* peek_live();
 
+  /// Fire events due by `bound` (strictly before it unless `inclusive`)
+  /// with `bound` as the run bound.
+  std::size_t run_bounded(TimePoint bound, bool inclusive);
+
   TimePoint now_ = 0.0;
+  /// Bound of the bounded run in progress; -infinity outside one, which
+  /// makes every try_advance refuse.
+  TimePoint run_bound_ = -kTimeInfinity;
   /// Latest instant entered (<= now_); -infinity until the first one.
   TimePoint entered_ = -kTimeInfinity;
   EventId current_event_ = kInvalidEventId;

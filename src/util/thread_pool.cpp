@@ -9,8 +9,10 @@ namespace broadway {
 
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads <= 1) return;  // inline mode: no workers at all
-  workers_.reserve(threads);
-  for (std::size_t i = 0; i < threads; ++i) {
+  // The calling thread is the last of the `threads`: it works every
+  // batch it submits.
+  workers_.reserve(threads - 1);
+  for (std::size_t i = 0; i + 1 < threads; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
   }
 }
@@ -43,23 +45,27 @@ void ThreadPool::worker_loop() {
     if (shutdown_) return;
     seen = generation_;
     ++active_;
-    while (next_index_ < batch_count_) {
-      const std::size_t index = claim_order_[next_index_++];
-      const IndexedTask* task = task_;
-      lock.unlock();
-      std::exception_ptr error;
-      try {
-        (*task)(index);
-      } catch (...) {
-        error = std::current_exception();
-      }
-      lock.lock();
-      if (error != nullptr) record_error(index, error);
-    }
+    work(lock);
     --active_;
     if (active_ == 0 && next_index_ >= batch_count_) {
       batch_done_.notify_all();
     }
+  }
+}
+
+void ThreadPool::work(std::unique_lock<std::mutex>& lock) {
+  while (next_index_ < batch_count_) {
+    const std::size_t index = claim_order_[next_index_++];
+    const IndexedTask* task = task_;
+    lock.unlock();
+    std::exception_ptr error;
+    try {
+      (*task)(index);
+    } catch (...) {
+      error = std::current_exception();
+    }
+    lock.lock();
+    if (error != nullptr) record_error(index, error);
   }
 }
 
@@ -83,7 +89,7 @@ void ThreadPool::run_batch(std::size_t count, const IndexedTask& task) {
   }
   claim_order_.resize(count);
   std::iota(claim_order_.begin(), claim_order_.end(), std::size_t{0});
-  run_batch_on_workers(count, task);
+  run_batch_pooled(count, task);
 }
 
 void ThreadPool::run_batch(std::size_t count, const IndexedTask& task,
@@ -106,11 +112,11 @@ void ThreadPool::run_batch(std::size_t count, const IndexedTask& task,
                    [&costs](std::size_t a, std::size_t b) {
                      return costs[a] > costs[b];
                    });
-  run_batch_on_workers(count, task);
+  run_batch_pooled(count, task);
 }
 
-void ThreadPool::run_batch_on_workers(std::size_t count,
-                                      const IndexedTask& task) {
+void ThreadPool::run_batch_pooled(std::size_t count,
+                                  const IndexedTask& task) {
   std::unique_lock<std::mutex> lock(mutex_);
   BROADWAY_CHECK_MSG(task_ == nullptr, "run_batch is not reentrant");
   task_ = &task;
@@ -120,8 +126,9 @@ void ThreadPool::run_batch_on_workers(std::size_t count,
   error_index_ = 0;
   ++generation_;
   work_ready_.notify_all();
-  batch_done_.wait(
-      lock, [&] { return next_index_ >= batch_count_ && active_ == 0; });
+  // Work the batch here too, then wait only for the workers' last claims.
+  work(lock);
+  batch_done_.wait(lock, [&] { return active_ == 0; });
   task_ = nullptr;
   batch_count_ = 0;
   next_index_ = 0;

@@ -16,7 +16,9 @@
 #include <utility>
 #include <vector>
 
+#include "client/client_metrics.h"
 #include "proxy/poll_log.h"
+#include "util/stats.h"
 #include "util/time.h"
 
 namespace broadway {
@@ -57,6 +59,45 @@ class Digest {
     for (const auto& [t, ttr] : series) {
       f64(t);
       f64(ttr);
+    }
+  }
+  void stats(const OnlineStats& stats) {
+    u64(stats.count());
+    f64(stats.mean());
+    f64(stats.variance());
+    f64(stats.min());
+    f64(stats.max());
+    f64(stats.sum());
+  }
+  void client_metrics(const ClientMetrics& metrics) {
+    u64(metrics.requests);
+    u64(metrics.hits);
+    u64(metrics.misses);
+    u64(metrics.fresh);
+    u64(metrics.stale);
+    u64(metrics.demand_fills);
+    u64(metrics.dark_reads);
+    u64(metrics.dark_stale);
+    u64(metrics.dark_misses);
+    stats(metrics.age);
+    stats(metrics.staleness);
+    stats(metrics.fill_latency);
+  }
+  void client_records(const std::vector<ClientRequestRecord>& records) {
+    u64(records.size());
+    for (const ClientRequestRecord& record : records) {
+      f64(record.time);
+      u64(record.proxy);
+      u64(record.client);
+      u64(record.object);
+      u64(record.read.hit);
+      u64(record.read.fresh);
+      u64(record.read.filled);
+      u64(record.read.dark);
+      f64(record.read.snapshot);
+      f64(record.read.age);
+      f64(record.read.staleness);
+      f64(record.read.fill_latency);
     }
   }
   std::uint64_t value() const { return hash_; }

@@ -23,6 +23,7 @@
 #include "fleet/faults.h"
 #include "fleet/proxy_fleet.h"
 #include "fleet/sharded_fleet.h"
+#include "golden_digest.h"
 #include "origin/origin_server.h"
 #include "proxy/polling_engine.h"
 #include "sim/simulator.h"
@@ -116,6 +117,7 @@ struct Artifacts {
   FleetOriginLoad origin_load;
   PollCauseCounts causes;
   RelayLedger relays;
+  std::size_t shards = 1;  // simulators the run was split across
 };
 
 // The origin-load invariant, cross-checked the non-tautological way: the
@@ -211,6 +213,7 @@ Artifacts sharded_run(const Topology& topo, std::size_t threads,
   fleet.run_until(horizon);
 
   Artifacts artifacts;
+  artifacts.shards = fleet.shard_count();
   for (std::size_t p = 0; p < fleet.size(); ++p) {
     artifacts.per_proxy.push_back(fleet.client_metrics(p));
   }
@@ -444,6 +447,70 @@ TEST(ClientDifferential, FaultInjectionSweepIsByteIdentical) {
                                  /*demand_fill=*/true, faults));
     }
   }
+}
+
+// ---- golden digests --------------------------------------------------------
+
+// The differentials above compare two fleet drivers that share the client
+// traffic layer, so a change inside that layer moves both sides alike.
+// These runs pin the layer's output to bit-exact digests (golden_digest.h)
+// captured while every candidate arrival was still its own simulator
+// event.  Both run the full client feature set: recorded requests, demand
+// fills, lossy polls, crash windows, session locality and the newsroom
+// profile.
+FaultSchedule golden_faults() {
+  FaultSchedule faults;
+  faults.crashes.push_back({0, {{2500.0, 3600.0}, {6800.0, 7500.0}}});
+  faults.crashes.push_back({2, {{4700.0, 5600.0}}});
+  faults.relay_loss = 0.1;
+  faults.relay_jitter_max = 0.3;
+  faults.retry_backoff_base = 1.0;
+  faults.retry_backoff_cap = 8.0;
+  faults.relay_retry_limit = 4;
+  return faults;
+}
+
+std::uint64_t client_digest(const Artifacts& artifacts) {
+  Digest digest;
+  for (const ClientMetrics& metrics : artifacts.per_proxy) {
+    digest.client_metrics(metrics);
+  }
+  digest.client_metrics(artifacts.merged);
+  digest.client_records(artifacts.records);
+  digest.u64(artifacts.origin_load.origin_polls);
+  digest.u64(artifacts.origin_load.demand_fills);
+  digest.u64(artifacts.origin_load.failed);
+  digest.u64(artifacts.relays.sent);
+  digest.u64(artifacts.relays.applied);
+  digest.u64(artifacts.relays.lost);
+  return digest.value();
+}
+
+void expect_full_feature_run(const Artifacts& run) {
+  ASSERT_GT(run.records.size(), 0u);
+  EXPECT_EQ(run.records.size(), run.merged.requests);
+  EXPECT_GT(run.merged.demand_fills, 0u);
+  EXPECT_GT(run.merged.dark_reads, 0u);
+  EXPECT_GT(run.origin_load.failed, 0u);
+}
+
+TEST(ClientGolden, SingleSimulatorFleet) {
+  const Topology topo = random_topology(29);
+  const Artifacts run =
+      reference_run(topo, kHorizon, /*demand_fill=*/true, golden_faults());
+  expect_full_feature_run(run);
+  EXPECT_EQ(client_digest(run), 0x9a24f5b3cc0e905bULL);
+}
+
+TEST(ClientGolden, FourShardFleet) {
+  Topology topo = random_topology(13);
+  topo.proxies = 4;
+  const Artifacts run = sharded_run(topo, /*threads=*/4, kHorizon,
+                                    /*shards=*/0, /*demand_fill=*/true,
+                                    golden_faults());
+  ASSERT_EQ(run.shards, 4u);
+  expect_full_feature_run(run);
+  EXPECT_EQ(client_digest(run), 0xd162d388132ebaf9ULL);
 }
 
 }  // namespace

@@ -4,6 +4,9 @@
 // and the fail-fast construction contracts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstdint>
 #include <initializer_list>
 #include <memory>
@@ -276,6 +279,111 @@ TEST(ClientTraffic, DiurnalThinningPreservesMeanRate) {
   const double observed =
       static_cast<double>(fleet.merged_client_metrics().requests) / day;
   EXPECT_NEAR(observed, traffic.request_rate, 0.25 * traffic.request_rate);
+}
+
+// Deterministic work gate: a client request costs its own work, not one
+// simulator event.  Candidate arrivals run ahead of the event queue while
+// nothing else is due before them, so in a read-dominated run the queue
+// sees the polls and about one stream re-arm per poll, never an event per
+// request.  Counted, not timed — no wall-clock noise.
+TEST(ClientTraffic, RequestsCostFarFewerThanOneQueueEventEach) {
+  Simulator sim;
+  OriginServer origin(sim);
+  FleetConfig config;
+  config.proxies = 1;
+  config.cooperative_push = false;
+  for (int i = 0; i < 64; ++i) origin.add_object("/o" + std::to_string(i));
+  ClientTrafficConfig traffic;
+  traffic.request_rate = 100.0;
+  config.client_traffic = traffic;
+  ProxyFleet fleet(sim, origin, config);
+  for (int i = 0; i < 64; ++i) {
+    fleet.add_temporal_object_everywhere(
+        "/o" + std::to_string(i),
+        [] { return std::make_unique<FixedPollPolicy>(60.0); });
+  }
+  fleet.start();
+  sim.run_until(3600.0);
+
+  const std::uint64_t requests = fleet.client_traffic().requests_issued();
+  ASSERT_GT(requests, 300'000u);
+  EXPECT_LE(sim.executed(), requests / 4)
+      << sim.executed() << " simulator events for " << requests
+      << " requests";
+}
+
+// The guide-table sampler answers exactly std::upper_bound over its CDF.
+// Probed where an off-by-one would show: every CDF entry and its
+// neighbouring doubles, every guide bucket edge b/K and the double below
+// it, 0, the largest double below 1, and random draws — over random
+// weight vectors with zero weights (flat CDF steps no draw may land on),
+// a wide dynamic range, and a one-object universe.
+TEST(PopularityCdf, GuideLookupEqualsUpperBound) {
+  Rng rng(7);
+  std::vector<std::vector<double>> cases = {
+      {1.0}, {5.0}, {0.0, 3.0}, {2.0, 0.0}, {0.0, 0.0, 1.0, 0.0}};
+  for (int c = 0; c < 120; ++c) {
+    const std::size_t size =
+        static_cast<std::size_t>(rng.uniform_int(1, c < 60 ? 40 : 900));
+    const double zeros = rng.uniform(0.0, 0.5);
+    std::vector<double> weights;
+    for (std::size_t i = 0; i < size; ++i) {
+      if (rng.bernoulli(zeros)) {
+        weights.push_back(0.0);
+      } else if (c % 3 == 0) {
+        weights.push_back(std::pow(static_cast<double>(i + 1), -0.8));
+      } else {
+        weights.push_back(std::exp(rng.uniform(-30.0, 0.0)));
+      }
+    }
+    weights[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(size) - 1))] = 1.0;
+    cases.push_back(std::move(weights));
+  }
+
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    SCOPED_TRACE("case " + std::to_string(c));
+    const std::vector<double>& weights = cases[c];
+    const PopularityCdf cdf(weights);
+    const std::vector<double>& cum = cdf.cumulative();
+    ASSERT_EQ(cum.size(), weights.size());
+    ASSERT_EQ(cum.back(), 1.0);
+    std::size_t mismatches = 0;
+    const auto probe = [&](double u) {
+      if (!(u >= 0.0 && u < 1.0)) return;
+      const std::size_t expected = static_cast<std::size_t>(
+          std::upper_bound(cum.begin(), cum.end(), u) - cum.begin());
+      const std::size_t got = cdf.index(u);
+      if (got != expected) {
+        ++mismatches;
+        ADD_FAILURE() << "u = " << u << ": " << got << " != " << expected;
+      }
+      EXPECT_GT(weights[got], 0.0) << "u = " << u;
+    };
+    probe(0.0);
+    probe(std::nextafter(1.0, 0.0));
+    for (const double edge : cum) {
+      probe(edge);
+      probe(std::nextafter(edge, 0.0));
+      probe(std::nextafter(edge, 2.0));
+    }
+    const std::size_t buckets = std::bit_ceil(weights.size());
+    for (std::size_t b = 0; b <= buckets; ++b) {
+      const double edge =
+          static_cast<double>(b) / static_cast<double>(buckets);
+      probe(edge);
+      probe(std::nextafter(edge, 0.0));
+    }
+    for (int i = 0; i < 200; ++i) probe(rng.uniform01());
+    ASSERT_EQ(mismatches, 0u);
+  }
+}
+
+TEST(PopularityCdf, RejectsDrawsOutsideTheUnitInterval) {
+  const PopularityCdf cdf({1.0, 2.0});
+  EXPECT_THROW(cdf.index(1.0), CheckFailure);
+  EXPECT_THROW(cdf.index(-0.25), CheckFailure);
+  EXPECT_THROW(PopularityCdf({0.0, 0.0}), CheckFailure);
 }
 
 // ---- read transactions over hand-built logs --------------------------------

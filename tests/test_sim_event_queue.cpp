@@ -1,11 +1,14 @@
 // Ordering contract of the Simulator's event queue: a naive
-// scan-for-the-minimum model as the ordering oracle for random op mixes.
+// scan-for-the-minimum model as the ordering oracle for random op mixes,
+// including bounded runs (run_until, run_before) and run-ahead
+// (try_advance) from inside firing callbacks.
 #include "sim/simulator.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <functional>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -49,16 +52,41 @@ class NaiveScheduler {
 
   std::size_t run(std::size_t limit, const FireFn& fire) {
     std::size_t fired = 0;
-    while (fired < limit && fire_next(kTimeInfinity, fire)) ++fired;
+    while (fired < limit && fire_next(kTimeInfinity, true, fire)) ++fired;
     return fired;
   }
 
   std::size_t run_until(TimePoint horizon, const FireFn& fire) {
     std::size_t fired = 0;
-    while (fire_next(horizon, fire)) ++fired;
+    bounded_ = true;
+    bound_ = horizon;
+    while (fire_next(horizon, true, fire)) ++fired;
+    bounded_ = false;
     now_ = horizon;
     enter();
     return fired;
+  }
+
+  std::size_t run_before(TimePoint fence, const FireFn& fire) {
+    std::size_t fired = 0;
+    bounded_ = true;
+    bound_ = fence;
+    while (fire_next(fence, false, fire)) ++fired;
+    bounded_ = false;
+    return fired;
+  }
+
+  /// The run-ahead contract, stated directly: inside a bounded run, move
+  /// to `t` iff `t` is strictly before both the earliest live entry and
+  /// the run's bound.
+  bool try_advance(TimePoint t) {
+    if (!bounded_) return false;
+    TimePoint next = kTimeInfinity;
+    for (const Entry& entry : entries_) next = std::min(next, entry.time);
+    if (!(t < next && t < bound_)) return false;
+    now_ = t;
+    enter();
+    return true;
   }
 
  private:
@@ -73,8 +101,9 @@ class NaiveScheduler {
                         [tag](const Entry& e) { return e.tag == tag; });
   }
 
-  // Fire the earliest entry if it is due by `horizon`.
-  bool fire_next(TimePoint horizon, const FireFn& fire) {
+  // Fire the earliest entry if it is due by `horizon` (strictly before
+  // it when not `inclusive`).
+  bool fire_next(TimePoint horizon, bool inclusive, const FireFn& fire) {
     if (entries_.empty()) return false;
     auto min = entries_.begin();
     for (auto it = entries_.begin(); it != entries_.end(); ++it) {
@@ -83,7 +112,9 @@ class NaiveScheduler {
         min = it;
       }
     }
-    if (min->time > horizon) return false;
+    if (inclusive ? min->time > horizon : min->time >= horizon) {
+      return false;
+    }
     const Entry entry = *min;
     entries_.erase(min);
     now_ = entry.time;
@@ -101,14 +132,26 @@ class NaiveScheduler {
   TimePoint now_ = 0.0;
   bool entered_ = false;
   TimePoint entered_at_ = 0.0;
+  bool bounded_ = false;  // inside run_until / run_before
+  TimePoint bound_ = 0.0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
   std::vector<Entry> entries_;
 };
 
-// One recorded firing: (time, script tag).  EventIds are engine-internal,
-// so identity is asserted over what an observer of the simulation sees.
-using FireLog = std::vector<std::pair<TimePoint, int>>;
+// One observation: a firing, or a run-ahead attempt from inside one.
+// EventIds are engine-internal, so identity is asserted over what an
+// observer of the simulation sees: the clock, the script tag, what the
+// attempt answered and whether the clock's instant counts as reached.
+struct Observation {
+  enum Kind { kFired, kAdvanced, kRefused };
+  TimePoint now = 0.0;
+  int tag = 0;
+  Kind kind = kFired;
+  bool reached = false;
+  bool operator==(const Observation&) const = default;
+};
+using FireLog = std::vector<Observation>;
 
 // Tags at or above this mark follow-up events scheduled from inside a
 // firing callback; they never chain further.
@@ -117,10 +160,12 @@ constexpr int kFollowUpTag = 1 << 20;
 // Drive a Simulator and the naive model in lockstep through one seeded op
 // mix — schedules with quantised delays (same-instant ties), cancels,
 // reschedules, same-instant bursts, callbacks that schedule follow-ups
-// (some at the current instant), and advances by step count or to a horizon that often
-// lands exactly on pending event times.  Every cancel, is_pending and
-// fire_time answer and every phase-end clock / pending / executed reading
-// is compared on the way; the two fire logs are returned for comparison.
+// (some at the current instant) and try to run ahead, and advances by
+// step count, to a horizon or to a fence that often lands exactly on
+// pending event times.  Every cancel, is_pending and fire_time answer
+// and every phase-end clock / pending / executed / reached reading is
+// compared on the way; the two observation logs are returned for
+// comparison.
 std::pair<FireLog, FireLog> run_lockstep(std::uint64_t seed) {
   Simulator sim;
   NaiveScheduler model;
@@ -136,20 +181,53 @@ std::pair<FireLog, FireLog> run_lockstep(std::uint64_t seed) {
     return tag < kFollowUpTag && tag % 5 == 0;
   };
   const auto follow_up_delay = [](int tag) { return (tag % 3) * 0.25; };
+  // Two of three script events then try to run ahead, up to three times,
+  // by gaps on the same 0.25 grid as every schedule and bound — so the
+  // target often ties the queue head or the run's bound exactly, and a
+  // 0 gap targets the current instant.  A follow-up at delay 0 makes the
+  // head tie the clock itself.
+  const auto runs_ahead = [](int tag) {
+    return tag < kFollowUpTag && tag % 3 != 2;
+  };
+  const auto advance_gap = [](int tag, int attempt) {
+    return ((tag + 3 * attempt) % 6) * 0.25;
+  };
 
   std::function<void(int)> sim_fire = [&](int tag) {
     BROADWAY_CHECK(sim.current_event() != kInvalidEventId);
-    sim_log.emplace_back(sim.now(), tag);
+    sim_log.push_back({sim.now(), tag, Observation::kFired,
+                       sim.reached(sim.now())});
     if (follows_up(tag)) {
       const int child = tag + kFollowUpTag;
       sim.schedule_after(follow_up_delay(tag),
                          [&sim_fire, child] { sim_fire(child); });
     }
+    if (!runs_ahead(tag)) return;
+    for (int attempt = 0; attempt < 3; ++attempt) {
+      const bool advanced =
+          sim.try_advance(sim.now() + advance_gap(tag, attempt));
+      sim_log.push_back(
+          {sim.now(), tag,
+           advanced ? Observation::kAdvanced : Observation::kRefused,
+           sim.reached(sim.now())});
+      if (!advanced) break;
+    }
   };
   const NaiveScheduler::FireFn model_fire = [&](int tag) {
-    model_log.emplace_back(model.now(), tag);
+    model_log.push_back({model.now(), tag, Observation::kFired,
+                         model.entered_now()});
     if (follows_up(tag)) {
       model.schedule(model.now() + follow_up_delay(tag), tag + kFollowUpTag);
+    }
+    if (!runs_ahead(tag)) return;
+    for (int attempt = 0; attempt < 3; ++attempt) {
+      const bool advanced =
+          model.try_advance(model.now() + advance_gap(tag, attempt));
+      model_log.push_back(
+          {model.now(), tag,
+           advanced ? Observation::kAdvanced : Observation::kRefused,
+           model.entered_now()});
+      if (!advanced) break;
     }
   };
 
@@ -190,15 +268,23 @@ std::pair<FireLog, FireLog> run_lockstep(std::uint64_t seed) {
         for (int i = 0; i < burst; ++i) schedule(t);
       }
     }
-    if (rng.bernoulli(0.5)) {
+    // Outside a bounded run, run-ahead is always refused.
+    EXPECT_FALSE(sim.try_advance(sim.now() + rng.uniform_int(0, 4) * 0.25));
+    const double mode = rng.uniform01();
+    if (mode < 0.4) {
       const std::size_t limit =
           static_cast<std::size_t>(rng.uniform_int(1, 30));
       EXPECT_EQ(sim.run(limit), model.run(limit, model_fire));
-    } else {
+    } else if (mode < 0.75) {
       // Integral horizons on a 0.25 grid: often exactly an event time,
       // sometimes the current instant itself.
       const TimePoint horizon = sim.now() + rng.uniform_int(0, 12) * 1.0;
       EXPECT_EQ(sim.run_until(horizon), model.run_until(horizon, model_fire));
+    } else {
+      // Fences on the 0.5 grid: events at the fence itself stay pending.
+      const TimePoint fence = sim.now() + rng.uniform_int(0, 12) * 0.5;
+      EXPECT_EQ(sim.run_before(fence), model.run_before(fence, model_fire));
+      EXPECT_LE(sim.now(), fence);
     }
     EXPECT_EQ(sim.now(), model.now()) << "phase " << phase;
     EXPECT_EQ(sim.pending(), model.pending()) << "phase " << phase;
@@ -219,12 +305,84 @@ std::pair<FireLog, FireLog> run_lockstep(std::uint64_t seed) {
 }
 
 TEST(SimulatorOracle, RandomOpMixFiresLikeTheNaiveModel) {
+  std::size_t advanced = 0;
+  std::size_t refused = 0;
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     const auto [sim_log, model_log] = run_lockstep(seed);
     ASSERT_FALSE(model_log.empty());
     EXPECT_EQ(sim_log, model_log) << "fire sequences diverged for seed "
                                   << seed;
+    for (const Observation& seen : model_log) {
+      advanced += seen.kind == Observation::kAdvanced;
+      refused += seen.kind == Observation::kRefused;
+    }
   }
+  // The mix must exercise both answers of the run-ahead contract.
+  EXPECT_GT(advanced, 50u);
+  EXPECT_GT(refused, 50u);
+}
+
+// ---- run-ahead edges -------------------------------------------------------
+
+TEST(SimulatorRunAhead, RefusesATieWithTheQueueHead) {
+  Simulator sim;
+  sim.schedule_at(3.0, [] {});
+  sim.schedule_at(1.0, [&] {
+    EXPECT_TRUE(sim.try_advance(1.0));  // the current instant itself
+    EXPECT_TRUE(sim.try_advance(2.5));
+    EXPECT_EQ(sim.now(), 2.5);
+    EXPECT_TRUE(sim.reached(2.5));
+    EXPECT_FALSE(sim.try_advance(3.0));  // ties the head: the queue decides
+    EXPECT_FALSE(sim.try_advance(4.0));
+    EXPECT_EQ(sim.now(), 2.5);
+  });
+  EXPECT_EQ(sim.run_until(10.0), 2u);
+  EXPECT_EQ(sim.executed(), 2u);  // running ahead is not an event
+}
+
+TEST(SimulatorRunAhead, RefusesTheBoundOfTheRunInProgress) {
+  Simulator sim;
+  sim.schedule_at(1.0, [&] {
+    EXPECT_FALSE(sim.try_advance(2.0));  // run_until's horizon
+    EXPECT_TRUE(sim.try_advance(1.5));
+  });
+  sim.run_until(2.0);
+  EXPECT_EQ(sim.now(), 2.0);
+
+  sim.schedule_at(4.0, [] {});
+  sim.schedule_at(3.0, [&] {
+    EXPECT_FALSE(sim.try_advance(3.5));  // run_before's fence
+    EXPECT_TRUE(sim.try_advance(3.25));
+  });
+  EXPECT_EQ(sim.run_before(3.5), 1u);
+  // The clock stays where the run left it, short of the fence, and the
+  // event at 4.0 (past the fence) is still pending.
+  EXPECT_EQ(sim.now(), 3.25);
+  EXPECT_TRUE(sim.reached(3.25));
+  EXPECT_EQ(sim.pending(), 1u);
+  EXPECT_EQ(sim.run_before(4.0), 0u);  // an event at the fence stays
+  EXPECT_EQ(sim.pending(), 1u);
+}
+
+TEST(SimulatorRunAhead, RefusedOutsideABoundedRun) {
+  Simulator sim;
+  EXPECT_FALSE(sim.try_advance(1.0));
+  EXPECT_EQ(sim.now(), 0.0);
+  EXPECT_FALSE(sim.reached(0.0));
+  bool inside = false;
+  sim.schedule_at(1.0, [&] {
+    inside = true;
+    EXPECT_FALSE(sim.try_advance(1.5));  // step() runs exactly one event
+  });
+  EXPECT_TRUE(sim.step());
+  EXPECT_TRUE(inside);
+  sim.schedule_at(2.0, [&] { EXPECT_FALSE(sim.try_advance(2.5)); });
+  EXPECT_EQ(sim.run(), 1u);
+  EXPECT_EQ(sim.now(), 2.0);
+  // A throwing callback cannot leave run-ahead enabled.
+  sim.schedule_at(3.0, [] { throw std::runtime_error("boom"); });
+  EXPECT_THROW(sim.run_until(5.0), std::runtime_error);
+  EXPECT_FALSE(sim.try_advance(3.5));
 }
 
 TEST(SimulatorOracle, CountersAgreeWithTheNaiveModel) {

@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <barrier>
 #include <cstddef>
+#include <mutex>
 #include <numeric>
+#include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -33,12 +37,39 @@ TEST(ThreadPool, InlineModeRunsInOrderOnCallingThread) {
 
 TEST(ThreadPool, RunsEveryIndexExactlyOnce) {
   ThreadPool pool(4);
-  EXPECT_EQ(pool.size(), 4u);
+  // Four-way parallelism is the calling thread plus three workers.
+  EXPECT_EQ(pool.parallelism(), 4u);
+  EXPECT_EQ(pool.size(), 3u);
   constexpr std::size_t kTasks = 200;
   std::vector<std::atomic<int>> hits(kTasks);
   pool.run_batch(kTasks, [&](std::size_t index) { ++hits[index]; });
   for (std::size_t i = 0; i < kTasks; ++i) {
     EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+  }
+}
+
+// A batch of N tasks that all meet at one std::barrier(N) can only
+// complete if N threads run it at the same time: the caller and the
+// N - 1 workers.  The caller must be one of them.
+TEST(ThreadPool, CallerAndWorkersRunOneBatchConcurrently) {
+  for (const std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
+    ThreadPool pool(threads);
+    ASSERT_EQ(pool.parallelism(), threads);
+    ASSERT_EQ(pool.size(), threads - 1);
+    for (int round = 0; round < 10; ++round) {
+      std::barrier<> meet(static_cast<std::ptrdiff_t>(threads));
+      std::mutex mutex;
+      std::set<std::thread::id> ran_on;
+      pool.run_batch(threads, [&](std::size_t) {
+        {
+          std::lock_guard<std::mutex> lock(mutex);
+          ran_on.insert(std::this_thread::get_id());
+        }
+        meet.arrive_and_wait();
+      });
+      EXPECT_EQ(ran_on.size(), threads);
+      EXPECT_EQ(ran_on.count(std::this_thread::get_id()), 1u);
+    }
   }
 }
 
@@ -90,6 +121,44 @@ TEST(ThreadPool, ConcurrentThrowsSurfaceTheLowestIndex) {
     }
     EXPECT_EQ(ran.load(), 2);  // both indices still drained
   }
+}
+
+// The calling thread's claims are held to the same lowest-index rule as
+// the workers': whichever thread ran which index, the surfaced exception
+// is index 0's, and a throw only the caller's claim made still surfaces.
+TEST(ThreadPool, CallerClaimedThrowsFollowTheLowestIndexRule) {
+  ThreadPool pool(2);
+  const std::thread::id caller = std::this_thread::get_id();
+  for (int round = 0; round < 25; ++round) {
+    for (const bool only_caller_throws : {false, true}) {
+      std::atomic<int> arrived{0};
+      std::atomic<int> caller_claims{0};
+      std::atomic<std::size_t> caller_index{0};
+      try {
+        pool.run_batch(2, [&](std::size_t index) {
+          const bool on_caller = std::this_thread::get_id() == caller;
+          if (on_caller) {
+            ++caller_claims;
+            caller_index = index;
+          }
+          // Rendezvous: the two indices run at once, one per thread.
+          ++arrived;
+          while (arrived.load() < 2) std::this_thread::yield();
+          if (only_caller_throws && !on_caller) return;
+          throw std::runtime_error(std::to_string(index));
+        });
+        FAIL() << "no exception surfaced";
+      } catch (const std::runtime_error& error) {
+        const std::size_t expected =
+            only_caller_throws ? caller_index.load() : 0;
+        EXPECT_EQ(error.what(), std::to_string(expected));
+      }
+      EXPECT_EQ(caller_claims.load(), 1);
+    }
+  }
+  std::atomic<int> after{0};
+  pool.run_batch(4, [&](std::size_t) { ++after; });
+  EXPECT_EQ(after.load(), 4);
 }
 
 TEST(ThreadPool, WeightedBatchRunsEveryIndexExactlyOnce) {

@@ -47,8 +47,8 @@ GATED = [
     "BM_CoordinatorFanout/64",
     "BM_GroupedTemporalSweep",
     # Sharded fleet sweep (8 proxies x 1024 objects) across the worker
-    # pool.  These measure wall-clock (UseRealTime — workers do the
-    # simulating, the main thread just barriers), hence the /real_time
+    # pool.  These measure wall-clock (UseRealTime — the calling thread
+    # simulates only its share of each window), hence the /real_time
     # suffix.  The threads:1 entry guards the sharded machinery's
     # single-thread overhead; higher counts guard the parallel path.
     "BM_ShardedFleetSweep/threads:1/real_time",
