@@ -445,7 +445,7 @@ BENCHMARK(BM_GroupedTemporalSweep)->Unit(benchmark::kMillisecond);
 
 // A fleet under cooperative push: every poll relays to every sibling
 // tracking the uri, so the relay path dominates.
-void BM_FleetRelayStorm(benchmark::State& state) {
+void run_relay_storm(benchmark::State& state, Duration relay_latency) {
   const std::size_t proxies = static_cast<std::size_t>(state.range(0));
   const std::size_t objects = 64;
   const std::vector<UpdateTrace> traces = make_sweep_traces(objects);
@@ -456,6 +456,7 @@ void BM_FleetRelayStorm(benchmark::State& state) {
     FleetConfig config;
     config.proxies = proxies;
     config.cooperative_push = true;
+    config.relay_latency = relay_latency;
     ProxyFleet fleet(sim, origin, config);
     for (const UpdateTrace& trace : traces) {
       origin.attach_update_trace(trace.name(), trace);
@@ -472,7 +473,23 @@ void BM_FleetRelayStorm(benchmark::State& state) {
   }
   state.SetItemsProcessed(refreshes);
 }
+
+// Synchronous relays (relay_latency 0): each sibling reads the polled
+// response in place.
+void BM_FleetRelayStorm(benchmark::State& state) {
+  run_relay_storm(state, 0.0);
+}
 BENCHMARK(BM_FleetRelayStorm)->Arg(4)->Unit(benchmark::kMillisecond);
+
+// The same storm with a 5 s relay latency: every fan-out is one shared
+// message and one delivery event for all seven siblings.
+void BM_FleetDelayedRelayStorm(benchmark::State& state) {
+  run_relay_storm(state, 5.0);
+}
+BENCHMARK(BM_FleetDelayedRelayStorm)
+    ->ArgName("proxies")
+    ->Arg(8)
+    ->Unit(benchmark::kMillisecond);
 
 // The relay-storm topology with the fault layer switched on: loss,
 // jitter and capped-backoff retries on every relay, plus a staggered

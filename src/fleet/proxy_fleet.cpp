@@ -6,6 +6,23 @@
 #include "util/check.h"
 
 namespace broadway {
+namespace {
+
+// A fault-free delayed fan-out in flight: one message and one delivery
+// event; every destination is delivered in list order at `deliver_at`.
+struct RelayBatch {
+  struct Dest {
+    std::uint32_t to = 0;
+    bool watched = false;  // counted in pending_watched_
+  };
+  std::shared_ptr<const Response> message;
+  ObjectId object = kInvalidObjectId;
+  TimePoint snapshot = 0.0;
+  TimePoint deliver_at = 0.0;
+  SmallVector<Dest, 8> dests;
+};
+
+}  // namespace
 
 ProxyFleet::ProxyFleet(Simulator& sim, OriginServer& origin,
                        FleetConfig config)
@@ -188,18 +205,21 @@ void ProxyFleet::on_poll(std::size_t proxy_index, const PollEvent& event) {
     // shard layout derives identical fault-draw keys from it.
     const std::uint64_t round =
         faults_active_ ? next_relay_round(proxy_index, event.object) : 0;
+    Destinations dests;
     for (std::size_t j = 0; j < engines_.size(); ++j) {
       if (j == proxy_index) continue;
       if (!engines_[j]->relay_eligible(event.object)) continue;
-      relay(proxy_index, j, event.object, event.response, event.snapshot,
-            round);
+      dests.push_back(static_cast<std::uint32_t>(j));
     }
+    std::shared_ptr<const Response> message;
+    if (!dests.empty()) message = relay(proxy_index, dests, event, round);
     // Destinations hosted by other fleet instances (sharding): hand the
     // poll to the exporter, which fans out through the cross-shard
     // mailboxes.  Local and exported deliveries land on different
     // simulators, so their relative send order here is immaterial.
     if (relay_exporter_ != nullptr) {
-      relay_exporter_(proxy_ids_[proxy_index], event, round);
+      relay_exporter_(proxy_ids_[proxy_index], event, round,
+                      std::move(message));
     }
   }
   if (event.observation != nullptr) {
@@ -212,40 +232,54 @@ std::uint64_t ProxyFleet::next_relay_round(std::size_t proxy_index,
   return relay_rounds_[proxy_index][object]++;
 }
 
-void ProxyFleet::relay(std::size_t from, std::size_t to, ObjectId object,
-                       const Response& response, TimePoint snapshot,
-                       std::uint64_t round) {
-  if (!faults_active_) {
-    ++relays_.sent;
-    if (config_.relay_latency <= 0.0) {
-      // Synchronous relay: the receiving engine reads the polling
-      // engine's response in place — no copy anywhere on the path.
-      deliver(to, object, response, snapshot);
-      return;
+std::shared_ptr<const Response> ProxyFleet::relay(std::size_t from,
+                                                  const Destinations& dests,
+                                                  const PollEvent& event,
+                                                  std::uint64_t round) {
+  if (!faults_active_ && config_.relay_latency <= 0.0) {
+    // Synchronous relay: the receiving engines read the polling engine's
+    // response in place — no copy anywhere on the path.
+    for (const std::uint32_t to : dests) {
+      ++relays_.sent;
+      deliver(to, event.object, event.response, event.snapshot);
     }
-    // One copy: the PollEvent's references die with the poll pipeline
-    // (shared_ptr keeps the scheduling closure copyable).
-    auto message = std::make_shared<Response>(response);
-    ++relays_.in_flight;
-    // Deliveries to watched pairs feed the window send bound: push
-    // the delivery time now, pop it when the message lands.
-    const bool watched = watched_dest(to, object);
-    const TimePoint deliver_at = sim_.now() + config_.relay_latency;
-    if (watched) pending_watched_.insert(deliver_at);
-    sim_.schedule_after(
-        config_.relay_latency,
-        [this, to, object, message, snapshot, watched, deliver_at] {
-          --relays_.in_flight;
-          if (watched) pending_watched_.erase(pending_watched_.find(deliver_at));
-          deliver(to, object, *message, snapshot);
-        });
-    return;
+    return nullptr;
   }
-  // Fault path: a lost first attempt must still retry after the
-  // PollEvent's references die, so the copy happens up front.
-  auto message = std::make_shared<Response>(response);
-  relay_attempt(proxy_ids_[from], to, object, std::move(message), snapshot,
-                round, /*attempt=*/0);
+  // One copy per fan-out, shared by every destination: the PollEvent's
+  // references die with the poll pipeline.
+  auto message = std::make_shared<const Response>(event.response);
+  if (faults_active_) {
+    for (const std::uint32_t to : dests) {
+      relay_attempt(proxy_ids_[from], to, event.object, message,
+                    event.snapshot, round, /*attempt=*/0);
+    }
+    return message;
+  }
+  RelayBatch batch;
+  batch.message = message;
+  batch.object = event.object;
+  batch.snapshot = event.snapshot;
+  batch.deliver_at = sim_.now() + config_.relay_latency;
+  for (const std::uint32_t to : dests) {
+    ++relays_.sent;
+    ++relays_.in_flight;
+    // Deliveries to watched pairs feed the window send bound: push the
+    // delivery time now, pop it when the message lands.
+    const bool watched = watched_dest(to, event.object);
+    if (watched) pending_watched_.insert(batch.deliver_at);
+    batch.dests.push_back({to, watched});
+  }
+  sim_.schedule_after(
+      config_.relay_latency, [this, batch = std::move(batch)] {
+        for (const RelayBatch::Dest& dest : batch.dests) {
+          --relays_.in_flight;
+          if (dest.watched) {
+            pending_watched_.erase(pending_watched_.find(batch.deliver_at));
+          }
+          deliver(dest.to, batch.object, *batch.message, batch.snapshot);
+        }
+      });
+  return message;
 }
 
 void ProxyFleet::relay_attempt(std::size_t src_global, std::size_t to,

@@ -138,13 +138,17 @@ class ProxyFleet {
   /// Observer for relays that must leave this fleet instance.  Called
   /// once per relayable poll (inside the poll event, after local
   /// siblings were handled); the callee fans out to proxies hosted
-  /// elsewhere.  Event references die with the call — copy the response
-  /// before stashing it.  `round` is the sender's
+  /// elsewhere.  Event references die with the call.  `message` is the
+  /// fan-out's one shared copy of the response, made when a local
+  /// sibling needed it; it is null when none did (no local destination,
+  /// or the synchronous path), and the callee copies the response
+  /// itself only if it has a destination.  `round` is the sender's
   /// per-(proxy, object) relay fan-out round — a pure function of the
   /// sender's poll history — which keys the exporter's fault draws so a
   /// remote destination draws exactly what it would have drawn locally.
   using RelayExporter = std::function<void(
-      std::size_t from_global, const PollEvent& event, std::uint64_t round)>;
+      std::size_t from_global, const PollEvent& event, std::uint64_t round,
+      std::shared_ptr<const Response> message)>;
   void set_relay_exporter(RelayExporter exporter) {
     relay_exporter_ = std::move(exporter);
   }
@@ -273,25 +277,40 @@ class ProxyFleet {
   bool faults_active_ = false;  // config_.faults.any(), cached
   RelayLedger relays_;
 
-  /// Fleet-level stage of engine i's poll pipeline: relay to siblings,
-  /// then feed δ-groups.
+  /// Local relay destinations of one fan-out, ascending local index.
+  using Destinations = SmallVector<std::uint32_t, 8>;
+
+  /// Fleet-level stage of engine i's poll pipeline: build the list of
+  /// eligible local siblings once, relay to them, hand the poll (and the
+  /// fan-out's shared message) to the exporter, then feed δ-groups.
   void on_poll(std::size_t proxy, const PollEvent& event);
 
-  /// Send one relay message from local proxy `from` to proxy `to`
-  /// (delivered now, or after relay_latency + jitter).  `snapshot` is the
-  /// relaying proxy's poll fire time, `round` the sender's fan-out round
-  /// for the fault draws.  The fault-free synchronous path hands the
-  /// pipeline's response straight through by reference; a latency-delayed
-  /// or fault-injected relay copies it.
-  void relay(std::size_t from, std::size_t to, ObjectId object,
-             const Response& response, TimePoint snapshot,
-             std::uint64_t round);
+  /// Relay one poll from local proxy `from` to `dests`.  Returns the
+  /// fan-out's shared message, or null on the synchronous path.
+  ///  * Fault-free, relay_latency <= 0: each sibling reads the pipeline's
+  ///    response in place — no copy anywhere on the path.
+  ///  * Fault-free, relay_latency > 0: one copy and ONE delivery event at
+  ///    now + relay_latency for the whole fan-out, delivering in list
+  ///    order.  That is the order separate per-destination events would
+  ///    fire in: they would take consecutive seqs at one instant, so
+  ///    nothing could fire between them, and anything a delivery
+  ///    schedules at that instant gets a later seq.  The one event has
+  ///    their (time, scheduled_at, tag) key, so the sharded tie rule
+  ///    orders it exactly like them.
+  ///  * Faults: one copy shared by every destination's attempt chain;
+  ///    jitter gives each destination its own delivery instant, so each
+  ///    keeps its own event (relay_attempt).
+  std::shared_ptr<const Response> relay(std::size_t from,
+                                        const Destinations& dests,
+                                        const PollEvent& event,
+                                        std::uint64_t round);
 
   /// One transmission attempt of a fault-injected relay: draws loss (a
   /// lost attempt below the retry limit schedules the next attempt after
-  /// the capped exponential backoff) and jitter, then delivers.  The
-  /// retry chain is owned by the simulator, not the sending engine — a
-  /// sender crash does not cancel messages already handed to the network.
+  /// the capped exponential backoff) and jitter, then delivers.  Every
+  /// destination's chain shares the fan-out's one `message`.  The retry
+  /// chain is owned by the simulator, not the sending engine — a sender
+  /// crash does not cancel messages already handed to the network.
   void relay_attempt(std::size_t src_global, std::size_t to, ObjectId object,
                      std::shared_ptr<const Response> message,
                      TimePoint snapshot, std::uint64_t round,

@@ -550,8 +550,9 @@ void ShardedFleet::start() {
     for (std::size_t s = 0; s < shards_.size(); ++s) {
       shards_[s].fleet->set_relay_exporter(
           [this, s](std::size_t from_global, const PollEvent& event,
-                    std::uint64_t round) {
-            export_relay(s, from_global, event, round);
+                    std::uint64_t round,
+                    std::shared_ptr<const Response> response) {
+            export_relay(s, from_global, event, round, std::move(response));
           });
     }
   }
@@ -572,13 +573,17 @@ bool ShardedFleet::message_order(const Message& a, const Message& b) {
 void ShardedFleet::export_relay(std::size_t shard_index,
                                 std::size_t from_global,
                                 const PollEvent& event,
-                                std::uint64_t round) {
+                                std::uint64_t round,
+                                std::shared_ptr<const Response> response) {
   Shard& shard = shards_[shard_index];
   const std::vector<RemoteDest>* dests = shard.remote_dests.find(event.object);
   if (dests == nullptr) return;
-  // One copy per message, shared across its destinations (the PollEvent's
-  // references die with this call).
-  auto response = std::make_shared<Response>(event.response);
+  // One copy per fan-out, shared by its local and remote destinations:
+  // the slice fleet made it if a local sibling needed it; otherwise copy
+  // here (the PollEvent's references die with this call).
+  if (response == nullptr) {
+    response = std::make_shared<const Response>(event.response);
+  }
   if (config_.fleet.faults.any()) {
     // Per-destination attempt chain: loss and jitter draw from the same
     // counter-keyed streams the slice fleets (and the one-simulator

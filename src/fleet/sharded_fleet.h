@@ -321,8 +321,12 @@ class ShardedFleet {
   void build_registration_ranks();
   void build_remote_dests();
   void build_send_watches();
+  /// ProxyFleet::RelayExporter of shard `shard_index`: enqueue the
+  /// poll's relay to every remote destination, sharing `response` (the
+  /// fan-out's copy, or null to copy here) across all of them.
   void export_relay(std::size_t shard_index, std::size_t from_global,
-                    const PollEvent& event, std::uint64_t round);
+                    const PollEvent& event, std::uint64_t round,
+                    std::shared_ptr<const Response> response);
   /// One cross-shard send attempt under fault injection: draws loss and
   /// jitter from the same counter-keyed streams the one-simulator
   /// reference uses, reschedules itself on loss (sender-shard simulator,

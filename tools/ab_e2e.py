@@ -2,14 +2,21 @@
 """Alternating parent-vs-change A/B runs of the end-to-end benchmark.
 
 Usage:
-    tools/ab_e2e.py --parent REV --workload W [--seed N] [--pairs K]
-        [--seconds S] [--scratch DIR] [--keep]
+    tools/ab_e2e.py (--parent REV | --parent-tree DIR) --workload W
+        [--seed N] [--pairs K] [--seconds S] [--scratch DIR] [--keep]
 
-Checks out REV in a detached ``git worktree`` under the scratch directory
-and runs one workload of ``bench/e2e`` on both trees, each through its own
-``bench/e2e/run.py --build DIR`` (each tree builds and runs its own
-benchmark code).  The change side is this repository's working tree,
-uncommitted edits included.
+Runs one workload of ``bench/e2e`` on a parent tree and on this
+repository's working tree (the change side, uncommitted edits included),
+each through its own ``bench/e2e/run.py --build DIR`` (each tree builds and
+runs its own benchmark code; both builds go under the scratch directory).
+The parent tree is either
+
+    --parent REV       REV checked out in a detached ``git worktree`` under
+                       the scratch directory (removed afterwards unless
+                       --keep), or
+    --parent-tree DIR  an existing checkout of the parent, used as it is
+                       and never modified or removed; for example
+                       ``git archive REV | tar -x -C DIR``.
 
 Each of the K pairs runs the parent and the change once, alternating which
 side goes first.  For every end-to-end metric of BENCHMARK.json the report
@@ -97,8 +104,13 @@ def main():
     workloads = [w["name"] for w in spec["workloads"]]
     parser = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
-    parser.add_argument("--parent", required=True,
-                        help="git revision to compare against")
+    parent = parser.add_mutually_exclusive_group(required=True)
+    parent.add_argument("--parent",
+                        help="git revision to compare against, checked out "
+                             "in a git worktree")
+    parent.add_argument("--parent-tree", type=pathlib.Path,
+                        help="existing checkout of the parent to compare "
+                             "against (no worktree is made)")
     parser.add_argument("--workload", required=True, choices=workloads)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--pairs", type=int, default=10)
@@ -106,20 +118,30 @@ def main():
                         default=spec["run_seconds"],
                         help="run.py --seconds for every run")
     parser.add_argument("--scratch",
-                        help="directory for the worktree and both builds "
+                        help="directory for the builds (and the worktree) "
                              "(default: a fresh temporary directory)")
     parser.add_argument("--keep", action="store_true",
                         help="keep the worktree and builds afterwards")
     args = parser.parse_args()
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
+    if args.parent_tree is not None:
+        args.parent_tree = args.parent_tree.resolve()
+        if not (args.parent_tree / "bench" / "e2e" / "run.py").is_file():
+            parser.error(f"--parent-tree {args.parent_tree}: "
+                         "no bench/e2e/run.py")
 
     scratch = pathlib.Path(args.scratch or tempfile.mkdtemp(prefix="ab_e2e_"))
     scratch.mkdir(parents=True, exist_ok=True)
-    parent_tree = scratch / "parent"
-    subprocess.run(["git", "worktree", "add", "--detach", str(parent_tree),
-                    args.parent], cwd=ROOT, check=True,
-                   stdout=subprocess.DEVNULL)
+    if args.parent_tree is not None:
+        parent_tree = args.parent_tree
+        parent_label = str(parent_tree)
+    else:
+        parent_tree = scratch / "parent"
+        subprocess.run(["git", "worktree", "add", "--detach",
+                        str(parent_tree), args.parent], cwd=ROOT,
+                       check=True, stdout=subprocess.DEVNULL)
+        parent_label = args.parent
     sides = {"parent": (parent_tree, scratch / "build-parent"),
              "change": (ROOT, scratch / "build-change")}
     runs = {"parent": [], "change": []}
@@ -138,15 +160,16 @@ def main():
             log(f"pair {i + 1}/{args.pairs} done ({order[0]} first)")
     finally:
         if not args.keep:
-            subprocess.run(["git", "worktree", "remove", "--force",
-                            str(parent_tree)], cwd=ROOT, check=False)
+            if args.parent_tree is None:
+                subprocess.run(["git", "worktree", "remove", "--force",
+                                str(parent_tree)], cwd=ROOT, check=False)
             for _, build in sides.values():
                 shutil.rmtree(build, ignore_errors=True)
             if args.scratch is None:
                 shutil.rmtree(scratch, ignore_errors=True)
 
     print(f"workload {args.workload}  seed {args.seed}  pairs {args.pairs}  "
-          f"parent {args.parent}  seconds {args.seconds:g}")
+          f"parent {parent_label}  seconds {args.seconds:g}")
     report(spec["end_to_end"], runs["parent"], runs["change"])
     if not ok:
         log("some run failed its checks")

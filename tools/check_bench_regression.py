@@ -34,6 +34,9 @@ GATED = [
     "BM_EngineTemporalSweep/64",
     "BM_EngineTemporalSweep/256",
     "BM_FleetRelayStorm/4",
+    # The storm with a relay latency (8 proxies, 5 s): the delayed fan-out
+    # path, one shared message and one delivery event per relayable poll.
+    "BM_FleetDelayedRelayStorm/proxies:8",
     # The same topology with the fault layer on (loss + jitter + retries +
     # crash windows): the delta against BM_FleetRelayStorm is the price of
     # the counter-keyed draws and the per-attempt ledger.
