@@ -14,13 +14,13 @@
 #include <iostream>
 #include <memory>
 
+#include "client/client_traffic.h"
 #include "consistency/limd.h"
 #include "consistency/triggered.h"
 #include "harness/reporting.h"
 #include "metrics/fidelity.h"
 #include "metrics/mutual_fidelity.h"
 #include "origin/origin_server.h"
-#include "proxy/client.h"
 #include "proxy/group_registry.h"
 #include "proxy/polling_engine.h"
 #include "sim/simulator.h"
@@ -110,15 +110,14 @@ NewsRun simulate(const Workload& workload, bool mutual,
         group->members, group->delta_mutual));
   }
 
-  // Readers hammer the story page; media fetched alongside.  The uris
-  // resolve to interned ids here — a typo'd uri throws instead of
-  // silently getting zero traffic.
-  ClientWorkload clients(
-      sim, proxy.cache(), origin,
-      ClientWorkload::Config::from_uris(origin, /*request_rate=*/0.2,
-                                        {{workload.story.name(), 4.0},
-                                         {workload.photo.name(), 1.0},
-                                         {workload.clip.name(), 1.0}}));
+  // Readers hammer the story page; media fetched alongside: one Poisson
+  // stream at this proxy, 0.2 requests/s around the clock.
+  ClientTrafficConfig readers;
+  readers.request_rate = 0.2;
+  readers.popularity = {{origin.object_id(workload.story.name()), 4.0},
+                        {origin.object_id(workload.photo.name()), 1.0},
+                        {origin.object_id(workload.clip.name()), 1.0}};
+  FleetClientTraffic clients(sim, origin, {{&proxy, 0}}, readers);
 
   proxy.start();
   clients.start();
@@ -141,7 +140,7 @@ NewsRun simulate(const Workload& workload, bool mutual,
                                  delta_individual,
                                  workload.story.duration())
           .fidelity_time();
-  out.clients = clients.stats();
+  out.clients = clients.metrics(0);
   return out;
 }
 

@@ -10,9 +10,10 @@ void MutualCoordinator::on_poll(const std::string& uri,
   on_poll(hooks_.resolve(uri), obs);
 }
 
-ObjectId MutualCoordinator::resolve_member(const std::string& uri) const {
-  BROADWAY_CHECK_MSG(hooks_.resolve, "coordinator used before bind()");
-  const ObjectId id = hooks_.resolve(uri);
+ObjectId MutualCoordinator::resolve_member(const CoordinatorHooks& hooks,
+                                           const std::string& uri) {
+  BROADWAY_CHECK_MSG(hooks.resolve, "coordinator used before bind()");
+  const ObjectId id = hooks.resolve(uri);
   BROADWAY_CHECK_MSG(id != kInvalidObjectId, "unresolvable member " << uri);
   return id;
 }
@@ -22,21 +23,23 @@ std::vector<ObjectId> MutualCoordinator::resolve_members(
   std::vector<ObjectId> ids;
   ids.reserve(uris.size());
   for (const std::string& uri : uris) {
-    ids.push_back(resolve_member(uri));
+    ids.push_back(resolve_member(hooks_, uri));
   }
   return ids;
 }
 
-bool MutualCoordinator::outside_delta_window(ObjectId object, TimePoint now,
-                                             Duration delta_mutual) const {
-  BROADWAY_CHECK_MSG(hooks_.next_poll_time && hooks_.last_poll_time,
+bool MutualCoordinator::outside_delta_window(const CoordinatorHooks& hooks,
+                                             ObjectId object, TimePoint now,
+                                             Duration delta_mutual) {
+  BROADWAY_CHECK_MSG(hooks.next_poll_time && hooks.last_poll_time,
                      "coordinator used before bind()");
-  // A poll in the recent past means the cached copy already originated
-  // within δ of the updated object; a poll in the near future will restore
-  // that soon enough to stay within the user's tolerance (Eq. 4).
-  const TimePoint last = hooks_.last_poll_time(object);
+  // A refresh in the recent past (own poll, or a relay in a fleet) means
+  // the cached copy already originated within δ of the updated object; a
+  // poll in the near future will restore that soon enough to stay within
+  // the user's tolerance (Eq. 4).
+  const TimePoint last = hooks.last_poll_time(object);
   if (now - last <= delta_mutual) return false;
-  const TimePoint next = hooks_.next_poll_time(object);
+  const TimePoint next = hooks.next_poll_time(object);
   if (next - now <= delta_mutual) return false;
   return true;
 }

@@ -8,6 +8,10 @@
 //   NullCoordinator       — baseline LIMD, no mutual support;
 //   TriggeredPollCoordinator — every observed update triggers polls of all
 //                           related objects (fidelity 1.0 by construction);
+//                           its members are (proxy, uri) pairs, so one
+//                           class serves an engine-local group (every
+//                           member on the one proxy) and a fleet's
+//                           cross-proxy groups (fleet/proxy_fleet.h);
 //   RateHeuristicCoordinator — trigger only similar-or-faster objects.
 //
 // Hot-path representation: hooks and `on_poll` are keyed by interned
@@ -87,19 +91,22 @@ class MutualCoordinator {
   /// are attached.
   virtual void on_bind() {}
 
-  /// Resolve one member uri through the bound hooks (checked).
-  ObjectId resolve_member(const std::string& uri) const;
+  /// Resolve one member uri through `hooks` (checked).
+  static ObjectId resolve_member(const CoordinatorHooks& hooks,
+                                 const std::string& uri);
 
-  /// Intern a whole member list (the shared on_bind step of the concrete
-  /// coordinators).
+  /// Intern a whole member list through the bound hooks (the shared
+  /// on_bind step of the concrete coordinators).
   std::vector<ObjectId> resolve_members(
       const std::vector<std::string>& uris) const;
 
   /// Paper §3.2: "an additional poll is triggered for an object only if
   /// its next/previous poll instant is more than δ time units away".
-  /// Returns true when the object deserves a triggered poll at `now`.
-  bool outside_delta_window(ObjectId object, TimePoint now,
-                            Duration delta_mutual) const;
+  /// Returns true when the object deserves a triggered poll at `now`,
+  /// judged by the schedule of the proxy whose `hooks` are given.
+  static bool outside_delta_window(const CoordinatorHooks& hooks,
+                                   ObjectId object, TimePoint now,
+                                   Duration delta_mutual);
 
   CoordinatorHooks hooks_;
 };

@@ -68,7 +68,7 @@ void RateHeuristicCoordinator::on_poll(ObjectId object,
         member_rate == 0.0) {
       continue;
     }
-    if (!outside_delta_window(member_ids_[i], obs.poll_time,
+    if (!outside_delta_window(hooks_, member_ids_[i], obs.poll_time,
                               config_.delta_mutual)) {
       continue;
     }

@@ -124,11 +124,11 @@ std::vector<CoordinatorHooks> ProxyFleet::hooks_by_proxy() {
   return hooks;
 }
 
-FleetDeltaGroup& ProxyFleet::add_delta_group(std::vector<FleetMember> members,
-                                             Duration delta_mutual) {
-  for (const FleetMember& member : members) {
-    BROADWAY_CHECK_MSG(member.proxy < engines_.size(),
-                       "member proxy " << member.proxy << " out of range");
+TriggeredPollCoordinator& ProxyFleet::add_delta_group(
+    std::vector<FleetMember> members, Duration delta_mutual) {
+  auto group = std::make_unique<TriggeredPollCoordinator>(
+      std::move(members), delta_mutual, engines_.size());
+  for (const FleetMember& member : group->members()) {
     // Temporal-only, checked here so a bad member fails at registration
     // instead of aborting mid-simulation on the first trigger.
     BROADWAY_CHECK_MSG(engines_[member.proxy]->tracks_temporal(member.uri),
@@ -136,8 +136,6 @@ FleetDeltaGroup& ProxyFleet::add_delta_group(std::vector<FleetMember> members,
                                  << " is not a temporal object of proxy "
                                  << member.proxy);
   }
-  auto group =
-      std::make_unique<FleetDeltaGroup>(std::move(members), delta_mutual);
   group->bind(hooks_by_proxy());
   if (config_.faults.has_crashes()) {
     // While a member's proxy is dark its designated sibling absorbs the
@@ -360,7 +358,7 @@ void ProxyFleet::notify_groups(std::size_t proxy_index, ObjectId object,
   if (groups_by_member_.empty()) return;  // no δ-groups registered
   const auto* groups = groups_by_member_[proxy_index].find(object);
   if (groups == nullptr) return;
-  for (FleetDeltaGroup* group : *groups) {
+  for (TriggeredPollCoordinator* group : *groups) {
     group->on_poll(proxy_index, object, obs);
   }
 }
@@ -381,7 +379,7 @@ std::size_t ProxyFleet::failover_target(std::size_t proxy_index,
     if (!engines_[j]->tracks_temporal(object)) continue;
     return j;
   }
-  return FleetDeltaGroup::kNoLiveProxy;
+  return TriggeredPollCoordinator::kNoLiveProxy;
 }
 
 // ---- accounting ------------------------------------------------------------

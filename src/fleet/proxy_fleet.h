@@ -13,8 +13,10 @@
 //    PushChannel-style proxy–proxy relay carrying X-Modification-History /
 //    X-Last-Modified-Precise, so siblings refresh (200 relays) or
 //    revalidate (304 relays) without an origin round-trip;
-//  * fleet-aware δ-groups (FleetDeltaGroup): mutual temporal consistency
-//    for groups whose members are cached on *different* proxies.
+//  * cross-proxy δ-groups: the paper's triggered-poll coordinator
+//    (consistency/triggered.h) over (proxy, uri) members cached on
+//    *different* proxies.  The fleet feeds it own polls and applied
+//    relays, and routes a dark member's trigger to a live sibling.
 //
 // Relay correctness: every successful non-initial poll is relayed, so a
 // sibling's view always advances with the freshest observation anywhere in
@@ -35,8 +37,8 @@
 #include <vector>
 
 #include "client/client_traffic.h"
+#include "consistency/triggered.h"
 #include "fleet/faults.h"
-#include "fleet/fleet_group.h"
 #include "metrics/accounting.h"
 #include "origin/origin_server.h"
 #include "proxy/polling_engine.h"
@@ -124,8 +126,8 @@ class ProxyFleet {
 
   /// Register a cross-proxy δ-group.  Members must already be registered
   /// temporal objects on their proxies.
-  FleetDeltaGroup& add_delta_group(std::vector<FleetMember> members,
-                                   Duration delta_mutual);
+  TriggeredPollCoordinator& add_delta_group(std::vector<FleetMember> members,
+                                            Duration delta_mutual);
 
   /// Start every engine (proxy 0 first; deterministic FIFO ordering).
   /// Each engine starts under a schedule tag equal to its global proxy
@@ -248,7 +250,7 @@ class ProxyFleet {
   OriginServer& origin_;
   FleetConfig config_;
   std::vector<std::unique_ptr<PollingEngine>> engines_;
-  std::vector<std::unique_ptr<FleetDeltaGroup>> groups_;
+  std::vector<std::unique_ptr<TriggeredPollCoordinator>> groups_;
   // Per-(proxy, object) δ-group subscriber index, built at
   // add_delta_group time: groups_by_member_[proxy][object] lists the
   // groups watching that member, so notify_groups costs
@@ -256,7 +258,8 @@ class ProxyFleet {
   // instead of a virtual call into every registered group per poll.
   // Sparse slots hold only the grouped members, not every id of the
   // fleet-shared origin table.
-  std::vector<IdSlots<SmallVector<FleetDeltaGroup*, 2>>> groups_by_member_;
+  std::vector<IdSlots<SmallVector<TriggeredPollCoordinator*, 2>>>
+      groups_by_member_;
   std::vector<std::size_t> proxy_ids_;  // local index -> global proxy id
   std::unique_ptr<FleetClientTraffic> client_traffic_;  // null = no clients
   RelayExporter relay_exporter_;
@@ -319,7 +322,8 @@ class ProxyFleet {
   /// Consume the next fan-out round of (local proxy, object).
   std::uint64_t next_relay_round(std::size_t proxy_index, ObjectId object);
 
-  /// Failover route for δ-groups (FleetDeltaGroup::FailoverResolver):
+  /// Failover route for δ-groups
+  /// (TriggeredPollCoordinator::FailoverResolver):
   /// `proxy_index`'s designated sibling while it is dark — the
   /// lowest-global-id live proxy tracking `object` as a self-scheduled
   /// temporal object — or kNoLiveProxy when every tracker is dark.

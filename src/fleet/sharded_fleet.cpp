@@ -85,22 +85,25 @@ void ShardedFleet::add_value_object(std::size_t proxy, const std::string& uri,
 void ShardedFleet::add_delta_group(std::vector<FleetMember> members,
                                    Duration delta_mutual) {
   BROADWAY_CHECK_MSG(!started_, "registration after start()");
-  for (const FleetMember& member : members) {
-    BROADWAY_CHECK_MSG(member.proxy < proxy_count_,
-                       "member proxy " << member.proxy << " out of range");
-  }
+  TriggeredPollCoordinator::validate(members, delta_mutual, proxy_count_);
   group_registrations_.push_back({std::move(members), delta_mutual});
+}
+
+const TriggeredPollCoordinator& ShardedFleet::delta_group(
+    std::size_t index) const {
+  BROADWAY_CHECK_MSG(started_, "delta_group() before start()");
+  BROADWAY_CHECK_MSG(index < group_registrations_.size(),
+                     "δ-group " << index);
+  return *group_registrations_[index].bound;
 }
 
 // ---- shard construction ----------------------------------------------------
 
 void ShardedFleet::build_shards() {
   // ---- enumerate registered (proxy, uri) pairs ----
-  // Pairs are the atoms of both layouts: the legacy layout colocates all
-  // of a proxy's pairs, the object-partition layout moves them
-  // independently (modulo the closure below).  Pair indices follow
-  // registration-scan order, so everything derived from them is
-  // deterministic.
+  // Pairs are the atoms of the layout: they move independently, modulo
+  // the colocation closure below.  Pair indices follow registration-scan
+  // order, so everything derived from them is deterministic.
   pairs_.clear();
   std::map<std::pair<std::size_t, std::string>, std::size_t> pair_index;
   auto intern_pair = [&](std::size_t proxy, const std::string& uri) {
@@ -160,6 +163,19 @@ void ShardedFleet::build_shards() {
     const auto [slot, inserted] = sibling_first.try_emplace(key, i);
     if (!inserted) pair_components.unite(slot->second, i);
   }
+  // Joins, per proxy, every pair for which `joins(i)` holds.
+  const auto join_within_proxy = [&](const auto& joins) {
+    std::vector<std::size_t> first_of_proxy(proxy_count_, SIZE_MAX);
+    for (std::size_t i = 0; i < pairs_.size(); ++i) {
+      if (!joins(i)) continue;
+      std::size_t& first = first_of_proxy[pairs_[i].proxy];
+      if (first == SIZE_MAX) {
+        first = i;
+      } else {
+        pair_components.unite(first, i);
+      }
+    }
+  };
   // (b2) Cooperative push couples every relay-receiving pair of a proxy:
   //      applying a relay reschedules the receiver's refresh timer, and
   //      one send burst delivers to several of a proxy's objects at the
@@ -173,29 +189,15 @@ void ShardedFleet::build_shards() {
   if (config_.fleet.cooperative_push) {
     std::map<std::string, std::size_t> tracker_count;
     for (const PairInfo& pair : pairs_) ++tracker_count[pair.uri];
-    std::vector<std::size_t> first_multi(proxy_count_, SIZE_MAX);
-    for (std::size_t i = 0; i < pairs_.size(); ++i) {
-      if (tracker_count.at(pairs_[i].uri) < 2) continue;
-      std::size_t& first = first_multi[pairs_[i].proxy];
-      if (first == SIZE_MAX) {
-        first = i;
-      } else {
-        pair_components.unite(first, i);
-      }
-    }
+    join_within_proxy([&](std::size_t i) {
+      return tracker_count.at(pairs_[i].uri) >= 2;
+    });
   }
   // (c) Client request streams read a proxy's whole cache through one
-  //     engine binding, so client traffic pins each proxy together.
-  if (config_.fleet.client_traffic) {
-    std::vector<std::size_t> first_of_proxy(proxy_count_, SIZE_MAX);
-    for (std::size_t i = 0; i < pairs_.size(); ++i) {
-      std::size_t& first = first_of_proxy[pairs_[i].proxy];
-      if (first == SIZE_MAX) {
-        first = i;
-      } else {
-        pair_components.unite(first, i);
-      }
-    }
+  //     engine binding, so client traffic pins each proxy together.  The
+  //     whole-proxy layout (shards = 0) joins each proxy's pairs too.
+  if (config_.fleet.client_traffic || config_.shards == 0) {
+    join_within_proxy([](std::size_t) { return true; });
   }
   // (d) Crash/recovery is engine-wide: recovery re-arms every object of
   //     the proxy in registration order, and the re-armed timers fire in
@@ -203,82 +205,70 @@ void ShardedFleet::build_shards() {
   //     only reproducible inside one slice log — a proxy with crash
   //     windows keeps all its pairs together.
   if (config_.fleet.faults.has_crashes()) {
-    std::vector<std::size_t> first_of_proxy(proxy_count_, SIZE_MAX);
-    for (std::size_t i = 0; i < pairs_.size(); ++i) {
-      if (config_.fleet.faults.windows_for(pairs_[i].proxy) == nullptr) {
-        continue;
-      }
-      std::size_t& first = first_of_proxy[pairs_[i].proxy];
-      if (first == SIZE_MAX) {
-        first = i;
-      } else {
-        pair_components.unite(first, i);
-      }
-    }
+    join_within_proxy([&](std::size_t i) {
+      return config_.fleet.faults.windows_for(pairs_[i].proxy) != nullptr;
+    });
     // (e) Sibling failover routes a dark owner's δ-poll to the
     //     lowest-global-id live tracker of the object, so resolving the
     //     choice needs every tracker's engine (liveness, eligibility) on
     //     the group's slice: all trackers of a grouped uri join the
     //     group's component (a group member is itself a tracker, which
     //     anchors the union to rule (a)'s component).
-    if (!group_registrations_.empty()) {
-      std::map<std::string, std::size_t> first_tracker;
-      for (std::size_t i = 0; i < pairs_.size(); ++i) {
-        if (uri_index.find(pairs_[i].uri) == uri_index.end()) continue;
-        const auto [slot, inserted] =
-            first_tracker.try_emplace(pairs_[i].uri, i);
-        if (!inserted) pair_components.unite(slot->second, i);
-      }
+    std::map<std::string, std::size_t> first_tracker;
+    for (std::size_t i = 0; i < pairs_.size(); ++i) {
+      if (uri_index.find(pairs_[i].uri) == uri_index.end()) continue;
+      const auto [slot, inserted] =
+          first_tracker.try_emplace(pairs_[i].uri, i);
+      if (!inserted) pair_components.unite(slot->second, i);
     }
   }
+
+  // ---- placement ----
+  // Colocation units (pair components) in ascending-root order (a root is
+  // its component's smallest pair index — see UnionFind::unite).
+  std::vector<std::size_t> unit_of_pair(pairs_.size());
+  std::vector<std::size_t> unit_of_root(pairs_.size(), SIZE_MAX);
+  std::vector<std::size_t> unit_weight;
   for (std::size_t i = 0; i < pairs_.size(); ++i) {
     pairs_[i].root = pair_components.find(i);
+    std::size_t& unit = unit_of_root[pairs_[i].root];
+    if (unit == SIZE_MAX) {
+      unit = unit_weight.size();
+      unit_weight.push_back(0);
+    }
+    ++unit_weight[unit];
+    unit_of_pair[i] = unit;
   }
-  // ---- shard layout ----
-  std::vector<std::vector<std::size_t>> shard_members;
+  pair_count_ = pairs_.size();
+  largest_unit_pairs_ =
+      unit_weight.empty()
+          ? 0
+          : *std::max_element(unit_weight.begin(), unit_weight.end());
+  std::vector<std::size_t> shard_of_unit(unit_weight.size(), SIZE_MAX);
+  std::vector<std::size_t> idle_shard(proxy_count_, SIZE_MAX);
+  std::size_t shard_total = 0;
   if (config_.shards == 0) {
-    // Legacy layout: one shard per δ-closure component of whole proxies,
-    // numbered by smallest member proxy.
-    UnionFind components(proxy_count_);
-    for (const GroupRegistration& group : group_registrations_) {
-      for (std::size_t i = 1; i < group.members.size(); ++i) {
-        components.unite(group.members[0].proxy, group.members[i].proxy);
-      }
+    // Whole-proxy layout: every unit is a set of whole proxies (rule c),
+    // and each gets its own shard, numbered by its smallest proxy.  A
+    // proxy with no registered pair keeps a shard of its own.
+    std::vector<std::size_t> unit_of_proxy(proxy_count_, SIZE_MAX);
+    for (std::size_t i = 0; i < pairs_.size(); ++i) {
+      unit_of_proxy[pairs_[i].proxy] = unit_of_pair[i];
     }
-    // Rule (e) at whole-proxy granularity: with crash windows, sibling
-    // failover must see every tracker of a grouped uri on the group's
-    // shard, member or not.
-    if (config_.fleet.faults.has_crashes() &&
-        !group_registrations_.empty()) {
-      std::map<std::string, std::size_t> first_tracker;
-      for (const PairInfo& pair : pairs_) {
-        if (uri_index.find(pair.uri) == uri_index.end()) continue;
-        const auto [slot, inserted] =
-            first_tracker.try_emplace(pair.uri, pair.proxy);
-        if (!inserted) components.unite(slot->second, pair.proxy);
-      }
-    }
-    std::vector<std::size_t> shard_of_proxy(proxy_count_, SIZE_MAX);
-    std::vector<std::size_t> shard_of_root(proxy_count_, SIZE_MAX);
     for (std::size_t proxy = 0; proxy < proxy_count_; ++proxy) {
-      const std::size_t root = components.find(proxy);
-      if (shard_of_root[root] == SIZE_MAX) {
-        shard_of_root[root] = shard_members.size();
-        shard_members.emplace_back();
+      const std::size_t unit = unit_of_proxy[proxy];
+      if (unit == SIZE_MAX) {
+        idle_shard[proxy] = shard_total++;
+      } else if (shard_of_unit[unit] == SIZE_MAX) {
+        shard_of_unit[unit] = shard_total++;
       }
-      shard_of_proxy[proxy] = shard_of_root[root];
-      shard_members[shard_of_root[root]].push_back(proxy);
-    }
-    for (PairInfo& pair : pairs_) {
-      pair.shard = shard_of_proxy[pair.proxy];
     }
   } else {
-    // Object-partition layout: colocation units (pair components) packed
-    // into the requested bins by greedy LPT on pair count — the cheap
-    // stand-in for a per-object poll-rate estimate, exact enough because
-    // every registered object polls continuously.  Deterministic: units
-    // order by (weight desc, smallest pair index asc), ties pick the
-    // lowest-numbered bin.
+    // Object-partition layout: units packed into the requested bins by
+    // greedy LPT on pair count — the cheap stand-in for a per-object
+    // poll-rate estimate, exact enough because every registered object
+    // polls continuously.  Deterministic: units order by (weight desc,
+    // smallest pair index asc), ties pick the lowest-numbered bin.
     BROADWAY_CHECK_MSG(!pairs_.empty(),
                        "object-partition sharding needs at least one "
                        "registered object");
@@ -290,17 +280,6 @@ void ShardedFleet::build_shards() {
                              << proxy
                              << " has no registered objects, so no slice "
                                 "could host it");
-    }
-    // Units in ascending-root order (a root is its component's smallest
-    // pair index — see UnionFind::unite).
-    std::vector<std::size_t> unit_of_root(pairs_.size(), SIZE_MAX);
-    std::vector<std::size_t> unit_weight;
-    for (const PairInfo& pair : pairs_) {
-      if (unit_of_root[pair.root] == SIZE_MAX) {
-        unit_of_root[pair.root] = unit_weight.size();
-        unit_weight.push_back(0);
-      }
-      ++unit_weight[unit_of_root[pair.root]];
     }
     std::vector<std::size_t> order(unit_weight.size());
     std::iota(order.begin(), order.end(), std::size_t{0});
@@ -322,20 +301,27 @@ void ShardedFleet::build_shards() {
     // Drop empty bins (more bins than units) and renumber ascending.
     std::vector<std::size_t> shard_of_bin(bins, SIZE_MAX);
     for (std::size_t b = 0; b < bins; ++b) {
-      if (bin_load[b] == 0) continue;
-      shard_of_bin[b] = shard_members.size();
-      shard_members.emplace_back();
+      if (bin_load[b] != 0) shard_of_bin[b] = shard_total++;
     }
-    std::vector<std::vector<bool>> proxy_on_shard(
-        shard_members.size(), std::vector<bool>(proxy_count_, false));
-    for (PairInfo& pair : pairs_) {
-      pair.shard = shard_of_bin[bin_of_unit[unit_of_root[pair.root]]];
-      proxy_on_shard[pair.shard][pair.proxy] = true;
+    for (std::size_t unit = 0; unit < unit_weight.size(); ++unit) {
+      shard_of_unit[unit] = shard_of_bin[bin_of_unit[unit]];
     }
-    for (std::size_t s = 0; s < shard_members.size(); ++s) {
-      for (std::size_t proxy = 0; proxy < proxy_count_; ++proxy) {
-        if (proxy_on_shard[s][proxy]) shard_members[s].push_back(proxy);
-      }
+  }
+  std::vector<std::vector<bool>> proxy_on_shard(
+      shard_total, std::vector<bool>(proxy_count_, false));
+  for (std::size_t proxy = 0; proxy < proxy_count_; ++proxy) {
+    if (idle_shard[proxy] != SIZE_MAX) {
+      proxy_on_shard[idle_shard[proxy]][proxy] = true;
+    }
+  }
+  for (std::size_t i = 0; i < pairs_.size(); ++i) {
+    pairs_[i].shard = shard_of_unit[unit_of_pair[i]];
+    proxy_on_shard[pairs_[i].shard][pairs_[i].proxy] = true;
+  }
+  std::vector<std::vector<std::size_t>> shard_members(shard_total);
+  for (std::size_t s = 0; s < shard_total; ++s) {
+    for (std::size_t proxy = 0; proxy < proxy_count_; ++proxy) {
+      if (proxy_on_shard[s][proxy]) shard_members[s].push_back(proxy);
     }
   }
 
@@ -380,7 +366,7 @@ void ShardedFleet::build_shards() {
     shards_[s].fleet->add_value_object(local_of(s, reg.proxy), reg.uri,
                                        reg.config);
   }
-  for (const GroupRegistration& reg : group_registrations_) {
+  for (GroupRegistration& reg : group_registrations_) {
     const std::size_t shard_index =
         pairs_[pair_index.at({reg.members[0].proxy, reg.members[0].uri})]
             .shard;
@@ -391,8 +377,8 @@ void ShardedFleet::build_shards() {
       BROADWAY_CHECK(member_shard == shard_index);
       member.proxy = local_of(shard_index, member.proxy);
     }
-    shards_[shard_index].fleet->add_delta_group(std::move(local_members),
-                                               reg.delta_mutual);
+    reg.bound = &shards_[shard_index].fleet->add_delta_group(
+        std::move(local_members), reg.delta_mutual);
   }
 }
 

@@ -47,20 +47,22 @@
 //
 // δ-groups couple their member proxies synchronously (a member's poll
 // can trigger immediate early polls on sibling members), so grouped
-// members must share a timeline.  The legacy layout (shards = 0) takes
-// the union-find closure over whole proxies — one shard per component.
-// Object-partition sharding (shards > 0) closes over (proxy, object)
-// *pairs* instead: a proxy's ungrouped objects may split across shards
-// as independent engine slices, so shard count can exceed proxy count
-// and a hot proxy no longer serializes a run.  Either way the layout
-// depends only on the topology and the `shards` knob — never on the
-// thread count — so merged output is thread-schedule independent by
-// construction.  Every ObjectId-keyed table of a shard — its engine
-// slices' caches, poll-log indices and tracked objects, the slice fleet's
-// group index and relay rounds, the origin reader's version hints and
-// the shard's remote fan-out lists — is an IdSlots (util/id_slots.h)
-// holding only the pairs the shard hosts, so raising the shard count
-// adds O(pairs), not O(objects) per slice.
+// members must share a timeline.  build_shards takes one union-find
+// closure over (proxy, object) *pairs* — the colocation rules listed
+// there — and places the resulting units.  The whole-proxy layout
+// (shards = 0) adds one rule, joining each proxy's pairs, and gives every
+// unit its own shard.  Object-partition sharding (shards > 0) packs the
+// units into the requested shard count: a proxy's ungrouped objects may
+// split across shards as independent engine slices, so shard count can
+// exceed proxy count and a hot proxy no longer serializes a run.  Either
+// way the layout depends only on the topology and the `shards` knob —
+// never on the thread count — so merged output is thread-schedule
+// independent by construction.  Every ObjectId-keyed table of a shard —
+// its engine slices' caches, poll-log indices and tracked objects, the
+// slice fleet's group index and relay rounds, the origin reader's
+// version hints and the shard's remote fan-out lists — is an IdSlots
+// (util/id_slots.h) holding only the pairs the shard hosts, so raising
+// the shard count adds O(pairs), not O(objects) per slice.
 //
 // Accounting merges deterministically at sweep end: FleetOriginLoad
 // counters are sums, and merged_poll_records() orders the fleet-wide
@@ -112,15 +114,15 @@ struct ShardedFleetConfig {
   /// Origin configuration every shard's reader answers with.
   OriginServer::Config origin;
 
-  /// Requested shard count for object-partition sharding.  0 (default)
-  /// keeps the legacy layout: one shard per δ-closure of whole proxies.
-  /// > 0 partitions at (proxy, object) granularity: colocation units are
-  /// the δ-group closures over *pairs* (a group's members, every proxy's
-  /// pairs of group-sibling objects, and — with client traffic — each
-  /// proxy's whole working set), packed into at most this many shards by
-  /// greedy LPT on pair count.  A proxy whose pairs land on several
-  /// shards runs one engine *slice* per shard; merged output is
-  /// byte-identical to the whole-proxy layout at any shard count.
+  /// Requested shard count.  Colocation units are the δ-group closures
+  /// over (proxy, object) *pairs* (a group's members, every proxy's pairs
+  /// of group-sibling objects, and — with client traffic — each proxy's
+  /// whole working set; see build_shards).  0 (default) is the
+  /// whole-proxy layout: the closure also joins each proxy's pairs, and
+  /// every unit gets a shard of its own.  > 0 packs the units into at
+  /// most this many shards by greedy LPT on pair count; a proxy whose
+  /// pairs land on several shards runs one engine *slice* per shard.
+  /// Merged output is byte-identical across layouts and shard counts.
   std::size_t shards = 0;
 };
 
@@ -152,8 +154,9 @@ class ShardedFleet {
   void add_value_object(std::size_t proxy, const std::string& uri,
                         AdaptiveValueTtrPolicy::Config config);
 
-  /// Register a cross-proxy δ-group.  Member proxies are unioned into
-  /// one shard (their coordination is synchronous).
+  /// Register a cross-proxy δ-group.  Members are checked here
+  /// (TriggeredPollCoordinator::validate) and colocated on one shard at
+  /// start() (their coordination is synchronous).
   void add_delta_group(std::vector<FleetMember> members,
                        Duration delta_mutual);
 
@@ -185,6 +188,15 @@ class ShardedFleet {
   /// object-partition sharding split it; valid after start()).
   std::size_t slice_count(std::size_t proxy) const;
   TimePoint now() const { return now_; }
+  /// Registered (proxy, object) pairs, and the pairs of the largest
+  /// colocation unit — the most the layout must put on one shard, and so
+  /// on one thread (valid after start()).
+  std::size_t pair_count() const { return pair_count_; }
+  std::size_t largest_unit_pairs() const { return largest_unit_pairs_; }
+
+  /// δ-group `index` (registration order) as bound on its shard (valid
+  /// after start()).
+  const TriggeredPollCoordinator& delta_group(std::size_t index) const;
 
   /// Global proxy accessors (valid after start(); require a single-slice
   /// proxy — partition-split proxies have no one engine to return).
@@ -311,11 +323,11 @@ class ShardedFleet {
   struct GroupRegistration {
     std::vector<FleetMember> members;
     Duration delta_mutual;
+    const TriggeredPollCoordinator* bound = nullptr;  // set at start()
   };
 
   static bool message_order(const Message& a, const Message& b);
   void build_shards();
-  void build_partitioned_layout();
   /// Local index of global proxy `proxy` within shard `shard`.
   std::size_t local_of(std::size_t shard, std::size_t proxy) const;
   void build_registration_ranks();
@@ -353,6 +365,8 @@ class ShardedFleet {
 
   ShardedFleetConfig config_;
   std::size_t proxy_count_ = 0;
+  std::size_t pair_count_ = 0;
+  std::size_t largest_unit_pairs_ = 0;
   bool started_ = false;
   TimePoint now_ = 0.0;
   std::vector<TemporalRegistration> temporal_registrations_;

@@ -77,21 +77,6 @@ bool Rng::bernoulli(double p) {
   return uniform01() < p;
 }
 
-std::size_t Rng::weighted_index(const std::vector<double>& weights) {
-  double total = 0.0;
-  for (double w : weights) {
-    BROADWAY_CHECK_MSG(w >= 0.0, "negative weight " << w);
-    total += w;
-  }
-  BROADWAY_CHECK_MSG(total > 0.0, "weighted_index needs a positive weight");
-  double target = uniform01() * total;
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    target -= weights[i];
-    if (target < 0.0) return i;
-  }
-  return weights.size() - 1;  // numerical edge: land on the last bucket
-}
-
 Rng Rng::fork() {
   std::uint64_t s = next_u64();
   return Rng(splitmix64(s));

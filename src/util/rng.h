@@ -41,10 +41,6 @@ class Rng {
   /// Bernoulli trial with probability p of returning true, p in [0, 1].
   bool bernoulli(double p);
 
-  /// Pick an index in [0, weights.size()) with probability proportional to
-  /// weights[i].  Requires at least one strictly positive weight.
-  std::size_t weighted_index(const std::vector<double>& weights);
-
   /// Derive a child RNG whose stream is independent of (and deterministic
   /// given) this one.  Used to give each generated trace its own stream so
   /// that adding a trace to an experiment never perturbs the others.

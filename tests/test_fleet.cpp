@@ -304,7 +304,7 @@ TEST(ProxyFleet, DeltaGroupTriggersAcrossProxies) {
                                 limd_config(120.0, 1200.0)));
 
   const Duration delta_mutual = 60.0;
-  FleetDeltaGroup& group = fleet.add_delta_group(
+  TriggeredPollCoordinator& group = fleet.add_delta_group(
       {{0, "/fast"}, {1, "/slow"}}, delta_mutual);
   // Members are interned at registration: the id-keyed dispatch
   // representation, parallel to the uri member list.

@@ -13,7 +13,7 @@
 
 #include "client/client_traffic.h"
 #include "consistency/limd.h"
-#include "fleet/fleet_group.h"
+#include "consistency/triggered.h"
 #include "fleet/proxy_fleet.h"
 #include "origin/origin_server.h"
 #include "proxy/polling_engine.h"
@@ -475,7 +475,7 @@ TEST(FleetFaults, SiblingFailoverAbsorbsDarkOwnerAndHandsBack) {
     Simulator sim;
     OriginServer origin;
     std::unique_ptr<ProxyFleet> fleet;
-    FleetDeltaGroup* group = nullptr;
+    TriggeredPollCoordinator* group = nullptr;
     Run() : origin(sim) {}
   };
   const auto build = [&](Run& run, bool crashed) {

@@ -4,10 +4,10 @@
 
 #include <memory>
 
+#include "client/client_traffic.h"
 #include "consistency/fixed_poll.h"
 #include "consistency/limd.h"
 #include "metrics/accounting.h"
-#include "proxy/client.h"
 #include "proxy/polling_engine.h"
 #include "sim/simulator.h"
 #include "trace/generators.h"
@@ -144,7 +144,8 @@ TEST(CrashRecovery, BeforeStartIsAnError) {
   EXPECT_THROW(engine.crash_and_recover(), CheckFailure);
 }
 
-TEST(ClientWorkload, ObservesFreshAndStaleResponses) {
+// One-proxy client streams (FleetClientTraffic bound to a lone engine).
+TEST(OneProxyClientTraffic, ObservesFreshAndStaleResponses) {
   Simulator sim;
   OriginServer origin(sim);
   PollingEngine engine(sim, origin);
@@ -157,16 +158,17 @@ TEST(ClientWorkload, ObservesFreshAndStaleResponses) {
                              std::make_unique<FixedPollPolicy>(40.0));
 
   // 0.5 req/s: one every 2 s on average.
-  ClientWorkload client(sim, engine.cache(), origin,
-                        ClientWorkload::Config::from_uris(
-                            origin, /*request_rate=*/0.5, {{"/page", 1.0}},
-                            /*seed=*/99));
+  ClientTrafficConfig config;
+  config.request_rate = 0.5;
+  config.popularity = {{origin.object_id("/page"), 1.0}};
+  config.seed = 99;
+  FleetClientTraffic client(sim, origin, {{&engine, 0}}, config);
 
   engine.start();
   client.start();
   sim.run_until(2000.0);
 
-  const ClientMetrics& stats = client.stats();
+  const ClientMetrics& stats = client.metrics(0);
   EXPECT_GT(stats.requests, 500u);
   EXPECT_EQ(stats.hits, stats.requests);  // everything was prefetched
   EXPECT_GT(stats.fresh, 0u);
@@ -176,7 +178,7 @@ TEST(ClientWorkload, ObservesFreshAndStaleResponses) {
   EXPECT_LE(stats.staleness.max(), 40.0 + 1e-9);
 }
 
-TEST(ClientWorkload, MissesForUnregisteredObjects) {
+TEST(OneProxyClientTraffic, MissesForUnregisteredObjects) {
   Simulator sim;
   OriginServer origin(sim);
   PollingEngine engine(sim, origin);
@@ -184,30 +186,16 @@ TEST(ClientWorkload, MissesForUnregisteredObjects) {
   origin.add_object("/uncached");
   engine.add_temporal_object("/cached",
                              std::make_unique<FixedPollPolicy>(10.0));
-  ClientWorkload client(sim, engine.cache(), origin,
-                        ClientWorkload::Config::from_uris(
-                            origin, /*request_rate=*/1.0,
-                            {{"/cached", 1.0}, {"/uncached", 1.0}}));
+  ClientTrafficConfig config;
+  config.request_rate = 1.0;
+  config.popularity = {{origin.object_id("/cached"), 1.0},
+                       {origin.object_id("/uncached"), 1.0}};
+  FleetClientTraffic client(sim, origin, {{&engine, 0}}, config);
   engine.start();
   client.start();
   sim.run_until(200.0);
-  EXPECT_GT(client.stats().misses, 0u);
-  EXPECT_GT(client.stats().hits, 0u);
-}
-
-TEST(ClientWorkload, UnknownUriFailsFastAtConstruction) {
-  Simulator sim;
-  OriginServer origin(sim);
-  origin.add_object("/real");
-  // A uri the origin never interned cannot silently get zero traffic.
-  EXPECT_THROW(ClientWorkload::Config::from_uris(origin, 1.0,
-                                                 {{"/tpyo", 1.0}}),
-               CheckFailure);
-  // Nor can a raw id the table never handed out.
-  ClientWorkload::Config config;
-  config.popularity = {{static_cast<ObjectId>(12345), 1.0}};
-  ProxyCache cache(origin.uri_table());
-  EXPECT_THROW(ClientWorkload(sim, cache, origin, config), CheckFailure);
+  EXPECT_GT(client.metrics(0).misses, 0u);
+  EXPECT_GT(client.metrics(0).hits, 0u);
 }
 
 }  // namespace

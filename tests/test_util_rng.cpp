@@ -120,25 +120,6 @@ TEST(Rng, BernoulliEdges) {
   EXPECT_THROW(rng.bernoulli(1.5), CheckFailure);
 }
 
-TEST(Rng, WeightedIndexProportions) {
-  Rng rng(23);
-  std::vector<double> weights = {1.0, 3.0, 0.0, 6.0};
-  std::vector<int> counts(4, 0);
-  for (int i = 0; i < 100000; ++i) {
-    ++counts[rng.weighted_index(weights)];
-  }
-  EXPECT_EQ(counts[2], 0);  // zero weight never picked
-  EXPECT_NEAR(counts[0] / 100000.0, 0.1, 0.01);
-  EXPECT_NEAR(counts[1] / 100000.0, 0.3, 0.01);
-  EXPECT_NEAR(counts[3] / 100000.0, 0.6, 0.01);
-}
-
-TEST(Rng, WeightedIndexRejectsAllZero) {
-  Rng rng(23);
-  std::vector<double> weights = {0.0, 0.0};
-  EXPECT_THROW(rng.weighted_index(weights), CheckFailure);
-}
-
 TEST(Rng, ForkIsDeterministicAndIndependent) {
   Rng parent_a(99);
   Rng parent_b(99);

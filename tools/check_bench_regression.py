@@ -17,6 +17,11 @@ between the two files and fails when any gated ratio worsened by more than
 ``--threshold`` (default 25%).  That catches "the poll pipeline got slower
 relative to the machine" without false-failing on a slower CI runner.
 
+Runs with ``--benchmark_repetitions=N`` list each benchmark N times; every
+time here is the median of a benchmark's non-aggregate samples (the
+calibration bench's included), so one slow pass cannot fail the gate on
+its own.  A single-run file is the N = 1 case.
+
 The gate additionally fails when any ``BM_*`` benchmark in the current
 results has no baseline entry at all: a perf PR that adds benches must add
 calibration-coherent baseline entries with them, or the new benches would
@@ -26,6 +31,7 @@ for local experiments).
 
 import argparse
 import json
+import statistics
 import sys
 
 # A bulk schedule-then-drain of the simulator alone (bench_micro).
@@ -82,17 +88,27 @@ GATED = [
 UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 
 
-def load_times(path):
-    with open(path) as f:
-        data = json.load(f)
-    times = {}
+def samples(data):
+    """name -> the benchmark's non-aggregate entries, in file order."""
+    runs = {}
     for bench in data.get("benchmarks", []):
         if bench.get("run_type") == "aggregate":
             continue
-        times[bench["name"]] = (
-            float(bench["real_time"]) * UNIT_NS[bench.get("time_unit", "ns")]
+        runs.setdefault(bench["name"], []).append(bench)
+    return runs
+
+
+def load_times(path):
+    """name -> median real time in ns over the benchmark's samples."""
+    with open(path) as f:
+        data = json.load(f)
+    return {
+        name: statistics.median(
+            float(b["real_time"]) * UNIT_NS[b.get("time_unit", "ns")]
+            for b in runs
         )
-    return times
+        for name, runs in samples(data).items()
+    }
 
 
 def update_baseline(args, current, baseline):
@@ -103,8 +119,9 @@ def update_baseline(args, current, baseline):
     are — that is the whole premise of the gate.  So each new entry is
     the current measurement rescaled by baseline_cal / current_cal:
     the entry a same-speed run on the baseline machine would have
-    produced.  Existing entries are left untouched; the committed
-    history stays a trajectory, not a moving target.
+    produced.  With repetitions, the entry carries the median of the
+    benchmark's samples.  Existing entries are left untouched; the
+    committed history stays a trajectory, not a moving target.
     """
     scale = baseline[CALIBRATION] / current[CALIBRATION]
     with open(args.current) as f:
@@ -112,16 +129,18 @@ def update_baseline(args, current, baseline):
     with open(args.baseline) as f:
         baseline_data = json.load(f)
     added = []
-    for bench in current_data.get("benchmarks", []):
-        name = bench.get("name", "")
+    for name, runs in samples(current_data).items():
         if not name.startswith("BM_") or name in baseline:
             continue
-        if bench.get("run_type") == "aggregate":
-            continue
-        entry = dict(bench)
+        entry = dict(runs[0])
+        for key in ("repetitions", "repetition_index"):
+            entry.pop(key, None)
         for field in ("real_time", "cpu_time"):
             if field in entry:
-                entry[field] = float(entry[field]) * scale
+                entry[field] = (
+                    statistics.median(float(run[field]) for run in runs)
+                    * scale
+                )
         baseline_data["benchmarks"].append(entry)
         added.append(name)
     if not added:
@@ -224,7 +243,8 @@ def main():
             f"\nFAIL: engine benches regressed >{args.threshold:.0%} vs "
             f"{args.baseline}.\nIf the slowdown is intended, regenerate the "
             "baseline: ./build/bench_micro --benchmark_format=json "
-            "--benchmark_min_time=1 > bench/BENCH_baseline.json"
+            "--benchmark_min_time=1 --benchmark_repetitions=3 "
+            "> bench/BENCH_baseline.json"
         )
         return 1
     print("\nOK: engine benches within threshold")
