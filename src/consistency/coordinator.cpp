@@ -31,8 +31,8 @@ std::vector<ObjectId> MutualCoordinator::resolve_members(
 bool MutualCoordinator::outside_delta_window(const CoordinatorHooks& hooks,
                                              ObjectId object, TimePoint now,
                                              Duration delta_mutual) {
-  BROADWAY_CHECK_MSG(hooks.next_poll_time && hooks.last_poll_time,
-                     "coordinator used before bind()");
+  // Callers check that they are bound before they get here.
+  //
   // A refresh in the recent past (own poll, or a relay in a fleet) means
   // the cached copy already originated within δ of the updated object; a
   // poll in the near future will restore that soon enough to stay within
