@@ -31,12 +31,11 @@ std::vector<ObjectId> MutualCoordinator::resolve_members(
 bool MutualCoordinator::outside_delta_window(const CoordinatorHooks& hooks,
                                              ObjectId object, TimePoint now,
                                              Duration delta_mutual) {
-  // Callers check that they are bound before they get here.
-  //
-  // A refresh in the recent past (own poll, or a relay in a fleet) means
-  // the cached copy already originated within δ of the updated object; a
-  // poll in the near future will restore that soon enough to stay within
-  // the user's tolerance (Eq. 4).
+  // Callers check that they are bound before they get here.  A refresh in
+  // the recent past (own poll, or a relay in a fleet) means the cached
+  // copy already originated within δ of the updated object; a poll in the
+  // near future will restore that soon enough to stay within the user's
+  // tolerance (Eq. 4).
   const TimePoint last = hooks.last_poll_time(object);
   if (now - last <= delta_mutual) return false;
   const TimePoint next = hooks.next_poll_time(object);
