@@ -19,11 +19,13 @@
 #include "http/codec.h"
 #include "http/extensions.h"
 #include "metrics/fidelity.h"
+#include "metrics/mutual_fidelity.h"
 #include "origin/origin_server.h"
 #include "proxy/poll_log.h"
 #include "proxy/polling_engine.h"
 #include "sim/simulator.h"
 #include "trace/diurnal.h"
+#include "trace/generators.h"
 #include "trace/paper_workloads.h"
 #include "trace/update_trace.h"
 #include "util/rng.h"
@@ -204,6 +206,92 @@ void BM_TemporalFidelityEvaluation(benchmark::State& state) {
                           static_cast<int64_t>(polls.size()));
 }
 BENCHMARK(BM_TemporalFidelityEvaluation);
+
+// Mt evaluation of one δ-group pair over 12 h, as bench/e2e's
+// paper_mutual evaluates each adjacent member pair: Poisson updates (mean
+// 10 min) on both objects, a polled every 1-15 min, and b polled on its
+// own schedule plus, for half of a's polls, a triggered poll at the same
+// instant.
+void BM_MutualTemporalEvaluation(benchmark::State& state) {
+  constexpr Duration kHorizon = 12.0 * 3600.0;
+  Rng rng(11);
+  const UpdateTrace trace_a("a", generate_poisson(rng, 1.0 / 600.0, kHorizon),
+                            kHorizon);
+  const UpdateTrace trace_b("b", generate_poisson(rng, 1.0 / 600.0, kHorizon),
+                            kHorizon);
+  std::vector<PollInstant> polls_a = {{0.0, 0.0}};
+  std::vector<PollInstant> polls_b = {{0.0, 0.0}};
+  for (TimePoint t = rng.uniform(60.0, 900.0); t < kHorizon;
+       t += rng.uniform(60.0, 900.0)) {
+    polls_a.push_back({t, t});
+    if (rng.bernoulli(0.5)) polls_b.push_back({t, t});
+  }
+  for (TimePoint t = rng.uniform(60.0, 900.0); t < kHorizon;
+       t += rng.uniform(60.0, 900.0)) {
+    polls_b.push_back({t, t});
+  }
+  std::sort(polls_b.begin(), polls_b.end(),
+            [](const PollInstant& x, const PollInstant& y) {
+              return x.complete < y.complete;
+            });
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(evaluate_mutual_temporal(
+        trace_a, polls_a, trace_b, polls_b, 60.0, kHorizon));
+  }
+  state.SetItemsProcessed(
+      state.iterations() *
+      static_cast<int64_t>(polls_a.size() + polls_b.size()));
+}
+BENCHMARK(BM_MutualTemporalEvaluation);
+
+// Origin reads as a polling proxy issues them: typed conditional GETs for
+// 4096 trace-backed objects (Poisson updates, mean 10 min, over 12 h; the
+// traces outgrow the L2 cache, as paper_mutual's do), each polled every
+// 2 min with the instant of its last 200 as validator, so about four
+// answers in five are 304s with no update due.  Each iteration
+// replays the schedule through a fresh reader of the shared content.
+void BM_OriginConditionalGet(benchmark::State& state) {
+  constexpr std::size_t kObjects = 4096;
+  constexpr Duration kHorizon = 12.0 * 3600.0;
+  constexpr Duration kPeriod = 120.0;
+  Simulator content_sim;
+  OriginServer::Config config;
+  config.render_bodies = false;
+  OriginServer content(content_sim, config);
+  Rng rng(5);
+  std::vector<ObjectId> ids;
+  for (std::size_t i = 0; i < kObjects; ++i) {
+    const std::string uri = "/object/" + std::to_string(i);
+    content.attach_update_trace(
+        uri, UpdateTrace(uri, generate_poisson(rng, 1.0 / 600.0, kHorizon),
+                         kHorizon));
+    ids.push_back(content.object_id(uri));
+  }
+  std::size_t requests = 0;
+  for (auto _ : state) {
+    Simulator sim;
+    OriginServer reader(sim, content);
+    std::vector<TimePoint> fetched(kObjects, 0.0);
+    Request request;
+    request.meta.active = true;
+    Response response;
+    requests = 0;
+    for (TimePoint t = 1.0; t < kHorizon; t += kPeriod) {
+      sim.advance_clock(t);
+      for (std::size_t i = 0; i < kObjects; ++i) {
+        request.object = ids[i];
+        request.meta.if_modified_since = fetched[i];
+        reader.handle(request, response);
+        if (response.ok()) fetched[i] = t;
+        ++requests;
+      }
+    }
+    benchmark::DoNotOptimize(reader.responses_304());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(requests));
+}
+BENCHMARK(BM_OriginConditionalGet)->Unit(benchmark::kMillisecond);
 
 // A poll log as a harness sweep produces it: `objects` uris polled
 // round-robin, 200 records each.

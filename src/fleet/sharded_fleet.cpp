@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <numeric>
+#include <tuple>
 #include <utility>
 
 #include "util/check.h"
@@ -978,47 +979,52 @@ void ShardedFleet::merge_slice_logs(std::size_t proxy,
   // inductively.  Same-instant δ-cascade and relay-coupled records share
   // a slice by construction (colocation rules a/b/b2), so their relative
   // order is in-log and preserved.
+  //
+  // A heap of the slices' next records keyed (append time, rank), each
+  // head's rank looked up once; a pair lives on one slice, so the slice
+  // index only settles what cannot tie.
   struct Cursor {
     const std::vector<PollRecord>* records;
     std::size_t next = 0;
   };
-  const auto append_time = [](const PollRecord& record) {
-    return record.cause == PollCause::kRelay ? record.complete_time
-                                             : record.snapshot_time;
+  struct Head {
+    TimePoint time;
+    std::size_t rank;
+    std::size_t cursor;
+  };
+  const auto later = [](const Head& x, const Head& y) {
+    return std::tie(x.time, x.rank, x.cursor) >
+           std::tie(y.time, y.rank, y.cursor);
+  };
+  const IdSlots<std::size_t>& ranks = reg_rank_[proxy];
+  const auto head_of = [&ranks](const PollRecord& record,
+                                std::size_t cursor) {
+    const std::size_t* rank = ranks.find(record.object);
+    BROADWAY_CHECK(rank != nullptr);
+    return Head{record.cause == PollCause::kRelay ? record.complete_time
+                                                  : record.snapshot_time,
+                *rank, cursor};
   };
   std::vector<Cursor> cursors;
-  std::size_t total = 0;
+  std::vector<Head> heap;
   for (const SliceRef& slice : slices_of_proxy_[proxy]) {
     const std::vector<PollRecord>& records =
         shards_[slice.shard].fleet->proxy(slice.local).poll_log().records();
+    if (!records.empty()) heap.push_back(head_of(records[0], cursors.size()));
     cursors.push_back({&records, 0});
-    total += records.size();
   }
-  const IdSlots<std::size_t>& ranks = reg_rank_[proxy];
-  const auto rank_of = [&ranks](const PollRecord& record) {
-    const std::size_t* rank = ranks.find(record.object);
-    BROADWAY_CHECK(rank != nullptr);
-    return *rank;
-  };
-  const std::size_t end = out.size() + total;
-  while (out.size() < end) {
-    std::size_t best = SIZE_MAX;
-    for (std::size_t c = 0; c < cursors.size(); ++c) {
-      if (cursors[c].next >= cursors[c].records->size()) continue;
-      if (best == SIZE_MAX) {
-        best = c;
-        continue;
-      }
-      const PollRecord& candidate = (*cursors[c].records)[cursors[c].next];
-      const PollRecord& leader = (*cursors[best].records)[cursors[best].next];
-      const TimePoint tc = append_time(candidate);
-      const TimePoint tl = append_time(leader);
-      if (tc < tl || (tc == tl && rank_of(candidate) < rank_of(leader))) {
-        best = c;
-      }
+  std::make_heap(heap.begin(), heap.end(), later);
+  while (!heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end(), later);
+    Head& head = heap.back();
+    Cursor& cursor = cursors[head.cursor];
+    out.push_back((*cursor.records)[cursor.next]);
+    if (++cursor.next == cursor.records->size()) {
+      heap.pop_back();
+      continue;
     }
-    out.push_back((*cursors[best].records)[cursors[best].next]);
-    ++cursors[best].next;
+    head = head_of((*cursor.records)[cursor.next], head.cursor);
+    std::push_heap(heap.begin(), heap.end(), later);
   }
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "util/check.h"
+#include "util/gallop.h"
 
 namespace broadway {
 
@@ -49,6 +50,9 @@ TemporalFidelityReport evaluate_temporal_fidelity(
   TemporalFidelityReport report;
   report.horizon = horizon;
 
+  const std::vector<TimePoint>& updates = trace.updates();
+  // Cursor: the first update after the last evaluated snapshot.
+  std::size_t unseen = 0;
   for (std::size_t k = 0; k < polls.size(); ++k) {
     BROADWAY_CHECK_MSG(
         k == 0 || polls[k].complete >= polls[k - 1].complete,
@@ -64,12 +68,14 @@ TemporalFidelityReport evaluate_temporal_fidelity(
     }
     ++report.windows;
 
-    // First update the fetched copy does not reflect.
-    const auto first_unseen = trace.first_update_after(polls[k].snapshot);
-    if (!first_unseen) continue;  // copy is the newest version forever
+    // First update the fetched copy does not reflect.  Snapshots mostly
+    // rise with completion, but a relayed copy can be older than the one
+    // before it, so the cursor gallops either way.
+    unseen = upper_bound_from(updates, unseen, polls[k].snapshot);
+    if (unseen == updates.size()) continue;  // newest version forever
 
     // The copy becomes out of sync (beyond tolerance) at u* + delta.
-    const TimePoint stale_from = *first_unseen + delta;
+    const TimePoint stale_from = updates[unseen] + delta;
     const Duration span =
         std::max(0.0, window_end - std::max(stale_from, window_begin));
     if (span > 0.0) {

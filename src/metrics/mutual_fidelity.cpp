@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "util/check.h"
+#include "util/gallop.h"
 
 namespace broadway {
 
@@ -19,19 +20,63 @@ double MutualTemporalReport::fidelity_time() const {
 
 namespace {
 
-// Validity interval of the version captured by the latest poll whose copy
-// is visible at time t (polls sorted by completion).
-ValidityInterval held_validity(const UpdateTrace& trace,
-                               const std::vector<PollInstant>& polls,
-                               TimePoint t) {
-  // Last poll with complete <= t.
-  auto it = std::upper_bound(
-      polls.begin(), polls.end(), t,
-      [](TimePoint lhs, const PollInstant& rhs) { return lhs < rhs.complete; });
-  BROADWAY_CHECK_MSG(it != polls.begin(), "queried before the first fetch");
-  const PollInstant& poll = *(it - 1);
-  return trace.validity_at(poll.snapshot);
+void check_completion_order(const std::vector<PollInstant>& polls) {
+  for (std::size_t k = 1; k < polls.size(); ++k) {
+    BROADWAY_CHECK_MSG(polls[k].complete >= polls[k - 1].complete,
+                       "polls out of order");
+  }
 }
+
+// One object's side of the sweep: the latest poll whose copy is visible
+// at the sweep's instant (polls sorted by completion) and the validity
+// interval of the version that poll captured.
+class HeldCopy {
+ public:
+  HeldCopy(const UpdateTrace& trace, const std::vector<PollInstant>& polls,
+           TimePoint start)
+      : trace_(trace), polls_(polls) {
+    step_to(start);
+    refresh();
+  }
+
+  const ValidityInterval& validity() const { return validity_; }
+
+  /// Completion of the next poll; kTimeInfinity after the last.
+  TimePoint next_completion() const {
+    return poll_ + 1 < polls_.size() ? polls_[poll_ + 1].complete
+                                     : kTimeInfinity;
+  }
+
+  /// Move to the latest poll completed at or before `t`; the validity is
+  /// recomputed only when the held copy changes.
+  void advance_to(TimePoint t) {
+    if (step_to(t)) refresh();
+  }
+
+ private:
+  /// Move the poll cursor; true when it moved.
+  bool step_to(TimePoint t) {
+    const std::size_t held = poll_;
+    while (poll_ + 1 < polls_.size() && polls_[poll_ + 1].complete <= t) {
+      ++poll_;
+    }
+    return poll_ != held;
+  }
+
+  void refresh() {
+    // Snapshots can step back (a relayed copy older than the one before
+    // it), so the version cursor gallops either way.
+    version_ = upper_bound_from(trace_.updates(), version_,
+                                polls_[poll_].snapshot);
+    validity_ = trace_.validity_of_version(version_);
+  }
+
+  const UpdateTrace& trace_;
+  const std::vector<PollInstant>& polls_;
+  std::size_t poll_ = 0;
+  std::size_t version_ = 0;
+  ValidityInterval validity_;
+};
 
 }  // namespace
 
@@ -43,45 +88,36 @@ MutualTemporalReport evaluate_mutual_temporal(
                      "both objects need at least the initial fetch");
   BROADWAY_CHECK_MSG(delta_mutual >= 0.0, "delta " << delta_mutual);
   BROADWAY_CHECK_MSG(horizon > 0.0, "horizon " << horizon);
+  check_completion_order(polls_a);
+  check_completion_order(polls_b);
 
   MutualTemporalReport report;
   report.horizon = horizon;
   report.polls = polls_a.size() + polls_b.size();
 
-  // Segment boundaries: all completion instants of both schedules within
-  // (start, horizon).  The pair state is constant between boundaries.
+  // Segments run between consecutive distinct completions of either
+  // schedule within (start, horizon); the pair state is constant on each.
+  // Merge cursors walk both schedules in completion order.
   const TimePoint start =
       std::max(polls_a.front().complete, polls_b.front().complete);
-  std::vector<TimePoint> boundaries;
-  boundaries.push_back(start);
-  for (const auto& poll : polls_a) {
-    if (poll.complete > start && poll.complete < horizon) {
-      boundaries.push_back(poll.complete);
-    }
-  }
-  for (const auto& poll : polls_b) {
-    if (poll.complete > start && poll.complete < horizon) {
-      boundaries.push_back(poll.complete);
-    }
-  }
-  boundaries.push_back(horizon);
-  std::sort(boundaries.begin(), boundaries.end());
-  boundaries.erase(std::unique(boundaries.begin(), boundaries.end()),
-                   boundaries.end());
-
+  BROADWAY_CHECK_MSG(start <= horizon,
+                     "first fetch at " << start << " after the horizon");
+  HeldCopy a(trace_a, polls_a, start);
+  HeldCopy b(trace_b, polls_b, start);
   bool previously_violated = false;
-  for (std::size_t i = 0; i + 1 < boundaries.size(); ++i) {
-    const TimePoint t0 = boundaries[i];
-    const TimePoint t1 = boundaries[i + 1];
-    if (t1 <= t0) continue;
-    const ValidityInterval va = held_validity(trace_a, polls_a, t0);
-    const ValidityInterval vb = held_validity(trace_b, polls_b, t0);
-    const bool violated = interval_gap(va, vb) > delta_mutual;
+  for (TimePoint t0 = start; t0 < horizon;) {
+    const TimePoint t1 =
+        std::min({a.next_completion(), b.next_completion(), horizon});
+    const bool violated =
+        interval_gap(a.validity(), b.validity()) > delta_mutual;
     if (violated) {
       report.out_sync_time += t1 - t0;
       if (!previously_violated) ++report.violations;
     }
     previously_violated = violated;
+    t0 = t1;
+    a.advance_to(t0);
+    b.advance_to(t0);
   }
   return report;
 }

@@ -5,7 +5,7 @@
 // validity intervals come within δ of each other (they overlap when δ = 0
 // suffices: "the objects should have simultaneously existed on the
 // server").  Held versions change only at poll completions, so the pair
-// state is piecewise constant and evaluated by an event sweep over both
+// state is piecewise constant and evaluated by one merge walk over both
 // poll schedules.
 #pragma once
 
@@ -32,8 +32,9 @@ struct MutualTemporalReport {
 };
 
 /// Evaluate Mt fidelity of two objects.  Both poll vectors must be
-/// non-empty and sorted.  Evaluation starts once both objects are cached
-/// (max of the first completions) and runs to `horizon`.
+/// non-empty and sorted by completion (checked).  Evaluation starts once
+/// both objects are cached (max of the first completions, which must not
+/// lie past `horizon`) and runs to `horizon`.
 MutualTemporalReport evaluate_mutual_temporal(
     const UpdateTrace& trace_a, const std::vector<PollInstant>& polls_a,
     const UpdateTrace& trace_b, const std::vector<PollInstant>& polls_b,

@@ -1,9 +1,9 @@
 #include "origin/object.h"
 
-#include <algorithm>
 #include <sstream>
 
 #include "util/check.h"
+#include "util/gallop.h"
 
 namespace broadway {
 
@@ -21,13 +21,14 @@ std::optional<double> ObjectVersion::value() const {
 
 std::span<const TimePoint> ObjectVersion::history_since(
     TimePoint t, std::size_t limit) const {
-  const TimePoint* begin = object_->times_.data();
-  const TimePoint* end = begin + version_;
-  const TimePoint* first = std::upper_bound(begin, end, t);
-  if (limit > 0 && static_cast<std::size_t>(end - first) > limit) {
-    first = end - limit;
+  // The capped answer is the uncapped one clamped to the last `limit`
+  // instants, so only those are searched — backward from the newest,
+  // where a poll's `since` usually sits.
+  std::span<const TimePoint> applied(object_->times_.data(), version_);
+  if (limit > 0 && applied.size() > limit) {
+    applied = applied.last(limit);
   }
-  return {first, end};
+  return applied.subspan(upper_bound_from(applied, applied.size(), t));
 }
 
 std::string ObjectVersion::render_body() const {
@@ -79,13 +80,9 @@ void VersionedObject::append_updates(std::vector<TimePoint> times,
 
 ObjectVersion VersionedObject::at(TimePoint now, bool inclusive,
                                   std::size_t from) const {
-  const auto first = times_.begin() + static_cast<std::ptrdiff_t>(from);
-  if (first == times_.end() || *first > now || (*first == now && !inclusive)) {
-    return ObjectVersion(*this, from);
-  }
-  const auto due = inclusive ? std::upper_bound(first, times_.end(), now)
-                             : std::lower_bound(first, times_.end(), now);
-  return ObjectVersion(*this, static_cast<std::size_t>(due - times_.begin()));
+  const std::size_t due = inclusive ? upper_bound_from(times_, from, now)
+                                    : lower_bound_from(times_, from, now);
+  return ObjectVersion(*this, due);
 }
 
 void VersionedObject::set_embedded_links(std::vector<std::string> links) {

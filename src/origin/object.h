@@ -88,8 +88,9 @@ class VersionedObject {
 
   /// The object as a reader at `now` sees it: every update before `now`
   /// applied, and those exactly at `now` too when `inclusive`.  `from`
-  /// is a hint — a version the reader saw at an earlier clock, so at most
-  /// the answer: O(1) when no further update is due, else O(log n).
+  /// is a hint — typically the version the reader saw at an earlier
+  /// clock — that the search gallops from (util/gallop.h): any hint gives
+  /// the same answer, one d versions away costs O(log d).
   ObjectVersion at(TimePoint now, bool inclusive, std::size_t from = 0) const;
 
   /// Declare embedded objects that render_body() should reference, e.g.

@@ -56,13 +56,21 @@ void OriginServer::append_trace(VersionedObject& object,
   object.append_updates(std::move(times), std::move(values));
 }
 
-ObjectVersion OriginServer::current(ObjectId id,
-                                    const VersionedObject& object) const {
-  std::uint32_t& seen = seen_[id];
+const OriginServer::Seen& OriginServer::current(
+    ObjectId id, const VersionedObject& object) const {
+  Seen& seen = seen_[id];
+  // The reader's version is every update its clock has reached.  The
+  // clock only moves forward, so it changes only once the clock reaches
+  // the first update past it.
+  if (!sim_.reached(seen.next_due)) return seen;
   const ObjectVersion version =
-      object.at(sim_.now(), sim_.reached(sim_.now()), seen);
-  seen = static_cast<std::uint32_t>(version.version());
-  return version;
+      object.at(sim_.now(), sim_.reached(sim_.now()), seen.version);
+  const std::vector<TimePoint>& updates = object.updates();
+  seen.version = static_cast<std::uint32_t>(version.version());
+  seen.next_due = seen.version < updates.size() ? updates[seen.version]
+                                                : kTimeInfinity;
+  seen.last_modified = version.last_modified();
+  return seen;
 }
 
 Response OriginServer::handle(const Request& request) {
@@ -86,21 +94,22 @@ void OriginServer::handle(const Request& request, Response& out) {
     out.meta.active = typed;
     return;
   }
-  const ObjectVersion version = current(id, *object);
+  const Seen& seen = current(id, *object);
   const std::optional<TimePoint> since = wire_if_modified_since(request);
-  if (since && !version.modified_since(*since)) {
+  if (since && !(seen.last_modified > *since)) {
+    // Unmodified: answered from the reader's entry alone.
     out.status = StatusCode::kNotModified;
     if (typed) {
       out.meta.active = true;
-      out.meta.last_modified = quantize_wire_seconds(version.last_modified());
+      out.meta.last_modified = quantize_wire_seconds(seen.last_modified);
     } else {
-      set_last_modified(out.headers, version.last_modified());
+      set_last_modified(out.headers, seen.last_modified);
     }
     ++responses_304_;
     return;
   }
   ++responses_200_;
-  respond_full(version, since, typed, out);
+  respond_full(ObjectVersion(*object, seen.version), since, typed, out);
   if (request.method == Method::kHead) {
     // HEAD: identical headers, no body (RFC 2616 §9.4).  Content-Length
     // still describes what GET would return.

@@ -10,8 +10,9 @@
 // (§5), so its state at time t is a pure function of the update traces.
 // attach_*_trace stores a trace's instants (and values) on the object and
 // schedules nothing; a read locates the version due at the reader's clock
-// (VersionedObject::at: a binary search resuming from the version this
-// reader last saw, O(1) while nothing new is due).  An update at
+// (VersionedObject::at, galloping from the version this reader last saw).
+// The reader also keeps that version's successor instant, so a read with
+// nothing new due touches neither the object nor its trace.  An update at
 // t < now() is always due.  One at t == now() is due once the simulator
 // has entered now() (Simulator::reached) — the point at which an update
 // event scheduled for t at attach time would have fired, so the lazy read
@@ -44,6 +45,7 @@
 #include "trace/update_trace.h"
 #include "trace/value_trace.h"
 #include "util/id_slots.h"
+#include "util/time.h"
 #include "util/uri_table.h"
 
 namespace broadway {
@@ -133,7 +135,7 @@ class OriginServer {
   std::optional<ObjectVersion> read(ObjectId id) const {
     const VersionedObject* object = object_by_id(id);
     if (object == nullptr) return std::nullopt;
-    return current(id, *object);
+    return ObjectVersion(*object, current(id, *object).version);
   }
 
   const Config& config() const { return config_; }
@@ -150,13 +152,22 @@ class OriginServer {
   std::size_t requests_served_ = 0;
   std::size_t responses_200_ = 0;
   std::size_t responses_304_ = 0;
-  /// Per-object version this reader last saw.  Its clock never runs
-  /// backwards, so a read resumes there: O(1) while nothing new is due.
+  /// What this reader last saw of one object: the version, the instant
+  /// of its successor update (when the version next changes) and its
+  /// Last-Modified.  The clock never runs backwards, so the entry stays
+  /// current until the clock reaches `next_due`.  24 B per object read.
+  struct Seen {
+    TimePoint next_due = -kTimeInfinity;  ///< never read yet: due at once
+    TimePoint last_modified = 0.0;
+    std::uint32_t version = 0;
+  };
   /// Sparse slots: a shard's reader holds only the objects its proxies
   /// read.
-  mutable IdSlots<std::uint32_t> seen_;
+  mutable IdSlots<Seen> seen_;
 
-  ObjectVersion current(ObjectId id, const VersionedObject& object) const;
+  /// This reader's entry for `object`, brought up to the clock.  The
+  /// reference is valid until the next insert into seen_.
+  const Seen& current(ObjectId id, const VersionedObject& object) const;
 
   /// Validate `times` against the clock and append them to `object`.
   void append_trace(VersionedObject& object, std::vector<TimePoint> times,

@@ -137,5 +137,34 @@ TEST(MutualTemporal, Validation) {
       CheckFailure);
 }
 
+TEST(MutualTemporal, RejectsPollsOutOfCompletionOrder) {
+  // The poll completed at 20 is listed after the one completed at 60; a
+  // sweep that trusted the order would skip it.
+  const UpdateTrace a("a", {10.0}, 100.0);
+  const UpdateTrace b("b", {}, 100.0);
+  EXPECT_THROW(evaluate_mutual_temporal(a, at({0.0, 60.0, 20.0}), b,
+                                        at({0.0}), 0.0, 100.0),
+               CheckFailure);
+  EXPECT_THROW(evaluate_mutual_temporal(b, at({0.0}), a,
+                                        at({0.0, 60.0, 20.0}), 0.0, 100.0),
+               CheckFailure);
+  // Coincident completions are in order.
+  EXPECT_NO_THROW(evaluate_mutual_temporal(a, at({0.0, 20.0, 20.0}), b,
+                                           at({0.0}), 0.0, 100.0));
+}
+
+TEST(MutualTemporal, RejectsAFirstFetchAfterTheHorizon) {
+  const UpdateTrace a("a", {}, 100.0);
+  const UpdateTrace b("b", {}, 100.0);
+  EXPECT_THROW(evaluate_mutual_temporal(a, at({0.0}), b, at({120.0}), 0.0,
+                                        100.0),
+               CheckFailure);
+  // Cached exactly at the horizon: nothing to evaluate.
+  const auto empty = evaluate_mutual_temporal(a, at({0.0}), b, at({100.0}),
+                                              0.0, 100.0);
+  EXPECT_EQ(empty.violations, 0u);
+  EXPECT_EQ(empty.out_sync_time, 0.0);
+}
+
 }  // namespace
 }  // namespace broadway

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "origin/store.h"
 #include "util/check.h"
+#include "util/rng.h"
 
 namespace broadway {
 namespace {
@@ -80,6 +83,84 @@ TEST(VersionedObject, HistorySinceFiltersAndCaps) {
   // Only the updates the version has applied.
   EXPECT_EQ(to_vector(object.at(30.0, false).history_since(0.0, 0)),
             (std::vector<TimePoint>{10.0, 20.0}));
+}
+
+// Every instant a search can land on for `updates`: each update, the
+// midpoints between them, and one before the first and after the last.
+std::vector<TimePoint> probe_instants(const std::vector<TimePoint>& updates) {
+  std::vector<TimePoint> probes = {-1.0, 1000.0};
+  for (std::size_t i = 0; i < updates.size(); ++i) {
+    probes.push_back(updates[i]);
+    if (i + 1 < updates.size()) {
+      probes.push_back(0.5 * (updates[i] + updates[i + 1]));
+    }
+  }
+  return probes;
+}
+
+// Traces of 0..40 updates with same-instant runs (several updates at one
+// instant are legal on an object).
+std::vector<std::vector<TimePoint>> sample_traces() {
+  std::vector<std::vector<TimePoint>> traces = {{}, {5.0}, {5.0, 5.0}};
+  Rng rng(42);
+  for (int n = 2; n <= 40; n += 3) {
+    std::vector<TimePoint> updates;
+    for (int i = 0; i < n; ++i) {
+      updates.push_back(static_cast<double>(rng.uniform_int(1, n)));
+    }
+    std::sort(updates.begin(), updates.end());
+    traces.push_back(std::move(updates));
+  }
+  return traces;
+}
+
+TEST(VersionedObject, GallopingReadMatchesAWholeTraceSearch) {
+  // at() gallops from its hint; any hint — behind the answer, ahead of it
+  // or past the end — must give the whole-trace search's answer.
+  for (const std::vector<TimePoint>& updates : sample_traces()) {
+    VersionedObject object("/a", 0.0);
+    object.append_updates(updates);
+    for (const TimePoint now : probe_instants(updates)) {
+      const auto upper = static_cast<std::size_t>(
+          std::upper_bound(updates.begin(), updates.end(), now) -
+          updates.begin());
+      const auto lower = static_cast<std::size_t>(
+          std::lower_bound(updates.begin(), updates.end(), now) -
+          updates.begin());
+      for (std::size_t from = 0; from <= updates.size() + 1; ++from) {
+        SCOPED_TRACE(testing::Message() << updates.size() << " updates, now "
+                                        << now << ", from " << from);
+        EXPECT_EQ(object.at(now, true, from).version(), upper);
+        EXPECT_EQ(object.at(now, false, from).version(), lower);
+      }
+    }
+  }
+}
+
+TEST(VersionedObject, HistorySinceMatchesAWholeTraceSearch) {
+  for (const std::vector<TimePoint>& updates : sample_traces()) {
+    VersionedObject object("/a", 0.0);
+    object.append_updates(updates);
+    for (std::size_t version = 0; version <= updates.size(); ++version) {
+      const ObjectVersion v(object, version);
+      const TimePoint* begin = object.updates().data();
+      const TimePoint* end = begin + version;
+      for (const TimePoint t : probe_instants(updates)) {
+        SCOPED_TRACE(testing::Message() << updates.size() << " updates, version "
+                                        << version << ", since " << t);
+        for (std::size_t limit = 0; limit <= updates.size() + 1; ++limit) {
+          const TimePoint* first = std::upper_bound(begin, end, t);
+          if (limit > 0 && static_cast<std::size_t>(end - first) > limit) {
+            first = end - limit;
+          }
+          const std::span<const TimePoint> history = v.history_since(t, limit);
+          EXPECT_EQ(history.data(), first) << "limit " << limit;
+          EXPECT_EQ(history.size(), static_cast<std::size_t>(end - first))
+              << "limit " << limit;
+        }
+      }
+    }
+  }
 }
 
 TEST(VersionedObject, RenderBodyEmbedsVersionAndLinks) {

@@ -263,6 +263,41 @@ TEST(OriginTraceReplay, HandleRightAfterRunUntilSeesTheUpdate) {
   EXPECT_EQ(origin.store().at("/page").updates().size(), 2u);
 }
 
+TEST(OriginTraceReplay, KeptNextDueInstantWaitsUntilTheClockReachesIt) {
+  // A reader keeps the instant of the next update it has not seen, and a
+  // read before that instant answers from what it kept.  At the instant
+  // itself the update shows only once the simulator has entered it.
+  Simulator sim;
+  OriginServer origin(sim);
+  origin.attach_update_trace("/page", UpdateTrace("/page", {0.0, 10.0}, 100.0));
+  origin.attach_update_trace("/page", UpdateTrace("/page", {10.0}, 100.0));
+  // At t = 0, not yet entered: the t = 0 update is the next one due.
+  EXPECT_EQ(read(origin, "/page").version(), 0u);
+  EXPECT_TRUE(
+      origin.handle(Request::conditional_get("/page", 0.0)).not_modified());
+  sim.run_until(0.0);  // same clock, now entered
+  EXPECT_EQ(read(origin, "/page").version(), 1u);
+  sim.run_until(9.5);
+  EXPECT_EQ(read(origin, "/page").version(), 1u);
+  std::size_t at_ten = 0;
+  std::optional<TimePoint> modified_at_ten;
+  sim.schedule_at(10.0, [&] {
+    at_ten = read(origin, "/page").version();
+    modified_at_ten = get_last_modified(
+        origin.handle(Request::conditional_get("/page", 0.0)).headers);
+  });
+  sim.run();
+  // Both same-instant updates at 10 arrive together.
+  EXPECT_EQ(at_ten, 3u);
+  ASSERT_TRUE(modified_at_ten.has_value());
+  EXPECT_DOUBLE_EQ(*modified_at_ten, 10.0);
+  // Past the last update nothing more is due; the kept answer holds.
+  sim.run_until(50.0);
+  EXPECT_TRUE(
+      origin.handle(Request::conditional_get("/page", 10.0)).not_modified());
+  EXPECT_EQ(read(origin, "/page").version(), 3u);
+}
+
 TEST(OriginTraceReplay, PushDeliveryAtAnInstantCarriesItsUpdateNewestLast) {
   Simulator sim;
   OriginServer origin(sim);

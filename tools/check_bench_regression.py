@@ -20,7 +20,11 @@ relative to the machine" without false-failing on a slower CI runner.
 Runs with ``--benchmark_repetitions=N`` list each benchmark N times; every
 time here is the median of a benchmark's non-aggregate samples (the
 calibration bench's included), so one slow pass cannot fail the gate on
-its own.  A single-run file is the N = 1 case.
+its own.  A single-run file is the N = 1 case.  Samples are grouped by
+name wherever they sit in the file, so a run with
+``--benchmark_enable_random_interleaving=true`` (repetitions shuffled
+across the suite) reads the same way; its ratios are not comparable
+with a baseline recorded without it, though (see ROADMAP item 6).
 
 The gate additionally fails when any ``BM_*`` benchmark in the current
 results has no baseline entry at all: a perf PR that adds benches must add
@@ -83,6 +87,11 @@ GATED = [
     # sampling.
     "BM_ClientDemandFillSweep/proxies:2",
     "BM_ClientDemandFillSweep/proxies:8",
+    # The paper workload's two trace walks: the Mt evaluation of one
+    # 12 h δ-group pair (merge cursors over both schedules), and origin
+    # conditional GETs that mostly find nothing due (the reader's hint).
+    "BM_MutualTemporalEvaluation",
+    "BM_OriginConditionalGet",
 ]
 
 UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
