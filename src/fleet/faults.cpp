@@ -1,6 +1,7 @@
 #include "fleet/faults.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "util/check.h"
 #include "util/rng.h"
@@ -44,13 +45,22 @@ bool FaultSchedule::has_crashes() const {
 void FaultSchedule::validate(std::size_t proxy_limit) const {
   BROADWAY_CHECK_MSG(relay_loss >= 0.0 && relay_loss < 1.0,
                      "relay_loss=" << relay_loss);
-  BROADWAY_CHECK_MSG(relay_jitter_max >= 0.0,
-                     "relay_jitter_max=" << relay_jitter_max);
-  BROADWAY_CHECK_MSG(retry_backoff_base > 0.0,
-                     "retry_backoff_base=" << retry_backoff_base);
-  BROADWAY_CHECK_MSG(retry_backoff_cap >= retry_backoff_base,
-                     "retry_backoff_cap=" << retry_backoff_cap << " < base="
-                                          << retry_backoff_base);
+  // Every timing must be finite: an infinite one would make a delivery
+  // or retry instant unschedulable (a sharded run would instead park its
+  // messages at t = inf and finish silently).
+  BROADWAY_CHECK_MSG(
+      std::isfinite(relay_jitter_max) && relay_jitter_max >= 0.0,
+      "relay_jitter_max=" << relay_jitter_max << " must be finite and >= 0");
+  BROADWAY_CHECK_MSG(
+      std::isfinite(retry_backoff_base) && retry_backoff_base > 0.0,
+      "retry_backoff_base=" << retry_backoff_base
+                            << " must be finite and > 0");
+  BROADWAY_CHECK_MSG(
+      std::isfinite(retry_backoff_cap) &&
+          retry_backoff_cap >= retry_backoff_base,
+      "retry_backoff_cap=" << retry_backoff_cap
+                           << " must be finite and >= retry_backoff_base="
+                           << retry_backoff_base);
   for (std::size_t i = 0; i < crashes.size(); ++i) {
     const ProxyCrashes& entry = crashes[i];
     BROADWAY_CHECK_MSG(entry.proxy < proxy_limit,
@@ -68,6 +78,10 @@ void FaultSchedule::validate(std::size_t proxy_limit) const {
       BROADWAY_CHECK_MSG(window.recover_at > window.crash_at,
                          "empty crash window [" << window.crash_at << ", "
                                                 << window.recover_at << ")");
+      // A proxy that never recovers is a window ending past the horizon.
+      BROADWAY_CHECK_MSG(std::isfinite(window.recover_at),
+                         "recover_at=" << window.recover_at
+                                       << " must be finite");
       BROADWAY_CHECK_MSG(window.crash_at >= previous_end,
                          "overlapping or unordered crash windows at t="
                              << window.crash_at);

@@ -84,8 +84,9 @@ struct FaultSchedule {
 
   /// Aborts on malformed schedules: overlapping or unordered windows,
   /// non-positive window start, loss outside [0, 1), negative jitter, a
-  /// non-positive backoff base, a cap below the base, or (when
-  /// `proxy_limit` is finite) a crash entry for a proxy id >= the limit.
+  /// non-positive backoff base, a cap below the base, a non-finite
+  /// jitter, backoff or recovery time, or (when `proxy_limit` is finite)
+  /// a crash entry for a proxy id >= the limit.
   /// Pass SIZE_MAX as the limit when only a slice of the fleet is visible.
   void validate(std::size_t proxy_limit) const;
 

@@ -1,5 +1,6 @@
 #include "fleet/proxy_fleet.h"
 
+#include <cmath>
 #include <limits>
 
 #include "http/extensions.h"
@@ -27,8 +28,10 @@ struct RelayBatch {
 ProxyFleet::ProxyFleet(Simulator& sim, OriginServer& origin,
                        FleetConfig config)
     : sim_(sim), origin_(origin), config_(std::move(config)) {
-  BROADWAY_CHECK_MSG(config_.relay_latency >= 0.0,
-                     "relay latency " << config_.relay_latency);
+  BROADWAY_CHECK_MSG(
+      std::isfinite(config_.relay_latency) && config_.relay_latency >= 0.0,
+      "relay_latency=" << config_.relay_latency
+                       << " must be finite and >= 0");
   // A whole fleet hosts proxies 0..proxies-1; a shard slice hosts the
   // explicit (global) ids it was given.  Everything id-dependent — seeds,
   // schedule tags — uses the global id, so a proxy behaves identically
@@ -194,6 +197,16 @@ void ProxyFleet::start() {
 
 // ---- the relay channel -----------------------------------------------------
 
+void ProxyFleet::connect_remote(RemoteDests remote,
+                                std::vector<std::vector<bool>> watch) {
+  // The synchronous relay path has no message to post.
+  BROADWAY_CHECK_MSG(remote.size() == 0 || config_.relay_latency > 0.0,
+                     "remote relays need relay_latency > 0, got "
+                         << config_.relay_latency);
+  remote_dests_ = std::move(remote);
+  send_watch_ = std::move(watch);
+}
+
 void ProxyFleet::on_poll(std::size_t proxy_index, const PollEvent& event) {
   // Initial fetches are not relayed: every proxy fetches its own working
   // set once at start-up (siblings may not even have started yet).
@@ -209,15 +222,9 @@ void ProxyFleet::on_poll(std::size_t proxy_index, const PollEvent& event) {
       if (!engines_[j]->relay_eligible(event.object)) continue;
       dests.push_back(static_cast<std::uint32_t>(j));
     }
-    std::shared_ptr<const Response> message;
-    if (!dests.empty()) message = relay(proxy_index, dests, event, round);
-    // Destinations hosted by other fleet instances (sharding): hand the
-    // poll to the exporter, which fans out through the cross-shard
-    // mailboxes.  Local and exported deliveries land on different
-    // simulators, so their relative send order here is immaterial.
-    if (relay_exporter_ != nullptr) {
-      relay_exporter_(proxy_ids_[proxy_index], event, round,
-                      std::move(message));
+    const std::vector<RelayDest>* remote = remote_dests_.find(event.object);
+    if (!dests.empty() || remote != nullptr) {
+      relay(proxy_index, dests, remote, event, round);
     }
   }
   if (event.observation != nullptr) {
@@ -230,57 +237,72 @@ std::uint64_t ProxyFleet::next_relay_round(std::size_t proxy_index,
   return relay_rounds_[proxy_index][object]++;
 }
 
-std::shared_ptr<const Response> ProxyFleet::relay(std::size_t from,
-                                                  const Destinations& dests,
-                                                  const PollEvent& event,
-                                                  std::uint64_t round) {
+void ProxyFleet::relay(std::size_t from, const Destinations& dests,
+                       const std::vector<RelayDest>* remote,
+                       const PollEvent& event, std::uint64_t round) {
   if (!faults_active_ && config_.relay_latency <= 0.0) {
     // Synchronous relay: the receiving engines read the polling engine's
-    // response in place — no copy anywhere on the path.
+    // response in place — no copy anywhere on the path.  (No remote
+    // destinations here: connect_remote requires a latency.)
     for (const std::uint32_t to : dests) {
       ++relays_.sent;
       deliver(to, event.object, event.response, event.snapshot);
     }
-    return nullptr;
+    return;
   }
   // One copy per fan-out, shared by every destination: the PollEvent's
   // references die with the poll pipeline.
   auto message = std::make_shared<const Response>(event.response);
   if (faults_active_) {
+    const std::size_t src_global = proxy_ids_[from];
     for (const std::uint32_t to : dests) {
-      relay_attempt(proxy_ids_[from], to, event.object, message,
-                    event.snapshot, round, /*attempt=*/0);
+      relay_attempt(src_global,
+                    {RelayDest::kHere, to,
+                     static_cast<std::uint32_t>(proxy_ids_[to])},
+                    event.object, message, event.snapshot, round,
+                    /*attempt=*/0);
     }
-    return message;
+    if (remote == nullptr) return;
+    for (const RelayDest& to : *remote) {
+      relay_attempt(src_global, to, event.object, message, event.snapshot,
+                    round, /*attempt=*/0);
+    }
+    return;
   }
-  RelayBatch batch;
-  batch.message = message;
-  batch.object = event.object;
-  batch.snapshot = event.snapshot;
-  batch.deliver_at = sim_.now() + config_.relay_latency;
-  for (const std::uint32_t to : dests) {
-    ++relays_.sent;
-    ++relays_.in_flight;
-    // Deliveries to watched pairs feed the window send bound: push the
-    // delivery time now, pop it when the message lands.
-    const bool watched = watched_dest(to, event.object);
-    if (watched) pending_watched_.insert(batch.deliver_at);
-    batch.dests.push_back({to, watched});
-  }
-  sim_.schedule_after(
-      config_.relay_latency, [this, batch = std::move(batch)] {
-        for (const RelayBatch::Dest& dest : batch.dests) {
-          --relays_.in_flight;
-          if (dest.watched) {
-            pending_watched_.erase(pending_watched_.find(batch.deliver_at));
+  if (!dests.empty()) {
+    RelayBatch batch;
+    batch.message = message;
+    batch.object = event.object;
+    batch.snapshot = event.snapshot;
+    batch.deliver_at = sim_.now() + config_.relay_latency;
+    for (const std::uint32_t to : dests) {
+      ++relays_.sent;
+      ++relays_.in_flight;
+      // Deliveries to watched pairs feed the window send bound: push the
+      // delivery time now, pop it when the message lands.
+      const bool watched = watched_dest(to, event.object);
+      if (watched) pending_watched_.insert(batch.deliver_at);
+      batch.dests.push_back({to, watched});
+    }
+    sim_.schedule_after(
+        config_.relay_latency, [this, batch = std::move(batch)] {
+          for (const RelayBatch::Dest& dest : batch.dests) {
+            --relays_.in_flight;
+            if (dest.watched) {
+              pending_watched_.erase(pending_watched_.find(batch.deliver_at));
+            }
+            deliver(dest.to, batch.object, *batch.message, batch.snapshot);
           }
-          deliver(dest.to, batch.object, *batch.message, batch.snapshot);
-        }
-      });
-  return message;
+        });
+  }
+  if (remote == nullptr) return;
+  for (const RelayDest& to : *remote) {
+    ++relays_.sent;
+    post(to, event.object, message, event.snapshot, config_.relay_latency);
+  }
 }
 
-void ProxyFleet::relay_attempt(std::size_t src_global, std::size_t to,
+void ProxyFleet::relay_attempt(std::size_t src_global, const RelayDest& to,
                                ObjectId object,
                                std::shared_ptr<const Response> message,
                                TimePoint snapshot, std::uint64_t round,
@@ -288,12 +310,12 @@ void ProxyFleet::relay_attempt(std::size_t src_global, std::size_t to,
   const FaultSchedule& faults = config_.faults;
   // The ledger invariant sent == delivered + in_flight + lost holds at
   // every instant: each attempt is counted sent here and ends up in
-  // exactly one of the other three buckets below.
+  // exactly one of the other three buckets below (a posted attempt's
+  // delivery is counted where it lands).
   ++relays_.sent;
   if (attempt > 0) ++relays_.retried;
   const std::uint64_t counter = faults.attempt_counter(round, attempt);
-  const std::size_t dst_global = proxy_ids_[to];
-  if (faults.relay_lost(object, src_global, dst_global, counter)) {
+  if (faults.relay_lost(object, src_global, to.global, counter)) {
     ++relays_.lost;
     if (attempt >= faults.relay_retry_limit) return;  // abandoned
     // The retry chain belongs to the network substrate, not the sending
@@ -312,21 +334,44 @@ void ProxyFleet::relay_attempt(std::size_t src_global, std::size_t to,
   }
   const Duration delay =
       config_.relay_latency +
-      faults.relay_jitter(object, src_global, dst_global, counter);
+      faults.relay_jitter(object, src_global, to.global, counter);
+  if (to.remote()) {
+    post(to, object, std::move(message), snapshot, delay);
+    return;
+  }
   if (delay <= 0.0) {
-    deliver(to, object, *message, snapshot);
+    deliver(to.local, object, *message, snapshot);
     return;
   }
   ++relays_.in_flight;
-  const bool watched = watched_dest(to, object);
+  const bool watched = watched_dest(to.local, object);
   const TimePoint deliver_at = sim_.now() + delay;
   if (watched) pending_watched_.insert(deliver_at);
-  sim_.schedule_after(
-      delay, [this, to, object, message, snapshot, watched, deliver_at] {
-        --relays_.in_flight;
-        if (watched) pending_watched_.erase(pending_watched_.find(deliver_at));
-        deliver(to, object, *message, snapshot);
-      });
+  sim_.schedule_after(delay, [this, to = to.local, object, message, snapshot,
+                              watched, deliver_at] {
+    --relays_.in_flight;
+    if (watched) pending_watched_.erase(pending_watched_.find(deliver_at));
+    deliver(to, object, *message, snapshot);
+  });
+}
+
+void ProxyFleet::post(const RelayDest& to, ObjectId object,
+                      std::shared_ptr<const Response> message,
+                      TimePoint snapshot, Duration delay) {
+  const TimePoint now = sim_.now();
+  // now + delay is the instant schedule_after(delay) would deliver a
+  // local relay, to the last ULP.  The send runs inside the sender's poll
+  // or retry event, so the schedule tag is the sender chain's — the tag a
+  // local delivery event would have inherited.
+  outbox_.push_back({.deliver_at = now + delay,
+                     .sent_at = now,
+                     .tag = sim_.schedule_tag(),
+                     .shard = to.shard,
+                     .seq = outbox_seq_++,
+                     .dest_local = to.local,
+                     .object = object,
+                     .snapshot = snapshot,
+                     .response = std::move(message)});
 }
 
 void ProxyFleet::deliver(std::size_t to, ObjectId object,

@@ -25,6 +25,15 @@
 // non-validating relays.  Each relay is recorded at the receiving proxy as
 // PollCause::kRelay — visible to the fidelity evaluation, excluded from
 // origin-poll counts.
+//
+// A ProxyFleet is also the *slice* of a ShardedFleet shard
+// (FleetConfig::proxy_ids).  A slice sends every relay of a fan-out
+// itself: its local siblings first, then the siblings hosted on other
+// shards (connect_remote) in ascending global id, all through the one
+// attempt chain — one round, loss draw, backoff retry and latency +
+// jitter delay per attempt.  A remote attempt differs only at the end: it
+// becomes a message in the slice's outbox, which the sharded driver
+// delivers at the destination shard.
 #pragma once
 
 #include <cstddef>
@@ -137,23 +146,55 @@ class ProxyFleet {
 
   // ---- cross-fleet relay (ShardedFleet plumbing) ----
 
-  /// Observer for relays that must leave this fleet instance.  Called
-  /// once per relayable poll (inside the poll event, after local
-  /// siblings were handled); the callee fans out to proxies hosted
-  /// elsewhere.  Event references die with the call.  `message` is the
-  /// fan-out's one shared copy of the response, made when a local
-  /// sibling needed it; it is null when none did (no local destination,
-  /// or the synchronous path), and the callee copies the response
-  /// itself only if it has a destination.  `round` is the sender's
-  /// per-(proxy, object) relay fan-out round — a pure function of the
-  /// sender's poll history — which keys the exporter's fault draws so a
-  /// remote destination draws exactly what it would have drawn locally.
-  using RelayExporter = std::function<void(
-      std::size_t from_global, const PollEvent& event, std::uint64_t round,
-      std::shared_ptr<const Response> message)>;
-  void set_relay_exporter(RelayExporter exporter) {
-    relay_exporter_ = std::move(exporter);
-  }
+  /// One relay destination.  `shard == kHere`: local proxy `local` of
+  /// this fleet instance.  Otherwise local proxy `local` of the instance
+  /// the sharded driver numbers `shard`, reached through outbox().  Fault
+  /// draws are keyed on the `global` proxy id either way.
+  struct RelayDest {
+    static constexpr std::uint32_t kHere = 0xffffffffu;
+    std::uint32_t shard = kHere;
+    std::uint32_t local = 0;
+    std::uint32_t global = 0;
+    bool remote() const { return shard != kHere; }
+  };
+
+  /// A relay bound for another fleet instance, at rest until it is
+  /// delivered there.  The sharded driver orders deliveries by (deliver_at,
+  /// sent_at, tag, seq) — see sharded_fleet.h.
+  struct RelayMessage {
+    TimePoint deliver_at = 0.0;
+    TimePoint sent_at = 0.0;
+    std::uint32_t tag = 0;    ///< sender chain's schedule tag
+    std::uint32_t shard = 0;  ///< destination instance
+    std::uint64_t seq = 0;    ///< the sending instance's send order
+    std::uint32_t dest_local = 0;  ///< local proxy index at `shard`
+    ObjectId object = kInvalidObjectId;
+    TimePoint snapshot = 0.0;
+    std::shared_ptr<const Response> response;
+  };
+
+  /// Per-object relay destinations hosted by other fleet instances.
+  using RemoteDests = IdSlots<std::vector<RelayDest>>;
+
+  /// Wire this instance into a sharded fleet, once, after start() and
+  /// before the first event runs.  `remote[object]` lists the object's
+  /// destinations on other instances in ascending global id; every fan-out
+  /// sends to them after its local siblings, through the same attempt
+  /// chain, and parks each surviving attempt in outbox() instead of
+  /// scheduling its delivery.  `watch[local]` is a per-ObjectId flag
+  /// vector marking the local pairs whose relay *deliveries* can cause a
+  /// cross-fleet-visible send at the delivery instant (a delivery can
+  /// trigger δ-sibling polls, which may relay out); pairs beyond its
+  /// length are unwatched.  Pending delayed relays to watched pairs feed
+  /// next_watched_delivery(), the fleet's share of the sharded driver's
+  /// window-edge bound.
+  void connect_remote(RemoteDests remote,
+                      std::vector<std::vector<bool>> watch);
+
+  /// Relays to other fleet instances, in send order, until the sharded
+  /// driver moves them to their destinations' inboxes.
+  std::vector<RelayMessage>& outbox() { return outbox_; }
+  const std::vector<RelayMessage>& outbox() const { return outbox_; }
 
   /// Deliver a relay message that originated outside this fleet instance
   /// to local proxy `to`.  Counts and δ-group notifications behave
@@ -166,27 +207,17 @@ class ProxyFleet {
     deliver(to, object, response, snapshot);
   }
 
-  /// Mark the (local proxy, object) pairs whose relay *deliveries* can
-  /// cause a cross-fleet-visible send at the delivery instant (a delivery
-  /// can trigger δ-sibling polls, which may export).  `watch[local]` is a
-  /// per-ObjectId flag vector; pairs beyond its length are unwatched.
-  /// Pending latency-delayed relays to watched pairs contribute their
-  /// delivery times to next_watched_delivery(), the fleet's share of the
-  /// sharded driver's window-edge bound.
-  void set_send_watch(std::vector<std::vector<bool>> watch) {
-    send_watch_ = std::move(watch);
-  }
-
   /// Earliest pending watched relay delivery; kTimeInfinity when none.
   TimePoint next_watched_delivery() const {
     return pending_watched_.empty() ? kTimeInfinity
                                     : *pending_watched_.begin();
   }
 
-  /// Earliest pending local relay-retry firing; kTimeInfinity when none.
-  /// A retry that fires inside a lookahead window can deliver and trigger
-  /// δ-sibling polls that export, so the sharded driver folds this into
-  /// its window send bound alongside next_watched_delivery().
+  /// Earliest pending relay-retry firing; kTimeInfinity when none.  A
+  /// retry to another instance is itself a cross-fleet send, and a local
+  /// one can deliver and trigger δ-sibling polls that relay out, so the
+  /// sharded driver folds this into its window send bound alongside
+  /// next_watched_delivery().
   TimePoint next_relay_retry() const {
     return pending_relay_retries_.empty() ? kTimeInfinity
                                           : *pending_relay_retries_.begin();
@@ -232,8 +263,10 @@ class ProxyFleet {
                                       : client_traffic_->next_fire();
   }
 
-  /// The local relay channel's ledger.  Relays exported to other fleet
-  /// instances are counted by the exporter's owner.
+  /// The relay channel's ledger.  Relays to other fleet instances count
+  /// their sends, losses and retries here; the receiving instance counts
+  /// their deliveries, and the sharded driver counts those still in its
+  /// mailboxes as in flight, so only its fold balances.
   const RelayLedger& relays() const { return relays_; }
   std::size_t relays_sent() const { return relays_.sent; }
   std::size_t relays_delivered() const { return relays_.delivered; }
@@ -262,8 +295,10 @@ class ProxyFleet {
       groups_by_member_;
   std::vector<std::size_t> proxy_ids_;  // local index -> global proxy id
   std::unique_ptr<FleetClientTraffic> client_traffic_;  // null = no clients
-  RelayExporter relay_exporter_;
-  // Watched destination pairs (see set_send_watch) and the delivery times
+  RemoteDests remote_dests_;  // see connect_remote
+  std::vector<RelayMessage> outbox_;
+  std::uint64_t outbox_seq_ = 0;
+  // Watched destination pairs (see connect_remote) and the delivery times
   // of in-flight relays headed to them.  Latency jitter makes deliveries
   // complete out of send order, so an ordered multiset replaces the
   // fault-free FIFO.
@@ -284,12 +319,12 @@ class ProxyFleet {
   using Destinations = SmallVector<std::uint32_t, 8>;
 
   /// Fleet-level stage of engine i's poll pipeline: build the list of
-  /// eligible local siblings once, relay to them, hand the poll (and the
-  /// fan-out's shared message) to the exporter, then feed δ-groups.
+  /// eligible local siblings once, relay to them and to the remote
+  /// destinations, then feed δ-groups.
   void on_poll(std::size_t proxy, const PollEvent& event);
 
-  /// Relay one poll from local proxy `from` to `dests`.  Returns the
-  /// fan-out's shared message, or null on the synchronous path.
+  /// Relay one poll from local proxy `from` to `dests`, then to `remote`
+  /// (null when none) in ascending global id.
   ///  * Fault-free, relay_latency <= 0: each sibling reads the pipeline's
   ///    response in place — no copy anywhere on the path.
   ///  * Fault-free, relay_latency > 0: one copy and ONE delivery event at
@@ -303,21 +338,30 @@ class ProxyFleet {
   ///  * Faults: one copy shared by every destination's attempt chain;
   ///    jitter gives each destination its own delivery instant, so each
   ///    keeps its own event (relay_attempt).
-  std::shared_ptr<const Response> relay(std::size_t from,
-                                        const Destinations& dests,
-                                        const PollEvent& event,
-                                        std::uint64_t round);
+  ///  * Remote destinations take the same path as local ones up to the
+  ///    delivery: the fault-free message waits relay_latency, a faulty
+  ///    one goes through relay_attempt; either way it lands in outbox().
+  void relay(std::size_t from, const Destinations& dests,
+             const std::vector<RelayDest>* remote, const PollEvent& event,
+             std::uint64_t round);
 
   /// One transmission attempt of a fault-injected relay: draws loss (a
   /// lost attempt below the retry limit schedules the next attempt after
-  /// the capped exponential backoff) and jitter, then delivers.  Every
-  /// destination's chain shares the fan-out's one `message`.  The retry
-  /// chain is owned by the simulator, not the sending engine — a sender
-  /// crash does not cancel messages already handed to the network.
-  void relay_attempt(std::size_t src_global, std::size_t to, ObjectId object,
-                     std::shared_ptr<const Response> message,
+  /// the capped exponential backoff) and jitter, then delivers — or, for
+  /// a remote destination, posts.  Every destination's chain shares the
+  /// fan-out's one `message`.  The retry chain is owned by the simulator,
+  /// not the sending engine — a sender crash does not cancel messages
+  /// already handed to the network.
+  void relay_attempt(std::size_t src_global, const RelayDest& to,
+                     ObjectId object, std::shared_ptr<const Response> message,
                      TimePoint snapshot, std::uint64_t round,
                      std::size_t attempt);
+
+  /// Park a relay to remote destination `to` in the outbox, due at
+  /// now + `delay`.
+  void post(const RelayDest& to, ObjectId object,
+            std::shared_ptr<const Response> message, TimePoint snapshot,
+            Duration delay);
 
   /// Consume the next fan-out round of (local proxy, object).
   std::uint64_t next_relay_round(std::size_t proxy_index, ObjectId object);

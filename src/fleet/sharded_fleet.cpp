@@ -350,7 +350,6 @@ void ShardedFleet::build_shards() {
     slice.proxy_ids = shard.proxies;
     shard.fleet =
         std::make_unique<ProxyFleet>(*shard.sim, *shard.origin, slice);
-    shard.outbox.resize(shards_.size());
   }
 
   // ---- replay the recorded registrations onto the owning slices ----
@@ -409,62 +408,66 @@ void ShardedFleet::build_registration_ranks() {
   }
 }
 
-void ShardedFleet::build_remote_dests() {
-  if (!config_.fleet.cooperative_push || shards_.size() <= 1) return;
+void ShardedFleet::wire_remote_relays() {
+  if (!config_.fleet.cooperative_push || shards_.size() <= 1) {
+    pairs_.clear();
+    return;
+  }
+  // ---- remote fan-out lists ----
   // Relay eligibility (tracked && self-scheduled) is fixed once start()
   // has run, so the fan-out lists are computed once, from the registered
   // pairs in O(pairs): an object's destinations are its relay-eligible
   // pairs, and only a shard hosting one of its pairs polls — and so
-  // exports — the object.  Destinations are kept in ascending global
+  // relays — the object.  Destinations are kept in ascending global
   // proxy id — the order the one-simulator reference sends to them, and
   // therefore the order their per-sender sequence numbers must follow.
   // A (proxy, object) pair lives on exactly one slice, so per source
   // shard each proxy contributes at most one destination, and the source
   // pair itself is never among them (its slice is the source shard).
-  struct Tracker {
-    std::size_t proxy;
-    RemoteDest dest;
-  };
+  using RelayDest = ProxyFleet::RelayDest;
   struct Fanout {
-    std::vector<Tracker> eligible;
+    std::vector<RelayDest> eligible;
     std::vector<std::uint32_t> hosts;
   };
   const UriTable& table = shards_[0].origin->uri_table();
+  std::vector<ObjectId> pair_object(pairs_.size(), kInvalidObjectId);
   IdSlots<Fanout> fanout;
-  for (const PairInfo& pair : pairs_) {
+  for (std::size_t i = 0; i < pairs_.size(); ++i) {
+    const PairInfo& pair = pairs_[i];
     const ObjectId object = table.find(pair.uri);
     BROADWAY_CHECK(object != kInvalidObjectId);
+    pair_object[i] = object;
     const auto shard = static_cast<std::uint32_t>(pair.shard);
     Fanout& entry = fanout[object];
     entry.hosts.push_back(shard);
     const std::size_t local = local_of(pair.shard, pair.proxy);
     if (!shards_[shard].fleet->proxy(local).relay_eligible(object)) continue;
-    entry.eligible.push_back(
-        {pair.proxy, {shard, static_cast<std::uint32_t>(local)}});
+    entry.eligible.push_back({shard, static_cast<std::uint32_t>(local),
+                              static_cast<std::uint32_t>(pair.proxy)});
   }
+  std::vector<ProxyFleet::RemoteDests> remote(shards_.size());
   auto entry = fanout.begin();
   for (const ObjectId object : fanout.ids()) {
-    std::vector<Tracker>& trackers = entry->eligible;
+    std::vector<RelayDest>& trackers = entry->eligible;
     std::sort(trackers.begin(), trackers.end(),
-              [](const Tracker& a, const Tracker& b) {
-                return a.proxy < b.proxy;
+              [](const RelayDest& a, const RelayDest& b) {
+                return a.global < b.global;
               });
     std::vector<std::uint32_t>& on = entry->hosts;
     std::sort(on.begin(), on.end());
     on.erase(std::unique(on.begin(), on.end()), on.end());
     for (const std::uint32_t s : on) {
-      std::vector<RemoteDest> dests;
-      for (const Tracker& tracker : trackers) {
+      std::vector<RelayDest> dests;
+      for (const RelayDest& tracker : trackers) {
         // Local siblings relay in-fleet.
-        if (tracker.dest.shard != s) dests.push_back(tracker.dest);
+        if (tracker.shard != s) dests.push_back(tracker);
       }
-      if (!dests.empty()) shards_[s].remote_dests[object] = std::move(dests);
+      if (!dests.empty()) remote[s][object] = std::move(dests);
     }
     ++entry;
   }
-}
 
-void ShardedFleet::build_send_watches() {
+  // ---- send watches ----
   // The window send bound needs, per shard, the set of local pairs
   // whose own-schedule fire can lead — possibly through a same-instant
   // δ-trigger cascade — to a cross-shard-visible send.  That set is the
@@ -475,18 +478,10 @@ void ShardedFleet::build_send_watches() {
   // pinning, sibling-object rule — which only makes the bound more
   // conservative, never wrong).  The same closure marks the relay
   // *destinations* whose deliveries can spark a send, which the slice
-  // fleets track through set_send_watch.
-  if (!config_.fleet.cooperative_push || shards_.size() <= 1) {
-    pairs_.clear();
-    return;
-  }
-  const UriTable& table = shards_[0].origin->uri_table();
-  std::vector<ObjectId> pair_object(pairs_.size(), kInvalidObjectId);
+  // fleets track through their send watch.
   std::vector<bool> marked(pairs_.size(), false);
   for (std::size_t i = 0; i < pairs_.size(); ++i) {
-    pair_object[i] = table.find(pairs_[i].uri);
-    const Shard& home = shards_[pairs_[i].shard];
-    if (home.remote_dests.contains(pair_object[i])) {
+    if (remote[pairs_[i].shard].contains(pair_object[i])) {
       marked[pairs_[i].root] = true;
     }
   }
@@ -505,7 +500,8 @@ void ShardedFleet::build_send_watches() {
     flags[pair_object[i]] = true;
   }
   for (std::size_t s = 0; s < shards_.size(); ++s) {
-    shards_[s].fleet->set_send_watch(std::move(filters[s]));
+    shards_[s].fleet->connect_remote(std::move(remote[s]),
+                                     std::move(filters[s]));
   }
   pairs_.clear();
 }
@@ -532,18 +528,7 @@ void ShardedFleet::start() {
   for (Shard& shard : shards_) {
     shard.fleet->start();
   }
-  build_remote_dests();
-  if (config_.fleet.cooperative_push && shards_.size() > 1) {
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      shards_[s].fleet->set_relay_exporter(
-          [this, s](std::size_t from_global, const PollEvent& event,
-                    std::uint64_t round,
-                    std::shared_ptr<const Response> response) {
-            export_relay(s, from_global, event, round, std::move(response));
-          });
-    }
-  }
-  build_send_watches();
+  wire_remote_relays();
   pool_ = std::make_unique<ThreadPool>(config_.threads);
   started_ = true;
 }
@@ -555,104 +540,6 @@ bool ShardedFleet::message_order(const Message& a, const Message& b) {
   if (a.sent_at != b.sent_at) return a.sent_at < b.sent_at;
   if (a.tag != b.tag) return a.tag < b.tag;
   return a.seq < b.seq;
-}
-
-void ShardedFleet::export_relay(std::size_t shard_index,
-                                std::size_t from_global,
-                                const PollEvent& event,
-                                std::uint64_t round,
-                                std::shared_ptr<const Response> response) {
-  Shard& shard = shards_[shard_index];
-  const std::vector<RemoteDest>* dests = shard.remote_dests.find(event.object);
-  if (dests == nullptr) return;
-  // One copy per fan-out, shared by its local and remote destinations:
-  // the slice fleet made it if a local sibling needed it; otherwise copy
-  // here (the PollEvent's references die with this call).
-  if (response == nullptr) {
-    response = std::make_shared<const Response>(event.response);
-  }
-  if (config_.fleet.faults.any()) {
-    // Per-destination attempt chain: loss and jitter draw from the same
-    // counter-keyed streams the slice fleets (and the one-simulator
-    // reference) use, so the outcome per (object, src, dst, attempt) is
-    // layout-invariant by construction.
-    for (const RemoteDest& dest : *dests) {
-      export_attempt(shard_index, from_global, dest, event.object,
-                     event.snapshot, response, round, 0);
-    }
-    return;
-  }
-  (void)from_global;
-  Message message;
-  message.sent_at = shard.sim->now();
-  message.deliver_at = message.sent_at + config_.fleet.relay_latency;
-  // The exporter runs inside the sender's poll event, so the simulator's
-  // schedule tag is the sender chain's — the same tag the reference's
-  // delivery event would have inherited.
-  message.tag = shard.sim->schedule_tag();
-  message.object = event.object;
-  message.snapshot = event.snapshot;
-  message.response = response;
-  for (const RemoteDest& dest : *dests) {
-    message.seq = shard.export_seq++;
-    message.dest_local = dest.local;
-    shard.outbox[dest.shard].push_back(message);
-  }
-  shard.exported.sent += dests->size();
-}
-
-void ShardedFleet::export_attempt(std::size_t shard_index,
-                                  std::size_t from_global,
-                                  const RemoteDest& dest, ObjectId object,
-                                  TimePoint snapshot,
-                                  std::shared_ptr<const Response> response,
-                                  std::uint64_t round, std::size_t attempt) {
-  Shard& shard = shards_[shard_index];
-  const FaultSchedule& faults = config_.fleet.faults;
-  const std::size_t dst_global = shards_[dest.shard].proxies[dest.local];
-  ++shard.exported.sent;
-  if (attempt > 0) ++shard.exported.retried;
-  const std::uint64_t counter = faults.attempt_counter(round, attempt);
-  if (faults.relay_lost(object, from_global, dst_global, counter)) {
-    ++shard.exported.lost;
-    if (attempt >= faults.relay_retry_limit) return;  // abandoned
-    // The retry lives on the sender's shard simulator under the sender
-    // chain's schedule tag (schedule_after inherits it), exactly like the
-    // reference's retry event; its fire instant is a future cross-shard
-    // send, advertised through export_retries for the send bound.
-    const Duration backoff = faults.retry_backoff(attempt);
-    const TimePoint fire = shard.sim->now() + backoff;
-    shard.export_retries.insert(fire);
-    const RemoteDest target = dest;
-    shard.sim->schedule_after(
-        backoff, [this, shard_index, from_global, target, object, snapshot,
-                  response = std::move(response), round, attempt,
-                  fire]() mutable {
-          Shard& home = shards_[shard_index];
-          home.export_retries.erase(home.export_retries.find(fire));
-          export_attempt(shard_index, from_global, target, object, snapshot,
-                         std::move(response), round, attempt + 1);
-        });
-    return;
-  }
-  Message message;
-  message.sent_at = shard.sim->now();
-  // Parenthesized to match the reference exactly: the slice fleet passes
-  // (latency + jitter) as one schedule_after delay, so the delivery
-  // instant is sent_at + (latency + jitter) down to the last ULP — the
-  // other association can differ in the low bits and desynchronize every
-  // event the delivery's apply_outcome timestamps downstream.
-  message.deliver_at =
-      message.sent_at +
-      (config_.fleet.relay_latency +
-       faults.relay_jitter(object, from_global, dst_global, counter));
-  message.tag = shard.sim->schedule_tag();
-  message.object = object;
-  message.snapshot = snapshot;
-  message.response = std::move(response);
-  message.seq = shard.export_seq++;
-  message.dest_local = dest.local;
-  shard.outbox[dest.shard].push_back(std::move(message));
 }
 
 void ShardedFleet::run_shard_window(std::size_t shard_index,
@@ -710,22 +597,23 @@ void ShardedFleet::run_shard_window(std::size_t shard_index,
 }
 
 void ShardedFleet::exchange_mailboxes() {
-  for (std::size_t d = 0; d < shards_.size(); ++d) {
-    Shard& dest = shards_[d];
-    bool added = false;
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      std::vector<Message>& box = shards_[s].outbox[d];
-      if (box.empty()) continue;
-      dest.inbox.insert(dest.inbox.end(),
-                        std::make_move_iterator(box.begin()),
-                        std::make_move_iterator(box.end()));
-      box.clear();
-      added = true;
+  // Source shards ascending, each outbox in send order: an inbox takes
+  // its new messages in one fixed order, whatever the thread schedule.
+  std::vector<bool> grown(shards_.size(), false);
+  for (Shard& source : shards_) {
+    std::vector<Message>& box = source.fleet->outbox();
+    for (Message& message : box) {
+      grown[message.shard] = true;
+      shards_[message.shard].inbox.push_back(std::move(message));
     }
-    if (added) {
-      // The key is total: tags identify the sending proxy (hence its
-      // shard) and seq is monotone per source shard.
-      std::sort(dest.inbox.begin(), dest.inbox.end(), message_order);
+    box.clear();
+  }
+  for (std::size_t d = 0; d < shards_.size(); ++d) {
+    // The key is total: tags identify the sending proxy (hence its
+    // shard) and seq is monotone per source shard.
+    if (grown[d]) {
+      std::sort(shards_[d].inbox.begin(), shards_[d].inbox.end(),
+                message_order);
     }
   }
 }
@@ -745,12 +633,12 @@ TimePoint ShardedFleet::shard_send_bound(const Shard& shard,
   //    (thinning may reject, the read may hit), which is conservative.
   //    Streams run ahead only inside a window, so at a barrier each
   //    one's next candidate is its pending queue event.
-  // Under fault injection three more sources join (see below): pending
-  // export-path retries (their fires ARE cross-shard sends), pending
-  // local relay retries (their deliveries can trigger watched δ-sibling
-  // exports before any timer the watch list sees), and crash/recovery
-  // transitions (a dark proxy's timers are stopped, so its next send is
-  // invisible until recovery re-arms them).
+  // Under fault injection two more sources join (see below): pending
+  // relay retries (a remote one's fire IS a cross-shard send; a local
+  // one's delivery can trigger watched δ-sibling sends before any timer
+  // the watch list sees), and crash/recovery transitions (a dark proxy's
+  // timers are stopped, so its next send is invisible until recovery
+  // re-arms them).
   // Trigger cascades are same-instant, so a bound over these instants
   // bounds every send.  The scan stops early once the running bound
   // reaches `cutoff` — the caller falls back to a fixed-width window
@@ -763,10 +651,6 @@ TimePoint ShardedFleet::shard_send_bound(const Shard& shard,
   if (bound <= cutoff) return bound;
   const FaultSchedule& faults = config_.fleet.faults;
   if (faults.any()) {
-    if (!shard.export_retries.empty()) {
-      bound = std::min(bound, *shard.export_retries.begin());
-      if (bound <= cutoff) return bound;
-    }
     bound = std::min(bound, shard.fleet->next_relay_retry());
     if (bound <= cutoff) return bound;
     if (faults.has_crashes()) {
@@ -917,11 +801,8 @@ RelayLedger ShardedFleet::relays() const {
   // inboxes at every window edge, so at rest the inboxes hold them all).
   RelayLedger ledger;
   for (const Shard& shard : shards_) {
-    ledger.merge(shard.fleet->relays()).merge(shard.exported);
-    ledger.in_flight += shard.inbox.size();
-    for (const std::vector<Message>& box : shard.outbox) {
-      ledger.in_flight += box.size();
-    }
+    ledger.merge(shard.fleet->relays());
+    ledger.in_flight += shard.inbox.size() + shard.fleet->outbox().size();
   }
   return ledger;
 }

@@ -10,7 +10,11 @@
 // so every shard may run `relay_latency` ahead of the slowest one
 // without ever seeing a message from its past.  Execution proceeds in
 // windows: run every shard to the window edge in parallel, barrier,
-// exchange the cross-shard relays through per-pair mailboxes, repeat.
+// move the cross-shard relays from each slice's outbox to the
+// destination shards' inboxes, repeat.  The slice sends them itself,
+// through the same attempt chain as its local relays (fault draws,
+// retries, latency + jitter), so the driver only wires each slice's
+// remote destinations at start() and carries the messages.
 // Each edge jumps to the earliest instant any shard can next produce a
 // cross-shard-visible send (never less than one relay_latency step),
 // collapsing idle stretches into one barrier (see run_until).
@@ -24,7 +28,7 @@
 //    chain that created it (ProxyFleet::start seeds each proxy's timers
 //    with its global id; retries, reschedules and relay deliveries
 //    inherit it).  A cross-shard message is stamped with its sender's
-//    tag, send time and a per-source-shard sequence number.
+//    tag, send time and a per-source-slice sequence number.
 //  * Canonical merge order.  Inside a window, a shard interleaves its
 //    local events with its inbox by the key (fire time, schedule time,
 //    owner tag, source seq) — the same order in which the one-simulator
@@ -59,8 +63,8 @@
 // never on the thread count — so merged output is thread-schedule
 // independent by construction.  Every ObjectId-keyed table of a shard —
 // its engine slices' caches, poll-log indices and tracked objects, the
-// slice fleet's group index and relay rounds, the origin reader's
-// version hints and the shard's remote fan-out lists — is an IdSlots
+// slice fleet's group index, relay rounds and remote fan-out lists, and
+// the origin reader's version hints — is an IdSlots
 // (util/id_slots.h) holding only the pairs the shard hosts, so raising
 // the shard count adds O(pairs), not O(objects) per slice.
 //
@@ -76,7 +80,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -213,9 +216,10 @@ class ShardedFleet {
   /// Successful non-initial origin polls across the fleet.
   std::size_t origin_polls() const;
 
-  /// The relay ledger folded over the shards: each slice fleet's local
-  /// channel, each shard's cross-shard exports, and the cross-shard
-  /// messages still in the mailboxes (in flight).  balanced() holds at
+  /// The relay ledger folded over the shards: each slice fleet's ledger
+  /// (its local relays, plus the sends, losses and retries of its
+  /// cross-shard ones) and the cross-shard messages still in the
+  /// mailboxes (in flight).  balanced() holds at
   /// any instant; without injected loss in-flight drains once the clock
   /// passes the last send + relay_latency (+ jitter).
   RelayLedger relays() const;
@@ -256,22 +260,7 @@ class ShardedFleet {
  private:
   /// One cross-shard relay message at rest.  Ordering key: (deliver_at,
   /// sent_at, tag, seq) — see the file comment.
-  struct Message {
-    TimePoint deliver_at = 0.0;
-    TimePoint sent_at = 0.0;
-    std::uint32_t tag = 0;   ///< sender chain's schedule tag
-    std::uint64_t seq = 0;   ///< per-source-shard send order
-    std::uint32_t dest_local = 0;  ///< local proxy index in the dest shard
-    ObjectId object = kInvalidObjectId;
-    TimePoint snapshot = 0.0;
-    std::shared_ptr<const Response> response;
-  };
-
-  /// A remote relay destination, precomputed per (source shard, object).
-  struct RemoteDest {
-    std::uint32_t shard = 0;
-    std::uint32_t local = 0;  ///< local proxy index within `shard`
-  };
+  using Message = ProxyFleet::RelayMessage;
 
   struct Shard {
     std::unique_ptr<Simulator> sim;
@@ -282,26 +271,10 @@ class ShardedFleet {
     std::vector<std::size_t> proxies;  ///< global ids, ascending
     /// Messages awaiting delivery here, sorted by the canonical key.
     std::vector<Message> inbox;
-    /// Messages produced this window, keyed by destination shard.
-    std::vector<std::vector<Message>> outbox;
-    /// Remote destinations per object for relays leaving this shard,
-    /// ascending global proxy id.  Only objects this shard polls and
-    /// some other shard tracks have a slot.
-    IdSlots<std::vector<RemoteDest>> remote_dests;
     /// Local (engine, object) pairs whose next own-schedule fire bounds
     /// this shard's next cross-shard-visible send — the export closure
-    /// restricted to this shard (see build_send_watches).
+    /// restricted to this shard (see wire_remote_relays).
     std::vector<std::pair<const PollingEngine*, ObjectId>> export_watch;
-    std::uint64_t export_seq = 0;
-    /// Cross-shard sends from this shard (sent, lost, retried; the
-    /// receiving shard counts deliveries).  Same semantics as the slice
-    /// fleet's ledger: every attempt counts as a fresh send.
-    RelayLedger exported;
-    /// Fire times of pending export-path relay retries (fault injection,
-    /// FleetConfig::faults).  A lost cross-shard attempt reschedules on
-    /// this shard's simulator; its fire is a future cross-shard send the
-    /// window send bound must not jump past.
-    std::multiset<TimePoint> export_retries;
   };
 
   /// One engine slice of a global proxy.
@@ -331,24 +304,9 @@ class ShardedFleet {
   /// Local index of global proxy `proxy` within shard `shard`.
   std::size_t local_of(std::size_t shard, std::size_t proxy) const;
   void build_registration_ranks();
-  void build_remote_dests();
-  void build_send_watches();
-  /// ProxyFleet::RelayExporter of shard `shard_index`: enqueue the
-  /// poll's relay to every remote destination, sharing `response` (the
-  /// fan-out's copy, or null to copy here) across all of them.
-  void export_relay(std::size_t shard_index, std::size_t from_global,
-                    const PollEvent& event, std::uint64_t round,
-                    std::shared_ptr<const Response> response);
-  /// One cross-shard send attempt under fault injection: draws loss and
-  /// jitter from the same counter-keyed streams the one-simulator
-  /// reference uses, reschedules itself on loss (sender-shard simulator,
-  /// capped exponential backoff), and enqueues the outbox message on
-  /// success.
-  void export_attempt(std::size_t shard_index, std::size_t from_global,
-                      const RemoteDest& dest, ObjectId object,
-                      TimePoint snapshot,
-                      std::shared_ptr<const Response> response,
-                      std::uint64_t round, std::size_t attempt);
+  /// Hand every slice its remote relay destinations and send watch
+  /// (ProxyFleet::connect_remote), and fill each shard's export_watch.
+  void wire_remote_relays();
   void run_shard_window(std::size_t shard_index, TimePoint window_end);
   void exchange_mailboxes();
   /// Earliest instant this shard can next produce a cross-shard-visible
@@ -375,7 +333,7 @@ class ShardedFleet {
   std::vector<Shard> shards_;
   std::vector<std::vector<SliceRef>> slices_of_proxy_;  // ascending shard
   // Partition bookkeeping from build_shards, consumed by
-  // build_send_watches and cleared after start(): one entry per
+  // wire_remote_relays and cleared after start(): one entry per
   // registered (proxy, uri) pair.
   struct PairInfo {
     std::size_t proxy = 0;

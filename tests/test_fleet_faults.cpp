@@ -108,6 +108,24 @@ TEST(FaultSchedule, ValidateRejectsMalformedSchedules) {
     faults.crashes.push_back({0, {{300.0, 400.0}}});  // duplicate proxy
     EXPECT_THROW(faults.validate(4), CheckFailure);
   }
+  // Non-finite timings: a one-simulator run would throw at its first
+  // delayed relay or retry, a sharded one park messages at t = inf.
+  {
+    FaultSchedule faults;
+    faults.relay_jitter_max = kTimeInfinity;
+    EXPECT_THROW(faults.validate(4), CheckFailure);
+  }
+  {
+    FaultSchedule faults;
+    faults.retry_backoff_base = kTimeInfinity;
+    faults.retry_backoff_cap = kTimeInfinity;
+    EXPECT_THROW(faults.validate(4), CheckFailure);
+  }
+  {
+    FaultSchedule faults;  // never recovers: end the window past the horizon
+    faults.crashes.push_back({0, {{100.0, kTimeInfinity}}});
+    EXPECT_THROW(faults.validate(4), CheckFailure);
+  }
   {
     FaultSchedule faults;  // a clean schedule passes
     faults.crashes.push_back({1, {{100.0, 200.0}, {200.0, 250.0}}});
@@ -116,6 +134,14 @@ TEST(FaultSchedule, ValidateRejectsMalformedSchedules) {
     faults.relay_retry_limit = 4;
     EXPECT_NO_THROW(faults.validate(4));
   }
+}
+
+TEST(FleetFaults, NonFiniteRelayLatencyIsRejected) {
+  Simulator sim;
+  OriginServer origin(sim);
+  FleetConfig config;
+  config.relay_latency = kTimeInfinity;
+  EXPECT_THROW(ProxyFleet(sim, origin, config), CheckFailure);
 }
 
 TEST(FaultSchedule, DarknessAndTransitionsArePureTimeFunctions) {

@@ -597,6 +597,44 @@ TEST(ShardedDifferential, PartitionedInFlightRelaysDrainExactly) {
   expect_records_identical(straight.merged, fleet->merged_poll_records());
 }
 
+// A faulty run paused mid-window, with cross-shard relays in the
+// mailboxes and a lost attempt still waiting out its backoff: the ledger
+// balances at the pause, and the resumed run reproduces the straight one
+// exactly, in both layouts.  Topology 19 keeps proxies on several shards
+// under heavy_faults() (the crash colocation rules fold topology 23's
+// relaying pairs onto one), so the straight run is also the faulty
+// cross-shard differential against the one-simulator reference.
+TEST(ShardedDifferential, FaultyRunPausesAndResumesExactly) {
+  const FaultSchedule faults = heavy_faults();
+  const Topology topo = random_topology(19);
+  const Artifacts reference =
+      reference_run(topo, kHorizon, /*clients=*/false, faults);
+  // No relay exhausts its retries, so at any instant a lost attempt not
+  // yet retried is a pending retry.
+  EXPECT_EQ(reference.relays.lost, reference.relays.retried);
+  for (const std::size_t shards : {std::size_t{0}, topo.proxies + 3}) {
+    SCOPED_TRACE(std::to_string(shards) + " shards");
+    auto straight = make_sharded(topo, 4, shards, /*clients=*/false, faults);
+    straight->start();
+    EXPECT_GT(straight->shard_count(), 1u);
+    straight->run_until(kHorizon);
+    expect_partitioned_identical(reference, *straight, topo);
+
+    auto paused = make_sharded(topo, 4, shards, /*clients=*/false, faults);
+    paused->start();
+    paused->run_until(3777.77);
+    const RelayLedger at_pause = paused->relays();
+    EXPECT_TRUE(at_pause.balanced());
+    EXPECT_GT(at_pause.in_flight, 0u);
+    EXPECT_GT(at_pause.lost, at_pause.retried);
+    paused->run_until(kHorizon);
+    expect_records_identical(straight->merged_poll_records(),
+                             paused->merged_poll_records());
+    EXPECT_EQ(straight->relays(), paused->relays());
+    EXPECT_TRUE(paused->relays().balanced());
+  }
+}
+
 // ---- fail-fast contracts ---------------------------------------------------
 
 TEST(ShardedDifferential, CrossShardPushRequiresPositiveLatency) {
