@@ -294,40 +294,44 @@ void BM_OriginConditionalGet(benchmark::State& state) {
 BENCHMARK(BM_OriginConditionalGet)->Unit(benchmark::kMillisecond);
 
 // A poll log as a harness sweep produces it: `objects` uris polled
-// round-robin, 200 records each.
-PollLog make_poll_log(std::size_t objects, std::vector<std::string>& uris) {
-  PollLog log;
+// round-robin, 200 records each, appended by id as the engine appends.
+// The uris are interned into `table` (which must outlive the log) and
+// returned in `uris`, their ids in `ids`.
+PollLog make_poll_log(UriTable& table, std::size_t objects,
+                      std::vector<std::string>& uris,
+                      std::vector<ObjectId>& ids) {
+  PollLog log(table);
   uris.clear();
+  ids.clear();
   for (std::size_t i = 0; i < objects; ++i) {
     uris.push_back("/object/" + std::to_string(i));
+    ids.push_back(table.intern(uris.back()));
   }
   TimePoint t = 0.0;
   for (std::size_t round = 0; round < 200; ++round) {
-    for (const std::string& uri : uris) {
-      PollRecord record;
-      record.snapshot_time = t;
-      record.complete_time = t;
-      record.uri = uri;
-      record.cause = round == 0 ? PollCause::kInitial : PollCause::kScheduled;
-      record.modified = (round % 3) == 0;
-      log.append(std::move(record));
+    for (const ObjectId id : ids) {
+      log.append(id,
+                 round == 0 ? PollCause::kInitial : PollCause::kScheduled,
+                 /*modified=*/(round % 3) == 0, /*failed=*/false, t, t);
       t += 1.0;
     }
   }
   return log;
 }
 
-// Per-object metric extraction through the per-uri index (what the engine
-// accessors and the PollLog successful_polls overload do).
+// Per-object metric extraction through the per-object index: the id-keyed
+// counter and the PollLog successful_polls overload the evaluation uses.
 void BM_PollLogIndexedQueries(benchmark::State& state) {
+  UriTable table;
   std::vector<std::string> uris;
+  std::vector<ObjectId> ids;
   const PollLog log = make_poll_log(
-      static_cast<std::size_t>(state.range(0)), uris);
+      table, static_cast<std::size_t>(state.range(0)), uris, ids);
   for (auto _ : state) {
     std::size_t total = 0;
-    for (const std::string& uri : uris) {
-      total += log.polls_performed(uri);
-      total += successful_polls(log, uri).size();
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      total += log.polls_performed(ids[i]);
+      total += successful_polls(log, uris[i]).size();
     }
     benchmark::DoNotOptimize(total);
   }
@@ -339,9 +343,11 @@ BENCHMARK(BM_PollLogIndexedQueries)->Arg(16)->Arg(256);
 // The same extraction by scanning the whole record vector once per object
 // (the pre-index behaviour) — goes quadratic as objects grow.
 void BM_PollLogScanQueries(benchmark::State& state) {
+  UriTable table;
   std::vector<std::string> uris;
+  std::vector<ObjectId> ids;
   const PollLog log = make_poll_log(
-      static_cast<std::size_t>(state.range(0)), uris);
+      table, static_cast<std::size_t>(state.range(0)), uris, ids);
   for (auto _ : state) {
     std::size_t total = 0;
     for (const std::string& uri : uris) {

@@ -119,7 +119,8 @@ int main(int argc, char** argv) {
     final_total += final_points;
     table.add_row({players[i].name(), std::to_string(players[i].count()),
                    fmt(final_points, 0),
-                   std::to_string(proxy.polls_performed(players[i].name()))});
+                   std::to_string(proxy.poll_log().polls_performed(
+                       origin.object_id(players[i].name())))});
   }
   table.print(std::cout);
 

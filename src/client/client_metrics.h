@@ -28,8 +28,7 @@
 namespace broadway {
 
 /// Popularity weight for one interned object.  The id-keyed unit every
-/// client-facing popularity surface is built from (PR 3/5 pattern: dense
-/// ids on the hot path, string overloads as translating wrappers).
+/// client-facing popularity surface is built from.
 struct ObjectWeight {
   ObjectId object = kInvalidObjectId;
   double weight = 1.0;

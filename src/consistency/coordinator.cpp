@@ -4,12 +4,6 @@
 
 namespace broadway {
 
-void MutualCoordinator::on_poll(const std::string& uri,
-                                const TemporalPollObservation& obs) {
-  BROADWAY_CHECK_MSG(hooks_.resolve, "coordinator used before bind()");
-  on_poll(hooks_.resolve(uri), obs);
-}
-
 ObjectId MutualCoordinator::resolve_member(const CoordinatorHooks& hooks,
                                            const std::string& uri) {
   BROADWAY_CHECK_MSG(hooks.resolve, "coordinator used before bind()");

@@ -20,8 +20,7 @@
 // uri strings (groups are configured by humans) and are interned once at
 // bind() through the `resolve` hook; `subscriptions()` hands the interned
 // ids back to the engine, which routes each poll only to the coordinators
-// actually watching that object.  String-keyed `on_poll` remains as a
-// translating wrapper for tests.
+// actually watching that object.
 #pragma once
 
 #include <functional>
@@ -50,23 +49,19 @@ struct CoordinatorHooks {
   std::function<void(ObjectId)> trigger_poll;
 };
 
-/// Decision interface.  `on_poll` is invoked by the engine after every
-/// completed poll of a group member — including polls the coordinator
-/// itself triggered, so implementations must be self-stabilising (the δ
-/// window test below provides that naturally).  The engine calls only the
-/// coordinators subscribed to the polled object; polls of objects outside
-/// the member list are ignored all the same.
+/// Decision interface.  `on_poll` is invoked by the engine, with the
+/// polled object's interned id, after every completed poll of a group
+/// member — including polls the coordinator itself triggered, so
+/// implementations must be self-stabilising (the δ window test below
+/// provides that naturally).  The engine calls only the coordinators
+/// subscribed to the polled object; polls of objects outside the member
+/// list are ignored all the same.
 class MutualCoordinator {
  public:
   virtual ~MutualCoordinator() = default;
 
   virtual void on_poll(ObjectId object,
                        const TemporalPollObservation& obs) = 0;
-
-  /// Translating wrapper: resolves `uri` through the bound hooks and
-  /// forwards to the id overload.  One hash per call — for tests; the
-  /// engine dispatches by id.
-  void on_poll(const std::string& uri, const TemporalPollObservation& obs);
 
   /// Interned ids of the objects this coordinator wants to hear about.
   /// Valid after bind(); the engine builds its per-object subscriber
@@ -114,7 +109,6 @@ class MutualCoordinator {
 /// Baseline: individual consistency only.
 class NullCoordinator : public MutualCoordinator {
  public:
-  using MutualCoordinator::on_poll;
   void on_poll(ObjectId, const TemporalPollObservation&) override {}
   /// Watches nothing: routed dispatch never calls it.
   std::vector<ObjectId> subscriptions() const override { return {}; }

@@ -34,13 +34,6 @@ double RateHeuristicCoordinator::estimated_rate(ObjectId object) const {
   return index == kNotMember ? 0.0 : estimators_[index].rate();
 }
 
-double RateHeuristicCoordinator::estimated_rate(
-    const std::string& uri) const {
-  const auto it = std::find(members_.begin(), members_.end(), uri);
-  if (it == members_.end() || estimators_.empty()) return 0.0;
-  return estimators_[static_cast<std::size_t>(it - members_.begin())].rate();
-}
-
 void RateHeuristicCoordinator::reset() {
   for (UpdateRateEstimator& estimator : estimators_) estimator.reset();
 }

@@ -34,14 +34,13 @@ class RateHeuristicCoordinator : public MutualCoordinator {
 
   RateHeuristicCoordinator(std::vector<std::string> members, Config config);
 
-  using MutualCoordinator::on_poll;
   void on_poll(ObjectId object, const TemporalPollObservation& obs) override;
   void reset() override;
 
   std::vector<ObjectId> subscriptions() const override { return member_ids_; }
 
-  /// Current rate estimate for a member (updates/s; 0 = unknown).
-  double estimated_rate(const std::string& uri) const;
+  /// Current rate estimate for a member (updates/s; 0 = unknown, and for
+  /// non-members).
   double estimated_rate(ObjectId object) const;
 
   std::size_t triggers_requested() const { return triggers_requested_; }

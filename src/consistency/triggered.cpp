@@ -80,8 +80,8 @@ void TriggeredPollCoordinator::on_poll(std::size_t proxy, ObjectId object,
                                        const TemporalPollObservation& obs) {
   if (!obs.modified) return;
   BROADWAY_CHECK_MSG(!member_ids_.empty(), "coordinator used before bind()");
-  // Routed dispatch only delivers member polls; the check keeps the
-  // string-keyed wrapper (and any broadcast caller) equivalent.
+  // Routed dispatch only delivers member polls; the check keeps any
+  // broadcast caller equivalent.
   const std::size_t polled = member_index(proxy, object);
   if (polled == kNotMember) return;
   for (std::size_t i = 0; i < member_ids_.size(); ++i) {

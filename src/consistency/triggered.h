@@ -65,7 +65,6 @@ class TriggeredPollCoordinator : public MutualCoordinator {
   void on_poll(std::size_t proxy, ObjectId object,
                const TemporalPollObservation& obs);
 
-  using MutualCoordinator::on_poll;
   void on_poll(ObjectId object, const TemporalPollObservation& obs) override {
     on_poll(0, object, obs);
   }

@@ -69,7 +69,8 @@ TemporalRunResult run_temporal(const UpdateTrace& trace,
   sim.run_until(horizon);
 
   TemporalRunResult result;
-  result.polls = engine.polls_performed(trace.name());
+  result.polls =
+      engine.poll_log().polls_performed(origin.object_id(trace.name()));
   result.fidelity = evaluate_temporal_fidelity(
       trace, successful_polls(engine.poll_log(), trace.name()), delta,
       std::min(trace.duration(), horizon));
@@ -176,7 +177,8 @@ ValueRunResult run_value_individual(const ValueTrace& trace,
   sim.run_until(horizon);
 
   ValueRunResult result;
-  result.polls = engine.polls_performed(trace.name());
+  result.polls =
+      engine.poll_log().polls_performed(origin.object_id(trace.name()));
   result.fidelity = evaluate_value_fidelity(
       trace, successful_polls(engine.poll_log(), trace.name()),
       config.delta, horizon);

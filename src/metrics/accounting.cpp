@@ -92,59 +92,24 @@ void order_merged_poll_records(std::vector<PollRecord>& concatenation) {
                    });
 }
 
-namespace {
-
-// The bucket loop both polls_per_bucket overloads share: `records` calls
-// its argument on every successful record that passes its own filters;
-// the cause and horizon filters and the bucketing are applied here.
-template <typename Records>
-std::vector<std::size_t> bucket_polls(Duration bucket, Duration horizon,
-                                      std::optional<PollCause> cause,
-                                      const Records& records) {
+std::vector<std::size_t> polls_per_bucket(const std::vector<PollRecord>& log,
+                                          Duration bucket, Duration horizon,
+                                          std::optional<PollCause> cause,
+                                          const std::string& uri) {
   BROADWAY_CHECK_MSG(bucket > 0.0 && horizon > 0.0,
                      "bucket " << bucket << " horizon " << horizon);
   const std::size_t buckets =
       static_cast<std::size_t>(std::ceil(horizon / bucket));
   std::vector<std::size_t> counts(buckets, 0);
-  records([&](const PollRecord& record) {
-    if (cause && record.cause != *cause) return;
-    if (record.complete_time >= horizon) return;
+  for (const PollRecord& record : log) {
+    if (record.failed) continue;
+    if (!uri.empty() && record.uri != uri) continue;
+    if (cause && record.cause != *cause) continue;
+    if (record.complete_time >= horizon) continue;
     ++counts[std::min(buckets - 1, static_cast<std::size_t>(
                                        record.complete_time / bucket))];
-  });
-  return counts;
-}
-
-}  // namespace
-
-std::vector<std::size_t> polls_per_bucket(const std::vector<PollRecord>& log,
-                                          Duration bucket, Duration horizon,
-                                          std::optional<PollCause> cause,
-                                          const std::string& uri) {
-  return bucket_polls(bucket, horizon, cause, [&](const auto& count) {
-    for (const PollRecord& record : log) {
-      if (record.failed) continue;
-      if (!uri.empty() && record.uri != uri) continue;
-      count(record);
-    }
-  });
-}
-
-std::vector<std::size_t> polls_per_bucket(const PollLog& log,
-                                          Duration bucket, Duration horizon,
-                                          std::optional<PollCause> cause,
-                                          const std::string& uri) {
-  if (uri.empty()) {
-    return polls_per_bucket(log.records(), bucket, horizon, cause, uri);
   }
-  // Per-object query: walk the log's per-object successful-record index
-  // (exactly the non-failed records of `uri`) instead of scanning every
-  // object's records.
-  return bucket_polls(bucket, horizon, cause, [&](const auto& count) {
-    for (const std::size_t index : log.successful_records(uri)) {
-      count(log[index]);
-    }
-  });
+  return counts;
 }
 
 }  // namespace broadway

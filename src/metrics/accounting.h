@@ -173,9 +173,5 @@ std::vector<std::size_t> polls_per_bucket(
     const std::vector<PollRecord>& log, Duration bucket, Duration horizon,
     std::optional<PollCause> cause = std::nullopt,
     const std::string& uri = "");
-std::vector<std::size_t> polls_per_bucket(
-    const PollLog& log, Duration bucket, Duration horizon,
-    std::optional<PollCause> cause = std::nullopt,
-    const std::string& uri = "");
 
 }  // namespace broadway

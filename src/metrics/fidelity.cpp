@@ -19,7 +19,8 @@ std::vector<PollInstant> successful_polls(const std::vector<PollRecord>& log,
 
 std::vector<PollInstant> successful_polls(const PollLog& log,
                                           const std::string& uri) {
-  const std::vector<std::size_t>& indices = log.successful_records(uri);
+  const std::vector<std::size_t>& indices =
+      log.successful_records(log.uri_table().find(uri));
   std::vector<PollInstant> out;
   out.reserve(indices.size());
   for (const std::size_t i : indices) {

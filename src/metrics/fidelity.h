@@ -34,8 +34,9 @@ struct PollInstant {
 std::vector<PollInstant> successful_polls(const std::vector<PollRecord>& log,
                                           const std::string& uri);
 
-/// Extract the successful polls of `uri` through the log's per-uri index —
-/// O(records-for-uri) instead of a scan of every object's records.
+/// Extract the successful polls of `uri` through the log's per-object
+/// index (the uri is resolved once through the log's table) —
+/// O(records-for-object) instead of a scan of every object's records.
 std::vector<PollInstant> successful_polls(const PollLog& log,
                                           const std::string& uri);
 

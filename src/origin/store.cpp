@@ -27,12 +27,6 @@ const VersionedObject* ObjectStore::find(const std::string& uri) const {
   return by_id(uris_.find(uri));
 }
 
-const VersionedObject& ObjectStore::at(const std::string& uri) const {
-  const VersionedObject* object = find(uri);
-  BROADWAY_CHECK_MSG(object != nullptr, "no such object " << uri);
-  return *object;
-}
-
 std::vector<std::string> ObjectStore::uris() const {
   std::vector<std::string> out;
   out.reserve(objects_.size());

@@ -36,9 +36,6 @@ class ObjectStore {
     return object == nullptr ? nullptr : object->get();
   }
 
-  /// Lookup that requires presence.
-  const VersionedObject& at(const std::string& uri) const;
-
   bool contains(const std::string& uri) const {
     return find(uri) != nullptr;
   }

@@ -6,10 +6,6 @@
 
 namespace broadway {
 
-ProxyCache::ProxyCache()
-    : owned_table_(std::make_unique<UriTable>()),
-      table_(owned_table_.get()) {}
-
 ProxyCache::ProxyCache(UriTable& table) : table_(&table) {}
 
 void ProxyCache::store(CacheEntry entry) {
@@ -39,16 +35,6 @@ const CacheEntry* ProxyCache::find(ObjectId id) const {
   return entries_.find(id);
 }
 
-const CacheEntry* ProxyCache::find(const std::string& uri) const {
-  return find(table_->find(uri));
-}
-
-const CacheEntry& ProxyCache::at(const std::string& uri) const {
-  const CacheEntry* entry = find(uri);
-  BROADWAY_CHECK_MSG(entry != nullptr, "cache miss for " << uri);
-  return *entry;
-}
-
 const CacheEntry* ProxyCache::lookup_counted(ObjectId id) {
   const CacheEntry* entry = find(id);
   if (entry != nullptr) {
@@ -57,10 +43,6 @@ const CacheEntry* ProxyCache::lookup_counted(ObjectId id) {
     ++misses_;
   }
   return entry;
-}
-
-const CacheEntry* ProxyCache::lookup_counted(const std::string& uri) {
-  return lookup_counted(table_->find(uri));
 }
 
 std::vector<std::string> ProxyCache::uris() const {

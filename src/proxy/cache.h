@@ -6,19 +6,18 @@
 // last-modified instant the server reported.  The paper assumes an
 // infinitely large cache (§6.1.1), so there is no eviction.
 //
-// Storage is keyed by interned ObjectId in sparse slots (util/id_slots.h):
-// a cache costs its entries plus a small id -> slot map, never a payload
-// per id of the shared table, so an engine slice caching a hundred objects
-// of a large origin pays for a hundred.  The string-uri accessors
-// translate through the shared UriTable and exist for tests, reports and
-// the client-facing read path.
+// Storage and every lookup are keyed by interned ObjectId in sparse slots
+// (util/id_slots.h): a cache costs its entries plus a small id -> slot
+// map, never a payload per id of the shared table, so an engine slice
+// caching a hundred objects of a large origin pays for a hundred.  A
+// caller holding a uri resolves it once through the shared UriTable; the
+// entries keep their uri for reports (uris()).
 //
 // Entry pointers (find, lookup_counted) and references (refresh_entry) are
 // invalidated by the next insert of a new object and by clear(): look the
 // entry up again after anything that may store.
 #pragma once
 
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -51,17 +50,15 @@ struct CacheEntry {
 /// snapshot backwards.
 class ProxyCache {
  public:
-  /// Standalone cache with its own intern table (tests, examples).
-  ProxyCache();
-
-  /// Cache sharing an external table (a polling engine shares its
+  /// Cache resolving ids through `table` (a polling engine shares its
   /// origin's).  `table` must outlive the cache.
   explicit ProxyCache(UriTable& table);
 
   ProxyCache(const ProxyCache&) = delete;
   ProxyCache& operator=(const ProxyCache&) = delete;
 
-  /// Insert or refresh an entry.  Checks snapshot monotonicity.
+  /// Insert or refresh an entry, interning entry.uri.  Checks snapshot
+  /// monotonicity.
   void store(CacheEntry entry);
 
   /// Hot path: return the entry for `id`, creating it if absent (uri
@@ -71,23 +68,14 @@ class ProxyCache {
   /// their allocations.
   CacheEntry& refresh_entry(ObjectId id, TimePoint snapshot);
 
-  /// Lookup; nullptr on miss.
+  /// Lookup; nullptr on miss (and for kInvalidObjectId).
   const CacheEntry* find(ObjectId id) const;
-  const CacheEntry* find(const std::string& uri) const;
 
-  /// Lookup that requires presence.
-  const CacheEntry& at(const std::string& uri) const;
-
-  bool contains(const std::string& uri) const {
-    return find(uri) != nullptr;
-  }
   std::size_t size() const { return entries_.size(); }
 
-  /// Hit/miss accounting for client-facing reads.  The id overload is
-  /// the client-traffic hot path (one slot lookup);
-  /// the string overload translates through the shared table.
+  /// Lookup with hit/miss accounting, for client-facing reads (the
+  /// client-traffic hot path: one slot lookup).
   const CacheEntry* lookup_counted(ObjectId id);
-  const CacheEntry* lookup_counted(const std::string& uri);
   std::size_t hits() const { return hits_; }
   std::size_t misses() const { return misses_; }
 
@@ -99,7 +87,6 @@ class ProxyCache {
   void clear();
 
  private:
-  std::unique_ptr<UriTable> owned_table_;  // null when sharing
   UriTable* table_;
   IdSlots<CacheEntry> entries_;
   std::size_t hits_ = 0;

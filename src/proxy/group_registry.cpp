@@ -46,26 +46,10 @@ const ObjectGroup* GroupRegistry::find(const std::string& id) const {
 }
 
 std::vector<const ObjectGroup*> GroupRegistry::groups_containing(
-    const std::string& uri) const {
-  std::vector<const ObjectGroup*> out;
-  auto it = membership_.find(uri);
-  if (it == membership_.end()) return out;
-  out.reserve(it->second.size());
-  for (const std::string& id : it->second) {
-    const ObjectGroup* group = find(id);
-    BROADWAY_CHECK(group != nullptr);
-    out.push_back(group);
-  }
-  return out;
-}
-
-std::vector<const ObjectGroup*> GroupRegistry::groups_containing(
     ObjectId object) const {
-  BROADWAY_CHECK_MSG(table_ != nullptr,
-                     "id-keyed query on an unbound group registry");
   std::vector<const ObjectGroup*> out;
-  auto it = id_membership_.find(object);
-  if (it == id_membership_.end()) return out;
+  auto it = membership_.find(object);
+  if (it == membership_.end()) return out;
   out.reserve(it->second.size());
   for (const std::string& id : it->second) {
     const ObjectGroup* group = find(id);
@@ -84,15 +68,11 @@ std::vector<std::string> GroupRegistry::all_members() const {
 }
 
 void GroupRegistry::index_group(ObjectGroup& group) {
-  for (const std::string& member : group.members) {
-    membership_[member].push_back(group.id);
-  }
-  if (table_ == nullptr) return;
   group.member_ids.reserve(group.members.size());
   for (const std::string& member : group.members) {
     const ObjectId object = table_->intern(member);
     group.member_ids.push_back(object);
-    id_membership_[object].push_back(group.id);
+    membership_[object].push_back(group.id);
   }
 }
 

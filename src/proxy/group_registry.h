@@ -8,12 +8,11 @@
 // dependency-graph view answers "which groups must be re-examined when
 // object X changes".
 //
-// A registry may be bound to a UriTable (the origin's, typically): members
-// are then interned at registration, every ObjectGroup carries the interned
-// ids alongside the uris, and the dependency-graph query is answerable by
-// ObjectId — so consumers wiring groups into the id-keyed coordinator
-// dispatch never re-hash member uris.  An unbound registry keeps the plain
-// string behaviour.
+// A registry is bound to a UriTable (the origin's, typically): members are
+// interned at registration, every ObjectGroup carries the interned ids
+// alongside the uris, and the dependency-graph query is keyed by ObjectId
+// — so consumers wiring groups into the id-keyed coordinator dispatch
+// never re-hash member uris.
 #pragma once
 
 #include <map>
@@ -30,8 +29,7 @@ namespace broadway {
 struct ObjectGroup {
   std::string id;
   std::vector<std::string> members;
-  /// Interned member ids, parallel to `members`; empty when the registry
-  /// is not bound to a UriTable.
+  /// Interned member ids, parallel to `members`.
   std::vector<ObjectId> member_ids;
   Duration delta_mutual = 0.0;
 };
@@ -39,11 +37,7 @@ struct ObjectGroup {
 /// Registry of groups; an object may belong to several.
 class GroupRegistry {
  public:
-  /// Unbound registry: string-keyed only.
-  GroupRegistry() = default;
-
-  /// Registry interning members into `table` (which must outlive it),
-  /// enabling the ObjectId queries below.
+  /// Registry interning members into `table` (which must outlive it).
   explicit GroupRegistry(UriTable& table) : table_(&table) {}
 
   /// Register an explicit (user/semantic) group.  Group ids are unique;
@@ -62,29 +56,23 @@ class GroupRegistry {
   /// Lookup by id; nullptr if absent.
   const ObjectGroup* find(const std::string& id) const;
 
-  /// All groups containing `uri` (the dependency-graph edge fan-out).
-  std::vector<const ObjectGroup*> groups_containing(
-      const std::string& uri) const;
-
-  /// Id-keyed fan-out query; requires a table-bound registry.  Unknown
-  /// ids yield an empty result.
+  /// All groups containing `object` (the dependency-graph edge fan-out).
+  /// Unknown ids yield an empty result.
   std::vector<const ObjectGroup*> groups_containing(ObjectId object) const;
 
   /// Every distinct object mentioned by any group.
   std::vector<std::string> all_members() const;
 
-  /// The bound intern table, nullptr for an unbound registry.
-  const UriTable* uri_table() const { return table_; }
+  /// The bound intern table.
+  const UriTable& uri_table() const { return *table_; }
 
   std::size_t size() const { return groups_.size(); }
 
  private:
-  UriTable* table_ = nullptr;
+  UriTable* table_;
   std::map<std::string, ObjectGroup> groups_;
-  // uri -> group ids (the dependency graph's reverse index).
-  std::map<std::string, std::vector<std::string>> membership_;
-  // ObjectId -> group ids; populated only when table-bound.
-  std::map<ObjectId, std::vector<std::string>> id_membership_;
+  // ObjectId -> group ids (the dependency graph's reverse index).
+  std::map<ObjectId, std::vector<std::string>> membership_;
 
   void index_group(ObjectGroup& group);
 };

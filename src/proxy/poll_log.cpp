@@ -7,14 +7,21 @@
 namespace broadway {
 
 namespace {
-const std::vector<std::size_t> kNoRecords;
 // Compaction runs when at least this many records are evictable AND they
 // are at least half the log — amortised O(1) per append.
 constexpr std::size_t kMinCompactSlack = 64;
-}  // namespace
 
-PollLog::PollLog()
-    : owned_table_(std::make_unique<UriTable>()), table_(owned_table_.get()) {}
+// The `field` of each record in `indices`, in order.
+std::vector<TimePoint> record_times(const std::vector<PollRecord>& records,
+                                    const std::vector<std::size_t>& indices,
+                                    TimePoint PollRecord::*field) {
+  std::vector<TimePoint> out;
+  out.reserve(indices.size());
+  for (const std::size_t i : indices) out.push_back(records[i].*field);
+  return out;
+}
+
+}  // namespace
 
 PollLog::PollLog(UriTable& table) : table_(&table) {}
 
@@ -47,22 +54,6 @@ void PollLog::count(UriIndex& index, const PollRecord& record) {
   }
 }
 
-void PollLog::append(PollRecord record) {
-  if (record.object == kInvalidObjectId) {
-    record.object = table_->intern(record.uri);
-  } else if (record.uri.empty()) {
-    record.uri = table_->uri(record.object);
-  } else {
-    BROADWAY_CHECK_MSG(table_->find(record.uri) == record.object,
-                       "poll record uri " << record.uri
-                                          << " does not name object "
-                                          << record.object);
-  }
-  count(by_id_[record.object], record);
-  records_.push_back(std::move(record));
-  maybe_compact();
-}
-
 void PollLog::append(ObjectId object, PollCause cause, bool modified,
                      bool failed, TimePoint snapshot, TimePoint complete) {
   PollRecord record;
@@ -78,75 +69,20 @@ void PollLog::append(ObjectId object, PollCause cause, bool modified,
   maybe_compact();
 }
 
-const PollLog::UriIndex* PollLog::find(const std::string& uri) const {
-  return by_id_.find(table_->find(uri));
-}
-
-const std::vector<std::size_t>& PollLog::successful_records(
-    const std::string& uri) const {
-  const UriIndex* index = find(uri);
-  return index == nullptr ? kNoRecords : index->successful;
-}
-
-const std::vector<std::size_t>& PollLog::successful_records(
-    ObjectId object) const {
+const PollLog::UriIndex& PollLog::index_of(ObjectId object) const {
+  static const UriIndex kNoRecords;
   const UriIndex* index = by_id_.find(object);
-  return index == nullptr ? kNoRecords : index->successful;
+  return index == nullptr ? kNoRecords : *index;
 }
 
-std::vector<TimePoint> PollLog::completion_times(
-    const std::string& uri) const {
-  const std::vector<std::size_t>& indices = successful_records(uri);
-  std::vector<TimePoint> out;
-  out.reserve(indices.size());
-  for (const std::size_t i : indices) {
-    out.push_back(records_[i].complete_time);
-  }
-  return out;
+std::vector<TimePoint> PollLog::completion_times(ObjectId object) const {
+  return record_times(records_, successful_records(object),
+                      &PollRecord::complete_time);
 }
 
-std::vector<TimePoint> PollLog::snapshot_times(const std::string& uri) const {
-  const std::vector<std::size_t>& indices = successful_records(uri);
-  std::vector<TimePoint> out;
-  out.reserve(indices.size());
-  for (const std::size_t i : indices) {
-    out.push_back(records_[i].snapshot_time);
-  }
-  return out;
-}
-
-std::size_t PollLog::polls_performed(const std::string& uri) const {
-  if (uri.empty()) return performed_total_;
-  const UriIndex* index = find(uri);
-  return index == nullptr ? 0 : index->performed;
-}
-
-std::size_t PollLog::polls_performed(ObjectId object) const {
-  const UriIndex* index = by_id_.find(object);
-  return index == nullptr ? 0 : index->performed;
-}
-
-std::size_t PollLog::triggered_polls(const std::string& uri) const {
-  if (uri.empty()) return triggered_total_;
-  const UriIndex* index = find(uri);
-  return index == nullptr ? 0 : index->triggered;
-}
-
-std::size_t PollLog::relay_refreshes(const std::string& uri) const {
-  if (uri.empty()) return relay_total_;
-  const UriIndex* index = find(uri);
-  return index == nullptr ? 0 : index->relays;
-}
-
-std::size_t PollLog::demand_fills(const std::string& uri) const {
-  if (uri.empty()) return demand_total_;
-  const UriIndex* index = find(uri);
-  return index == nullptr ? 0 : index->demand;
-}
-
-std::size_t PollLog::demand_fills(ObjectId object) const {
-  const UriIndex* index = by_id_.find(object);
-  return index == nullptr ? 0 : index->demand;
+std::vector<TimePoint> PollLog::snapshot_times(ObjectId object) const {
+  return record_times(records_, successful_records(object),
+                      &PollRecord::snapshot_time);
 }
 
 void PollLog::set_retention_window(std::size_t window) {

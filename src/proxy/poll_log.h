@@ -10,12 +10,13 @@
 // from O(total-polls) scans of the global log into O(records-for-object)
 // and O(1) lookups respectively.
 //
-// Records and the index are keyed by interned ObjectId (the engine appends
-// by id — no string hashing, no string copies on the hot path beyond the
-// record's human-readable uri field); string-uri queries translate through
-// the table.  The per-object index lives in sparse slots (util/id_slots.h),
-// so a log costs its records plus one index per object it has actually
-// seen, however many ids the shared table holds.
+// Records, the index and every per-object query are keyed by interned
+// ObjectId: a record enters only through append(ObjectId, ...), which
+// fills the record's human-readable uri from the shared table, and a
+// caller holding a uri resolves it once through that table.  The
+// per-object index lives in sparse slots (util/id_slots.h), so a log
+// costs its records plus one index per object it has actually seen,
+// however many ids the shared table holds.
 //
 // Long-horizon runs can cap memory with a retention window
 // (set_retention_window): each object keeps only its newest W records,
@@ -24,7 +25,6 @@
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -42,8 +42,9 @@ struct PollRecord {
   TimePoint snapshot_time = 0.0;
   /// Instant the refreshed copy became visible at the proxy.
   TimePoint complete_time = 0.0;
+  /// The polled object's uri, filled from the table by PollLog::append.
   std::string uri;
-  /// Interned id of `uri`; filled by PollLog::append when defaulted.
+  /// Interned id of `uri`.
   ObjectId object = kInvalidObjectId;
   PollCause cause = PollCause::kScheduled;
   /// True when the server answered 200.
@@ -59,28 +60,18 @@ struct PollRecord {
 /// other objects' records.
 class PollLog {
  public:
-  /// Standalone log with its own intern table (tests, benches).
-  PollLog();
-
-  /// Log sharing an external table (a polling engine shares its
+  /// Log resolving ids through `table` (a polling engine shares its
   /// origin's).  `table` must outlive the log.
   explicit PollLog(UriTable& table);
 
   PollLog(const PollLog&) = delete;
   PollLog& operator=(const PollLog&) = delete;
-  // Moves are safe: an owned table lives on the heap, so table_ stays
-  // valid across the transfer.
   PollLog(PollLog&&) = default;
   PollLog& operator=(PollLog&&) = default;
 
-  /// Append one record, updating the per-object index and the counters.
-  /// Interns record.uri when record.object is defaulted; fills record.uri
-  /// from the table when only the id is set.  When both are set they must
-  /// name the same object (CheckFailure otherwise): the id-indexed and the
-  /// uri-filtered queries would disagree about a mismatched record.
-  void append(PollRecord record);
-
-  /// Hot-path append by interned id: no string hashing, one slot lookup.
+  /// Append one record, updating the per-object index and the counters:
+  /// no string hashing, one slot lookup.  `object` must be an id of the
+  /// table; the record's uri is filled from it.
   void append(ObjectId object, PollCause cause, bool modified, bool failed,
               TimePoint snapshot, TimePoint complete);
 
@@ -104,45 +95,55 @@ class PollLog {
 
   // ---- per-object indexed queries ----
 
-  /// Indices (into records()) of the successful polls of `uri`, ascending.
-  /// Empty for a uri that was never polled.
-  const std::vector<std::size_t>& successful_records(
-      const std::string& uri) const;
-  const std::vector<std::size_t>& successful_records(ObjectId object) const;
+  /// Indices (into records()) of the successful polls of `object`,
+  /// ascending.  Empty for an object that was never polled.
+  const std::vector<std::size_t>& successful_records(ObjectId object) const {
+    return index_of(object).successful;
+  }
 
-  /// Completion instants of successful polls of `uri`, ascending,
+  /// Completion instants of successful polls of `object`, ascending,
   /// including the initial fetch.
-  std::vector<TimePoint> completion_times(const std::string& uri) const;
+  std::vector<TimePoint> completion_times(ObjectId object) const;
 
-  /// Snapshot instants of successful polls of `uri` (same indexing as
+  /// Snapshot instants of successful polls of `object` (same indexing as
   /// completion_times).
-  std::vector<TimePoint> snapshot_times(const std::string& uri) const;
+  std::vector<TimePoint> snapshot_times(ObjectId object) const;
 
   // ---- O(1) counters (exact even under a retention window) ----
+  //
+  // Each counter comes as a total over all objects and a per-object
+  // form; an object the log has never seen counts 0.
 
   /// Successful polls excluding initial fetches — the paper's "number of
-  /// polls" metric.  Empty uri = all objects.  Relay refreshes (PollCause::
-  /// kRelay) are *not* counted: they refresh the cached copy without an
-  /// origin message, so they are not polls in the paper's sense.
-  std::size_t polls_performed(const std::string& uri = "") const;
-  std::size_t polls_performed(ObjectId object) const;
+  /// polls" metric.  Relay refreshes (PollCause::kRelay) are *not*
+  /// counted: they refresh the cached copy without an origin message, so
+  /// they are not polls in the paper's sense.
+  std::size_t polls_performed() const { return performed_total_; }
+  std::size_t polls_performed(ObjectId object) const {
+    return index_of(object).performed;
+  }
 
-  /// Successful triggered polls (the mutual-consistency overhead).  Empty
-  /// uri = all objects.
-  std::size_t triggered_polls(const std::string& uri = "") const;
+  /// Successful triggered polls (the mutual-consistency overhead).
+  std::size_t triggered_polls() const { return triggered_total_; }
+  std::size_t triggered_polls(ObjectId object) const {
+    return index_of(object).triggered;
+  }
 
   /// Refreshes applied from sibling-proxy relays (cooperative push).
-  /// Empty uri = all objects.
-  std::size_t relay_refreshes(const std::string& uri = "") const;
+  std::size_t relay_refreshes() const { return relay_total_; }
+  std::size_t relay_refreshes(ObjectId object) const {
+    return index_of(object).relays;
+  }
 
   /// Successful demand fills (PollCause::kClientMiss): origin fetches
   /// triggered by a client read that missed the cache.  A subset of
   /// polls_performed() — demand fills are real origin polls — split out
   /// so accounting can separate policy-driven polls from demand-driven
-  /// ones (`polls_performed == policy polls + demand_fills`).  Empty uri
-  /// = all objects.
-  std::size_t demand_fills(const std::string& uri = "") const;
-  std::size_t demand_fills(ObjectId object) const;
+  /// ones (`polls_performed == policy polls + demand_fills`).
+  std::size_t demand_fills() const { return demand_total_; }
+  std::size_t demand_fills(ObjectId object) const {
+    return index_of(object).demand;
+  }
 
   /// Successful initial fetches, all objects.
   std::size_t initial_polls() const { return initial_total_; }
@@ -184,13 +185,12 @@ class PollLog {
     std::size_t live = 0;                 ///< records currently retained
   };
 
-  /// nullptr when the object has no records.
-  const UriIndex* find(const std::string& uri) const;
+  /// The object's index; an empty one when the object has no records.
+  const UriIndex& index_of(ObjectId object) const;
 
   void count(UriIndex& index, const PollRecord& record);
   void maybe_compact();
 
-  std::unique_ptr<UriTable> owned_table_;  // null when sharing
   UriTable* table_;
   std::vector<PollRecord> records_;
   IdSlots<UriIndex> by_id_;

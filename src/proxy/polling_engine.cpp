@@ -286,7 +286,7 @@ bool PollingEngine::poll_object(TrackedObject& object, PollCause cause,
   // the listener (e.g. a relaying fleet) sees a consistent proxy.
   if (poll_listener_) {
     poll_listener_(PollEvent{
-        object.uri(), object.id(), cause, response, now,
+        object.id(), cause, response, now,
         outcome.observation ? &*outcome.observation : nullptr});
   }
   --pipeline_depth_;
@@ -472,11 +472,12 @@ void PollingEngine::poll_group(VirtualGroup& group, PollCause cause) {
 CoordinatorHooks PollingEngine::make_hooks() {
   // All id-keyed: the δ-window test and trigger path resolve the tracked
   // object by a vector index, never a uri hash.  `resolve` is the one
-  // string-keyed entry point, used once per member at bind time (and per
-  // call by the string-keyed on_poll wrapper tests use).
+  // string-keyed entry point, used once per member at bind time.
   CoordinatorHooks hooks;
   hooks.resolve = [this](const std::string& uri) {
-    return temporal_object(uri).id();
+    const ObjectId id = uris_.find(uri);
+    BROADWAY_CHECK_MSG(tracks_temporal(id), "unknown temporal object " << uri);
+    return id;
   };
   hooks.next_poll_time = [this](ObjectId id) {
     return temporal_object(id).task()->next_fire_time();
@@ -494,13 +495,6 @@ TrackedObject& PollingEngine::temporal_object(ObjectId id) {
   TrackedObject* object = tracked(id);
   BROADWAY_CHECK_MSG(object != nullptr && object->temporal(),
                      "unknown temporal object id " << id);
-  return *object;
-}
-
-TrackedObject& PollingEngine::temporal_object(const std::string& uri) {
-  TrackedObject* object = tracked(uris_.find(uri));
-  BROADWAY_CHECK_MSG(object != nullptr && object->temporal(),
-                     "unknown temporal object " << uri);
   return *object;
 }
 

@@ -13,8 +13,8 @@
 // virtual-group member, partitioned-group member — runs through the single
 // pipeline in poll_object(): exchange → loss/retry → store → record →
 // policy update → coordinator notify.  Records land in an indexed PollLog
-// (see poll_log.h), so the per-object metric accessors below are
-// O(records-for-uri) or O(1) instead of scans of the global log.
+// (see poll_log.h), whose per-object queries are O(records-for-object) or
+// O(1) instead of scans of the global log.
 //
 // Hot-path representation: uris are interned once at registration into the
 // origin's shared UriTable; the pipeline carries dense ObjectId handles
@@ -102,8 +102,7 @@ struct EngineConfig {
 /// references point at pipeline-owned state and are valid only for the
 /// duration of the listener call — copy what must outlive it.
 struct PollEvent {
-  const std::string& uri;
-  /// Interned id of `uri` in the engine's shared table.
+  /// Interned id of the polled object in the engine's shared table.
   ObjectId object;
   PollCause cause;
   /// The origin's response (200 or 304) to this poll.
@@ -159,13 +158,10 @@ class PollingEngine {
   /// refresh timers.  Call exactly once, before running the simulator.
   void start();
 
-  /// True when `uri` is registered with this engine (any object kind).
-  bool tracks(const std::string& uri) const {
-    return tracked(uris_.find(uri)) != nullptr;
-  }
-
   /// True when `uri` is registered as a temporal-domain object — the only
-  /// kind coordinator hooks (and thus δ-group membership) apply to.
+  /// kind coordinator hooks (and thus δ-group membership) apply to.  The
+  /// uri form is the δ-group registration check; an unknown uri or id is
+  /// not tracked.
   bool tracks_temporal(const std::string& uri) const {
     return tracks_temporal(uris_.find(uri));
   }
@@ -180,9 +176,6 @@ class PollingEngine {
   bool relay_eligible(ObjectId id) const {
     const TrackedObject* object = tracked(id);
     return object != nullptr && object->self_scheduled();
-  }
-  bool relay_eligible(const std::string& uri) const {
-    return relay_eligible(uris_.find(uri));
   }
 
   /// Earliest future instant at which `id` can start an origin poll from
@@ -266,10 +259,6 @@ class PollingEngine {
   /// cached copy is already current (200) or not validated by the relay
   /// (304).
   bool apply_relay(ObjectId id, const Response& response, TimePoint snapshot);
-  bool apply_relay(const std::string& uri, const Response& response,
-                   TimePoint snapshot) {
-    return apply_relay(uris_.find(uri), response, snapshot);
-  }
 
   /// One client read served by this proxy at the current instant.
   struct ClientRead {
@@ -335,40 +324,22 @@ class PollingEngine {
     poll_log_.set_retention_window(window);
   }
 
-  /// Completion instants of successful polls of `uri`, ascending,
-  /// including the initial fetch.
-  std::vector<TimePoint> poll_completion_times(const std::string& uri) const {
-    return poll_log_.completion_times(uri);
-  }
-
-  /// Snapshot instants of successful polls of `uri` (same indexing as
-  /// poll_completion_times).
-  std::vector<TimePoint> poll_snapshot_times(const std::string& uri) const {
-    return poll_log_.snapshot_times(uri);
-  }
+  // Totals over all objects.  Per-object counters and series are on
+  // poll_log(), keyed by ObjectId.  All O(1).
 
   /// Successful polls excluding initial fetches — the paper's "number of
-  /// polls" metric.  Empty uri = all objects.  O(1).
-  std::size_t polls_performed(const std::string& uri = "") const {
-    return poll_log_.polls_performed(uri);
-  }
+  /// polls" metric.
+  std::size_t polls_performed() const { return poll_log_.polls_performed(); }
 
-  /// Triggered polls only (the mutual-consistency overhead).  O(1).
-  std::size_t triggered_polls(const std::string& uri = "") const {
-    return poll_log_.triggered_polls(uri);
-  }
+  /// Triggered polls only (the mutual-consistency overhead).
+  std::size_t triggered_polls() const { return poll_log_.triggered_polls(); }
 
-  /// Refreshes applied from sibling-proxy relays.  Empty uri = all
-  /// objects.  O(1).
-  std::size_t relay_refreshes(const std::string& uri = "") const {
-    return poll_log_.relay_refreshes(uri);
-  }
+  /// Refreshes applied from sibling-proxy relays.
+  std::size_t relay_refreshes() const { return poll_log_.relay_refreshes(); }
 
   /// Successful demand fills (client misses fetched through to the
-  /// origin).  Empty uri = all objects.  O(1).
-  std::size_t demand_fills(const std::string& uri = "") const {
-    return poll_log_.demand_fills(uri);
-  }
+  /// origin).
+  std::size_t demand_fills() const { return poll_log_.demand_fills(); }
 
   /// Failed (lost) poll attempts.
   std::size_t failed_polls() const { return poll_log_.failed_polls(); }
@@ -378,9 +349,9 @@ class PollingEngine {
   /// none — the zero-coordinator pin in the dispatch tests.
   std::uint64_t coordinator_notifies() const { return coordinator_notifies_; }
 
-  /// Coordinators subscribed to `uri`'s polls (0 for unknown uris).
-  std::size_t subscriber_count(const std::string& uri) const {
-    const TrackedObject* object = tracked(uris_.find(uri));
+  /// Coordinators subscribed to `id`'s polls (0 for unknown ids).
+  std::size_t subscriber_count(ObjectId id) const {
+    const TrackedObject* object = tracked(id);
     return object == nullptr ? 0 : object->subscribers().size();
   }
 
@@ -509,7 +480,6 @@ class PollingEngine {
 
   CoordinatorHooks make_hooks();
   TrackedObject& temporal_object(ObjectId id);
-  TrackedObject& temporal_object(const std::string& uri);
 };
 
 }  // namespace broadway

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "util/check.h"
-
 namespace broadway {
 
 void OnlineStats::add(double x) {
@@ -40,61 +38,6 @@ void OnlineStats::merge(const OnlineStats& other) {
   sum_ += other.sum_;
   min_ = std::min(min_, other.min_);
   max_ = std::max(max_, other.max_);
-}
-
-double percentile(std::vector<double> sample, double q) {
-  return Percentiles(std::move(sample)).at(q);
-}
-
-Percentiles::Percentiles(std::vector<double> sample)
-    : sorted_(std::move(sample)) {
-  std::sort(sorted_.begin(), sorted_.end());
-}
-
-double Percentiles::at(double q) const {
-  BROADWAY_CHECK_MSG(q >= 0.0 && q <= 1.0, "percentile q=" << q);
-  if (sorted_.empty()) return 0.0;
-  if (sorted_.size() == 1) return sorted_.front();
-  const double pos = q * static_cast<double>(sorted_.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, sorted_.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return sorted_[lo] + frac * (sorted_[hi] - sorted_[lo]);
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), width_((hi - lo) / static_cast<double>(bins)), counts_(bins) {
-  BROADWAY_CHECK_MSG(hi > lo && bins > 0,
-                     "Histogram(" << lo << ", " << hi << ", " << bins << ")");
-}
-
-void Histogram::add(double x) {
-  ++total_;
-  if (x < lo_) {
-    ++underflow_;
-    return;
-  }
-  const double offset = (x - lo_) / width_;
-  if (offset >= static_cast<double>(counts_.size())) {
-    ++overflow_;
-    return;
-  }
-  ++counts_[static_cast<std::size_t>(offset)];
-}
-
-std::size_t Histogram::bin_count(std::size_t i) const {
-  BROADWAY_CHECK(i < counts_.size());
-  return counts_[i];
-}
-
-double Histogram::bin_lo(std::size_t i) const {
-  BROADWAY_CHECK(i < counts_.size());
-  return lo_ + width_ * static_cast<double>(i);
-}
-
-double Histogram::bin_hi(std::size_t i) const {
-  BROADWAY_CHECK(i < counts_.size());
-  return lo_ + width_ * static_cast<double>(i + 1);
 }
 
 }  // namespace broadway

@@ -1,10 +1,9 @@
-// Streaming and batch statistics used by trace analysis and the evaluation
-// harness (trace characteristic tables, fidelity summaries, poll accounting).
+// Streaming statistics used by trace analysis and the evaluation harness
+// (trace characteristic tables, fidelity summaries, poll accounting).
 #pragma once
 
 #include <cstddef>
 #include <limits>
-#include <vector>
 
 namespace broadway {
 
@@ -47,53 +46,6 @@ class OnlineStats {
   double sum_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
-};
-
-/// Batch percentile of a sample using linear interpolation between order
-/// statistics (the common "type 7" estimator).  `q` in [0, 1].  The input is
-/// copied; for repeated queries over the same data use `Percentiles`.
-double percentile(std::vector<double> sample, double q);
-
-/// Precomputed order statistics for repeated percentile queries.
-class Percentiles {
- public:
-  /// Sorts a copy of the sample.  Empty samples are allowed; queries on an
-  /// empty sample return 0.
-  explicit Percentiles(std::vector<double> sample);
-
-  /// Interpolated percentile, `q` in [0, 1].
-  double at(double q) const;
-
-  /// Median (at(0.5)).
-  double median() const { return at(0.5); }
-
- private:
-  std::vector<double> sorted_;
-};
-
-/// Fixed-width histogram over [lo, hi) with `bins` buckets plus underflow
-/// and overflow counters.  Used by benches to summarise TTR distributions.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-
-  std::size_t bin_count(std::size_t i) const;
-  std::size_t underflow() const { return underflow_; }
-  std::size_t overflow() const { return overflow_; }
-  std::size_t bins() const { return counts_.size(); }
-  double bin_lo(std::size_t i) const;
-  double bin_hi(std::size_t i) const;
-  std::size_t total() const { return total_; }
-
- private:
-  double lo_;
-  double width_;
-  std::vector<std::size_t> counts_;
-  std::size_t underflow_ = 0;
-  std::size_t overflow_ = 0;
-  std::size_t total_ = 0;
 };
 
 }  // namespace broadway

@@ -1,13 +1,13 @@
 // Uri interning: dense ObjectId handles for the poll hot path.
 //
-// Every layer of the polling stack used to key its maps and records on
-// full `std::string` uris — one hash + compare (and often one copy) per
-// poll per layer.  A UriTable interns each uri once and hands out a dense
-// uint32 ObjectId; the origin store, the proxy cache, the poll log and the
-// fleet relay path all key their tables by that id instead, through
-// IdSlots (util/id_slots.h), which costs what a table holds rather than
-// one entry per id of the table.  String uris remain available for
-// reports, tests and public accessors via `uri(id)`.
+// A UriTable interns each uri once and hands out a dense uint32 ObjectId;
+// the origin store, the proxy cache, the poll log, the coordinators and
+// the fleet relay path all key their tables by that id, through IdSlots
+// (util/id_slots.h), which costs what a table holds rather than one entry
+// per id of the table.  ObjectId is the one key of every per-object query.
+// Uris are resolved here once, at the edges that keep them: registration,
+// δ-group member lists, printed reports and the HTTP and trace surfaces
+// (`find(uri)`); `uri(id)` gives the string back for reports.
 //
 // Storage is a deque so interned strings never move: `uri(id)` references
 // and the string_views handed to PollRecord stay valid for the life of the
@@ -27,7 +27,8 @@ namespace broadway {
 using ObjectId = std::uint32_t;
 
 /// "No object": returned by find() for unknown uris, and the default of
-/// id-carrying records before they are interned.
+/// id-carrying records.  Per-object queries answer it as an object they
+/// have never seen.
 inline constexpr ObjectId kInvalidObjectId = 0xffffffffu;
 
 /// Append-only intern table mapping uri <-> ObjectId.

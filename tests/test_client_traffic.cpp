@@ -19,6 +19,7 @@
 #include "client/read_transactions.h"
 #include "consistency/fixed_poll.h"
 #include "fleet/proxy_fleet.h"
+#include "id_of.h"
 #include "metrics/accounting.h"
 #include "origin/object.h"
 #include "origin/origin_server.h"
@@ -174,7 +175,7 @@ TEST(ClientTraffic, RelayedCopyKeepsRelayedSnapshot) {
   sim.run_until(99.0);
   ASSERT_GT(fleet.relays_applied(), 0u);
 
-  const ObjectId id = origin.uri_table().find("/page");
+  const ObjectId id = id_of(origin.uri_table(), "/page");
   // Proxy 0's last own poll fired at t = 90 (rtt 0); the relay reached
   // proxy 1 at t = 95.  Reading at t = 99 must report the copy as
   // reflecting server state 90 — 9 s old, not 4.
@@ -392,17 +393,14 @@ TEST(ReadTransactions, SpreadAndViolationsFromServeSeries) {
   // Proxy 0 serves a copy reflecting t = 10 (visible from t = 11);
   // proxy 1 one reflecting t = 100 (visible from t = 101).  Every
   // transaction sampled after both are visible sees spread 90 exactly.
-  PollLog log0, log1;
-  PollRecord r0;
-  r0.uri = "/a";
-  r0.snapshot_time = 10.0;
-  r0.complete_time = 11.0;
-  log0.append(r0);
-  PollRecord r1;
-  r1.uri = "/a";
-  r1.snapshot_time = 100.0;
-  r1.complete_time = 101.0;
-  log1.append(r1);
+  UriTable table;
+  const ObjectId a = table.intern("/a");
+  PollLog log0(table);
+  PollLog log1(table);
+  log0.append(a, PollCause::kScheduled, /*modified=*/false, /*failed=*/false,
+              10.0, 11.0);
+  log1.append(a, PollCause::kScheduled, /*modified=*/false, /*failed=*/false,
+              100.0, 101.0);
 
   ReadTransactionConfig config;
   config.rate = 1.0;
@@ -430,7 +428,8 @@ TEST(ReadTransactions, SpreadAndViolationsFromServeSeries) {
 }
 
 TEST(ReadTransactions, ZeroRateDisablesSampling) {
-  PollLog log;
+  UriTable table;
+  PollLog log(table);
   const TransactionStats stats =
       evaluate_read_transactions({&log}, ReadTransactionConfig{}, 100.0);
   EXPECT_EQ(stats.transactions, 0u);
@@ -440,16 +439,14 @@ TEST(ReadTransactions, ZeroRateDisablesSampling) {
 // evaluating it would mis-score transactions sampled before the window, so
 // the evaluation fails fast instead.
 TEST(ReadTransactions, TruncatedLogFailsFast) {
-  PollLog log;
+  UriTable table;
+  const ObjectId a = table.intern("/a");
+  PollLog log(table);
   log.set_retention_window(1);
-  PollRecord r;
-  r.uri = "/a";
-  r.snapshot_time = 10.0;
-  r.complete_time = 11.0;
-  log.append(r);
-  r.snapshot_time = 20.0;
-  r.complete_time = 21.0;
-  log.append(r);
+  log.append(a, PollCause::kScheduled, /*modified=*/false, /*failed=*/false,
+             10.0, 11.0);
+  log.append(a, PollCause::kScheduled, /*modified=*/false, /*failed=*/false,
+             20.0, 21.0);
   log.compact();
   ASSERT_GT(log.dropped_records(), 0u);
 
@@ -487,7 +484,7 @@ TEST(ClientDemandFill, MissFetchesThroughToOrigin) {
   Simulator sim;
   OriginServer origin(sim);
   origin.add_object("/a");
-  const ObjectId id = origin.uri_table().find("/a");
+  const ObjectId id = id_of(origin.uri_table(), "/a");
 
   EngineConfig config;
   config.rtt = 0.25;
@@ -537,7 +534,7 @@ TEST(ClientDemandFill, LostFillStaysMissAndRetriesLikeAnyPoll) {
   Simulator sim;
   OriginServer origin(sim);
   origin.add_object("/a");
-  const ObjectId id = origin.uri_table().find("/a");
+  const ObjectId id = id_of(origin.uri_table(), "/a");
 
   EngineConfig config;
   config.rtt = 0.0;
@@ -586,14 +583,14 @@ TEST(ClientDemandFill, UntrackedIdNeverFills) {
   engine.start();
   sim.run_until(5.0);
 
-  const ObjectId id_b = origin.uri_table().find("/b");
+  const ObjectId id_b = id_of(origin.uri_table(), "/b");
   const PollingEngine::ClientRead read = engine.serve_client_read(id_b);
   EXPECT_FALSE(read.hit);
   EXPECT_FALSE(read.filled);
   EXPECT_EQ(read.miss_reason,
             PollingEngine::ClientRead::MissReason::kUntracked);
   EXPECT_EQ(engine.demand_fills(), 0u);
-  EXPECT_EQ(engine.polls_performed("/b"), 0u);
+  EXPECT_EQ(engine.poll_log().polls_performed(id_b), 0u);
 }
 
 // With demand_fill unset (the paper's model) a miss is only recorded, but
@@ -602,7 +599,7 @@ TEST(ClientDemandFill, DisabledMissOnlyRecordsReason) {
   Simulator sim;
   OriginServer origin(sim);
   origin.add_object("/a");
-  const ObjectId id = origin.uri_table().find("/a");
+  const ObjectId id = id_of(origin.uri_table(), "/a");
 
   EngineConfig config;
   config.loss_probability = 0.5;
@@ -653,8 +650,8 @@ TEST(ClientTraffic, ZeroWeightPopularityEntriesAreDropped) {
   OriginServer origin(sim);
   origin.add_object("/a");
   origin.add_object("/b");
-  const ObjectId id_a = origin.uri_table().find("/a");
-  const ObjectId id_b = origin.uri_table().find("/b");
+  const ObjectId id_a = id_of(origin.uri_table(), "/a");
+  const ObjectId id_b = id_of(origin.uri_table(), "/b");
 
   FleetConfig config;
   config.proxies = 1;
@@ -690,7 +687,7 @@ TEST(ClientTraffic, AllZeroWeightPopularityFailsFastAtStart) {
   FleetConfig config;
   config.proxies = 1;
   ClientTrafficConfig traffic;
-  traffic.popularity = {{origin.uri_table().find("/a"), 0.0}};
+  traffic.popularity = {{id_of(origin.uri_table(), "/a"), 0.0}};
   config.client_traffic = traffic;
   ProxyFleet fleet(sim, origin, config);
   fleet.add_temporal_object_everywhere(

@@ -7,6 +7,7 @@
 #include "consistency/coordinator.h"
 #include "consistency/heuristic.h"
 #include "consistency/triggered.h"
+#include "id_of.h"
 #include "util/check.h"
 #include "util/uri_table.h"
 
@@ -15,7 +16,8 @@ namespace {
 
 // Scripted stand-in for the polling engine: hooks are ObjectId-keyed like
 // the real ones (ids interned into a local table), while the test bodies
-// keep scripting state by uri string.
+// keep scripting state by uri string and resolve a polled uri with id_of
+// (a member is interned at bind).
 struct FakeEngine {
   UriTable table;
   std::map<std::string, TimePoint> next_poll;
@@ -65,7 +67,7 @@ TEST(NullCoordinator, NeverTriggers) {
   FakeEngine engine;
   NullCoordinator coordinator;
   coordinator.bind(engine.hooks());
-  coordinator.on_poll("a", modified_at(0.0, 100.0, 50.0));
+  coordinator.on_poll(engine.table.intern("a"), modified_at(0.0, 100.0, 50.0));
   EXPECT_TRUE(engine.triggered.empty());
 }
 
@@ -75,7 +77,8 @@ TEST(TriggeredCoordinator, TriggersRelatedOnUpdate) {
   engine.next_poll["b"] = 5000.0;  // far away
   TriggeredPollCoordinator coordinator({"a", "b"}, 60.0);
   coordinator.bind(engine.hooks());
-  coordinator.on_poll("a", modified_at(900.0, 1000.0, 950.0));
+  coordinator.on_poll(id_of(engine.table, "a"),
+                      modified_at(900.0, 1000.0, 950.0));
   EXPECT_EQ(engine.triggered, (std::vector<std::string>{"b"}));
   EXPECT_EQ(coordinator.triggers_requested(), 1u);
 }
@@ -85,7 +88,7 @@ TEST(TriggeredCoordinator, NoTriggerWithoutUpdate) {
   engine.last_poll["b"] = 10.0;
   TriggeredPollCoordinator coordinator({"a", "b"}, 60.0);
   coordinator.bind(engine.hooks());
-  coordinator.on_poll("a", unmodified(900.0, 1000.0));
+  coordinator.on_poll(id_of(engine.table, "a"), unmodified(900.0, 1000.0));
   EXPECT_TRUE(engine.triggered.empty());
 }
 
@@ -96,7 +99,8 @@ TEST(TriggeredCoordinator, SkipsRecentlyPolledMember) {
   engine.next_poll["b"] = 5000.0;
   TriggeredPollCoordinator coordinator({"a", "b"}, 60.0);
   coordinator.bind(engine.hooks());
-  coordinator.on_poll("a", modified_at(900.0, 1000.0, 950.0));
+  coordinator.on_poll(id_of(engine.table, "a"),
+                      modified_at(900.0, 1000.0, 950.0));
   EXPECT_TRUE(engine.triggered.empty());
 }
 
@@ -106,7 +110,8 @@ TEST(TriggeredCoordinator, SkipsImminentlyScheduledMember) {
   engine.next_poll["b"] = 1030.0;  // 30 s away, δ = 60
   TriggeredPollCoordinator coordinator({"a", "b"}, 60.0);
   coordinator.bind(engine.hooks());
-  coordinator.on_poll("a", modified_at(900.0, 1000.0, 950.0));
+  coordinator.on_poll(id_of(engine.table, "a"),
+                      modified_at(900.0, 1000.0, 950.0));
   EXPECT_TRUE(engine.triggered.empty());
 }
 
@@ -117,7 +122,8 @@ TEST(TriggeredCoordinator, DeltaZeroSelfStabilises) {
   engine.last_poll["b"] = 1000.0;
   TriggeredPollCoordinator coordinator({"a", "b"}, 0.0);
   coordinator.bind(engine.hooks());
-  coordinator.on_poll("a", modified_at(900.0, 1000.0, 950.0));
+  coordinator.on_poll(id_of(engine.table, "a"),
+                      modified_at(900.0, 1000.0, 950.0));
   EXPECT_TRUE(engine.triggered.empty());
 }
 
@@ -130,7 +136,8 @@ TEST(TriggeredCoordinator, HandlesLargerGroups) {
   engine.last_poll["c"] = 990.0;  // within δ: skipped
   TriggeredPollCoordinator coordinator({"a", "b", "c", "d"}, 60.0);
   coordinator.bind(engine.hooks());
-  coordinator.on_poll("a", modified_at(900.0, 1000.0, 950.0));
+  coordinator.on_poll(id_of(engine.table, "a"),
+                      modified_at(900.0, 1000.0, 950.0));
   EXPECT_EQ(engine.triggered, (std::vector<std::string>{"b", "d"}));
 }
 
@@ -156,7 +163,8 @@ void teach_rate(RateHeuristicCoordinator& coordinator, FakeEngine& engine,
   TimePoint update = gap / 2.0;
   while (t <= until) {
     for (auto& [name, last] : engine.last_poll) last = t;
-    coordinator.on_poll(uri, modified_at(t - gap, t, update));
+    coordinator.on_poll(id_of(engine.table, uri),
+                        modified_at(t - gap, t, update));
     update += gap;
     t += gap;
   }
@@ -173,21 +181,23 @@ TEST(HeuristicCoordinator, TriggersFasterMemberOnly) {
   coordinator.bind(engine.hooks());
   teach_rate(coordinator, engine, "fast", 50.0, 2000.0);
   teach_rate(coordinator, engine, "slow", 400.0, 2000.0);
-  EXPECT_GT(coordinator.estimated_rate("fast"),
-            coordinator.estimated_rate("slow"));
+  EXPECT_GT(coordinator.estimated_rate(id_of(engine.table, "fast")),
+            coordinator.estimated_rate(id_of(engine.table, "slow")));
   engine.triggered.clear();
 
   // The slow object updates -> the faster one is triggered (Fig. 6: "only
   // the slower object triggers extra polls of the faster object").
   engine.last_poll["slow"] = 2400.0;
   engine.last_poll["fast"] = 2000.0;
-  coordinator.on_poll("slow", modified_at(2000.0, 2400.0, 2200.0));
+  coordinator.on_poll(id_of(engine.table, "slow"),
+                      modified_at(2000.0, 2400.0, 2200.0));
   EXPECT_EQ(engine.triggered, (std::vector<std::string>{"fast"}));
 
   // The fast object updates -> the slower one is NOT triggered.
   engine.triggered.clear();
   engine.last_poll["fast"] = 2450.0;
-  coordinator.on_poll("fast", modified_at(2400.0, 2450.0, 2425.0));
+  coordinator.on_poll(id_of(engine.table, "fast"),
+                      modified_at(2400.0, 2450.0, 2425.0));
   EXPECT_TRUE(engine.triggered.empty());
 }
 
@@ -198,7 +208,8 @@ TEST(HeuristicCoordinator, UnknownRateMembersNotTriggered) {
   RateHeuristicCoordinator coordinator({"a", "b"}, heuristic_config());
   coordinator.bind(engine.hooks());
   // First observed update of "a"; "b" has no rate estimate yet.
-  coordinator.on_poll("a", modified_at(900.0, 1000.0, 950.0));
+  coordinator.on_poll(id_of(engine.table, "a"),
+                      modified_at(900.0, 1000.0, 950.0));
   EXPECT_TRUE(engine.triggered.empty());
 }
 
@@ -214,7 +225,8 @@ TEST(HeuristicCoordinator, StillRespectsDeltaWindow) {
   engine.triggered.clear();
   // b polled 10 s ago (δ = 60): within the window, no trigger.
   engine.last_poll["b"] = 2390.0;
-  coordinator.on_poll("a", modified_at(2000.0, 2400.0, 2200.0));
+  coordinator.on_poll(id_of(engine.table, "a"),
+                      modified_at(2000.0, 2400.0, 2200.0));
   EXPECT_TRUE(engine.triggered.empty());
 }
 
@@ -225,9 +237,9 @@ TEST(HeuristicCoordinator, ResetClearsRates) {
   RateHeuristicCoordinator coordinator({"a", "b"}, heuristic_config());
   coordinator.bind(engine.hooks());
   teach_rate(coordinator, engine, "a", 50.0, 1000.0);
-  EXPECT_GT(coordinator.estimated_rate("a"), 0.0);
+  EXPECT_GT(coordinator.estimated_rate(id_of(engine.table, "a")), 0.0);
   coordinator.reset();
-  EXPECT_DOUBLE_EQ(coordinator.estimated_rate("a"), 0.0);
+  EXPECT_DOUBLE_EQ(coordinator.estimated_rate(id_of(engine.table, "a")), 0.0);
 }
 
 TEST(HeuristicCoordinator, Validation) {
@@ -237,7 +249,7 @@ TEST(HeuristicCoordinator, Validation) {
 
 TEST(Coordinator, UnboundUseFailsLoudly) {
   TriggeredPollCoordinator coordinator({"a", "b"}, 60.0);
-  EXPECT_THROW(coordinator.on_poll("a", modified_at(0.0, 10.0, 5.0)),
+  EXPECT_THROW(coordinator.on_poll(ObjectId{0}, modified_at(0.0, 10.0, 5.0)),
                CheckFailure);
 }
 
@@ -248,29 +260,12 @@ TEST(Coordinator, SubscriptionsExposeInternedMembers) {
   coordinator.bind(engine.hooks());
   const std::vector<ObjectId> subscriptions = coordinator.subscriptions();
   ASSERT_EQ(subscriptions.size(), 2u);
-  EXPECT_EQ(subscriptions[0], engine.table.find("a"));
-  EXPECT_EQ(subscriptions[1], engine.table.find("b"));
+  EXPECT_EQ(subscriptions[0], id_of(engine.table, "a"));
+  EXPECT_EQ(subscriptions[1], id_of(engine.table, "b"));
   // The null coordinator watches nothing: routed dispatch never calls it.
   NullCoordinator null_coordinator;
   null_coordinator.bind(engine.hooks());
   EXPECT_TRUE(null_coordinator.subscriptions().empty());
-}
-
-TEST(TriggeredCoordinator, IdKeyedDispatchMatchesStringWrapper) {
-  FakeEngine engine;
-  engine.last_poll["b"] = 10.0;
-  engine.next_poll["b"] = 5000.0;
-  TriggeredPollCoordinator coordinator({"a", "b"}, 60.0);
-  coordinator.bind(engine.hooks());
-  // The id fast path — what the engine's subscriber index dispatches.
-  coordinator.on_poll(engine.table.find("a"),
-                      modified_at(900.0, 1000.0, 950.0));
-  EXPECT_EQ(engine.triggered, (std::vector<std::string>{"b"}));
-  // The string wrapper resolves and lands in the same place.
-  engine.triggered.clear();
-  engine.last_poll["b"] = 10.0;
-  coordinator.on_poll("a", modified_at(1900.0, 2000.0, 1950.0));
-  EXPECT_EQ(engine.triggered, (std::vector<std::string>{"b"}));
 }
 
 TEST(TriggeredCoordinator, IgnoresNonMemberPolls) {
@@ -281,7 +276,8 @@ TEST(TriggeredCoordinator, IgnoresNonMemberPolls) {
   engine.last_poll["b"] = 10.0;
   TriggeredPollCoordinator coordinator({"a", "b"}, 60.0);
   coordinator.bind(engine.hooks());
-  coordinator.on_poll("outsider", modified_at(900.0, 1000.0, 950.0));
+  coordinator.on_poll(engine.table.intern("outsider"),
+                      modified_at(900.0, 1000.0, 950.0));
   EXPECT_TRUE(engine.triggered.empty());
   EXPECT_EQ(coordinator.triggers_requested(), 0u);
 }
@@ -299,7 +295,8 @@ TEST(HeuristicCoordinator, IgnoresNonMemberPolls) {
   engine.triggered.clear();
   // Both members have established (fast) rates, yet an unrelated object's
   // update must not trigger either of them.
-  coordinator.on_poll("outsider", modified_at(2000.0, 2400.0, 2200.0));
+  coordinator.on_poll(engine.table.intern("outsider"),
+                      modified_at(2000.0, 2400.0, 2200.0));
   EXPECT_TRUE(engine.triggered.empty());
 }
 

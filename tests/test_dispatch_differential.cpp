@@ -28,6 +28,7 @@
 #include "consistency/limd.h"
 #include "consistency/triggered.h"
 #include "golden_digest.h"
+#include "id_of.h"
 #include "metrics/fidelity.h"
 #include "metrics/mutual_fidelity.h"
 #include "origin/origin_server.h"
@@ -309,7 +310,9 @@ TEST(DispatchDifferential, ZeroCoordinatorEngineDoesNoNotifyWork) {
   // The subscriber index is empty, so stage 6 never dispatches.
   EXPECT_EQ(engine.coordinator_notifies(), 0u);
   for (int i = 0; i < 4; ++i) {
-    EXPECT_EQ(engine.subscriber_count("/object/" + std::to_string(i)), 0u);
+    EXPECT_EQ(engine.subscriber_count(id_of(
+                  engine.uri_table(), "/object/" + std::to_string(i))),
+              0u);
   }
 }
 
@@ -329,10 +332,11 @@ TEST(DispatchDifferential, SubscriberIndexFollowsGroupMembership) {
   // A null coordinator subscribes to nothing.
   engine.add_coordinator(std::make_unique<NullCoordinator>());
 
-  EXPECT_EQ(engine.subscriber_count("/a"), 1u);
-  EXPECT_EQ(engine.subscriber_count("/b"), 2u);  // overlapping groups
-  EXPECT_EQ(engine.subscriber_count("/c"), 1u);
-  EXPECT_EQ(engine.subscriber_count("/unknown"), 0u);
+  const UriTable& table = engine.uri_table();
+  EXPECT_EQ(engine.subscriber_count(id_of(table, "/a")), 1u);
+  EXPECT_EQ(engine.subscriber_count(id_of(table, "/b")), 2u);  // overlapping
+  EXPECT_EQ(engine.subscriber_count(id_of(table, "/c")), 1u);
+  EXPECT_EQ(engine.subscriber_count(kInvalidObjectId), 0u);
 }
 
 TEST(DispatchDifferential, UnknownMemberFailsAtRegistration) {

@@ -10,6 +10,7 @@
 #include "consistency/limd.h"
 #include "harness/experiments.h"
 #include "http/extensions.h"
+#include "id_of.h"
 #include "metrics/accounting.h"
 #include "metrics/fidelity.h"
 #include "trace/generators.h"
@@ -68,12 +69,14 @@ TEST(ProxyFleet, RelaySiblingMatchesStandaloneEngine) {
 
   // Proxy 0 polls exactly like the standalone engine; siblings never
   // touch the origin after their initial fetch.
-  EXPECT_EQ(fleet.proxy(0).polls_performed("/news"),
-            control.polls_performed("/news"));
+  const ObjectId news = id_of(origin.uri_table(), "/news");
+  const std::size_t control_polls = control.poll_log().polls_performed(
+      id_of(control_origin.uri_table(), "/news"));
+  EXPECT_EQ(fleet.proxy(0).poll_log().polls_performed(news), control_polls);
   for (std::size_t p = 1; p < fleet.size(); ++p) {
-    EXPECT_EQ(fleet.proxy(p).polls_performed("/news"), 0u)
+    EXPECT_EQ(fleet.proxy(p).poll_log().polls_performed(news), 0u)
         << "sibling " << p << " polled the origin";
-    EXPECT_GT(fleet.proxy(p).relay_refreshes("/news"), 0u);
+    EXPECT_GT(fleet.proxy(p).poll_log().relay_refreshes(news), 0u);
 
     // Identical TTR trajectory...
     const auto& expected = control.ttr_series("/news");
@@ -102,7 +105,7 @@ TEST(ProxyFleet, RelaySiblingMatchesStandaloneEngine) {
   // polls: cooperation removed every sibling poll.
   const FleetOriginLoad load = fleet.origin_load();
   EXPECT_EQ(load.origin_messages, origin.requests_served());
-  EXPECT_EQ(load.origin_polls, control.polls_performed("/news"));
+  EXPECT_EQ(load.origin_polls, control_polls);
   EXPECT_EQ(load.relay_refreshes,
             fleet.proxy(1).relay_refreshes() +
                 fleet.proxy(2).relay_refreshes());
@@ -185,11 +188,13 @@ TEST(ProxyFleet, RelayOnlyReachesProxiesTrackingTheUri) {
   sim.run_until(horizon);
 
   EXPECT_GT(fleet.relays_delivered(), 0u);
-  EXPECT_EQ(fleet.proxy(1).relay_refreshes("/solo"), 0u);
-  EXPECT_FALSE(fleet.proxy(1).tracks("/solo"));
+  const ObjectId solo_id = id_of(origin.uri_table(), "/solo");
+  EXPECT_EQ(fleet.proxy(1).poll_log().relay_refreshes(solo_id), 0u);
+  EXPECT_FALSE(fleet.proxy(1).tracks_temporal(solo_id));
   // Every relay message concerned /shared.
   EXPECT_EQ(fleet.proxy(1).relay_refreshes(),
-            fleet.proxy(1).relay_refreshes("/shared"));
+            fleet.proxy(1).poll_log().relay_refreshes(
+                id_of(origin.uri_table(), "/shared")));
 }
 
 TEST(ProxyFleet, ApplyRelayRejectsStaleAndUnvalidatedResponses) {
@@ -199,38 +204,39 @@ TEST(ProxyFleet, ApplyRelayRejectsStaleAndUnvalidatedResponses) {
   origin.add_object("/a");
   engine.add_temporal_object(
       "/a", std::make_unique<LimdPolicy>(limd_config(60.0, 600.0)));
+  const ObjectId a = id_of(origin.uri_table(), "/a");
 
   // Before start: relays are dropped, not applied.
   Response fresh;
   fresh.status = StatusCode::kOk;
   set_last_modified(fresh.headers, 0.0);
-  EXPECT_FALSE(engine.apply_relay("/a", fresh, 0.0));
+  EXPECT_FALSE(engine.apply_relay(a, fresh, 0.0));
 
   engine.start();
   sim.run_until(10.0);
 
-  // Untracked uri.
-  EXPECT_FALSE(engine.apply_relay("/nope", fresh, 5.0));
+  // Untracked object.
+  EXPECT_FALSE(engine.apply_relay(kInvalidObjectId, fresh, 5.0));
 
   // Relay snapshot not newer than this proxy's own view (initial fetch at
   // t = 0): carries nothing, even though it is a 200.
-  EXPECT_FALSE(engine.apply_relay("/a", fresh, 0.0));
+  EXPECT_FALSE(engine.apply_relay(a, fresh, 0.0));
 
   // 200 relay for the version the initial fetch already saw: stale.
-  EXPECT_FALSE(engine.apply_relay("/a", fresh, 5.0));
-  EXPECT_EQ(engine.relay_refreshes("/a"), 0u);
+  EXPECT_FALSE(engine.apply_relay(a, fresh, 5.0));
+  EXPECT_EQ(engine.poll_log().relay_refreshes(a), 0u);
 
   // 304 validation naming a version this proxy has NOT seen: must be
   // rejected (the proxy missed an update and cannot treat it as fresh).
   Response unvalidated;
   unvalidated.status = StatusCode::kNotModified;
   set_last_modified(unvalidated.headers, 4.0);
-  EXPECT_FALSE(engine.apply_relay("/a", unvalidated, 5.0));
+  EXPECT_FALSE(engine.apply_relay(a, unvalidated, 5.0));
 
   // Errors never apply.
   Response missing;
   missing.status = StatusCode::kNotFound;
-  EXPECT_FALSE(engine.apply_relay("/a", missing, 5.0));
+  EXPECT_FALSE(engine.apply_relay(a, missing, 5.0));
   EXPECT_EQ(engine.relay_refreshes(), 0u);
 
   // A genuine validation (Last-Modified already seen, newer snapshot)
@@ -238,8 +244,8 @@ TEST(ProxyFleet, ApplyRelayRejectsStaleAndUnvalidatedResponses) {
   Response valid;
   valid.status = StatusCode::kNotModified;
   set_last_modified(valid.headers, 0.0);
-  EXPECT_TRUE(engine.apply_relay("/a", valid, 5.0));
-  EXPECT_EQ(engine.relay_refreshes("/a"), 1u);
+  EXPECT_TRUE(engine.apply_relay(a, valid, 5.0));
+  EXPECT_EQ(engine.poll_log().relay_refreshes(a), 1u);
   // The record carries the true snapshot, not the delivery instant.
   const PollRecord& record =
       engine.poll_log()[engine.poll_log().size() - 1];
@@ -271,7 +277,10 @@ TEST(ProxyFleet, RelayRecordsCountedByCauseAndExcludedFromPolls) {
   EXPECT_EQ(fleet.proxy(1).polls_performed(), counts.total_refreshes());
   EXPECT_EQ(fleet.proxy(1).polls_performed(), 0u);
   // But the evaluation's successful-record series sees the refreshes.
-  EXPECT_EQ(fleet.proxy(1).poll_completion_times("/a").size(),
+  EXPECT_EQ(fleet.proxy(1)
+                .poll_log()
+                .completion_times(id_of(origin.uri_table(), "/a"))
+                .size(),
             1u + counts.relay);
   // Channel accounting: applied <= delivered, and proxy 1's records match.
   EXPECT_LE(fleet.relays_applied(), fleet.relays_delivered());
@@ -309,24 +318,25 @@ TEST(ProxyFleet, DeltaGroupTriggersAcrossProxies) {
   // Members are interned at registration: the id-keyed dispatch
   // representation, parallel to the uri member list.
   ASSERT_EQ(group.member_ids().size(), 2u);
-  EXPECT_EQ(group.member_ids()[0], origin.uri_table().find("/fast"));
-  EXPECT_EQ(group.member_ids()[1], origin.uri_table().find("/slow"));
+  EXPECT_EQ(group.member_ids()[0], id_of(origin.uri_table(), "/fast"));
+  EXPECT_EQ(group.member_ids()[1], id_of(origin.uri_table(), "/slow"));
   fleet.start();
   sim.run_until(horizon);
 
   // Updates of /fast observed at proxy 0 must have triggered polls of
   // /slow at proxy 1.
   EXPECT_GT(group.triggers_requested(), 0u);
-  EXPECT_EQ(fleet.proxy(1).triggered_polls("/slow"),
+  const ObjectId slow = id_of(origin.uri_table(), "/slow");
+  EXPECT_EQ(fleet.proxy(1).poll_log().triggered_polls(slow),
             group.triggers_requested());
-  EXPECT_GT(fleet.proxy(1).triggered_polls("/slow"), 0u);
+  EXPECT_GT(fleet.proxy(1).poll_log().triggered_polls(slow), 0u);
   // Proxy 0 has no triggered polls: /fast is the group's update source.
   EXPECT_EQ(fleet.proxy(0).triggered_polls(), 0u);
 
   // Mutual guarantee: after each observed /fast update, /slow's copy at
   // proxy 1 was re-validated within δ.  Check the last /fast poll that
   // observed a modification has a /slow poll within δ after it.
-  const auto slow_polls = fleet.proxy(1).poll_completion_times("/slow");
+  const auto slow_polls = fleet.proxy(1).poll_log().completion_times(slow);
   for (const PollRecord& record : fleet.proxy(0).poll_log()) {
     if (record.failed || !record.modified ||
         record.cause == PollCause::kInitial) {
@@ -369,7 +379,8 @@ TEST(ProxyFleet, DeltaGroupValidation) {
   origin.add_value_object("/v", 1.0);
   AdaptiveValueTtrPolicy::Config value_config;
   fleet.add_value_object(1, "/v", value_config);
-  EXPECT_TRUE(fleet.proxy(1).tracks("/v"));
+  EXPECT_TRUE(
+      fleet.proxy(1).relay_eligible(id_of(origin.uri_table(), "/v")));
   EXPECT_THROW(fleet.add_delta_group({{0, "/a"}, {1, "/v"}}, 60.0),
                CheckFailure);
 }
@@ -412,7 +423,9 @@ TEST(ProxyFleet, RelayLatencyStillConverges) {
   // With a delivery delay the receiver still polls on its own at times,
   // but relays must carry refreshes, and every relayed record must be
   // stamped with a snapshot one latency older than its visibility.
-  EXPECT_GT(fleet.proxy(1).relay_refreshes("/a"), 0u);
+  EXPECT_GT(fleet.proxy(1).poll_log().relay_refreshes(
+                id_of(origin.uri_table(), "/a")),
+            0u);
   for (const PollRecord& record : fleet.proxy(1).poll_log()) {
     if (record.cause != PollCause::kRelay) continue;
     EXPECT_DOUBLE_EQ(record.complete_time,
@@ -541,14 +554,18 @@ TEST(ProxyFleet, PollLogRetentionKeepsFleetCountersExact) {
     EXPECT_EQ(engine.failed_polls(), reference.failed_polls());
     for (const UpdateTrace& trace : traces) {
       SCOPED_TRACE("proxy " + std::to_string(p) + " " + trace.name());
-      EXPECT_EQ(engine.polls_performed(trace.name()),
-                reference.polls_performed(trace.name()));
-      EXPECT_EQ(engine.relay_refreshes(trace.name()),
-                reference.relay_refreshes(trace.name()));
+      const PollLog& log = engine.poll_log();
+      const PollLog& reference_log = reference.poll_log();
+      const ObjectId id = id_of(engine.uri_table(), trace.name());
+      const ObjectId reference_id = id_of(reference.uri_table(), trace.name());
+      EXPECT_EQ(log.polls_performed(id),
+                reference_log.polls_performed(reference_id));
+      EXPECT_EQ(log.relay_refreshes(id),
+                reference_log.relay_refreshes(reference_id));
       // The record series genuinely truncated (eviction is amortized, so
       // the instantaneous length may sit a little above the window)...
-      const auto series = engine.poll_snapshot_times(trace.name());
-      const auto full = reference.poll_snapshot_times(trace.name());
+      const auto series = log.snapshot_times(id);
+      const auto full = reference_log.snapshot_times(reference_id);
       ASSERT_LT(series.size(), full.size());
       // ...and what remains is the newest suffix of the reference series.
       EXPECT_TRUE(std::equal(series.begin(), series.end(),

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 
+#include "id_of.h"
 #include "origin/store.h"
 #include "util/check.h"
 #include "util/rng.h"
@@ -180,7 +181,7 @@ TEST(VersionedObject, Validation) {
   EXPECT_THROW(VersionedObject("/a", -1.0), CheckFailure);
 }
 
-TEST(ObjectStore, CreateFindAt) {
+TEST(ObjectStore, CreateAndFind) {
   ObjectStore store;
   store.create("/a", 0.0);
   store.create("/b", 0.0, 1.5);
@@ -188,10 +189,10 @@ TEST(ObjectStore, CreateFindAt) {
   EXPECT_NE(store.find("/a"), nullptr);
   EXPECT_EQ(store.find("/missing"), nullptr);
   EXPECT_TRUE(store.contains("/b"));
-  EXPECT_DOUBLE_EQ(*store.at("/b").at(0.0, true).value(), 1.5);
-  EXPECT_THROW(store.at("/missing"), CheckFailure);
-  const ObjectId b = store.uri_table().find("/b");
+  const ObjectId b = id_of(store.uri_table(), "/b");
+  ASSERT_NE(store.by_id(b), nullptr);
   EXPECT_EQ(store.by_id(b), store.find("/b"));
+  EXPECT_DOUBLE_EQ(*store.by_id(b)->at(0.0, true).value(), 1.5);
 }
 
 TEST(ObjectStore, ProxyOnlyUrisAreNotHosted) {
@@ -233,8 +234,10 @@ TEST(ObjectStore, PointersStableAcrossInserts) {
     store.create("/obj" + std::to_string(i), 0.0);
   }
   a.append_updates({1.0});
-  EXPECT_EQ(&store.at("/a"), &a);
-  EXPECT_EQ(store.at("/a").at(1.0, true).version(), 1u);
+  EXPECT_EQ(store.find("/a"), &a);
+  const VersionedObject* found = store.by_id(id_of(store.uri_table(), "/a"));
+  ASSERT_NE(found, nullptr);
+  EXPECT_EQ(found->at(1.0, true).version(), 1u);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <memory>
 
 #include "http/extensions.h"
+#include "id_of.h"
 #include "origin/push.h"
 #include "proxy/polling_engine.h"
 #include "sim/simulator.h"
@@ -235,7 +236,8 @@ TEST(OriginTraceReplay, StartFetchAtZeroDoesNotSeeAZeroStep) {
   policy.bounds = {10.0, 60.0};
   proxy.add_value_object("/stock", policy);
   proxy.start();
-  const CacheEntry* initial = proxy.cache().find("/stock");
+  const CacheEntry* initial =
+      proxy.cache().find(id_of(origin.uri_table(), "/stock"));
   ASSERT_NE(initial, nullptr);
   ASSERT_TRUE(initial->value.has_value());
   EXPECT_DOUBLE_EQ(*initial->value, 100.0);
@@ -260,7 +262,10 @@ TEST(OriginTraceReplay, HandleRightAfterRunUntilSeesTheUpdate) {
   EXPECT_DOUBLE_EQ(*get_last_modified(at_ten.headers), 10.0);
   // The later update stays invisible until its instant.
   EXPECT_EQ(read(origin, "/page").version(), 1u);
-  EXPECT_EQ(origin.store().at("/page").updates().size(), 2u);
+  const VersionedObject* page =
+      origin.object_by_id(id_of(origin.uri_table(), "/page"));
+  ASSERT_NE(page, nullptr);
+  EXPECT_EQ(page->updates().size(), 2u);
 }
 
 TEST(OriginTraceReplay, KeptNextDueInstantWaitsUntilTheClockReachesIt) {
@@ -555,10 +560,12 @@ TEST(OriginProperty, TypedResponseMatchesANaiveTraceModel) {
         const bool reached = reader.sim.reached(t);
         for (const TraceModel& m : models) {
           const ObjectId id = content.object_id(m.uri);
+          const VersionedObject* object = content.object_by_id(id);
+          ASSERT_NE(object, nullptr);
           // The object-level view, also at the clock a reader never
           // queries from (t > 0, instant not yet entered).
           for (const bool inclusive : {false, true}) {
-            EXPECT_EQ(content.store().at(m.uri).at(t, inclusive).version(),
+            EXPECT_EQ(object->at(t, inclusive).version(),
                       model_due(m, t, inclusive));
           }
           std::vector<std::optional<TimePoint>> validators = {

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "id_of.h"
 #include "util/check.h"
 
 namespace broadway {
@@ -20,58 +21,60 @@ CacheEntry entry(const std::string& uri, TimePoint snapshot) {
 }
 
 TEST(ProxyCache, StoreAndFind) {
-  ProxyCache cache;
+  UriTable table;
+  ProxyCache cache(table);
   cache.store(entry("/a", 10.0));
-  EXPECT_TRUE(cache.contains("/a"));
   EXPECT_EQ(cache.size(), 1u);
-  const CacheEntry* found = cache.find("/a");
+  const CacheEntry* found = cache.find(id_of(table, "/a"));
   ASSERT_NE(found, nullptr);
   EXPECT_DOUBLE_EQ(found->snapshot_time, 10.0);
-  EXPECT_EQ(cache.find("/missing"), nullptr);
+  EXPECT_EQ(cache.find(table.intern("/missing")), nullptr);
+  EXPECT_EQ(cache.find(kInvalidObjectId), nullptr);
 }
 
 TEST(ProxyCache, RefreshReplacesAndCountsRefreshes) {
-  ProxyCache cache;
+  UriTable table;
+  ProxyCache cache(table);
   cache.store(entry("/a", 10.0));
   cache.store(entry("/a", 20.0));
   cache.store(entry("/a", 30.0));
-  const CacheEntry& current = cache.at("/a");
-  EXPECT_DOUBLE_EQ(current.snapshot_time, 30.0);
-  EXPECT_EQ(current.refresh_count, 2u);
+  const CacheEntry* current = cache.find(id_of(table, "/a"));
+  ASSERT_NE(current, nullptr);
+  EXPECT_DOUBLE_EQ(current->snapshot_time, 30.0);
+  EXPECT_EQ(current->refresh_count, 2u);
 }
 
 TEST(ProxyCache, MonotonicityEnforced) {
   // Paper §2: cached versions must increase monotonically.
-  ProxyCache cache;
+  UriTable table;
+  ProxyCache cache(table);
   cache.store(entry("/a", 20.0));
   EXPECT_THROW(cache.store(entry("/a", 10.0)), CheckFailure);
   // Same-instant refresh is allowed (triggered poll at the same time).
   EXPECT_NO_THROW(cache.store(entry("/a", 20.0)));
 }
 
-TEST(ProxyCache, AtThrowsOnMiss) {
-  ProxyCache cache;
-  EXPECT_THROW(cache.at("/nope"), CheckFailure);
-}
-
 TEST(ProxyCache, HitMissAccounting) {
-  ProxyCache cache;
+  UriTable table;
+  ProxyCache cache(table);
   cache.store(entry("/a", 1.0));
-  EXPECT_NE(cache.lookup_counted("/a"), nullptr);
-  EXPECT_EQ(cache.lookup_counted("/b"), nullptr);
-  EXPECT_NE(cache.lookup_counted("/a"), nullptr);
+  const ObjectId a = id_of(table, "/a");
+  EXPECT_NE(cache.lookup_counted(a), nullptr);
+  EXPECT_EQ(cache.lookup_counted(kInvalidObjectId), nullptr);
+  EXPECT_NE(cache.lookup_counted(a), nullptr);
   EXPECT_EQ(cache.hits(), 2u);
   EXPECT_EQ(cache.misses(), 1u);
 }
 
 TEST(ProxyCache, UrisAndClear) {
-  ProxyCache cache;
+  UriTable table;
+  ProxyCache cache(table);
   cache.store(entry("/b", 1.0));
   cache.store(entry("/a", 1.0));
   EXPECT_EQ(cache.uris(), (std::vector<std::string>{"/a", "/b"}));
   cache.clear();
   EXPECT_EQ(cache.size(), 0u);
-  EXPECT_FALSE(cache.contains("/a"));
+  EXPECT_EQ(cache.find(id_of(table, "/a")), nullptr);
 }
 
 // A cache sharing a large table holds a few scattered, high ids: lookups,
@@ -101,11 +104,12 @@ TEST(ProxyCache, SparseHighIdsInASharedTable) {
   EXPECT_EQ(cache.size(), 4u);
   EXPECT_EQ(cache.uris(),
             (std::vector<std::string>{"/a", "/m", "/q", "/z"}));
-  EXPECT_EQ(cache.at("/m").refresh_count, 1u);
+  ASSERT_NE(cache.find(ids[1]), nullptr);
+  EXPECT_EQ(cache.find(ids[1])->refresh_count, 1u);
   EXPECT_EQ(cache.find(ids[2])->uri, "/a");
-  EXPECT_EQ(cache.find(table.find("/untracked/42")), nullptr);
+  EXPECT_EQ(cache.find(id_of(table, "/untracked/42")), nullptr);
   EXPECT_EQ(cache.find(kInvalidObjectId), nullptr);
-  EXPECT_EQ(cache.lookup_counted(table.find("/untracked/7")), nullptr);
+  EXPECT_EQ(cache.lookup_counted(id_of(table, "/untracked/7")), nullptr);
   EXPECT_EQ(cache.misses(), 1u);
 
   cache.clear();
@@ -118,13 +122,16 @@ TEST(ProxyCache, SparseHighIdsInASharedTable) {
   cache.store(entry("/z", 2.0));
   cache.store(entry("/q", 3.0));
   EXPECT_EQ(cache.uris(), (std::vector<std::string>{"/q", "/z"}));
-  EXPECT_EQ(cache.at("/q").refresh_count, 1u);
-  EXPECT_DOUBLE_EQ(cache.at("/z").snapshot_time, 2.0);
+  ASSERT_NE(cache.find(ids[3]), nullptr);
+  EXPECT_EQ(cache.find(ids[3])->refresh_count, 1u);
+  ASSERT_NE(cache.find(ids[0]), nullptr);
+  EXPECT_DOUBLE_EQ(cache.find(ids[0])->snapshot_time, 2.0);
   EXPECT_EQ(cache.find(ids[2]), nullptr);
 }
 
 TEST(ProxyCache, RejectsAnonymousEntry) {
-  ProxyCache cache;
+  UriTable table;
+  ProxyCache cache(table);
   CacheEntry anonymous;
   EXPECT_THROW(cache.store(anonymous), CheckFailure);
 }

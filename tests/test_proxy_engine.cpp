@@ -4,11 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string_view>
 
 #include "consistency/fixed_poll.h"
 #include "consistency/limd.h"
 #include "consistency/triggered.h"
 #include "consistency/virtual_object.h"
+#include "id_of.h"
 #include "origin/origin_server.h"
 #include "sim/simulator.h"
 #include "trace/update_trace.h"
@@ -22,6 +24,10 @@ struct Rig {
   Simulator sim;
   OriginServer origin{sim};
   PollingEngine engine{sim, origin};
+
+  ObjectId id(std::string_view uri) const {
+    return id_of(origin.uri_table(), uri);
+  }
 };
 
 TEST(PollingEngine, InitialFetchPopulatesCache) {
@@ -30,7 +36,7 @@ TEST(PollingEngine, InitialFetchPopulatesCache) {
   rig.engine.add_temporal_object("/a",
                                  std::make_unique<FixedPollPolicy>(10.0));
   rig.engine.start();
-  EXPECT_TRUE(rig.engine.cache().contains("/a"));
+  EXPECT_NE(rig.engine.cache().find(rig.id("/a")), nullptr);
   ASSERT_EQ(rig.engine.poll_log().size(), 1u);
   EXPECT_EQ(rig.engine.poll_log()[0].cause, PollCause::kInitial);
   EXPECT_EQ(rig.engine.polls_performed(), 0u);  // initial excluded
@@ -44,9 +50,9 @@ TEST(PollingEngine, FixedPolicyPollsOnSchedule) {
   rig.engine.start();
   rig.sim.run_until(35.0);
   // Initial at 0, then polls at 10, 20, 30.
-  const auto times = rig.engine.poll_completion_times("/a");
+  const auto times = rig.engine.poll_log().completion_times(rig.id("/a"));
   EXPECT_EQ(times, (std::vector<TimePoint>{0.0, 10.0, 20.0, 30.0}));
-  EXPECT_EQ(rig.engine.polls_performed("/a"), 3u);
+  EXPECT_EQ(rig.engine.poll_log().polls_performed(rig.id("/a")), 3u);
 }
 
 TEST(PollingEngine, ModifiedFlagTracksServerUpdates) {
@@ -73,9 +79,10 @@ TEST(PollingEngine, CacheReflectsLatestFetchedVersion) {
                                  std::make_unique<FixedPollPolicy>(10.0));
   rig.engine.start();
   rig.sim.run_until(100.0);
-  const CacheEntry& entry = rig.engine.cache().at("/a");
-  EXPECT_DOUBLE_EQ(*entry.last_modified, 25.0);
-  EXPECT_GT(entry.refresh_count, 0u);
+  const CacheEntry* entry = rig.engine.cache().find(rig.id("/a"));
+  ASSERT_NE(entry, nullptr);
+  EXPECT_DOUBLE_EQ(*entry->last_modified, 25.0);
+  EXPECT_GT(entry->refresh_count, 0u);
 }
 
 TEST(PollingEngine, LimdBacksOffOnQuietObject) {
@@ -87,7 +94,7 @@ TEST(PollingEngine, LimdBacksOffOnQuietObject) {
   rig.engine.start();
   rig.sim.run_until(3600.0);
   // LIMD grows TTR toward max: strictly fewer polls than fixed-Δ (60).
-  EXPECT_LT(rig.engine.polls_performed("/quiet"), 30u);
+  EXPECT_LT(rig.engine.poll_log().polls_performed(rig.id("/quiet")), 30u);
   const auto& series = rig.engine.ttr_series("/quiet");
   ASSERT_GE(series.size(), 3u);
   EXPECT_GT(series.back().second, series.front().second);
@@ -109,8 +116,8 @@ TEST(PollingEngine, TriggeredCoordinatorForcesRelatedPoll) {
   rig.sim.run_until(150.0);
   // At t=100 the poll of /a sees the update at 95 and triggers /b (whose
   // last poll was 0, next at 400 — both more than δ=50 away).
-  EXPECT_EQ(rig.engine.triggered_polls("/b"), 1u);
-  const auto times = rig.engine.poll_completion_times("/b");
+  EXPECT_EQ(rig.engine.poll_log().triggered_polls(rig.id("/b")), 1u);
+  const auto times = rig.engine.poll_log().completion_times(rig.id("/b"));
   ASSERT_EQ(times.size(), 2u);
   EXPECT_DOUBLE_EQ(times[1], 100.0);
 }
@@ -130,7 +137,7 @@ TEST(PollingEngine, TriggeredPollReschedulesVictimsTimer) {
   rig.sim.run_until(1000.0);
   // After the triggered poll at 100, /b's schedule continues from there:
   // 500, 900 — not the original 400/800.
-  const auto times = rig.engine.poll_completion_times("/b");
+  const auto times = rig.engine.poll_log().completion_times(rig.id("/b"));
   EXPECT_EQ(times,
             (std::vector<TimePoint>{0.0, 100.0, 500.0, 900.0}));
 }
@@ -146,10 +153,11 @@ TEST(PollingEngine, ValueObjectObservesValues) {
   rig.engine.add_value_object("/stock", config);
   rig.engine.start();
   rig.sim.run_until(300.0);
-  EXPECT_GT(rig.engine.polls_performed("/stock"), 2u);
-  const CacheEntry& entry = rig.engine.cache().at("/stock");
-  ASSERT_TRUE(entry.value.has_value());
-  EXPECT_DOUBLE_EQ(*entry.value, 99.0);
+  EXPECT_GT(rig.engine.poll_log().polls_performed(rig.id("/stock")), 2u);
+  const CacheEntry* entry = rig.engine.cache().find(rig.id("/stock"));
+  ASSERT_NE(entry, nullptr);
+  ASSERT_TRUE(entry->value.has_value());
+  EXPECT_DOUBLE_EQ(*entry->value, 99.0);
 }
 
 TEST(PollingEngine, VirtualGroupPollsAllMembersJointly) {
@@ -168,8 +176,8 @@ TEST(PollingEngine, VirtualGroupPollsAllMembersJointly) {
   rig.engine.start();
   rig.sim.run_until(300.0);
   // Joint polls: equal counts for both members, same instants.
-  const auto t1 = rig.engine.poll_completion_times("/s1");
-  const auto t2 = rig.engine.poll_completion_times("/s2");
+  const auto t1 = rig.engine.poll_log().completion_times(rig.id("/s1"));
+  const auto t2 = rig.engine.poll_log().completion_times(rig.id("/s2"));
   EXPECT_EQ(t1, t2);
   EXPECT_GT(t1.size(), 2u);
 }
@@ -208,8 +216,9 @@ TEST(PollingEngine, RttShiftsCompletionTimes) {
   engine.add_temporal_object("/a", std::make_unique<FixedPollPolicy>(10.0));
   engine.start();
   sim.run_until(25.0);
-  const auto snapshots = engine.poll_snapshot_times("/a");
-  const auto completions = engine.poll_completion_times("/a");
+  const ObjectId a = id_of(origin.uri_table(), "/a");
+  const auto snapshots = engine.poll_log().snapshot_times(a);
+  const auto completions = engine.poll_log().completion_times(a);
   ASSERT_EQ(snapshots.size(), completions.size());
   for (std::size_t i = 0; i < snapshots.size(); ++i) {
     EXPECT_DOUBLE_EQ(completions[i], snapshots[i] + 2.5);

@@ -7,6 +7,7 @@
 #include "client/client_traffic.h"
 #include "consistency/fixed_poll.h"
 #include "consistency/limd.h"
+#include "id_of.h"
 #include "metrics/accounting.h"
 #include "proxy/polling_engine.h"
 #include "sim/simulator.h"
@@ -36,7 +37,9 @@ TEST(FailureInjection, LostPollsAreRetried) {
   EXPECT_GT(counts.retry, 0u);
   // Every failure eventually produced a successful retry (or another
   // failure that retried again): successful polls keep flowing.
-  EXPECT_GT(engine.polls_performed("/a"), 50u);
+  EXPECT_GT(
+      engine.poll_log().polls_performed(id_of(origin.uri_table(), "/a")),
+      50u);
 }
 
 TEST(FailureInjection, LossyPollingStillRefreshesCache) {
@@ -53,9 +56,11 @@ TEST(FailureInjection, LossyPollingStillRefreshesCache) {
   engine.add_temporal_object("/a", std::make_unique<FixedPollPolicy>(10.0));
   engine.start();
   sim.run_until(1000.0);
-  const CacheEntry& entry = engine.cache().at("/a");
+  const CacheEntry* entry =
+      engine.cache().find(id_of(origin.uri_table(), "/a"));
+  ASSERT_NE(entry, nullptr);
   // The last update (975) was eventually fetched despite 50% loss.
-  EXPECT_DOUBLE_EQ(*entry.last_modified, 975.0);
+  EXPECT_DOUBLE_EQ(*entry->last_modified, 975.0);
 }
 
 TEST(CrashRecovery, ResetsTtrToMin) {
@@ -76,7 +81,8 @@ TEST(CrashRecovery, ResetsTtrToMin) {
   engine.crash_and_recover();
   sim.run_until(3070.0);
   // First post-recovery poll happens within TTR_min of the crash.
-  const auto times = engine.poll_completion_times("/quiet");
+  const auto times = engine.poll_log().completion_times(
+      id_of(origin.uri_table(), "/quiet"));
   ASSERT_GE(times.size(), 2u);
   EXPECT_LE(times.back() - 3000.0, 60.0 + 1e-9);
 }
@@ -134,7 +140,7 @@ TEST(CrashRecovery, CacheSurvivesCrash) {
   engine.start();
   sim.run_until(100.0);
   engine.crash_and_recover();
-  EXPECT_TRUE(engine.cache().contains("/a"));
+  EXPECT_NE(engine.cache().find(id_of(origin.uri_table(), "/a")), nullptr);
 }
 
 TEST(CrashRecovery, BeforeStartIsAnError) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "id_of.h"
 #include "util/check.h"
 #include "util/uri_table.h"
 
@@ -9,7 +10,8 @@ namespace broadway {
 namespace {
 
 TEST(GroupRegistry, AddAndFind) {
-  GroupRegistry registry;
+  UriTable table;
+  GroupRegistry registry(table);
   registry.add_group("scores", {"/score/home", "/score/away"}, 30.0);
   const ObjectGroup* group = registry.find("scores");
   ASSERT_NE(group, nullptr);
@@ -19,7 +21,8 @@ TEST(GroupRegistry, AddAndFind) {
 }
 
 TEST(GroupRegistry, Validation) {
-  GroupRegistry registry;
+  UriTable table;
+  GroupRegistry registry(table);
   EXPECT_THROW(registry.add_group("", {"/a", "/b"}, 1.0), CheckFailure);
   EXPECT_THROW(registry.add_group("g", {"/only"}, 1.0), CheckFailure);
   EXPECT_THROW(registry.add_group("g", {"/a", "/a"}, 1.0), CheckFailure);
@@ -29,13 +32,16 @@ TEST(GroupRegistry, Validation) {
 }
 
 TEST(GroupRegistry, MembershipIndex) {
-  GroupRegistry registry;
+  UriTable table;
+  GroupRegistry registry(table);
   registry.add_group("news", {"/page", "/img1", "/img2"}, 60.0);
   registry.add_group("finance", {"/page", "/ticker"}, 30.0);
-  const auto groups = registry.groups_containing("/page");
+  const auto groups = registry.groups_containing(id_of(table, "/page"));
   EXPECT_EQ(groups.size(), 2u);
-  EXPECT_EQ(registry.groups_containing("/img1").size(), 1u);
-  EXPECT_TRUE(registry.groups_containing("/unrelated").empty());
+  EXPECT_EQ(registry.groups_containing(id_of(table, "/img1")).size(), 1u);
+  // Interned, but in no group.
+  EXPECT_TRUE(
+      registry.groups_containing(table.intern("/unrelated")).empty());
 }
 
 TEST(GroupRegistry, TableBoundRegistryInternsMembers) {
@@ -47,29 +53,22 @@ TEST(GroupRegistry, TableBoundRegistryInternsMembers) {
       registry.add_group("finance", {"/page", "/ticker"}, 30.0);
   // Member ids parallel the member uris, interned into the bound table.
   ASSERT_EQ(news.member_ids.size(), 2u);
-  EXPECT_EQ(news.member_ids[0], table.find("/page"));
-  EXPECT_EQ(news.member_ids[1], table.find("/img"));
+  EXPECT_EQ(news.member_ids[0], id_of(table, "/page"));
+  EXPECT_EQ(news.member_ids[1], id_of(table, "/img"));
   ASSERT_EQ(finance.member_ids.size(), 2u);
   EXPECT_EQ(finance.member_ids[0], news.member_ids[0]);  // shared member
 
   // The dependency-graph fan-out answers by id without re-hashing uris.
-  const auto by_id = registry.groups_containing(table.find("/page"));
+  const auto by_id = registry.groups_containing(id_of(table, "/page"));
   EXPECT_EQ(by_id.size(), 2u);
-  EXPECT_EQ(registry.groups_containing(table.find("/ticker")).size(), 1u);
+  EXPECT_EQ(registry.groups_containing(id_of(table, "/ticker")).size(), 1u);
   EXPECT_TRUE(registry.groups_containing(kInvalidObjectId).empty());
-  EXPECT_EQ(registry.uri_table(), &table);
-}
-
-TEST(GroupRegistry, UnboundRegistryHasNoIds) {
-  GroupRegistry registry;
-  const ObjectGroup& group = registry.add_group("g", {"/a", "/b"}, 1.0);
-  EXPECT_TRUE(group.member_ids.empty());
-  EXPECT_EQ(registry.uri_table(), nullptr);
-  EXPECT_THROW(registry.groups_containing(ObjectId{0}), CheckFailure);
+  EXPECT_EQ(&registry.uri_table(), &table);
 }
 
 TEST(GroupRegistry, AllMembersDeduplicated) {
-  GroupRegistry registry;
+  UriTable table;
+  GroupRegistry registry(table);
   registry.add_group("g1", {"/a", "/b"}, 1.0);
   registry.add_group("g2", {"/b", "/c"}, 1.0);
   EXPECT_EQ(registry.all_members(),
@@ -77,7 +76,8 @@ TEST(GroupRegistry, AllMembersDeduplicated) {
 }
 
 TEST(GroupRegistry, SyntacticGroupFromHtml) {
-  GroupRegistry registry;
+  UriTable table;
+  GroupRegistry registry(table);
   const std::string html =
       "<html><img src=\"/images/a.jpg\"><img src=\"/images/b.jpg\"></html>";
   const ObjectGroup* group =
@@ -89,11 +89,13 @@ TEST(GroupRegistry, SyntacticGroupFromHtml) {
                                       "/images/b.jpg"}));
   EXPECT_DOUBLE_EQ(group->delta_mutual, 120.0);
   // The page itself is indexed too.
-  EXPECT_EQ(registry.groups_containing("/story.html").size(), 1u);
+  EXPECT_EQ(
+      registry.groups_containing(id_of(table, "/story.html")).size(), 1u);
 }
 
 TEST(GroupRegistry, SyntacticGroupEmptyPageRegistersNothing) {
-  GroupRegistry registry;
+  UriTable table;
+  GroupRegistry registry(table);
   EXPECT_EQ(registry.add_syntactic_group("/bare.html",
                                          "<html>no images</html>", 60.0),
             nullptr);

@@ -1,4 +1,4 @@
-// PollLog: the per-uri indices and running counters must agree exactly
+// PollLog: the per-object indices and running counters must agree exactly
 // with a brute-force scan of the full record vector — on a randomized
 // record stream and on a live engine driving all four object kinds.
 #include "proxy/poll_log.h"
@@ -15,13 +15,13 @@
 #include "consistency/partitioned.h"
 #include "consistency/triggered.h"
 #include "consistency/virtual_object.h"
+#include "id_of.h"
 #include "origin/origin_server.h"
 #include "proxy/polling_engine.h"
 #include "sim/simulator.h"
 #include "trace/generators.h"
 #include "trace/update_trace.h"
 #include "trace/value_trace.h"
-#include "util/check.h"
 #include "util/rng.h"
 
 namespace broadway {
@@ -80,6 +80,8 @@ std::size_t scan_failed_polls(const std::vector<PollRecord>& records) {
   return count;
 }
 
+// `uris` must all be interned in the log's table; the scans filter on
+// the record's uri, so they also check that append filled it from the id.
 void expect_log_matches_scan(const PollLog& log,
                              const std::vector<std::string>& uris) {
   const std::vector<PollRecord>& records = log.records();
@@ -88,11 +90,12 @@ void expect_log_matches_scan(const PollLog& log,
   EXPECT_EQ(log.failed_polls(), scan_failed_polls(records));
   for (const std::string& uri : uris) {
     SCOPED_TRACE(uri);
-    EXPECT_EQ(log.completion_times(uri), scan_completion_times(records, uri));
-    EXPECT_EQ(log.snapshot_times(uri), scan_snapshot_times(records, uri));
-    EXPECT_EQ(log.polls_performed(uri), scan_polls_performed(records, uri));
-    EXPECT_EQ(log.triggered_polls(uri), scan_triggered_polls(records, uri));
-    const std::vector<std::size_t>& successful = log.successful_records(uri);
+    const ObjectId id = id_of(log.uri_table(), uri);
+    EXPECT_EQ(log.completion_times(id), scan_completion_times(records, uri));
+    EXPECT_EQ(log.snapshot_times(id), scan_snapshot_times(records, uri));
+    EXPECT_EQ(log.polls_performed(id), scan_polls_performed(records, uri));
+    EXPECT_EQ(log.triggered_polls(id), scan_triggered_polls(records, uri));
+    const std::vector<std::size_t>& successful = log.successful_records(id);
     for (std::size_t i = 0; i < successful.size(); ++i) {
       ASSERT_LT(successful[i], records.size());
       EXPECT_FALSE(records[successful[i]].failed);
@@ -108,19 +111,21 @@ TEST(PollLog, IndexMatchesBruteForceOnRandomizedWorkload) {
                                          "/f", "/g", "/h"};
   const PollCause causes[] = {PollCause::kInitial, PollCause::kScheduled,
                               PollCause::kTriggered, PollCause::kRetry};
-  PollLog log;
+  UriTable table;
+  std::vector<ObjectId> ids;
+  for (const std::string& uri : uris) ids.push_back(table.intern(uri));
+  table.intern("/never-polled");
+  PollLog log(table);
   TimePoint t = 0.0;
   for (int i = 0; i < 5000; ++i) {
-    PollRecord record;
     t += rng.uniform(0.0, 5.0);
-    record.snapshot_time = t;
-    record.complete_time = t + rng.uniform(0.0, 2.0);
-    record.uri = uris[static_cast<std::size_t>(
-        rng.uniform_int(0, static_cast<std::int64_t>(uris.size()) - 1))];
-    record.cause = causes[rng.uniform_int(0, 3)];
-    record.failed = rng.bernoulli(0.2);
-    record.modified = !record.failed && rng.bernoulli(0.5);
-    log.append(std::move(record));
+    const TimePoint complete = t + rng.uniform(0.0, 2.0);
+    const ObjectId id = ids[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(ids.size()) - 1))];
+    const PollCause cause = causes[rng.uniform_int(0, 3)];
+    const bool failed = rng.bernoulli(0.2);
+    const bool modified = !failed && rng.bernoulli(0.5);
+    log.append(id, cause, modified, failed, t, complete);
   }
   ASSERT_EQ(log.size(), 5000u);
 
@@ -129,47 +134,22 @@ TEST(PollLog, IndexMatchesBruteForceOnRandomizedWorkload) {
   expect_log_matches_scan(log, queried);
 }
 
-TEST(PollLog, AppendRejectsUriIdMismatch) {
-  // A record naming one object by uri and another by id would be indexed
-  // under the id while the uri-filtered scans (fidelity, accounting)
-  // attribute it to the uri.  The log refuses it instead.
+// An id the log has never seen — interned but unpolled, or no id at all —
+// answers empty series and zero counters.
+TEST(PollLog, UnknownIdAnswersEmpty) {
   UriTable table;
-  const ObjectId a = table.intern("/a");
-  const ObjectId b = table.intern("/b");
+  const ObjectId unpolled = table.intern("/nope");
   PollLog log(table);
-  PollRecord mismatched;
-  mismatched.uri = "/a";
-  mismatched.object = b;
-  EXPECT_THROW(log.append(mismatched), CheckFailure);
-  PollRecord unknown_uri;
-  unknown_uri.uri = "/never-interned";
-  unknown_uri.object = a;
-  EXPECT_THROW(log.append(unknown_uri), CheckFailure);
-  EXPECT_TRUE(log.empty());
-  EXPECT_EQ(log.polls_performed(), 0u);
-
-  PollRecord consistent;
-  consistent.uri = "/b";
-  consistent.object = b;
-  consistent.cause = PollCause::kScheduled;
-  log.append(consistent);
-  PollRecord id_only;
-  id_only.object = a;
-  id_only.cause = PollCause::kScheduled;
-  log.append(id_only);
-  ASSERT_EQ(log.size(), 2u);
-  EXPECT_EQ(log[1].uri, "/a");
-  EXPECT_EQ(log.polls_performed("/a"), 1u);
-  EXPECT_EQ(log.polls_performed("/b"), 1u);
-}
-
-TEST(PollLog, UnknownUriAnswersEmpty) {
-  PollLog log;
-  EXPECT_TRUE(log.completion_times("/nope").empty());
-  EXPECT_TRUE(log.snapshot_times("/nope").empty());
-  EXPECT_TRUE(log.successful_records("/nope").empty());
-  EXPECT_EQ(log.polls_performed("/nope"), 0u);
-  EXPECT_EQ(log.triggered_polls("/nope"), 0u);
+  for (const ObjectId id : {unpolled, kInvalidObjectId}) {
+    SCOPED_TRACE(id);
+    EXPECT_TRUE(log.completion_times(id).empty());
+    EXPECT_TRUE(log.snapshot_times(id).empty());
+    EXPECT_TRUE(log.successful_records(id).empty());
+    EXPECT_EQ(log.polls_performed(id), 0u);
+    EXPECT_EQ(log.triggered_polls(id), 0u);
+    EXPECT_EQ(log.relay_refreshes(id), 0u);
+    EXPECT_EQ(log.demand_fills(id), 0u);
+  }
   EXPECT_EQ(log.polls_performed(), 0u);
   EXPECT_EQ(log.failed_polls(), 0u);
 }
@@ -240,16 +220,13 @@ TEST(PollLog, EngineAccessorsMatchBruteForceScan) {
   EXPECT_GT(engine.failed_polls(), 0u);
   EXPECT_GT(engine.triggered_polls(), 0u);
 
-  const std::vector<std::string> uris = {"/t1", "/t2", "/v1", "/g1",
-                                         "/g2", "/p1", "/p2", "/absent"};
-  expect_log_matches_scan(log, uris);
-  for (const std::string& uri : uris) {
-    SCOPED_TRACE(uri);
-    EXPECT_EQ(engine.poll_completion_times(uri), log.completion_times(uri));
-    EXPECT_EQ(engine.poll_snapshot_times(uri), log.snapshot_times(uri));
-    EXPECT_EQ(engine.polls_performed(uri), log.polls_performed(uri));
-    EXPECT_EQ(engine.triggered_polls(uri), log.triggered_polls(uri));
-  }
+  origin.uri_table().intern("/absent");
+  expect_log_matches_scan(log, {"/t1", "/t2", "/v1", "/g1", "/g2", "/p1",
+                                "/p2", "/absent"});
+  EXPECT_EQ(engine.polls_performed(), log.polls_performed());
+  EXPECT_EQ(engine.triggered_polls(), log.triggered_polls());
+  EXPECT_EQ(engine.relay_refreshes(), log.relay_refreshes());
+  EXPECT_EQ(engine.demand_fills(), log.demand_fills());
 
   // ttr_series over a mixed registry: self-scheduled objects have series,
   // group-polled members and unknown uris answer empty instead of
@@ -272,23 +249,22 @@ TEST(PollLogRetention, CountersMatchUnwindowedExactly) {
   const PollCause causes[] = {PollCause::kInitial, PollCause::kScheduled,
                               PollCause::kTriggered, PollCause::kRetry,
                               PollCause::kRelay};
-  PollLog unwindowed;
-  PollLog windowed;
+  UriTable table;
+  std::vector<ObjectId> ids;
+  for (const std::string& uri : uris) ids.push_back(table.intern(uri));
+  PollLog unwindowed(table);
+  PollLog windowed(table);
   windowed.set_retention_window(16);
   TimePoint t = 0.0;
   for (int i = 0; i < 4000; ++i) {
-    PollRecord record;
     t += rng.uniform(0.0, 5.0);
-    record.snapshot_time = t;
-    record.complete_time = t + 1.0;
-    record.uri = uris[static_cast<std::size_t>(
-        rng.uniform_int(0, static_cast<std::int64_t>(uris.size()) - 1))];
-    record.cause = causes[rng.uniform_int(0, 4)];
-    record.failed = rng.bernoulli(0.15);
-    record.modified = !record.failed && rng.bernoulli(0.5);
-    PollRecord copy = record;
-    unwindowed.append(std::move(record));
-    windowed.append(std::move(copy));
+    const ObjectId id = ids[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(ids.size()) - 1))];
+    const PollCause cause = causes[rng.uniform_int(0, 4)];
+    const bool failed = rng.bernoulli(0.15);
+    const bool modified = !failed && rng.bernoulli(0.5);
+    unwindowed.append(id, cause, modified, failed, t, t + 1.0);
+    windowed.append(id, cause, modified, failed, t, t + 1.0);
   }
 
   EXPECT_EQ(windowed.polls_performed(), unwindowed.polls_performed());
@@ -296,39 +272,39 @@ TEST(PollLogRetention, CountersMatchUnwindowedExactly) {
   EXPECT_EQ(windowed.relay_refreshes(), unwindowed.relay_refreshes());
   EXPECT_EQ(windowed.initial_polls(), unwindowed.initial_polls());
   EXPECT_EQ(windowed.failed_polls(), unwindowed.failed_polls());
-  for (const std::string& uri : uris) {
-    SCOPED_TRACE(uri);
-    EXPECT_EQ(windowed.polls_performed(uri), unwindowed.polls_performed(uri));
-    EXPECT_EQ(windowed.triggered_polls(uri), unwindowed.triggered_polls(uri));
-    EXPECT_EQ(windowed.relay_refreshes(uri), unwindowed.relay_refreshes(uri));
+  for (const ObjectId id : ids) {
+    SCOPED_TRACE(id);
+    EXPECT_EQ(windowed.polls_performed(id), unwindowed.polls_performed(id));
+    EXPECT_EQ(windowed.triggered_polls(id), unwindowed.triggered_polls(id));
+    EXPECT_EQ(windowed.relay_refreshes(id), unwindowed.relay_refreshes(id));
   }
 
   // The windowed log actually evicted (that is its point) ...
   EXPECT_LT(windowed.size(), unwindowed.size());
   windowed.compact();
-  for (const std::string& uri : uris) {
-    SCOPED_TRACE(uri);
+  for (const ObjectId id : ids) {
+    SCOPED_TRACE(id);
     std::size_t live = 0;
     for (const PollRecord& record : windowed) {
-      if (record.uri == uri) ++live;
+      if (record.object == id) ++live;
     }
     EXPECT_LE(live, 16u);
     // ... and what it retains is exactly the newest suffix of the full
-    // stream's per-uri series.
-    const std::vector<TimePoint> full = unwindowed.completion_times(uri);
-    const std::vector<TimePoint> kept = windowed.completion_times(uri);
+    // stream's per-object series.
+    const std::vector<TimePoint> full = unwindowed.completion_times(id);
+    const std::vector<TimePoint> kept = windowed.completion_times(id);
     ASSERT_LE(kept.size(), full.size());
     EXPECT_TRUE(std::equal(kept.rbegin(), kept.rend(), full.rbegin()));
   }
 
   // Index invariants still hold on the compacted storage.
-  for (const std::string& uri : uris) {
+  for (const ObjectId id : ids) {
     const std::vector<std::size_t>& successful =
-        windowed.successful_records(uri);
+        windowed.successful_records(id);
     for (std::size_t i = 0; i < successful.size(); ++i) {
       ASSERT_LT(successful[i], windowed.size());
       EXPECT_FALSE(windowed[successful[i]].failed);
-      EXPECT_EQ(windowed[successful[i]].uri, uri);
+      EXPECT_EQ(windowed[successful[i]].object, id);
       if (i > 0) EXPECT_GT(successful[i], successful[i - 1]);
     }
   }
@@ -382,22 +358,8 @@ TEST(PollLogRetention, SparseHighIdsMatchScanOracle) {
     const bool failed = rng.bernoulli(0.15);
     const bool modified = !failed && rng.bernoulli(0.5);
     t += rng.uniform(0.0, 5.0);
-    // Alternate the two append paths: by id, and a record naming the
-    // object by id only.
-    if (i % 2 == 0) {
-      full.append(ids[u], cause, modified, failed, t, t + 1.0);
-      windowed.append(ids[u], cause, modified, failed, t, t + 1.0);
-    } else {
-      PollRecord record;
-      record.snapshot_time = t;
-      record.complete_time = t + 1.0;
-      record.object = ids[u];
-      record.cause = cause;
-      record.modified = modified;
-      record.failed = failed;
-      full.append(record);
-      windowed.append(std::move(record));
-    }
+    full.append(ids[u], cause, modified, failed, t, t + 1.0);
+    windowed.append(ids[u], cause, modified, failed, t, t + 1.0);
   }
   std::vector<std::string> queried = uris;
   queried.push_back("/untracked/17");
@@ -424,36 +386,35 @@ TEST(PollLogRetention, SparseHighIdsMatchScanOracle) {
     SCOPED_TRACE(uris[u]);
     EXPECT_EQ(windowed.polls_performed(ids[u]), full.polls_performed(ids[u]));
     EXPECT_EQ(windowed.demand_fills(ids[u]), full.demand_fills(ids[u]));
-    EXPECT_EQ(windowed.completion_times(uris[u]),
+    EXPECT_EQ(windowed.completion_times(ids[u]),
               scan_completion_times(expected, uris[u]));
     const std::vector<std::size_t>& successful =
         windowed.successful_records(ids[u]);
-    EXPECT_EQ(successful, windowed.successful_records(uris[u]));
     for (const std::size_t index : successful) {
       ASSERT_LT(index, windowed.size());
       EXPECT_EQ(windowed[index].object, ids[u]);
       EXPECT_FALSE(windowed[index].failed);
     }
   }
-  EXPECT_TRUE(windowed.successful_records(table.find("/untracked/17")).empty());
+  EXPECT_TRUE(windowed.successful_records(id_of(table,
+                                                "/untracked/17")).empty());
 }
 
 TEST(PollLogRetention, WindowCanBeEnabledAfterTheFact) {
-  PollLog log;
+  UriTable table;
+  const ObjectId only = table.intern("/only");
+  PollLog log(table);
   for (int i = 0; i < 100; ++i) {
-    PollRecord record;
-    record.snapshot_time = record.complete_time = static_cast<double>(i);
-    record.uri = "/only";
-    record.cause = i == 0 ? PollCause::kInitial : PollCause::kScheduled;
-    record.modified = true;
-    log.append(std::move(record));
+    const TimePoint t = static_cast<double>(i);
+    log.append(only, i == 0 ? PollCause::kInitial : PollCause::kScheduled,
+               /*modified=*/true, /*failed=*/false, t, t);
   }
   EXPECT_EQ(log.size(), 100u);
   log.set_retention_window(10);
   log.compact();
   EXPECT_EQ(log.size(), 10u);
-  EXPECT_EQ(log.polls_performed("/only"), 99u);  // counters never rewind
-  const std::vector<TimePoint> kept = log.completion_times("/only");
+  EXPECT_EQ(log.polls_performed(only), 99u);  // counters never rewind
+  const std::vector<TimePoint> kept = log.completion_times(only);
   ASSERT_EQ(kept.size(), 10u);
   EXPECT_EQ(kept.front(), 90.0);
   EXPECT_EQ(kept.back(), 99.0);
@@ -477,7 +438,8 @@ TEST(PollLogRetention, EngineCountersSurviveEviction) {
     }
     engine.start();
     sim.run_until(horizon);
-    return engine.polls_performed("/t");
+    return engine.poll_log().polls_performed(
+        id_of(engine.uri_table(), "/t"));
   };
   EXPECT_EQ(run(0), run(32));
 }

@@ -7,6 +7,7 @@
 #include "consistency/fixed_poll.h"
 #include "consistency/partitioned.h"
 #include "consistency/virtual_object.h"
+#include "id_of.h"
 #include "origin/origin_server.h"
 #include "proxy/polling_engine.h"
 #include "sim/simulator.h"
@@ -47,9 +48,13 @@ TEST(ValueEngine, PartitionedGroupPollsBothIndependently) {
 
   // The moving object must be polled more often than the flat one, and
   // their schedules are independent (different counts).
-  EXPECT_GT(engine.polls_performed(fast.name()),
-            engine.polls_performed(slow.name()));
-  EXPECT_GT(engine.polls_performed(slow.name()), 0u);
+  const PollLog& log = engine.poll_log();
+  const std::size_t fast_polls =
+      log.polls_performed(id_of(origin.uri_table(), fast.name()));
+  const std::size_t slow_polls =
+      log.polls_performed(id_of(origin.uri_table(), slow.name()));
+  EXPECT_GT(fast_polls, slow_polls);
+  EXPECT_GT(slow_polls, 0u);
 }
 
 TEST(ValueEngine, PartitionedGroupArityMismatchRejected) {
@@ -87,8 +92,9 @@ TEST(ValueEngine, VirtualGroupWithRtt) {
   engine.start();
   sim.run_until(600.0);
 
-  const auto snapshots = engine.poll_snapshot_times(a.name());
-  const auto completions = engine.poll_completion_times(a.name());
+  const ObjectId id = id_of(origin.uri_table(), a.name());
+  const auto snapshots = engine.poll_log().snapshot_times(id);
+  const auto completions = engine.poll_log().completion_times(id);
   ASSERT_GT(snapshots.size(), 2u);
   for (std::size_t i = 0; i < snapshots.size(); ++i) {
     EXPECT_DOUBLE_EQ(completions[i], snapshots[i] + 1.5);
@@ -123,8 +129,10 @@ TEST(ValueEngine, VirtualGroupSurvivesLoss) {
   // A joint poll can fail on its second member after the first succeeded
   // (the whole group then retries), so the member counts may differ — but
   // never by more than the number of failures.
-  const std::size_t polls_a = engine.polls_performed(a.name());
-  const std::size_t polls_b = engine.polls_performed(b.name());
+  const std::size_t polls_a = engine.poll_log().polls_performed(
+      id_of(origin.uri_table(), a.name()));
+  const std::size_t polls_b = engine.poll_log().polls_performed(
+      id_of(origin.uri_table(), b.name()));
   const std::size_t diff =
       polls_a > polls_b ? polls_a - polls_b : polls_b - polls_a;
   EXPECT_LE(diff, engine.failed_polls());
@@ -149,10 +157,14 @@ TEST(ValueEngine, MixedTemporalAndValueObjects) {
   engine.start();
   sim.run_until(600.0);
 
-  EXPECT_GT(engine.polls_performed(stock.name()), 0u);
-  EXPECT_EQ(engine.polls_performed(page.name()), 10u);  // 60..600
-  EXPECT_TRUE(engine.cache().at(stock.name()).value.has_value());
-  EXPECT_FALSE(engine.cache().at(page.name()).value.has_value());
+  const ObjectId stock_id = id_of(origin.uri_table(), stock.name());
+  const ObjectId page_id = id_of(origin.uri_table(), page.name());
+  EXPECT_GT(engine.poll_log().polls_performed(stock_id), 0u);
+  EXPECT_EQ(engine.poll_log().polls_performed(page_id), 10u);  // 60..600
+  ASSERT_NE(engine.cache().find(stock_id), nullptr);
+  ASSERT_NE(engine.cache().find(page_id), nullptr);
+  EXPECT_TRUE(engine.cache().find(stock_id)->value.has_value());
+  EXPECT_FALSE(engine.cache().find(page_id)->value.has_value());
 }
 
 TEST(ValueEngine, CrashRecoveryResetsValuePolicies) {
@@ -175,7 +187,8 @@ TEST(ValueEngine, CrashRecoveryResetsValuePolicies) {
   engine.crash_and_recover();
   sim.run_until(605.0);
   // First post-recovery poll within TTR_min.
-  const auto times = engine.poll_completion_times(flat.name());
+  const auto times = engine.poll_log().completion_times(
+      id_of(origin.uri_table(), flat.name()));
   EXPECT_LE(times.back() - 600.0, 2.0 + 1e-9);
 }
 

@@ -464,10 +464,13 @@ TEST(ShardedDifferential, PartitionSweepIsByteIdentical) {
 // active at once, every artifact — per-proxy poll logs, TTR series, the
 // merged record stream, origin load, and the full fault ledger — must
 // reproduce byte-identically across thread counts and whole-proxy and
-// partitioned shard layouts.  This doubles as the fault-heavy window
-// differential: the window edge folds export-retry fire times, pending
-// local relay retries and crash/recovery transitions, and a missing fold
-// would surface here as a sub-bound send (fail-fast) or a diverging log.
+// partitioned shard layouts.  Under heavy_faults() topology 23 sends no
+// cross-shard relay in either layout: the crash and failover colocation
+// rules put every relaying pair on one shard, and the partitioned
+// layout's extra shards hold only private pairs that never relay.  So
+// this test covers the window edge's folds of pending same-shard relay
+// retries and crash/recovery transitions, not cross-shard retries;
+// FaultyRunPausesAndResumesExactly (topology 19) covers those.
 TEST(ShardedDifferential, FaultInjectionSweepIsByteIdentical) {
   const FaultSchedule faults = heavy_faults();
   const std::uint64_t seed = 23u;

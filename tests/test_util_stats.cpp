@@ -68,54 +68,6 @@ TEST(OnlineStats, MergeWithEmpty) {
   EXPECT_DOUBLE_EQ(empty.mean(), 1.5);
 }
 
-TEST(Percentiles, InterpolatesBetweenOrderStatistics) {
-  Percentiles p({10.0, 20.0, 30.0, 40.0});
-  EXPECT_DOUBLE_EQ(p.at(0.0), 10.0);
-  EXPECT_DOUBLE_EQ(p.at(1.0), 40.0);
-  EXPECT_DOUBLE_EQ(p.median(), 25.0);
-  EXPECT_DOUBLE_EQ(p.at(1.0 / 3.0), 20.0);
-}
-
-TEST(Percentiles, EmptyAndSingleton) {
-  EXPECT_DOUBLE_EQ(Percentiles({}).at(0.5), 0.0);
-  EXPECT_DOUBLE_EQ(Percentiles({7.0}).at(0.99), 7.0);
-}
-
-TEST(Percentiles, RejectsOutOfRangeQuantile) {
-  Percentiles p({1.0, 2.0});
-  EXPECT_THROW(p.at(-0.1), CheckFailure);
-  EXPECT_THROW(p.at(1.1), CheckFailure);
-}
-
-TEST(PercentileFree, MatchesClass) {
-  std::vector<double> sample = {5.0, 1.0, 3.0};
-  EXPECT_DOUBLE_EQ(percentile(sample, 0.5), 3.0);
-}
-
-TEST(Histogram, BucketsAndEdges) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(-1.0);   // underflow
-  h.add(0.0);    // bin 0
-  h.add(1.99);   // bin 0
-  h.add(2.0);    // bin 1
-  h.add(9.99);   // bin 4
-  h.add(10.0);   // overflow (half-open)
-  h.add(25.0);   // overflow
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 2u);
-  EXPECT_EQ(h.bin_count(0), 2u);
-  EXPECT_EQ(h.bin_count(1), 1u);
-  EXPECT_EQ(h.bin_count(4), 1u);
-  EXPECT_EQ(h.total(), 7u);
-  EXPECT_DOUBLE_EQ(h.bin_lo(1), 2.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(1), 4.0);
-}
-
-TEST(Histogram, RejectsBadConstruction) {
-  EXPECT_THROW(Histogram(1.0, 1.0, 4), CheckFailure);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), CheckFailure);
-}
-
 TEST(Ewma, FirstObservationReplacesInitial) {
   Ewma ewma(0.5, 100.0);
   EXPECT_TRUE(ewma.empty());

@@ -26,6 +26,7 @@
 #include "golden_digest.h"
 #include "http/codec.h"
 #include "http/extensions.h"
+#include "id_of.h"
 #include "metrics/fidelity.h"
 #include "origin/origin_server.h"
 #include "proxy/polling_engine.h"
@@ -207,7 +208,8 @@ struct RunDigest {
       digest.series(engine.ttr_series(uri));
     }
     for (const std::string& uri : engine.cache().uris()) {
-      const CacheEntry& entry = engine.cache().at(uri);
+      const CacheEntry& entry =
+          *engine.cache().find(id_of(engine.uri_table(), uri));
       digest.text(entry.uri);
       digest.text(entry.body);
       digest.f64(entry.snapshot_time);
