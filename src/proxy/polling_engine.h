@@ -334,9 +334,6 @@ class PollingEngine {
   /// Triggered polls only (the mutual-consistency overhead).
   std::size_t triggered_polls() const { return poll_log_.triggered_polls(); }
 
-  /// Refreshes applied from sibling-proxy relays.
-  std::size_t relay_refreshes() const { return poll_log_.relay_refreshes(); }
-
   /// Successful demand fills (client misses fetched through to the
   /// origin).
   std::size_t demand_fills() const { return poll_log_.demand_fills(); }

@@ -121,7 +121,6 @@ class RecordingCoordinator final : public MutualCoordinator {
                        std::vector<Received>& log)
       : inner_(std::move(inner)), log_(log) {}
 
-  using MutualCoordinator::on_poll;
   void on_poll(ObjectId object, const TemporalPollObservation& obs) override {
     log_.push_back({object, obs.poll_time, obs.modified});
     inner_->on_poll(object, obs);

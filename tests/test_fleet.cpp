@@ -107,8 +107,8 @@ TEST(ProxyFleet, RelaySiblingMatchesStandaloneEngine) {
   EXPECT_EQ(load.origin_messages, origin.requests_served());
   EXPECT_EQ(load.origin_polls, control_polls);
   EXPECT_EQ(load.relay_refreshes,
-            fleet.proxy(1).relay_refreshes() +
-                fleet.proxy(2).relay_refreshes());
+            fleet.proxy(1).poll_log().relay_refreshes() +
+                fleet.proxy(2).poll_log().relay_refreshes());
 }
 
 TEST(ProxyFleet, CooperativePushReducesOriginLoadAtEqualFidelity) {
@@ -192,7 +192,7 @@ TEST(ProxyFleet, RelayOnlyReachesProxiesTrackingTheUri) {
   EXPECT_EQ(fleet.proxy(1).poll_log().relay_refreshes(solo_id), 0u);
   EXPECT_FALSE(fleet.proxy(1).tracks_temporal(solo_id));
   // Every relay message concerned /shared.
-  EXPECT_EQ(fleet.proxy(1).relay_refreshes(),
+  EXPECT_EQ(fleet.proxy(1).poll_log().relay_refreshes(),
             fleet.proxy(1).poll_log().relay_refreshes(
                 id_of(origin.uri_table(), "/shared")));
 }
@@ -237,7 +237,7 @@ TEST(ProxyFleet, ApplyRelayRejectsStaleAndUnvalidatedResponses) {
   Response missing;
   missing.status = StatusCode::kNotFound;
   EXPECT_FALSE(engine.apply_relay(a, missing, 5.0));
-  EXPECT_EQ(engine.relay_refreshes(), 0u);
+  EXPECT_EQ(engine.poll_log().relay_refreshes(), 0u);
 
   // A genuine validation (Last-Modified already seen, newer snapshot)
   // does apply.
@@ -272,7 +272,7 @@ TEST(ProxyFleet, RelayRecordsCountedByCauseAndExcludedFromPolls) {
   const PollCauseCounts counts =
       count_by_cause(fleet.proxy(1).poll_log());
   EXPECT_GT(counts.relay, 0u);
-  EXPECT_EQ(counts.relay, fleet.proxy(1).relay_refreshes());
+  EXPECT_EQ(counts.relay, fleet.proxy(1).poll_log().relay_refreshes());
   // Relays are not origin polls: the paper's metric stays origin-only.
   EXPECT_EQ(fleet.proxy(1).polls_performed(), counts.total_refreshes());
   EXPECT_EQ(fleet.proxy(1).polls_performed(), 0u);
@@ -285,8 +285,8 @@ TEST(ProxyFleet, RelayRecordsCountedByCauseAndExcludedFromPolls) {
   // Channel accounting: applied <= delivered, and proxy 1's records match.
   EXPECT_LE(fleet.relays_applied(), fleet.relays_delivered());
   EXPECT_EQ(fleet.relays_applied(),
-            fleet.proxy(0).relay_refreshes() +
-                fleet.proxy(1).relay_refreshes());
+            fleet.proxy(0).poll_log().relay_refreshes() +
+                fleet.proxy(1).poll_log().relay_refreshes());
 }
 
 TEST(ProxyFleet, DeltaGroupTriggersAcrossProxies) {

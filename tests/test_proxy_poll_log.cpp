@@ -225,7 +225,6 @@ TEST(PollLog, EngineAccessorsMatchBruteForceScan) {
                                 "/p2", "/absent"});
   EXPECT_EQ(engine.polls_performed(), log.polls_performed());
   EXPECT_EQ(engine.triggered_polls(), log.triggered_polls());
-  EXPECT_EQ(engine.relay_refreshes(), log.relay_refreshes());
   EXPECT_EQ(engine.demand_fills(), log.demand_fills());
 
   // ttr_series over a mixed registry: self-scheduled objects have series,

@@ -2,16 +2,18 @@
 """List the library functions that no product binary links.
 
 Usage:
-    tools/symbol_census.py --build DIR [--e2e-build DIR] [--all] [--list]
+    tools/symbol_census.py --build DIR
 
 A "product binary" is every ``bench_*`` and ``example_*`` program of the
-repository's own build plus ``bench/e2e``'s ``bench_e2e``.  The census
-reads the text symbols (``nm`` types T, t and W) that
-``libbroadway_core.a`` defines inside namespace ``broadway`` (functions,
+repository's build DIR plus ``bench/e2e``'s ``bench_e2e``, built in
+DIR/e2e.  The census reads the text symbols (``nm`` types T, t and W)
+that ``libbroadway_core.a`` defines inside namespace ``broadway`` (functions,
 members and the lambdas and local classes within them; not standard
 library templates instantiated on broadway types) and removes every one
 that some product binary defines.  Compiler clones (``.cold``,
-``.isra.0``, ...) count as the function they were cloned from.  What is
+``.isra.0``, ...) count as the function they were cloned from, and every
+symbol is counted by its demangled name, so the constructor and
+destructor variants (C1/C2, D0/D1/D2) of one member count once.  What is
 left is code only the tests call, or nothing calls.  A keep list (KEEP
 below) then removes the functions kept on purpose although no product
 calls them: the HTTP codec and the extension header getters, trace I/O,
@@ -33,8 +35,7 @@ sections.  Configure both projects that way first, for example:
 
 The script checks both CMake caches for these flags and stops if one is
 missing.  It prints the counts (library symbols, unlinked, kept, reported)
-and, with --list, each reported symbol under its source file.  --all
-reports the kept symbols too.
+and then each reported symbol under its source file.
 
 Exit status: 0 on success, 1 on a missing or misconfigured build.
 """
@@ -132,16 +133,9 @@ def kept(member, name):
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--build", required=True, type=pathlib.Path,
-                        help="the repository build (bench_*, example_*)")
-    parser.add_argument("--e2e-build", type=pathlib.Path,
-                        help="the bench/e2e build (default: BUILD/e2e)")
-    parser.add_argument("--list", action="store_true",
-                        help="print every reported symbol")
-    parser.add_argument("--all", action="store_true",
-                        help="report kept symbols too")
-    args = parser.parse_args()
-    build = args.build.resolve()
-    e2e_build = (args.e2e_build or build / "e2e").resolve()
+                        help="the repository build (bench/e2e in BUILD/e2e)")
+    build = parser.parse_args().build.resolve()
+    e2e_build = build / "e2e"
     check_cache(build)
     check_cache(e2e_build)
 
@@ -154,31 +148,30 @@ def main():
         if not path.is_file():
             fail(f"missing {path}")
 
+    members, mangled = zip(*nm_text_symbols(library))
     defined = {}
-    for member, name in nm_text_symbols(library):
+    for member, name in zip(members, demangle(mangled)):
         defined.setdefault(name, member)
     linked = set()
     for binary in binaries:
-        linked.update(name for _, name in nm_text_symbols(binary))
+        linked.update(demangle([name for _, name in nm_text_symbols(binary)]))
 
-    mangled = sorted(name for name in defined if name not in linked)
-    unlinked = {name: defined[mangled_name]
-                for mangled_name, name in zip(mangled, demangle(mangled))}
+    unlinked = {name: member for name, member in defined.items()
+                if name not in linked}
     reported = {name: member for name, member in unlinked.items()
-                if args.all or not kept(member, name)}
+                if not kept(member, name)}
     print(f"binaries:         {len(binaries)}")
     print(f"library symbols:  {len(defined)}")
     print(f"unlinked:         {len(unlinked)}")
     print(f"kept:             {len(unlinked) - len(reported)}")
     print(f"reported:         {len(reported)}")
-    if args.list:
-        by_file = collections.defaultdict(list)
-        for name, member in reported.items():
-            by_file[member].append(name)
-        for member in sorted(by_file):
-            print(f"\n{member}")
-            for name in sorted(by_file[member]):
-                print(f"  {name}")
+    by_file = collections.defaultdict(list)
+    for name, member in reported.items():
+        by_file[member].append(name)
+    for member in sorted(by_file):
+        print(f"\n{member}")
+        for name in sorted(by_file[member]):
+            print(f"  {name}")
     return 0
 
 
