@@ -65,10 +65,11 @@ int main() {
   const auto result = run_mutual_temporal(ap, reuters, config);
 
   const auto extra_ap = polls_per_bucket(result.poll_log, bucket, horizon,
-                                         PollCause::kTriggered, ap.name());
+                                         PollCause::kTriggered,
+                                         result.object_a);
   const auto extra_reuters =
       polls_per_bucket(result.poll_log, bucket, horizon,
-                       PollCause::kTriggered, reuters.name());
+                       PollCause::kTriggered, result.object_b);
   TextTable extra_table;
   extra_table.set_header(
       {"window", "extra polls of AP (faster)", "extra polls of Reuters"});

@@ -350,8 +350,8 @@ void BM_PollLogScanQueries(benchmark::State& state) {
       table, static_cast<std::size_t>(state.range(0)), uris, ids);
   for (auto _ : state) {
     std::size_t total = 0;
-    for (const std::string& uri : uris) {
-      total += successful_polls(log.records(), uri).size();
+    for (const ObjectId id : ids) {
+      total += successful_polls(log.records(), id).size();
     }
     benchmark::DoNotOptimize(total);
   }

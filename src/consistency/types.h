@@ -1,6 +1,7 @@
 // Shared vocabulary of the consistency policies (paper §2–§4).
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -90,7 +91,8 @@ std::string to_string(ViolationDetection mode);
 
 /// Why a poll happened — poll accounting for the mutual-consistency
 /// experiments (Figs. 5–6 separate base polls from triggered extras).
-enum class PollCause {
+/// One byte, so it packs into the 32-byte PollRecord.
+enum class PollCause : std::uint8_t {
   kInitial,    ///< the initial object fetch at registration
   kScheduled,  ///< TTR expiry
   kTriggered,  ///< forced by a mutual-consistency coordinator

@@ -153,6 +153,8 @@ MutualTemporalRunResult run_mutual_temporal(
   result.individual_b = evaluate_temporal_fidelity(trace_b, polls_b,
                                                    config.base.delta, horizon);
   result.poll_log = engine.poll_log().records();
+  result.object_a = engine.uri_table().find(trace_a.name());
+  result.object_b = engine.uri_table().find(trace_b.name());
   return result;
 }
 

@@ -117,8 +117,13 @@ struct MutualTemporalRunResult {
   /// Per-object Δt fidelity (the mechanisms compose, §2).
   TemporalFidelityReport individual_a;
   TemporalFidelityReport individual_b;
-  /// Full poll log (Fig. 6(b) buckets triggered polls over time).
+  /// Full poll log (Fig. 6(b) buckets triggered polls over time).  The
+  /// run's uri table is gone by the time the caller reads it, so select a
+  /// member's records by `object_a` / `object_b`, never by `record.uri`.
   std::vector<PollRecord> poll_log;
+  /// Interned ids of trace_a's and trace_b's objects in `poll_log`.
+  ObjectId object_a = kInvalidObjectId;
+  ObjectId object_b = kInvalidObjectId;
 };
 
 MutualTemporalRunResult run_mutual_temporal(

@@ -95,7 +95,7 @@ void order_merged_poll_records(std::vector<PollRecord>& concatenation) {
 std::vector<std::size_t> polls_per_bucket(const std::vector<PollRecord>& log,
                                           Duration bucket, Duration horizon,
                                           std::optional<PollCause> cause,
-                                          const std::string& uri) {
+                                          std::optional<ObjectId> object) {
   BROADWAY_CHECK_MSG(bucket > 0.0 && horizon > 0.0,
                      "bucket " << bucket << " horizon " << horizon);
   const std::size_t buckets =
@@ -103,7 +103,7 @@ std::vector<std::size_t> polls_per_bucket(const std::vector<PollRecord>& log,
   std::vector<std::size_t> counts(buckets, 0);
   for (const PollRecord& record : log) {
     if (record.failed) continue;
-    if (!uri.empty() && record.uri != uri) continue;
+    if (object && record.object != *object) continue;
     if (cause && record.cause != *cause) continue;
     if (record.complete_time >= horizon) continue;
     ++counts[std::min(buckets - 1, static_cast<std::size_t>(

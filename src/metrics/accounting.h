@@ -167,11 +167,11 @@ std::vector<PollRecord> merge_poll_records(
 void order_merged_poll_records(std::vector<PollRecord>& concatenation);
 
 /// Successful polls per time bucket over [0, horizon), optionally filtered
-/// by cause and/or uri (empty = all).  The Fig. 6(b) series is
+/// by cause and/or object (nullopt = all).  The Fig. 6(b) series is
 /// polls_per_bucket(log, 2h, horizon, PollCause::kTriggered).
 std::vector<std::size_t> polls_per_bucket(
     const std::vector<PollRecord>& log, Duration bucket, Duration horizon,
     std::optional<PollCause> cause = std::nullopt,
-    const std::string& uri = "");
+    std::optional<ObjectId> object = std::nullopt);
 
 }  // namespace broadway

@@ -1,6 +1,7 @@
 #include "metrics/fidelity.h"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "util/check.h"
 #include "util/gallop.h"
@@ -8,10 +9,10 @@
 namespace broadway {
 
 std::vector<PollInstant> successful_polls(const std::vector<PollRecord>& log,
-                                          const std::string& uri) {
+                                          ObjectId object) {
   std::vector<PollInstant> out;
   for (const PollRecord& record : log) {
-    if (record.failed || record.uri != uri) continue;
+    if (record.failed || record.object != object) continue;
     out.push_back(PollInstant{record.snapshot_time, record.complete_time});
   }
   return out;
@@ -19,11 +20,11 @@ std::vector<PollInstant> successful_polls(const std::vector<PollRecord>& log,
 
 std::vector<PollInstant> successful_polls(const PollLog& log,
                                           const std::string& uri) {
-  const std::vector<std::size_t>& indices =
+  const std::vector<std::uint32_t>& indices =
       log.successful_records(log.uri_table().find(uri));
   std::vector<PollInstant> out;
   out.reserve(indices.size());
-  for (const std::size_t i : indices) {
+  for (const std::uint32_t i : indices) {
     const PollRecord& record = log.records()[i];
     out.push_back(PollInstant{record.snapshot_time, record.complete_time});
   }

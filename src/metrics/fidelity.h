@@ -29,10 +29,11 @@ struct PollInstant {
   TimePoint complete = 0.0;
 };
 
-/// Extract the successful polls of `uri` from a record vector, ascending.
-/// O(total records); prefer the PollLog overload for engine logs.
+/// Extract the successful polls of `object` from a record vector,
+/// ascending.  O(total records); prefer the PollLog overload for engine
+/// logs.
 std::vector<PollInstant> successful_polls(const std::vector<PollRecord>& log,
-                                          const std::string& uri);
+                                          ObjectId object);
 
 /// Extract the successful polls of `uri` through the log's per-object
 /// index (the uri is resolved once through the log's table) —

@@ -5,28 +5,33 @@
 // Every poll of every tracked object — temporal, value, virtual-group
 // member or partitioned-group member — is appended here by the engine's
 // single poll pipeline.  The harness sweeps query per-object series
-// (completion/snapshot instants) and per-object counters (polls performed,
-// triggered polls) after every run; indexing at append time turns those
-// from O(total-polls) scans of the global log into O(records-for-object)
-// and O(1) lookups respectively.
+// (the successful records of an object) and per-object counters (polls
+// performed, triggered polls) after every run; indexing at append time
+// turns those from O(total-polls) scans of the global log into
+// O(records-for-object) and O(1) lookups respectively.
 //
 // Records, the index and every per-object query are keyed by interned
 // ObjectId: a record enters only through append(ObjectId, ...), which
-// fills the record's human-readable uri from the shared table, and a
-// caller holding a uri resolves it once through that table.  The
+// points the record's human-readable uri at the shared table's string,
+// and a caller holding a uri resolves it once through that table.  A
+// record is a 32-byte trivially copyable value (two instants, the uri
+// reference, the id, the cause and two flags), so a run pays 32 B per
+// poll plus 4 B per successful poll in the per-object index.  The
 // per-object index lives in sparse slots (util/id_slots.h), so a log
 // costs its records plus one index per object it has actually seen,
 // however many ids the shared table holds.
 //
 // Long-horizon runs can cap memory with a retention window
 // (set_retention_window): each object keeps only its newest W records,
-// while every counter remains exact — eviction compacts storage, it never
-// rewinds accounting.
+// while every counter remains exact — eviction compacts storage in
+// place, it never rewinds accounting.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <functional>
 #include <string>
-#include <unordered_map>
+#include <type_traits>
 #include <vector>
 
 #include "consistency/types.h"
@@ -36,14 +41,20 @@
 
 namespace broadway {
 
-/// One completed (or failed) poll.
+/// One completed (or failed) poll: 32 bytes, trivially copyable.
 struct PollRecord {
   /// Server-state instant the response reflects (fire time).
   TimePoint snapshot_time = 0.0;
   /// Instant the refreshed copy became visible at the proxy.
   TimePoint complete_time = 0.0;
-  /// The polled object's uri, filled from the table by PollLog::append.
-  std::string uri;
+  /// The polled object's uri: a reference to the string of the table the
+  /// log resolves ids through (set by PollLog::append).  Valid only while
+  /// that table lives — a record copied out of a finished run must not
+  /// read it after the run's table is gone; key such copies by `object`.
+  /// Kept for the benchmark's private-object join, which looks records up
+  /// by uri; once that join keys on `object`, this member goes and the
+  /// record shrinks to 24 B.
+  std::reference_wrapper<const std::string> uri;
   /// Interned id of `uri`.
   ObjectId object = kInvalidObjectId;
   PollCause cause = PollCause::kScheduled;
@@ -53,6 +64,10 @@ struct PollRecord {
   /// are meaningful).
   bool failed = false;
 };
+
+static_assert(sizeof(PollRecord) == 32 &&
+                  std::is_trivially_copyable_v<PollRecord>,
+              "PollRecord is 8+8+8+4+1+1+1 bytes, copied as raw memory");
 
 /// Append-only, indexed poll log.  Reads behave like the plain record
 /// vector this class replaces (size/operator[]/iteration), and the indexed
@@ -71,7 +86,8 @@ class PollLog {
 
   /// Append one record, updating the per-object index and the counters:
   /// no string hashing, one slot lookup.  `object` must be an id of the
-  /// table; the record's uri is filled from it.
+  /// table; the record's uri refers to the table's string for it.  A log
+  /// holds fewer than 2^32 records (the index stores 32-bit positions).
   void append(ObjectId object, PollCause cause, bool modified, bool failed,
               TimePoint snapshot, TimePoint complete);
 
@@ -96,18 +112,12 @@ class PollLog {
   // ---- per-object indexed queries ----
 
   /// Indices (into records()) of the successful polls of `object`,
-  /// ascending.  Empty for an object that was never polled.
-  const std::vector<std::size_t>& successful_records(ObjectId object) const {
+  /// including the initial fetch, ascending.  Empty for an object that
+  /// was never polled.
+  const std::vector<std::uint32_t>& successful_records(
+      ObjectId object) const {
     return index_of(object).successful;
   }
-
-  /// Completion instants of successful polls of `object`, ascending,
-  /// including the initial fetch.
-  std::vector<TimePoint> completion_times(ObjectId object) const;
-
-  /// Snapshot instants of successful polls of `object` (same indexing as
-  /// completion_times).
-  std::vector<TimePoint> snapshot_times(ObjectId object) const;
 
   // ---- O(1) counters (exact even under a retention window) ----
   //
@@ -164,25 +174,26 @@ class PollLog {
 
   /// Keep at most `window` records (of any kind) per object, evicting the
   /// oldest; 0 (the default) disables eviction.  Counters stay exact;
-  /// per-object record *series* (successful_records and friends) are
-  /// truncated to the retained window, so long-horizon fleet runs that
-  /// only need counters stop growing without bound.  May be set at any
+  /// per-object record *series* (successful_records) are truncated to the
+  /// retained window, so long-horizon fleet runs that only need counters
+  /// stop growing without bound.  May be set at any
   /// time; an over-budget log compacts on the next append (or compact()).
   void set_retention_window(std::size_t window);
   std::size_t retention_window() const { return window_; }
 
   /// Force eviction of everything beyond the window now (no-op when the
-  /// window is 0 or nothing is evictable).
+  /// window is 0 or nothing is evictable).  Compacts in place: the kept
+  /// records slide down over the evicted ones, no second log is built.
   void compact();
 
  private:
   struct UriIndex {
-    std::vector<std::size_t> successful;  ///< record indices, !failed
-    std::size_t performed = 0;            ///< successful, non-initial origin
-    std::size_t triggered = 0;            ///< successful, kTriggered
-    std::size_t relays = 0;               ///< successful, kRelay
-    std::size_t demand = 0;               ///< successful, kClientMiss
-    std::size_t live = 0;                 ///< records currently retained
+    std::vector<std::uint32_t> successful;  ///< record indices, !failed
+    std::size_t performed = 0;  ///< successful, non-initial origin
+    std::size_t triggered = 0;  ///< successful, kTriggered
+    std::size_t relays = 0;     ///< successful, kRelay
+    std::size_t demand = 0;     ///< successful, kClientMiss
+    std::size_t live = 0;       ///< records currently retained
   };
 
   /// The object's index; an empty one when the object has no records.

@@ -9,9 +9,9 @@
 // δ-group member lists, printed reports and the HTTP and trace surfaces
 // (`find(uri)`); `uri(id)` gives the string back for reports.
 //
-// Storage is a deque so interned strings never move: `uri(id)` references
-// and the string_views handed to PollRecord stay valid for the life of the
-// table.  Tables are append-only (a web origin retires content by updating
+// Storage is a deque so interned strings never move: `uri(id)` references,
+// among them the one every PollRecord holds, stay valid for the life of
+// the table.  Tables are append-only (a web origin retires content by updating
 // it, not deleting it — see ObjectStore), so ids are stable forever.
 #pragma once
 

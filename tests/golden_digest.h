@@ -47,7 +47,7 @@ class Digest {
     for (const PollRecord& record : records) {
       f64(record.snapshot_time);
       f64(record.complete_time);
-      text(record.uri);
+      text(record.uri.get());  // resolved: the run must still be alive
       u64(record.object);
       u64(static_cast<std::uint64_t>(record.cause));
       u64(record.modified);

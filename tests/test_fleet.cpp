@@ -11,6 +11,7 @@
 #include "harness/experiments.h"
 #include "http/extensions.h"
 #include "id_of.h"
+#include "log_series.h"
 #include "metrics/accounting.h"
 #include "metrics/fidelity.h"
 #include "trace/generators.h"
@@ -277,9 +278,8 @@ TEST(ProxyFleet, RelayRecordsCountedByCauseAndExcludedFromPolls) {
   EXPECT_EQ(fleet.proxy(1).polls_performed(), counts.total_refreshes());
   EXPECT_EQ(fleet.proxy(1).polls_performed(), 0u);
   // But the evaluation's successful-record series sees the refreshes.
-  EXPECT_EQ(fleet.proxy(1)
-                .poll_log()
-                .completion_times(id_of(origin.uri_table(), "/a"))
+  EXPECT_EQ(completion_times(fleet.proxy(1).poll_log(),
+                             id_of(origin.uri_table(), "/a"))
                 .size(),
             1u + counts.relay);
   // Channel accounting: applied <= delivered, and proxy 1's records match.
@@ -336,7 +336,7 @@ TEST(ProxyFleet, DeltaGroupTriggersAcrossProxies) {
   // Mutual guarantee: after each observed /fast update, /slow's copy at
   // proxy 1 was re-validated within δ.  Check the last /fast poll that
   // observed a modification has a /slow poll within δ after it.
-  const auto slow_polls = fleet.proxy(1).poll_log().completion_times(slow);
+  const auto slow_polls = completion_times(fleet.proxy(1).poll_log(), slow);
   for (const PollRecord& record : fleet.proxy(0).poll_log()) {
     if (record.failed || !record.modified ||
         record.cause == PollCause::kInitial) {
@@ -564,8 +564,8 @@ TEST(ProxyFleet, PollLogRetentionKeepsFleetCountersExact) {
                 reference_log.relay_refreshes(reference_id));
       // The record series genuinely truncated (eviction is amortized, so
       // the instantaneous length may sit a little above the window)...
-      const auto series = log.snapshot_times(id);
-      const auto full = reference_log.snapshot_times(reference_id);
+      const auto series = snapshot_times(log, id);
+      const auto full = snapshot_times(reference_log, reference_id);
       ASSERT_LT(series.size(), full.size());
       // ...and what remains is the newest suffix of the reference series.
       EXPECT_TRUE(std::equal(series.begin(), series.end(),

@@ -549,7 +549,7 @@ TEST(FleetFaults, SiblingFailoverAbsorbsDarkOwnerAndHandsBack) {
   for (std::size_t i = 0; i < faulty_log.size(); ++i) {
     EXPECT_EQ(faulty_log[i].snapshot_time, control_log[i].snapshot_time);
     EXPECT_EQ(faulty_log[i].cause, control_log[i].cause);
-    EXPECT_EQ(faulty_log[i].uri, control_log[i].uri);
+    EXPECT_EQ(faulty_log[i].uri.get(), control_log[i].uri.get());
   }
 
   // During the outage the sibling absorbs the owner's responsibility.

@@ -10,8 +10,9 @@
 // *below* the tracked ones.  The difference is the cost of the untracked
 // ids, and must stay within kMaxBytesPerUntrackedId per id per engine
 // slice.  A dense by-id vector of cache entries costs 128 B per id, of
-// poll-log indices 64 B, of tracked-object pointers 8 B.  Unlike a
-// wall-clock or RSS gate, the counts are exact and repeat on every run.
+// poll-log indices 64 B, of tracked-object pointers 8 B.  The same
+// counter bounds what the poll log allocates per appended record.  Unlike
+// a wall-clock or RSS gate, the counts are exact and repeat on every run.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -153,6 +154,44 @@ TEST(MemoryBounds, PollLogIsProportionalToTrackedObjects) {
   EXPECT_LE(per_untracked_id(poll_log_bytes(kPadding), poll_log_bytes(0), 1,
                              "PollLog"),
             kMaxBytesPerUntrackedId);
+}
+
+// Bytes the poll log allocates per appended record, without a retention
+// window: the record vector plus the per-object index of successful-record
+// positions.  Both grow geometrically (libstdc++ doubles a full vector),
+// so appending n = 2^k entries allocates 1 + 2 + ... + n = 2n - 1 slots
+// over the run: a record of R bytes with an index entry of I bytes costs
+// just under 2 (R + I) per record.  The 32-byte record with 4-byte
+// positions costs under 2 x 36 = 72 B; a 64-byte record with 8-byte
+// (size_t) positions costs just under 2 x 72 = 144 B.  The per-object
+// index slots of 64 objects add well under a byte per record.  The bound
+// sits between the two, and a 24-byte record (56 B) passes it too.
+constexpr std::size_t kLogObjects = 64;
+constexpr std::size_t kRecordsPerObject = 1024;
+constexpr double kMaxBytesPerRecord = 80.0;
+
+TEST(MemoryBounds, PollLogBytesPerRecord) {
+  UriTable table;
+  std::vector<ObjectId> ids;
+  for (std::size_t k = 0; k < kLogObjects; ++k) {
+    ids.push_back(table.intern(tracked_uri(k)));
+  }
+  const std::size_t bytes = bytes_allocated_by([&] {
+    PollLog log(table);
+    for (std::size_t round = 0; round < kRecordsPerObject; ++round) {
+      const TimePoint t = static_cast<TimePoint>(round);
+      for (const ObjectId id : ids) {
+        log.append(id, PollCause::kScheduled, true, false, t, t);
+      }
+    }
+  });
+  const double per_record = static_cast<double>(bytes) /
+                            static_cast<double>(kLogObjects *
+                                                kRecordsPerObject);
+  std::cout << "PollLog: " << bytes << " B for "
+            << kLogObjects * kRecordsPerObject << " records, " << per_record
+            << " B per record\n";
+  EXPECT_LE(per_record, kMaxBytesPerRecord);
 }
 
 std::unique_ptr<RefreshPolicy> limd() {

@@ -2,20 +2,30 @@
 
 #include <gtest/gtest.h>
 
+#include "id_of.h"
 #include "util/check.h"
+#include "util/uri_table.h"
 
 namespace broadway {
 namespace {
 
+// The table every hand-built record of this file resolves its uri
+// through; it lives for the whole test program, so records never outlive
+// it.
+UriTable& table() {
+  static UriTable uris;
+  return uris;
+}
+
 PollRecord record(TimePoint t, const std::string& uri, PollCause cause,
                   bool failed = false) {
-  PollRecord out;
-  out.snapshot_time = t;
-  out.complete_time = t;
-  out.uri = uri;
-  out.cause = cause;
-  out.failed = failed;
-  return out;
+  const ObjectId object = table().intern(uri);
+  return PollRecord{.snapshot_time = t,
+                    .complete_time = t,
+                    .uri = table().uri(object),
+                    .object = object,
+                    .cause = cause,
+                    .failed = failed};
 }
 
 std::vector<PollRecord> sample_log() {
@@ -56,9 +66,10 @@ TEST(Accounting, PollsPerBucketFilteredByCause) {
   EXPECT_EQ(triggered, (std::vector<std::size_t>{0, 1, 0, 1}));
 }
 
-TEST(Accounting, PollsPerBucketFilteredByUri) {
-  const auto only_a =
-      polls_per_bucket(sample_log(), 10.0, 40.0, std::nullopt, "/a");
+TEST(Accounting, PollsPerBucketFilteredByObject) {
+  const std::vector<PollRecord> log = sample_log();
+  const auto only_a = polls_per_bucket(log, 10.0, 40.0, std::nullopt,
+                                       id_of(table(), "/a"));
   EXPECT_EQ(only_a, (std::vector<std::size_t>{1, 2, 1, 0}));
 }
 
@@ -113,12 +124,12 @@ TEST(Accounting, MergePollRecordsOrdersBySnapshotThenProxy) {
       merge_poll_records({{0, &log0}, {1, &log1}});
   ASSERT_EQ(merged.size(), 5u);
   EXPECT_EQ(merged[0].snapshot_time, 0.0);  // proxy 0 initial
-  EXPECT_EQ(merged[0].uri, "/a");
+  EXPECT_EQ(merged[0].uri.get(), "/a");
   EXPECT_EQ(merged[1].snapshot_time, 0.0);  // proxy 1 initial
   EXPECT_EQ(merged[2].cause, PollCause::kRelay);  // snapshot 5.0
   EXPECT_EQ(merged[3].snapshot_time, 10.0);  // proxy 0 before proxy 1
-  EXPECT_EQ(merged[3].uri, "/a");
-  EXPECT_EQ(merged[4].uri, "/b");
+  EXPECT_EQ(merged[3].uri.get(), "/a");
+  EXPECT_EQ(merged[4].uri.get(), "/b");
 }
 
 TEST(Accounting, MergePollRecordsIsCallerOrderIndependent) {
@@ -133,7 +144,7 @@ TEST(Accounting, MergePollRecordsIsCallerOrderIndependent) {
   const auto backward = merge_poll_records({{1, &log1}, {0, &log0}});
   ASSERT_EQ(forward.size(), backward.size());
   for (std::size_t i = 0; i < forward.size(); ++i) {
-    EXPECT_EQ(forward[i].uri, backward[i].uri) << "record " << i;
+    EXPECT_EQ(forward[i].uri.get(), backward[i].uri.get()) << "record " << i;
     EXPECT_EQ(forward[i].snapshot_time, backward[i].snapshot_time);
   }
 }

@@ -5,6 +5,7 @@
 
 #include "trace/update_trace.h"
 #include "util/check.h"
+#include "util/uri_table.h"
 
 namespace broadway {
 namespace {
@@ -112,21 +113,25 @@ TEST(TemporalFidelity, Validation) {
                CheckFailure);
 }
 
-TEST(SuccessfulPolls, FiltersLogByUriAndFailure) {
+TEST(SuccessfulPolls, FiltersLogByObjectAndFailure) {
+  UriTable table;
+  const ObjectId a_id = table.intern("/a");
+  const ObjectId b_id = table.intern("/b");
   std::vector<PollRecord> log;
-  PollRecord a;
-  a.uri = "/a";
-  a.snapshot_time = 1.0;
-  a.complete_time = 1.5;
+  const PollRecord a{.snapshot_time = 1.0,
+                     .complete_time = 1.5,
+                     .uri = table.uri(a_id),
+                     .object = a_id};
   log.push_back(a);
   PollRecord failed = a;
   failed.failed = true;
   failed.snapshot_time = 2.0;
   log.push_back(failed);
   PollRecord other = a;
-  other.uri = "/b";
+  other.uri = table.uri(b_id);
+  other.object = b_id;
   log.push_back(other);
-  const auto polls = successful_polls(log, "/a");
+  const auto polls = successful_polls(log, a_id);
   ASSERT_EQ(polls.size(), 1u);
   EXPECT_DOUBLE_EQ(polls[0].snapshot, 1.0);
   EXPECT_DOUBLE_EQ(polls[0].complete, 1.5);

@@ -11,6 +11,7 @@
 #include "consistency/triggered.h"
 #include "consistency/virtual_object.h"
 #include "id_of.h"
+#include "log_series.h"
 #include "origin/origin_server.h"
 #include "sim/simulator.h"
 #include "trace/update_trace.h"
@@ -50,7 +51,7 @@ TEST(PollingEngine, FixedPolicyPollsOnSchedule) {
   rig.engine.start();
   rig.sim.run_until(35.0);
   // Initial at 0, then polls at 10, 20, 30.
-  const auto times = rig.engine.poll_log().completion_times(rig.id("/a"));
+  const auto times = completion_times(rig.engine.poll_log(), rig.id("/a"));
   EXPECT_EQ(times, (std::vector<TimePoint>{0.0, 10.0, 20.0, 30.0}));
   EXPECT_EQ(rig.engine.poll_log().polls_performed(rig.id("/a")), 3u);
 }
@@ -117,7 +118,7 @@ TEST(PollingEngine, TriggeredCoordinatorForcesRelatedPoll) {
   // At t=100 the poll of /a sees the update at 95 and triggers /b (whose
   // last poll was 0, next at 400 — both more than δ=50 away).
   EXPECT_EQ(rig.engine.poll_log().triggered_polls(rig.id("/b")), 1u);
-  const auto times = rig.engine.poll_log().completion_times(rig.id("/b"));
+  const auto times = completion_times(rig.engine.poll_log(), rig.id("/b"));
   ASSERT_EQ(times.size(), 2u);
   EXPECT_DOUBLE_EQ(times[1], 100.0);
 }
@@ -137,7 +138,7 @@ TEST(PollingEngine, TriggeredPollReschedulesVictimsTimer) {
   rig.sim.run_until(1000.0);
   // After the triggered poll at 100, /b's schedule continues from there:
   // 500, 900 — not the original 400/800.
-  const auto times = rig.engine.poll_log().completion_times(rig.id("/b"));
+  const auto times = completion_times(rig.engine.poll_log(), rig.id("/b"));
   EXPECT_EQ(times,
             (std::vector<TimePoint>{0.0, 100.0, 500.0, 900.0}));
 }
@@ -176,8 +177,8 @@ TEST(PollingEngine, VirtualGroupPollsAllMembersJointly) {
   rig.engine.start();
   rig.sim.run_until(300.0);
   // Joint polls: equal counts for both members, same instants.
-  const auto t1 = rig.engine.poll_log().completion_times(rig.id("/s1"));
-  const auto t2 = rig.engine.poll_log().completion_times(rig.id("/s2"));
+  const auto t1 = completion_times(rig.engine.poll_log(), rig.id("/s1"));
+  const auto t2 = completion_times(rig.engine.poll_log(), rig.id("/s2"));
   EXPECT_EQ(t1, t2);
   EXPECT_GT(t1.size(), 2u);
 }
@@ -217,8 +218,8 @@ TEST(PollingEngine, RttShiftsCompletionTimes) {
   engine.start();
   sim.run_until(25.0);
   const ObjectId a = id_of(origin.uri_table(), "/a");
-  const auto snapshots = engine.poll_log().snapshot_times(a);
-  const auto completions = engine.poll_log().completion_times(a);
+  const auto snapshots = snapshot_times(engine.poll_log(), a);
+  const auto completions = completion_times(engine.poll_log(), a);
   ASSERT_EQ(snapshots.size(), completions.size());
   for (std::size_t i = 0; i < snapshots.size(); ++i) {
     EXPECT_DOUBLE_EQ(completions[i], snapshots[i] + 2.5);

@@ -8,6 +8,7 @@
 #include "consistency/fixed_poll.h"
 #include "consistency/limd.h"
 #include "id_of.h"
+#include "log_series.h"
 #include "metrics/accounting.h"
 #include "proxy/polling_engine.h"
 #include "sim/simulator.h"
@@ -81,8 +82,8 @@ TEST(CrashRecovery, ResetsTtrToMin) {
   engine.crash_and_recover();
   sim.run_until(3070.0);
   // First post-recovery poll happens within TTR_min of the crash.
-  const auto times = engine.poll_log().completion_times(
-      id_of(origin.uri_table(), "/quiet"));
+  const auto times = completion_times(engine.poll_log(),
+                                      id_of(origin.uri_table(), "/quiet"));
   ASSERT_GE(times.size(), 2u);
   EXPECT_LE(times.back() - 3000.0, 60.0 + 1e-9);
 }

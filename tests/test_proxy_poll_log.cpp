@@ -16,6 +16,7 @@
 #include "consistency/triggered.h"
 #include "consistency/virtual_object.h"
 #include "id_of.h"
+#include "log_series.h"
 #include "origin/origin_server.h"
 #include "proxy/polling_engine.h"
 #include "sim/simulator.h"
@@ -32,7 +33,7 @@ std::vector<TimePoint> scan_completion_times(
     const std::vector<PollRecord>& records, const std::string& uri) {
   std::vector<TimePoint> out;
   for (const PollRecord& record : records) {
-    if (!record.failed && record.uri == uri) {
+    if (!record.failed && record.uri.get() == uri) {
       out.push_back(record.complete_time);
     }
   }
@@ -43,7 +44,7 @@ std::vector<TimePoint> scan_snapshot_times(
     const std::vector<PollRecord>& records, const std::string& uri) {
   std::vector<TimePoint> out;
   for (const PollRecord& record : records) {
-    if (!record.failed && record.uri == uri) {
+    if (!record.failed && record.uri.get() == uri) {
       out.push_back(record.snapshot_time);
     }
   }
@@ -55,7 +56,7 @@ std::size_t scan_polls_performed(const std::vector<PollRecord>& records,
   std::size_t count = 0;
   for (const PollRecord& record : records) {
     if (record.failed || record.cause == PollCause::kInitial) continue;
-    if (!uri.empty() && record.uri != uri) continue;
+    if (!uri.empty() && record.uri.get() != uri) continue;
     ++count;
   }
   return count;
@@ -66,7 +67,7 @@ std::size_t scan_triggered_polls(const std::vector<PollRecord>& records,
   std::size_t count = 0;
   for (const PollRecord& record : records) {
     if (record.failed || record.cause != PollCause::kTriggered) continue;
-    if (!uri.empty() && record.uri != uri) continue;
+    if (!uri.empty() && record.uri.get() != uri) continue;
     ++count;
   }
   return count;
@@ -91,15 +92,15 @@ void expect_log_matches_scan(const PollLog& log,
   for (const std::string& uri : uris) {
     SCOPED_TRACE(uri);
     const ObjectId id = id_of(log.uri_table(), uri);
-    EXPECT_EQ(log.completion_times(id), scan_completion_times(records, uri));
-    EXPECT_EQ(log.snapshot_times(id), scan_snapshot_times(records, uri));
+    EXPECT_EQ(completion_times(log, id), scan_completion_times(records, uri));
+    EXPECT_EQ(snapshot_times(log, id), scan_snapshot_times(records, uri));
     EXPECT_EQ(log.polls_performed(id), scan_polls_performed(records, uri));
     EXPECT_EQ(log.triggered_polls(id), scan_triggered_polls(records, uri));
-    const std::vector<std::size_t>& successful = log.successful_records(id);
+    const std::vector<std::uint32_t>& successful = log.successful_records(id);
     for (std::size_t i = 0; i < successful.size(); ++i) {
       ASSERT_LT(successful[i], records.size());
       EXPECT_FALSE(records[successful[i]].failed);
-      EXPECT_EQ(records[successful[i]].uri, uri);
+      EXPECT_EQ(records[successful[i]].uri.get(), uri);
       if (i > 0) EXPECT_GT(successful[i], successful[i - 1]);
     }
   }
@@ -142,8 +143,8 @@ TEST(PollLog, UnknownIdAnswersEmpty) {
   PollLog log(table);
   for (const ObjectId id : {unpolled, kInvalidObjectId}) {
     SCOPED_TRACE(id);
-    EXPECT_TRUE(log.completion_times(id).empty());
-    EXPECT_TRUE(log.snapshot_times(id).empty());
+    EXPECT_TRUE(completion_times(log, id).empty());
+    EXPECT_TRUE(snapshot_times(log, id).empty());
     EXPECT_TRUE(log.successful_records(id).empty());
     EXPECT_EQ(log.polls_performed(id), 0u);
     EXPECT_EQ(log.triggered_polls(id), 0u);
@@ -290,15 +291,15 @@ TEST(PollLogRetention, CountersMatchUnwindowedExactly) {
     EXPECT_LE(live, 16u);
     // ... and what it retains is exactly the newest suffix of the full
     // stream's per-object series.
-    const std::vector<TimePoint> full = unwindowed.completion_times(id);
-    const std::vector<TimePoint> kept = windowed.completion_times(id);
+    const std::vector<TimePoint> full = completion_times(unwindowed, id);
+    const std::vector<TimePoint> kept = completion_times(windowed, id);
     ASSERT_LE(kept.size(), full.size());
     EXPECT_TRUE(std::equal(kept.rbegin(), kept.rend(), full.rbegin()));
   }
 
   // Index invariants still hold on the compacted storage.
   for (const ObjectId id : ids) {
-    const std::vector<std::size_t>& successful =
+    const std::vector<std::uint32_t>& successful =
         windowed.successful_records(id);
     for (std::size_t i = 0; i < successful.size(); ++i) {
       ASSERT_LT(successful[i], windowed.size());
@@ -314,10 +315,10 @@ TEST(PollLogRetention, CountersMatchUnwindowedExactly) {
 std::vector<PollRecord> scan_retained(const std::vector<PollRecord>& records,
                                       std::size_t window) {
   std::map<std::string, std::size_t> remaining;
-  for (const PollRecord& record : records) ++remaining[record.uri];
+  for (const PollRecord& record : records) ++remaining[record.uri.get()];
   std::vector<PollRecord> kept;
   for (const PollRecord& record : records) {
-    if (remaining[record.uri]-- <= window) kept.push_back(record);
+    if (remaining[record.uri.get()]-- <= window) kept.push_back(record);
   }
   return kept;
 }
@@ -370,7 +371,7 @@ TEST(PollLogRetention, SparseHighIdsMatchScanOracle) {
   ASSERT_EQ(windowed.size(), expected.size());
   for (std::size_t i = 0; i < expected.size(); ++i) {
     EXPECT_EQ(windowed[i].object, expected[i].object) << i;
-    EXPECT_EQ(windowed[i].uri, expected[i].uri) << i;
+    EXPECT_EQ(windowed[i].uri.get(), expected[i].uri.get()) << i;
     EXPECT_EQ(windowed[i].snapshot_time, expected[i].snapshot_time) << i;
     EXPECT_EQ(windowed[i].cause, expected[i].cause) << i;
     EXPECT_EQ(windowed[i].failed, expected[i].failed) << i;
@@ -385,9 +386,9 @@ TEST(PollLogRetention, SparseHighIdsMatchScanOracle) {
     SCOPED_TRACE(uris[u]);
     EXPECT_EQ(windowed.polls_performed(ids[u]), full.polls_performed(ids[u]));
     EXPECT_EQ(windowed.demand_fills(ids[u]), full.demand_fills(ids[u]));
-    EXPECT_EQ(windowed.completion_times(ids[u]),
+    EXPECT_EQ(completion_times(windowed, ids[u]),
               scan_completion_times(expected, uris[u]));
-    const std::vector<std::size_t>& successful =
+    const std::vector<std::uint32_t>& successful =
         windowed.successful_records(ids[u]);
     for (const std::size_t index : successful) {
       ASSERT_LT(index, windowed.size());
@@ -413,10 +414,57 @@ TEST(PollLogRetention, WindowCanBeEnabledAfterTheFact) {
   log.compact();
   EXPECT_EQ(log.size(), 10u);
   EXPECT_EQ(log.polls_performed(only), 99u);  // counters never rewind
-  const std::vector<TimePoint> kept = log.completion_times(only);
+  const std::vector<TimePoint> kept = completion_times(log, only);
   ASSERT_EQ(kept.size(), 10u);
   EXPECT_EQ(kept.front(), 90.0);
   EXPECT_EQ(kept.back(), 99.0);
+}
+
+// In-place compaction twice in a row, the second under a smaller window:
+// the kept records are the newest suffix of each object's stream in log
+// order, and every object's successful_records are exactly the positions
+// a scan of the compacted storage finds.
+TEST(PollLogRetention, RepeatedInPlaceCompactionMatchesScan) {
+  Rng rng(31337);
+  UriTable table;
+  std::vector<ObjectId> ids;
+  for (const char* uri : {"/a", "/b", "/c"}) ids.push_back(table.intern(uri));
+  PollLog full(table);
+  PollLog log(table);
+  TimePoint t = 0.0;
+  for (int i = 0; i < 600; ++i) {
+    const ObjectId id = ids[static_cast<std::size_t>(rng.uniform_int(0, 2))];
+    const bool failed = rng.bernoulli(0.2);
+    t += 1.0;
+    full.append(id, PollCause::kScheduled, !failed, failed, t, t + 0.5);
+    log.append(id, PollCause::kScheduled, !failed, failed, t, t + 0.5);
+  }
+  for (const std::size_t window : {std::size_t{40}, std::size_t{12}}) {
+    SCOPED_TRACE(window);
+    log.set_retention_window(window);
+    log.compact();
+    const std::vector<PollRecord> expected =
+        scan_retained(full.records(), window);
+    ASSERT_EQ(log.size(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ(log[i].object, expected[i].object) << i;
+      EXPECT_EQ(log[i].uri.get(), expected[i].uri.get()) << i;
+      EXPECT_EQ(log[i].snapshot_time, expected[i].snapshot_time) << i;
+      EXPECT_EQ(log[i].failed, expected[i].failed) << i;
+    }
+    for (const ObjectId id : ids) {
+      SCOPED_TRACE(id);
+      std::vector<std::uint32_t> scanned;
+      for (std::size_t i = 0; i < log.size(); ++i) {
+        if (log[i].object == id && !log[i].failed) {
+          scanned.push_back(static_cast<std::uint32_t>(i));
+        }
+      }
+      EXPECT_EQ(log.successful_records(id), scanned);
+    }
+    EXPECT_EQ(log.dropped_records(), full.size() - expected.size());
+    EXPECT_EQ(log.polls_performed(), full.polls_performed());
+  }
 }
 
 // A long-horizon engine run under a retention window: counters equal the

@@ -8,6 +8,7 @@
 #include "consistency/partitioned.h"
 #include "consistency/virtual_object.h"
 #include "id_of.h"
+#include "log_series.h"
 #include "origin/origin_server.h"
 #include "proxy/polling_engine.h"
 #include "sim/simulator.h"
@@ -93,8 +94,8 @@ TEST(ValueEngine, VirtualGroupWithRtt) {
   sim.run_until(600.0);
 
   const ObjectId id = id_of(origin.uri_table(), a.name());
-  const auto snapshots = engine.poll_log().snapshot_times(id);
-  const auto completions = engine.poll_log().completion_times(id);
+  const auto snapshots = snapshot_times(engine.poll_log(), id);
+  const auto completions = completion_times(engine.poll_log(), id);
   ASSERT_GT(snapshots.size(), 2u);
   for (std::size_t i = 0; i < snapshots.size(); ++i) {
     EXPECT_DOUBLE_EQ(completions[i], snapshots[i] + 1.5);
@@ -187,8 +188,8 @@ TEST(ValueEngine, CrashRecoveryResetsValuePolicies) {
   engine.crash_and_recover();
   sim.run_until(605.0);
   // First post-recovery poll within TTR_min.
-  const auto times = engine.poll_log().completion_times(
-      id_of(origin.uri_table(), flat.name()));
+  const auto times = completion_times(engine.poll_log(),
+                                      id_of(origin.uri_table(), flat.name()));
   EXPECT_LE(times.back() - 600.0, 2.0 + 1e-9);
 }
 

@@ -167,11 +167,29 @@ ShardedFleet::PolicyFactory limd_factory() {
   };
 }
 
+/// A record stream with each record's uri resolved while its run was alive:
+/// a record's uri refers into the run's table, which dies with the run,
+/// so a stream copied out of a run keeps the strings beside it.
+struct Stream {
+  std::vector<PollRecord> records;
+  std::vector<std::string> uris;  ///< uris[i] is records[i]'s uri
+};
+
+Stream resolved(std::vector<PollRecord> records) {
+  Stream stream;
+  stream.uris.reserve(records.size());
+  for (const PollRecord& record : records) {
+    stream.uris.push_back(record.uri.get());
+  }
+  stream.records = std::move(records);
+  return stream;
+}
+
 /// Everything a run produces, keyed by global proxy id.
 struct Artifacts {
-  std::vector<std::vector<PollRecord>> records_by_proxy;
+  std::vector<Stream> records_by_proxy;
   std::vector<std::vector<std::pair<TimePoint, Duration>>> ttr_series;
-  std::vector<PollRecord> merged;
+  Stream merged;
   std::size_t origin_requests = 0;
   std::size_t origin_polls = 0;
   RelayLedger relays;
@@ -201,13 +219,13 @@ Artifacts reference_run(const Topology& topo, Duration horizon,
   std::vector<ProxyPollRecords> logs;
   for (std::size_t p = 0; p < fleet.size(); ++p) {
     artifacts.records_by_proxy.push_back(
-        fleet.proxy(p).poll_log().records());
+        resolved(fleet.proxy(p).poll_log().records()));
     for (const UpdateTrace& trace : topo.traces) {
       artifacts.ttr_series.push_back(fleet.proxy(p).ttr_series(trace.name()));
     }
     logs.push_back({p, &fleet.proxy(p).poll_log().records()});
   }
-  artifacts.merged = merge_poll_records(std::move(logs));
+  artifacts.merged = resolved(merge_poll_records(std::move(logs)));
   artifacts.origin_requests = origin.requests_served();
   artifacts.origin_polls = fleet.origin_polls();
   artifacts.relays = fleet.relays();
@@ -251,12 +269,13 @@ std::unique_ptr<ShardedFleet> make_sharded(const Topology& topo,
 Artifacts collect(const ShardedFleet& fleet, const Topology& topo) {
   Artifacts artifacts;
   for (std::size_t p = 0; p < fleet.size(); ++p) {
-    artifacts.records_by_proxy.push_back(fleet.proxy(p).poll_log().records());
+    artifacts.records_by_proxy.push_back(
+        resolved(fleet.proxy(p).poll_log().records()));
     for (const UpdateTrace& trace : topo.traces) {
       artifacts.ttr_series.push_back(fleet.proxy(p).ttr_series(trace.name()));
     }
   }
-  artifacts.merged = fleet.merged_poll_records();
+  artifacts.merged = resolved(fleet.merged_poll_records());
   artifacts.origin_requests = fleet.origin_requests();
   artifacts.origin_polls = fleet.origin_polls();
   artifacts.relays = fleet.relays();
@@ -272,12 +291,13 @@ Artifacts sharded_run(const Topology& topo, std::size_t threads,
   return collect(*fleet, topo);
 }
 
-void expect_records_identical(const std::vector<PollRecord>& a,
-                              const std::vector<PollRecord>& b) {
+void expect_records_identical(const Stream& a_stream, const Stream& b_stream) {
+  const std::vector<PollRecord>& a = a_stream.records;
+  const std::vector<PollRecord>& b = b_stream.records;
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     SCOPED_TRACE("record " + std::to_string(i));
-    EXPECT_EQ(a[i].uri, b[i].uri);
+    EXPECT_EQ(a_stream.uris[i], b_stream.uris[i]);
     EXPECT_EQ(a[i].object, b[i].object);
     EXPECT_EQ(a[i].cause, b[i].cause);
     EXPECT_EQ(a[i].modified, b[i].modified);
@@ -314,12 +334,13 @@ void expect_artifacts_identical(const Artifacts& reference,
 void expect_partitioned_identical(const Artifacts& reference,
                                   const ShardedFleet& fleet,
                                   const Topology& topo) {
-  expect_records_identical(reference.merged, fleet.merged_poll_records());
+  expect_records_identical(reference.merged,
+                           resolved(fleet.merged_poll_records()));
   for (std::size_t p = 0; p < topo.proxies; ++p) {
     if (fleet.slice_count(p) != 1) continue;
     SCOPED_TRACE("proxy " + std::to_string(p));
     expect_records_identical(reference.records_by_proxy[p],
-                             fleet.proxy(p).poll_log().records());
+                             resolved(fleet.proxy(p).poll_log().records()));
   }
   EXPECT_EQ(reference.origin_requests, fleet.origin_requests());
   EXPECT_EQ(reference.origin_polls, fleet.origin_polls());
@@ -335,7 +356,7 @@ void expect_partitioned_identical(const Artifacts& reference,
 // pinned invariant origin_polls == policy polls + demand fills, checked
 // against the full per-record causes rather than its own O(1) mirrors.
 void expect_load_matches_records(const Artifacts& artifacts) {
-  const PollCauseCounts counts = count_by_cause(artifacts.merged);
+  const PollCauseCounts counts = count_by_cause(artifacts.merged.records);
   EXPECT_EQ(counts.client_miss, artifacts.load.demand_fills);
   EXPECT_EQ(counts.total_refreshes(), artifacts.load.origin_polls);
   EXPECT_EQ(counts.scheduled + counts.triggered + counts.retry,
@@ -370,7 +391,7 @@ TEST(ShardedDifferential, ByteIdenticalAcrossThreadCounts) {
     SCOPED_TRACE("topology seed " + std::to_string(seed));
     const Topology topo = random_topology(seed);
     const Artifacts reference = reference_run(topo, kHorizon);
-    ASSERT_FALSE(reference.merged.empty());
+    ASSERT_FALSE(reference.merged.records.empty());
     EXPECT_GT(reference.relays.delivered, 0u);
     for (const std::size_t threads : kThreadCounts) {
       SCOPED_TRACE("threads " + std::to_string(threads));
@@ -433,7 +454,7 @@ TEST(ShardedDifferential, PartitionSweepIsByteIdentical) {
     SCOPED_TRACE("topology seed " + std::to_string(seed));
     const Topology topo = random_topology(seed);
     const Artifacts reference = reference_run(topo, kHorizon);
-    ASSERT_FALSE(reference.merged.empty());
+    ASSERT_FALSE(reference.merged.records.empty());
     EXPECT_GT(reference.relays.delivered, 0u);
     for (const std::size_t shards : {std::size_t{0}, topo.proxies + 3}) {
       for (const std::size_t threads : kThreadCounts) {
@@ -478,7 +499,7 @@ TEST(ShardedDifferential, FaultInjectionSweepIsByteIdentical) {
   const Topology topo = random_topology(seed);
   const Artifacts reference =
       reference_run(topo, kHorizon, /*clients=*/false, faults);
-  ASSERT_FALSE(reference.merged.empty());
+  ASSERT_FALSE(reference.merged.records.empty());
   // The schedule must actually bite in the reference run: losses,
   // retries, and relays dropped at a dark destination all occur.
   EXPECT_GT(reference.relays.lost, 0u);
@@ -514,7 +535,7 @@ TEST(ShardedDifferential, DemandFillClientSweepIsByteIdentical) {
     const Topology topo = random_topology(seed);
     const Artifacts reference =
         reference_run(topo, kHorizon, /*clients=*/true);
-    ASSERT_FALSE(reference.merged.empty());
+    ASSERT_FALSE(reference.merged.records.empty());
     ASSERT_GT(reference.load.demand_fills, 0u);
     expect_load_matches_records(reference);
     for (const std::size_t shards : {std::size_t{0}, topo.proxies + 3}) {
@@ -570,8 +591,8 @@ TEST(ShardedDifferential, InFlightRelaysDrainExactlyAcrossHorizons) {
   // And the two-stage run is byte-identical to the straight one — the
   // pause neither reorders nor loses anything.
   const Artifacts straight = sharded_run(topo, 4, kHorizon);
-  std::vector<PollRecord> merged = fleet->merged_poll_records();
-  expect_records_identical(straight.merged, merged);
+  expect_records_identical(straight.merged,
+                           resolved(fleet->merged_poll_records()));
   EXPECT_EQ(straight.relays, drained);
   const FleetOriginLoad straight_load = straight.load;
   const FleetOriginLoad paused_load = fleet->origin_load();
@@ -597,7 +618,8 @@ TEST(ShardedDifferential, PartitionedInFlightRelaysDrainExactly) {
   EXPECT_TRUE(drained.balanced());
   EXPECT_EQ(drained.lost, 0u);
   EXPECT_EQ(drained.in_flight, 0u);
-  expect_records_identical(straight.merged, fleet->merged_poll_records());
+  expect_records_identical(straight.merged,
+                           resolved(fleet->merged_poll_records()));
 }
 
 // A faulty run paused mid-window, with cross-shard relays in the
@@ -631,8 +653,8 @@ TEST(ShardedDifferential, FaultyRunPausesAndResumesExactly) {
     EXPECT_GT(at_pause.in_flight, 0u);
     EXPECT_GT(at_pause.lost, at_pause.retried);
     paused->run_until(kHorizon);
-    expect_records_identical(straight->merged_poll_records(),
-                             paused->merged_poll_records());
+    expect_records_identical(resolved(straight->merged_poll_records()),
+                             resolved(paused->merged_poll_records()));
     EXPECT_EQ(straight->relays(), paused->relays());
     EXPECT_TRUE(paused->relays().balanced());
   }
