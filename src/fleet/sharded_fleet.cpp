@@ -1,7 +1,6 @@
 #include "fleet/sharded_fleet.h"
 
 #include <algorithm>
-#include <map>
 #include <numeric>
 #include <tuple>
 #include <utility>
@@ -101,45 +100,64 @@ const TriggeredPollCoordinator& ShardedFleet::delta_group(
 // ---- shard construction ----------------------------------------------------
 
 void ShardedFleet::build_shards() {
-  // ---- enumerate registered (proxy, uri) pairs ----
+  // The one origin content, built once on shard 0 before the layout, so
+  // the layout can key everything by ObjectId; every other shard reads it.
+  shards_.resize(1);
+  shards_[0].sim = std::make_unique<Simulator>();
+  shards_[0].origin =
+      std::make_unique<OriginServer>(*shards_[0].sim, config_.origin);
+  config_.origin_setup(*shards_[0].origin);
+  UriTable& table = shards_[0].origin->uri_table();
+
+  // ---- enumerate registered (proxy, object) pairs ----
   // Pairs are the atoms of the layout: they move independently, modulo
   // the colocation closure below.  Pair indices follow registration-scan
-  // order, so everything derived from them is deterministic.
+  // order, so everything derived from them is deterministic.  The scan
+  // interns each uri once, in the order the slice engines intern it at
+  // replay (temporal registrations, then value ones), so every ObjectId
+  // is the one the engines see.
   pairs_.clear();
-  std::map<std::pair<std::size_t, std::string>, std::size_t> pair_index;
+  std::vector<IdSlots<std::size_t>> pair_index(proxy_count_);
   auto intern_pair = [&](std::size_t proxy, const std::string& uri) {
-    auto [it, inserted] =
-        pair_index.try_emplace({proxy, uri}, pairs_.size());
-    if (inserted) pairs_.push_back({proxy, uri, 0, 0});
-    return it->second;
+    const ObjectId object = table.intern(uri);
+    auto [index, inserted] = pair_index[proxy].try_emplace(object);
+    if (inserted) {
+      index = pairs_.size();
+      pairs_.push_back({proxy, object, 0, 0});
+    }
+    return index;
   };
+  std::vector<std::size_t> temporal_pairs;
   for (const TemporalRegistration& reg : temporal_registrations_) {
-    intern_pair(reg.proxy, reg.uri);
+    temporal_pairs.push_back(intern_pair(reg.proxy, reg.uri));
   }
+  std::vector<std::size_t> value_pairs;
   for (const ValueRegistration& reg : value_registrations_) {
-    intern_pair(reg.proxy, reg.uri);
+    value_pairs.push_back(intern_pair(reg.proxy, reg.uri));
   }
 
   // ---- pair-level colocation closure ----
   // (a) A δ-group's members coordinate synchronously (one member's poll
   //     triggers sibling polls in the same event): one unit.
   UnionFind pair_components(pairs_.size());
-  std::map<std::string, std::size_t> uri_index;
+  // Every δ-group member object, numbered densely in first-seen order
+  // (group_object.ids()[index] is the object of `index`).
+  IdSlots<std::size_t> group_object;
+  std::vector<std::vector<std::size_t>> group_pairs;
   for (const GroupRegistration& group : group_registrations_) {
-    std::size_t first = SIZE_MAX;
+    std::vector<std::size_t>& members = group_pairs.emplace_back();
     for (const FleetMember& member : group.members) {
-      const auto it = pair_index.find({member.proxy, member.uri});
-      BROADWAY_CHECK_MSG(it != pair_index.end(),
+      const std::size_t* pair =
+          pair_index[member.proxy].find(table.find(member.uri));
+      BROADWAY_CHECK_MSG(pair != nullptr,
                          "δ-group member " << member.uri
                                            << " is not a registered object "
                                               "of proxy "
                                            << member.proxy);
-      if (first == SIZE_MAX) {
-        first = it->second;
-      } else {
-        pair_components.unite(first, it->second);
-      }
-      uri_index.try_emplace(member.uri, uri_index.size());
+      members.push_back(*pair);
+      pair_components.unite(members.front(), *pair);
+      auto [index, inserted] = group_object.try_emplace(pairs_[*pair].object);
+      if (inserted) index = group_object.size() - 1;
     }
   }
   // (b) Group-sibling *objects* colocate per proxy, transitively across
@@ -148,21 +166,33 @@ void ShardedFleet::build_shards() {
   //     land in one slice log so the per-proxy merge can preserve the
   //     reference order (the cross-slice tie-break replays registration
   //     order, which same-instant cascade records do not follow).
-  UnionFind uri_components(uri_index.size());
-  for (const GroupRegistration& group : group_registrations_) {
-    const std::size_t first = uri_index.at(group.members[0].uri);
-    for (std::size_t i = 1; i < group.members.size(); ++i) {
-      uri_components.unite(first, uri_index.at(group.members[i].uri));
+  const auto object_index = [&](std::size_t pair) {
+    return *group_object.find(pairs_[pair].object);
+  };
+  UnionFind object_components(group_object.size());
+  for (const std::vector<std::size_t>& members : group_pairs) {
+    for (const std::size_t pair : members) {
+      object_components.unite(object_index(members.front()),
+                              object_index(pair));
     }
   }
-  std::map<std::pair<std::size_t, std::size_t>, std::size_t> sibling_first;
+  // Joins pair `i` to the first pair `firsts` holds under `key`.
+  const auto join_first = [&](IdSlots<std::size_t>& firsts, ObjectId key,
+                              std::size_t i) {
+    auto [first, inserted] = firsts.try_emplace(key);
+    if (inserted) {
+      first = i;
+    } else {
+      pair_components.unite(first, i);
+    }
+  };
+  // Per proxy, keyed by each object component's representative object.
+  std::vector<IdSlots<std::size_t>> sibling_first(proxy_count_);
   for (std::size_t i = 0; i < pairs_.size(); ++i) {
-    const auto it = uri_index.find(pairs_[i].uri);
-    if (it == uri_index.end()) continue;  // not a grouped object anywhere
-    const auto key =
-        std::make_pair(pairs_[i].proxy, uri_components.find(it->second));
-    const auto [slot, inserted] = sibling_first.try_emplace(key, i);
-    if (!inserted) pair_components.unite(slot->second, i);
+    if (!group_object.contains(pairs_[i].object)) continue;  // ungrouped
+    join_first(sibling_first[pairs_[i].proxy],
+               group_object.ids()[object_components.find(object_index(i))],
+               i);
   }
   // Joins, per proxy, every pair for which `joins(i)` holds.
   const auto join_within_proxy = [&](const auto& joins) {
@@ -188,10 +218,10 @@ void ShardedFleet::build_shards() {
   //      never receive a relay and stay free to split; they are also
   //      exactly the pairs that add no cross-shard traffic.
   if (config_.fleet.cooperative_push) {
-    std::map<std::string, std::size_t> tracker_count;
-    for (const PairInfo& pair : pairs_) ++tracker_count[pair.uri];
+    IdSlots<std::size_t> tracker_count;
+    for (const PairInfo& pair : pairs_) ++tracker_count[pair.object];
     join_within_proxy([&](std::size_t i) {
-      return tracker_count.at(pairs_[i].uri) >= 2;
+      return *tracker_count.find(pairs_[i].object) >= 2;
     });
   }
   // (c) Client request streams read a proxy's whole cache through one
@@ -215,12 +245,10 @@ void ShardedFleet::build_shards() {
     //     the group's slice: all trackers of a grouped uri join the
     //     group's component (a group member is itself a tracker, which
     //     anchors the union to rule (a)'s component).
-    std::map<std::string, std::size_t> first_tracker;
+    IdSlots<std::size_t> first_tracker;
     for (std::size_t i = 0; i < pairs_.size(); ++i) {
-      if (uri_index.find(pairs_[i].uri) == uri_index.end()) continue;
-      const auto [slot, inserted] =
-          first_tracker.try_emplace(pairs_[i].uri, i);
-      if (!inserted) pair_components.unite(slot->second, i);
+      if (!group_object.contains(pairs_[i].object)) continue;
+      join_first(first_tracker, pairs_[i].object, i);
     }
   }
 
@@ -328,7 +356,7 @@ void ShardedFleet::build_shards() {
 
   // ---- build the slices ----
   slices_of_proxy_.assign(proxy_count_, {});
-  shards_.resize(shard_members.size());
+  shards_.resize(shard_members.size());  // shard 0 holds the origin
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     Shard& shard = shards_[s];
     shard.proxies = std::move(shard_members[s]);
@@ -336,13 +364,8 @@ void ShardedFleet::build_shards() {
       slices_of_proxy_[shard.proxies[local]].push_back(
           {static_cast<std::uint32_t>(s), static_cast<std::uint32_t>(local)});
     }
-    shard.sim = std::make_unique<Simulator>();
-    if (s == 0) {
-      // The one origin content, built once; every other shard reads it.
-      shard.origin =
-          std::make_unique<OriginServer>(*shard.sim, config_.origin);
-      config_.origin_setup(*shard.origin);
-    } else {
+    if (s > 0) {
+      shard.sim = std::make_unique<Simulator>();
       shard.origin =
           std::make_unique<OriginServer>(*shard.sim, *shards_[0].origin);
     }
@@ -356,26 +379,25 @@ void ShardedFleet::build_shards() {
   // Original call order (temporal before value, matching the reference
   // runs the differential tests construct); each pair goes to the slice
   // its component was assigned to.
-  for (const TemporalRegistration& reg : temporal_registrations_) {
-    const std::size_t s = pairs_[pair_index.at({reg.proxy, reg.uri})].shard;
+  for (std::size_t k = 0; k < temporal_registrations_.size(); ++k) {
+    const TemporalRegistration& reg = temporal_registrations_[k];
+    const std::size_t s = pairs_[temporal_pairs[k]].shard;
     shards_[s].fleet->add_temporal_object(local_of(s, reg.proxy), reg.uri,
                                           reg.make_policy());
   }
-  for (const ValueRegistration& reg : value_registrations_) {
-    const std::size_t s = pairs_[pair_index.at({reg.proxy, reg.uri})].shard;
+  for (std::size_t k = 0; k < value_registrations_.size(); ++k) {
+    const ValueRegistration& reg = value_registrations_[k];
+    const std::size_t s = pairs_[value_pairs[k]].shard;
     shards_[s].fleet->add_value_object(local_of(s, reg.proxy), reg.uri,
                                        reg.config);
   }
-  for (GroupRegistration& reg : group_registrations_) {
-    const std::size_t shard_index =
-        pairs_[pair_index.at({reg.members[0].proxy, reg.members[0].uri})]
-            .shard;
+  for (std::size_t g = 0; g < group_registrations_.size(); ++g) {
+    GroupRegistration& reg = group_registrations_[g];
+    const std::size_t shard_index = pairs_[group_pairs[g][0]].shard;
     std::vector<FleetMember> local_members = reg.members;
-    for (FleetMember& member : local_members) {
-      const std::size_t member_shard =
-          pairs_[pair_index.at({member.proxy, member.uri})].shard;
-      BROADWAY_CHECK(member_shard == shard_index);
-      member.proxy = local_of(shard_index, member.proxy);
+    for (std::size_t m = 0; m < local_members.size(); ++m) {
+      BROADWAY_CHECK(pairs_[group_pairs[g][m]].shard == shard_index);
+      local_members[m].proxy = local_of(shard_index, local_members[m].proxy);
     }
     reg.bound = &shards_[shard_index].fleet->add_delta_group(
         std::move(local_members), reg.delta_mutual);
@@ -396,15 +418,12 @@ void ShardedFleet::build_registration_ranks() {
   // registration-scan order, so the per-proxy subsequence is the order
   // the reference engine registered — and therefore started — the
   // proxy's objects.  Only partition-split proxies are ever merged.
-  const UriTable& table = shards_[0].origin->uri_table();
   reg_rank_.assign(proxy_count_, {});
   for (const PairInfo& pair : pairs_) {
     if (slices_of_proxy_[pair.proxy].size() <= 1) continue;
-    const ObjectId object = table.find(pair.uri);
-    BROADWAY_CHECK(object != kInvalidObjectId);
     IdSlots<std::size_t>& ranks = reg_rank_[pair.proxy];
     const std::size_t rank = ranks.size();
-    ranks[object] = rank;
+    ranks[pair.object] = rank;
   }
 }
 
@@ -429,14 +448,9 @@ void ShardedFleet::wire_remote_relays() {
     std::vector<RelayDest> eligible;
     std::vector<std::uint32_t> hosts;
   };
-  const UriTable& table = shards_[0].origin->uri_table();
-  std::vector<ObjectId> pair_object(pairs_.size(), kInvalidObjectId);
   IdSlots<Fanout> fanout;
-  for (std::size_t i = 0; i < pairs_.size(); ++i) {
-    const PairInfo& pair = pairs_[i];
-    const ObjectId object = table.find(pair.uri);
-    BROADWAY_CHECK(object != kInvalidObjectId);
-    pair_object[i] = object;
+  for (const PairInfo& pair : pairs_) {
+    const ObjectId object = pair.object;
     const auto shard = static_cast<std::uint32_t>(pair.shard);
     Fanout& entry = fanout[object];
     entry.hosts.push_back(shard);
@@ -480,24 +494,22 @@ void ShardedFleet::wire_remote_relays() {
   // *destinations* whose deliveries can spark a send, which the slice
   // fleets track through their send watch.
   std::vector<bool> marked(pairs_.size(), false);
-  for (std::size_t i = 0; i < pairs_.size(); ++i) {
-    if (remote[pairs_[i].shard].contains(pair_object[i])) {
-      marked[pairs_[i].root] = true;
-    }
+  for (const PairInfo& pair : pairs_) {
+    if (remote[pair.shard].contains(pair.object)) marked[pair.root] = true;
   }
   std::vector<std::vector<std::vector<bool>>> filters(shards_.size());
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     filters[s].resize(shards_[s].proxies.size());
   }
-  for (std::size_t i = 0; i < pairs_.size(); ++i) {
-    if (!marked[pairs_[i].root]) continue;
-    const std::size_t s = pairs_[i].shard;
-    const std::size_t local = local_of(s, pairs_[i].proxy);
+  for (const PairInfo& pair : pairs_) {
+    if (!marked[pair.root]) continue;
+    const std::size_t s = pair.shard;
+    const std::size_t local = local_of(s, pair.proxy);
     shards_[s].export_watch.push_back(
-        {&shards_[s].fleet->proxy(local), pair_object[i]});
+        {&shards_[s].fleet->proxy(local), pair.object});
     std::vector<bool>& flags = filters[s][local];
-    if (flags.size() <= pair_object[i]) flags.resize(pair_object[i] + 1);
-    flags[pair_object[i]] = true;
+    if (flags.size() <= pair.object) flags.resize(pair.object + 1);
+    flags[pair.object] = true;
   }
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     shards_[s].fleet->connect_remote(std::move(remote[s]),

@@ -333,11 +333,13 @@ class ShardedFleet {
   std::vector<Shard> shards_;
   std::vector<std::vector<SliceRef>> slices_of_proxy_;  // ascending shard
   // Partition bookkeeping from build_shards, consumed by
-  // wire_remote_relays and cleared after start(): one entry per
-  // registered (proxy, uri) pair.
+  // build_registration_ranks and wire_remote_relays and cleared after
+  // start(): one entry per registered (proxy, object) pair.  The object is
+  // its id in the shared table, which build_shards interns every
+  // registered uri into before the layout step.
   struct PairInfo {
     std::size_t proxy = 0;
-    std::string uri;
+    ObjectId object = kInvalidObjectId;
     std::size_t root = 0;   // colocation-component representative
     std::size_t shard = 0;  // hosting shard
   };

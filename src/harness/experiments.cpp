@@ -68,13 +68,13 @@ TemporalRunResult run_temporal(const UpdateTrace& trace,
       scenario.duration > 0.0 ? scenario.duration : trace.duration();
   sim.run_until(horizon);
 
+  const ObjectId object = origin.object_id(trace.name());
   TemporalRunResult result;
-  result.polls =
-      engine.poll_log().polls_performed(origin.object_id(trace.name()));
+  result.polls = engine.poll_log().polls_performed(object);
   result.fidelity = evaluate_temporal_fidelity(
       trace, successful_polls(engine.poll_log(), trace.name()), delta,
       std::min(trace.duration(), horizon));
-  result.ttr_series = engine.ttr_series(trace.name());
+  result.ttr_series = engine.ttr_series(object);
   return result;
 }
 

@@ -1,7 +1,5 @@
 #include "origin/store.h"
 
-#include <algorithm>
-
 #include "util/check.h"
 
 namespace broadway {
@@ -25,14 +23,6 @@ VersionedObject* ObjectStore::find(const std::string& uri) {
 
 const VersionedObject* ObjectStore::find(const std::string& uri) const {
   return by_id(uris_.find(uri));
-}
-
-std::vector<std::string> ObjectStore::uris() const {
-  std::vector<std::string> out;
-  out.reserve(objects_.size());
-  for (const auto& object : objects_) out.push_back(object->uri());
-  std::sort(out.begin(), out.end());
-  return out;
 }
 
 }  // namespace broadway

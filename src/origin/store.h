@@ -5,7 +5,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "origin/object.h"
 #include "util/id_slots.h"
@@ -41,9 +40,6 @@ class ObjectStore {
   }
 
   std::size_t size() const { return objects_.size(); }
-
-  /// All uris, sorted (deterministic iteration for tests and reports).
-  std::vector<std::string> uris() const;
 
   UriTable& uri_table() { return uris_; }
   const UriTable& uri_table() const { return uris_; }

@@ -11,16 +11,15 @@
 // map, never a payload per id of the shared table, so an engine slice
 // caching a hundred objects of a large origin pays for a hundred.  A
 // caller holding a uri resolves it once through the shared UriTable; the
-// entries keep their uri for reports (uris()).
+// uri itself is stored only there.
 //
 // Entry pointers (find, lookup_counted) and references (refresh_entry) are
-// invalidated by the next insert of a new object and by clear(): look the
-// entry up again after anything that may store.
+// invalidated by the next insert of a new object: look the entry up again
+// after anything that may store.
 #pragma once
 
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "util/id_slots.h"
 #include "util/time.h"
@@ -30,7 +29,6 @@ namespace broadway {
 
 /// One cached object.
 struct CacheEntry {
-  std::string uri;
   std::string body;
   /// Server-side instant whose state this copy reflects.
   TimePoint snapshot_time = 0.0;
@@ -46,26 +44,21 @@ struct CacheEntry {
 
 /// ObjectId-keyed cache.  Monotonicity invariant (paper §2: "we implicitly
 /// require all cache consistency mechanisms to ensure that P_t
-/// monotonically increases over time"): a store must never move an entry's
-/// snapshot backwards.
+/// monotonically increases over time"): a refresh must never move an
+/// entry's snapshot backwards.
 class ProxyCache {
  public:
-  /// Cache resolving ids through `table` (a polling engine shares its
+  /// Cache naming its ids through `table` (a polling engine shares its
   /// origin's).  `table` must outlive the cache.
-  explicit ProxyCache(UriTable& table);
+  explicit ProxyCache(const UriTable& table);
 
   ProxyCache(const ProxyCache&) = delete;
   ProxyCache& operator=(const ProxyCache&) = delete;
 
-  /// Insert or refresh an entry, interning entry.uri.  Checks snapshot
-  /// monotonicity.
-  void store(CacheEntry entry);
-
-  /// Hot path: return the entry for `id`, creating it if absent (uri
-  /// filled from the table) or bumping refresh_count if present, after
-  /// checking that `snapshot` does not move the entry backwards.  The
-  /// caller overwrites payload and provenance fields in place, reusing
-  /// their allocations.
+  /// The one write path: return the entry for `id`, creating it if absent
+  /// or bumping refresh_count if present, after checking that `snapshot`
+  /// does not move the entry backwards.  The caller overwrites payload and
+  /// provenance fields in place, reusing their allocations.
   CacheEntry& refresh_entry(ObjectId id, TimePoint snapshot);
 
   /// Lookup; nullptr on miss (and for kInvalidObjectId).
@@ -79,15 +72,8 @@ class ProxyCache {
   std::size_t hits() const { return hits_; }
   std::size_t misses() const { return misses_; }
 
-  /// All cached uris, sorted (deterministic for tests and reports).
-  std::vector<std::string> uris() const;
-
-  /// Drop everything (cold-cache experiments; a crash with no persistent
-  /// storage).
-  void clear();
-
  private:
-  UriTable* table_;
+  const UriTable* table_;
   IdSlots<CacheEntry> entries_;
   std::size_t hits_ = 0;
   std::size_t misses_ = 0;

@@ -29,20 +29,19 @@ PollingEngine::PollingEngine(Simulator& sim, OriginServer& origin,
 
 TrackedObject& PollingEngine::register_object(
     std::unique_ptr<TrackedObject> object, bool self_scheduled) {
-  BROADWAY_CHECK_MSG(!started_, "register objects before start()");
-  const ObjectId id = uris_.intern(object->uri());
+  const ObjectId id = object->id();
   BROADWAY_CHECK_MSG(tracked(id) == nullptr,
-                     "duplicate registration of " << object->uri());
-  object->set_id(id);
+                     "duplicate registration of " << uris_.uri(id));
   TrackedObject* raw = object.get();
   objects_by_id_[id] = std::move(object);
   // Keep the deterministic sorted-by-uri sweep order of the uri-keyed map
   // this structure replaces (registration is cold; insertion cost is
   // irrelevant).
   ordered_.insert(std::upper_bound(ordered_.begin(), ordered_.end(), raw,
-                                   [](const TrackedObject* a,
-                                      const TrackedObject* b) {
-                                     return a->uri() < b->uri();
+                                   [this](const TrackedObject* a,
+                                          const TrackedObject* b) {
+                                     return uris_.uri(a->id()) <
+                                            uris_.uri(b->id());
                                    }),
                   raw);
   if (self_scheduled) {
@@ -56,9 +55,11 @@ TrackedObject& PollingEngine::register_object(
 
 void PollingEngine::add_temporal_object(const std::string& uri,
                                         std::unique_ptr<RefreshPolicy> policy) {
+  BROADWAY_CHECK_MSG(!started_, "register objects before start()");
   BROADWAY_CHECK(policy != nullptr);
-  register_object(std::make_unique<TemporalObject>(uri, std::move(policy)),
-                  /*self_scheduled=*/true);
+  register_object(
+      std::make_unique<TemporalObject>(uris_.intern(uri), std::move(policy)),
+      /*self_scheduled=*/true);
 }
 
 MutualCoordinator& PollingEngine::add_coordinator(
@@ -77,7 +78,8 @@ MutualCoordinator& PollingEngine::add_coordinator(
 
 void PollingEngine::add_value_object(const std::string& uri,
                                      AdaptiveValueTtrPolicy::Config config) {
-  register_object(std::make_unique<ValueObject>(uri, config),
+  BROADWAY_CHECK_MSG(!started_, "register objects before start()");
+  register_object(std::make_unique<ValueObject>(uris_.intern(uri), config),
                   /*self_scheduled=*/true);
 }
 
@@ -90,9 +92,9 @@ void PollingEngine::add_virtual_group(
                      "group size must match the function arity");
   auto group = std::make_unique<VirtualGroup>();
   for (const std::string& uri : uris) {
-    TrackedObject& member =
-        register_object(std::make_unique<VirtualMemberObject>(uri),
-                        /*self_scheduled=*/false);  // the group polls it
+    TrackedObject& member = register_object(
+        std::make_unique<VirtualMemberObject>(uris_.intern(uri)),
+        /*self_scheduled=*/false);  // the group polls it
     group->members.push_back(static_cast<VirtualMemberObject*>(&member));
   }
   group->policy = std::move(policy);
@@ -117,9 +119,9 @@ void PollingEngine::add_partitioned_group(
   partitioned_groups_.push_back(std::move(group));
 
   for (std::size_t i = 0; i < uris.size(); ++i) {
-    register_object(
-        std::make_unique<PartitionedMemberObject>(uris[i], shared, i),
-        /*self_scheduled=*/true);
+    register_object(std::make_unique<PartitionedMemberObject>(
+                        uris_.intern(uris[i]), shared, i),
+                    /*self_scheduled=*/true);
   }
 }
 
@@ -188,12 +190,10 @@ void PollingEngine::exchange(const TrackedObject& object,
                              std::optional<TimePoint> if_modified_since,
                              Response& out) {
   // Typed sideband: the interned id addresses the object at the origin;
-  // no header rendering.  The uri still rides along (an assign into the
-  // scratch request's retained capacity — no allocation steady-state) so
-  // serialising a typed request for wire-level debugging stays lossless.
+  // no header rendering and no uri (the scratch request never leaves the
+  // engine).
   scratch_request_.reset();
   scratch_request_.method = Method::kGet;
-  scratch_request_.uri = object.uri();
   scratch_request_.object = object.id();
   scratch_request_.meta.active = true;
   if (if_modified_since) {
@@ -213,6 +213,9 @@ void PollingEngine::store_response(const TrackedObject& object,
   entry.stored_time = visible;
   entry.last_modified = wire_last_modified(response);
   entry.value = wire_object_value(response);
+  BROADWAY_CHECK_MSG(object.temporal() || entry.value.has_value(),
+                     uris_.uri(object.id())
+                         << " is not a value-domain object");
 }
 
 void PollingEngine::schedule_retry(TrackedObject& object,
@@ -276,7 +279,7 @@ bool PollingEngine::poll_object(TrackedObject& object, PollCause cause,
            unconditional ? std::nullopt : std::make_optional(previous),
            response);
   BROADWAY_CHECK_MSG(response.status != StatusCode::kNotFound,
-                     object.uri() << " not present at origin");
+                     uris_.uri(object.id()) << " not present at origin");
   // Stages 3–6: the shared post-exchange pipeline.
   const PollOutcome outcome =
       apply_outcome(object, response, cause, now, now + config_.rtt,
@@ -501,9 +504,9 @@ TrackedObject& PollingEngine::temporal_object(ObjectId id) {
 // ---- accessors -------------------------------------------------------------
 
 const std::vector<std::pair<TimePoint, Duration>>& PollingEngine::ttr_series(
-    const std::string& uri) const {
+    ObjectId id) const {
   static const std::vector<std::pair<TimePoint, Duration>> kEmpty;
-  const TrackedObject* object = tracked(uris_.find(uri));
+  const TrackedObject* object = tracked(id);
   return object == nullptr ? kEmpty : object->ttr_series();
 }
 

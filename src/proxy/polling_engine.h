@@ -352,11 +352,11 @@ class PollingEngine {
     return object == nullptr ? 0 : object->subscribers().size();
   }
 
-  /// TTR value after each poll of `uri` (Fig. 4(b) series).  Empty for
-  /// unknown uris and for group-polled members (whose schedule is the
+  /// TTR value after each poll of `id` (Fig. 4(b) series).  Empty for
+  /// unknown ids and for group-polled members (whose schedule is the
   /// group's), so reporting over mixed registries never aborts a run.
   const std::vector<std::pair<TimePoint, Duration>>& ttr_series(
-      const std::string& uri) const;
+      ObjectId id) const;
 
   const ProxyCache& cache() const { return cache_; }
   ProxyCache& cache() { return cache_; }
@@ -390,8 +390,9 @@ class PollingEngine {
   // unique_ptr elements: scheduled tasks and groups capture raw object
   // pointers, which must survive container growth.  Keyed by ObjectId in
   // sparse slots, so an engine slice pays for the objects it tracks, not
-  // for every id of the shared table; ordered_ repeats them sorted by uri
-  // for deterministic start/recovery sweeps (the iteration order of the
+  // for every id of the shared table; ordered_ repeats them sorted by
+  // their uris, read from uris_ (an object holds only its id), for
+  // deterministic start/recovery sweeps (the iteration order of the
   // uri-keyed map this replaces).
   IdSlots<std::unique_ptr<TrackedObject>> objects_by_id_;
   std::vector<TrackedObject*> ordered_;
@@ -461,8 +462,8 @@ class PollingEngine {
   void schedule_retry(TrackedObject& object,
                       const std::function<void()>& retry);
 
-  // Register an object under its uri; attaches a self-scheduling task
-  // unless the object is group-polled.
+  // Register an object under its id (the add_* call interned its uri);
+  // attaches a self-scheduling task unless the object is group-polled.
   TrackedObject& register_object(std::unique_ptr<TrackedObject> object,
                                  bool self_scheduled);
 

@@ -9,9 +9,9 @@ namespace broadway {
 
 // ---- TemporalObject --------------------------------------------------------
 
-TemporalObject::TemporalObject(std::string uri,
+TemporalObject::TemporalObject(ObjectId id,
                                std::unique_ptr<RefreshPolicy> policy)
-    : TrackedObject(std::move(uri)), policy_(std::move(policy)) {
+    : TrackedObject(id), policy_(std::move(policy)) {
   BROADWAY_CHECK(policy_ != nullptr);
 }
 
@@ -64,10 +64,8 @@ ValueDomainObject::ValueSample ValueDomainObject::absorb_value(
     PollCause cause) {
   double value = last_value_;
   if (response.ok()) {
-    const auto wire_value = wire_object_value(response);
-    BROADWAY_CHECK_MSG(wire_value.has_value(),
-                       uri() << " is not a value-domain object");
-    value = *wire_value;
+    // The engine's store stage has checked that a 200 carries a value.
+    value = wire_object_value(response).value();
   }
   ValueSample sample;
   sample.first = cause == PollCause::kInitial || !has_value_;
@@ -82,9 +80,8 @@ ValueDomainObject::ValueSample ValueDomainObject::absorb_value(
 
 // ---- ValueObject -----------------------------------------------------------
 
-ValueObject::ValueObject(std::string uri,
-                         AdaptiveValueTtrPolicy::Config config)
-    : ValueDomainObject(std::move(uri)), policy_(config) {}
+ValueObject::ValueObject(ObjectId id, AdaptiveValueTtrPolicy::Config config)
+    : ValueDomainObject(id), policy_(config) {}
 
 PollOutcome ValueObject::on_response(const Response& response, TimePoint now,
                                      TimePoint previous, PollCause cause) {
@@ -103,8 +100,8 @@ std::optional<Duration> ValueObject::reset() {
 // ---- PartitionedMemberObject -----------------------------------------------
 
 PartitionedMemberObject::PartitionedMemberObject(
-    std::string uri, PartitionedTolerancePolicy* policy, std::size_t index)
-    : ValueDomainObject(std::move(uri)), policy_(policy), index_(index) {
+    ObjectId id, PartitionedTolerancePolicy* policy, std::size_t index)
+    : ValueDomainObject(id), policy_(policy), index_(index) {
   BROADWAY_CHECK(policy_ != nullptr);
   BROADWAY_CHECK(index_ < policy_->arity());
 }
@@ -128,8 +125,8 @@ std::optional<Duration> PartitionedMemberObject::reset() {
 
 // ---- VirtualMemberObject ---------------------------------------------------
 
-VirtualMemberObject::VirtualMemberObject(std::string uri)
-    : ValueDomainObject(std::move(uri)) {}
+VirtualMemberObject::VirtualMemberObject(ObjectId id)
+    : ValueDomainObject(id) {}
 
 PollOutcome VirtualMemberObject::on_response(const Response& response,
                                              TimePoint now,

@@ -13,7 +13,6 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -40,22 +39,19 @@ struct PollOutcome {
   std::optional<TemporalPollObservation> observation;
 };
 
-/// One uri tracked by the polling engine.
+/// One object tracked by the polling engine.  Its uri lives only in the
+/// engine's shared UriTable; the object holds the interned id.
 class TrackedObject {
  public:
-  explicit TrackedObject(std::string uri) : uri_(std::move(uri)) {}
+  explicit TrackedObject(ObjectId id) : id_(id) {}
   virtual ~TrackedObject() = default;
 
   // Scheduled tasks and groups capture raw pointers to tracked objects.
   TrackedObject(const TrackedObject&) = delete;
   TrackedObject& operator=(const TrackedObject&) = delete;
 
-  const std::string& uri() const { return uri_; }
-
-  /// Interned id of uri() in the engine's shared table; set once at
-  /// registration.
+  /// Interned id of the object's uri in the engine's shared table.
   ObjectId id() const { return id_; }
-  void set_id(ObjectId id) { id_ = id; }
 
   /// Completion instant of the most recent successful poll (0 before any).
   TimePoint last_poll_completion() const { return last_poll_completion_; }
@@ -131,8 +127,7 @@ class TrackedObject {
   virtual std::optional<Duration> reset() = 0;
 
  private:
-  std::string uri_;
-  ObjectId id_ = kInvalidObjectId;
+  ObjectId id_;
   TimePoint last_poll_completion_ = 0.0;
   std::vector<std::pair<TimePoint, Duration>> ttr_series_;
   std::unique_ptr<PeriodicTask> task_;
@@ -145,7 +140,7 @@ class TrackedObject {
 /// Temporal-domain object driven by a RefreshPolicy (paper §3).
 class TemporalObject final : public TrackedObject {
  public:
-  TemporalObject(std::string uri, std::unique_ptr<RefreshPolicy> policy);
+  TemporalObject(ObjectId id, std::unique_ptr<RefreshPolicy> policy);
 
   bool temporal() const override { return true; }
   PollOutcome on_response(const Response& response, TimePoint now,
@@ -190,7 +185,7 @@ class ValueDomainObject : public TrackedObject {
 /// Value-domain object with its own adaptive Δv policy (paper §4.1).
 class ValueObject final : public ValueDomainObject {
  public:
-  ValueObject(std::string uri, AdaptiveValueTtrPolicy::Config config);
+  ValueObject(ObjectId id, AdaptiveValueTtrPolicy::Config config);
 
   PollOutcome on_response(const Response& response, TimePoint now,
                           TimePoint previous, PollCause cause) override;
@@ -206,8 +201,7 @@ class PartitionedMemberObject final : public ValueDomainObject {
  public:
   /// `policy` is owned by the engine's group record and outlives the
   /// member.
-  PartitionedMemberObject(std::string uri,
-                          PartitionedTolerancePolicy* policy,
+  PartitionedMemberObject(ObjectId id, PartitionedTolerancePolicy* policy,
                           std::size_t index);
 
   PollOutcome on_response(const Response& response, TimePoint now,
@@ -223,7 +217,7 @@ class PartitionedMemberObject final : public ValueDomainObject {
 /// poll; the group policy owns all scheduling.
 class VirtualMemberObject final : public ValueDomainObject {
  public:
-  explicit VirtualMemberObject(std::string uri);
+  explicit VirtualMemberObject(ObjectId id);
 
   PollOutcome on_response(const Response& response, TimePoint now,
                           TimePoint previous, PollCause cause) override;

@@ -255,7 +255,8 @@ TopologyRun run_topology(const Topology& topology) {
   run.triggered = engine.triggered_polls();
   run.digest.records(records);
   for (const UpdateTrace& trace : topology.traces) {
-    run.digest.series(engine.ttr_series(trace.name()));
+    run.digest.series(
+        engine.ttr_series(id_of(engine.uri_table(), trace.name())));
   }
   run.digest.u64(engine.triggered_polls());
   const auto polls_a =

@@ -71,8 +71,9 @@ TEST(ProxyFleet, RelaySiblingMatchesStandaloneEngine) {
   // Proxy 0 polls exactly like the standalone engine; siblings never
   // touch the origin after their initial fetch.
   const ObjectId news = id_of(origin.uri_table(), "/news");
-  const std::size_t control_polls = control.poll_log().polls_performed(
-      id_of(control_origin.uri_table(), "/news"));
+  const ObjectId control_news = id_of(control_origin.uri_table(), "/news");
+  const std::size_t control_polls =
+      control.poll_log().polls_performed(control_news);
   EXPECT_EQ(fleet.proxy(0).poll_log().polls_performed(news), control_polls);
   for (std::size_t p = 1; p < fleet.size(); ++p) {
     EXPECT_EQ(fleet.proxy(p).poll_log().polls_performed(news), 0u)
@@ -80,8 +81,8 @@ TEST(ProxyFleet, RelaySiblingMatchesStandaloneEngine) {
     EXPECT_GT(fleet.proxy(p).poll_log().relay_refreshes(news), 0u);
 
     // Identical TTR trajectory...
-    const auto& expected = control.ttr_series("/news");
-    const auto& actual = fleet.proxy(p).ttr_series("/news");
+    const auto& expected = control.ttr_series(control_news);
+    const auto& actual = fleet.proxy(p).ttr_series(news);
     ASSERT_EQ(actual.size(), expected.size());
     for (std::size_t i = 0; i < expected.size(); ++i) {
       EXPECT_DOUBLE_EQ(actual[i].first, expected[i].first);

@@ -124,10 +124,6 @@ std::size_t cache_bytes(std::size_t padding) {
       cache.refresh_entry(id, 1.0).body = "payload";
       cache.refresh_entry(id, 2.0);
     }
-    CacheEntry entry;
-    entry.uri = tracked_uri(0);
-    entry.snapshot_time = 3.0;
-    cache.store(std::move(entry));
   });
 }
 
@@ -221,6 +217,57 @@ TEST(MemoryBounds, EngineRegistrationIsProportionalToTrackedObjects) {
                              engine_registration_bytes(0), 1,
                              "PollingEngine registration"),
             kMaxBytesPerUntrackedId);
+}
+
+// One copy of each uri: an engine keeps only the ObjectId of each object
+// it tracks, and the uri string lives in the shared UriTable alone.  The
+// same engine is built over kUriObjects objects twice, with 200-character
+// uris and with 8-character ones (short enough for the in-place
+// small-string buffer, so copying one allocates nothing).  The origin, its
+// table and the uri strings are built outside the counted region, and the
+// origin renders no bodies (a body embeds the uri).  Each copy of a long
+// uri the engine keeps allocates 201 B, so the long run's excess per
+// object is 201 B per copy: 402 B for an engine whose tracked objects and
+// cache entries each hold the uri, 0 B for one that holds ids alone.  The
+// bound sits well below one copy, so a single remaining copy fails it.
+constexpr std::size_t kUriObjects = 256;
+constexpr std::size_t kLongUri = 200;
+constexpr std::size_t kShortUri = 8;
+constexpr double kMaxBytesPerLongUri = 64.0;
+
+std::size_t engine_start_bytes(std::size_t uri_length) {
+  Simulator sim;
+  OriginServer::Config config;
+  config.render_bodies = false;
+  OriginServer origin(sim, config);
+  std::vector<std::string> uris;
+  for (std::size_t k = 0; k < kUriObjects; ++k) {
+    std::string uri = "/" + std::to_string(k);
+    uri.resize(uri_length, 'x');
+    origin.add_object(uri);
+    uris.push_back(std::move(uri));
+  }
+  std::unique_ptr<PollingEngine> engine;
+  return bytes_allocated_by([&] {
+    engine = std::make_unique<PollingEngine>(sim, origin);
+    for (const std::string& uri : uris) {
+      engine->add_temporal_object(uri, limd());
+    }
+    engine->start();  // the initial fetch fills the cache
+  });
+}
+
+TEST(MemoryBounds, UriHeldOnce) {
+  const std::size_t long_bytes = engine_start_bytes(kLongUri);
+  const std::size_t short_bytes = engine_start_bytes(kShortUri);
+  const double per_object =
+      (static_cast<double>(long_bytes) - static_cast<double>(short_bytes)) /
+      static_cast<double>(kUriObjects);
+  std::cout << "PollingEngine start: " << short_bytes << " B with "
+            << kShortUri << "-char uris, " << long_bytes << " B with "
+            << kLongUri << "-char uris, " << per_object
+            << " B per long uri\n";
+  EXPECT_LE(per_object, kMaxBytesPerLongUri);
 }
 
 struct FleetStart {

@@ -219,14 +219,6 @@ TEST(ObjectStore, FrozenStoreRejectsCreation) {
   EXPECT_THROW(store.create("/new", 0.0), CheckFailure);
 }
 
-TEST(ObjectStore, UrisSorted) {
-  ObjectStore store;
-  store.create("/c", 0.0);
-  store.create("/a", 0.0);
-  store.create("/b", 0.0);
-  EXPECT_EQ(store.uris(), (std::vector<std::string>{"/a", "/b", "/c"}));
-}
-
 TEST(ObjectStore, PointersStableAcrossInserts) {
   ObjectStore store;
   VersionedObject& a = store.create("/a", 0.0);

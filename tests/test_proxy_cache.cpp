@@ -11,23 +11,25 @@
 namespace broadway {
 namespace {
 
-CacheEntry entry(const std::string& uri, TimePoint snapshot) {
-  CacheEntry out;
-  out.uri = uri;
-  out.snapshot_time = snapshot;
-  out.stored_time = snapshot;
-  out.body = "body@" + std::to_string(snapshot);
-  return out;
+// Write a copy of `id` through the cache's one write path, the way the
+// polling engine's store stage does.
+void store(ProxyCache& cache, ObjectId id, TimePoint snapshot,
+           const std::string& body = "body") {
+  CacheEntry& entry = cache.refresh_entry(id, snapshot);
+  entry.snapshot_time = snapshot;
+  entry.stored_time = snapshot;
+  entry.body = body + "@" + std::to_string(snapshot);
 }
 
 TEST(ProxyCache, StoreAndFind) {
   UriTable table;
   ProxyCache cache(table);
-  cache.store(entry("/a", 10.0));
+  store(cache, table.intern("/a"), 10.0);
   EXPECT_EQ(cache.size(), 1u);
   const CacheEntry* found = cache.find(id_of(table, "/a"));
   ASSERT_NE(found, nullptr);
   EXPECT_DOUBLE_EQ(found->snapshot_time, 10.0);
+  EXPECT_EQ(found->refresh_count, 0u);
   EXPECT_EQ(cache.find(table.intern("/missing")), nullptr);
   EXPECT_EQ(cache.find(kInvalidObjectId), nullptr);
 }
@@ -35,30 +37,44 @@ TEST(ProxyCache, StoreAndFind) {
 TEST(ProxyCache, RefreshReplacesAndCountsRefreshes) {
   UriTable table;
   ProxyCache cache(table);
-  cache.store(entry("/a", 10.0));
-  cache.store(entry("/a", 20.0));
-  cache.store(entry("/a", 30.0));
-  const CacheEntry* current = cache.find(id_of(table, "/a"));
+  const ObjectId a = table.intern("/a");
+  store(cache, a, 10.0);
+  store(cache, a, 20.0);
+  store(cache, a, 30.0);
+  const CacheEntry* current = cache.find(a);
   ASSERT_NE(current, nullptr);
   EXPECT_DOUBLE_EQ(current->snapshot_time, 30.0);
   EXPECT_EQ(current->refresh_count, 2u);
+  EXPECT_EQ(cache.size(), 1u);
 }
 
 TEST(ProxyCache, MonotonicityEnforced) {
   // Paper §2: cached versions must increase monotonically.
   UriTable table;
   ProxyCache cache(table);
-  cache.store(entry("/a", 20.0));
-  EXPECT_THROW(cache.store(entry("/a", 10.0)), CheckFailure);
+  const ObjectId a = table.intern("/a");
+  store(cache, a, 20.0);
+  EXPECT_THROW(cache.refresh_entry(a, 10.0), CheckFailure);
+  // The failure names the object by its uri, read from the table.
+  try {
+    cache.refresh_entry(a, 10.0);
+    ADD_FAILURE() << "a backwards refresh was accepted";
+  } catch (const CheckFailure& failure) {
+    EXPECT_NE(std::string(failure.what()).find("/a"), std::string::npos)
+        << failure.what();
+  }
+  // The rejected refreshes changed nothing.
+  EXPECT_EQ(cache.find(a)->refresh_count, 0u);
   // Same-instant refresh is allowed (triggered poll at the same time).
-  EXPECT_NO_THROW(cache.store(entry("/a", 20.0)));
+  EXPECT_NO_THROW(store(cache, a, 20.0));
+  EXPECT_EQ(cache.find(a)->refresh_count, 1u);
 }
 
 TEST(ProxyCache, HitMissAccounting) {
   UriTable table;
   ProxyCache cache(table);
-  cache.store(entry("/a", 1.0));
-  const ObjectId a = id_of(table, "/a");
+  const ObjectId a = table.intern("/a");
+  store(cache, a, 1.0);
   EXPECT_NE(cache.lookup_counted(a), nullptr);
   EXPECT_EQ(cache.lookup_counted(kInvalidObjectId), nullptr);
   EXPECT_NE(cache.lookup_counted(a), nullptr);
@@ -66,20 +82,8 @@ TEST(ProxyCache, HitMissAccounting) {
   EXPECT_EQ(cache.misses(), 1u);
 }
 
-TEST(ProxyCache, UrisAndClear) {
-  UriTable table;
-  ProxyCache cache(table);
-  cache.store(entry("/b", 1.0));
-  cache.store(entry("/a", 1.0));
-  EXPECT_EQ(cache.uris(), (std::vector<std::string>{"/a", "/b"}));
-  cache.clear();
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.find(id_of(table, "/a")), nullptr);
-}
-
-// A cache sharing a large table holds a few scattered, high ids: lookups,
-// sorted uris() and a store -> clear() -> re-store cycle behave exactly as
-// on a table holding only those ids.
+// A cache sharing a large table holds a few scattered, high ids: lookups
+// and refreshes behave exactly as on a table holding only those ids.
 TEST(ProxyCache, SparseHighIdsInASharedTable) {
   UriTable table;
   for (int i = 0; i < 5000; ++i) {
@@ -96,44 +100,21 @@ TEST(ProxyCache, SparseHighIdsInASharedTable) {
   }
   for (std::size_t i = 0; i < uris.size(); ++i) {
     CacheEntry& fresh = cache.refresh_entry(ids[i], 5.0);
-    EXPECT_EQ(fresh.uri, uris[i]);
     EXPECT_EQ(fresh.refresh_count, 0u);
     fresh.snapshot_time = 5.0;
+    fresh.body = uris[i];
   }
-  cache.store(entry("/m", 6.0));
+  store(cache, ids[1], 6.0, "/m");
   EXPECT_EQ(cache.size(), 4u);
-  EXPECT_EQ(cache.uris(),
-            (std::vector<std::string>{"/a", "/m", "/q", "/z"}));
   ASSERT_NE(cache.find(ids[1]), nullptr);
   EXPECT_EQ(cache.find(ids[1])->refresh_count, 1u);
-  EXPECT_EQ(cache.find(ids[2])->uri, "/a");
+  EXPECT_EQ(cache.find(ids[1])->body, "/m@" + std::to_string(6.0));
+  ASSERT_NE(cache.find(ids[2]), nullptr);
+  EXPECT_EQ(cache.find(ids[2])->body, "/a");
   EXPECT_EQ(cache.find(id_of(table, "/untracked/42")), nullptr);
   EXPECT_EQ(cache.find(kInvalidObjectId), nullptr);
   EXPECT_EQ(cache.lookup_counted(id_of(table, "/untracked/7")), nullptr);
   EXPECT_EQ(cache.misses(), 1u);
-
-  cache.clear();
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_TRUE(cache.uris().empty());
-  for (const ObjectId id : ids) EXPECT_EQ(cache.find(id), nullptr);
-  // Re-store after the clear, in another order: a fresh entry (no
-  // refresh count carried over), and monotonicity restarts with it.
-  cache.store(entry("/q", 1.0));
-  cache.store(entry("/z", 2.0));
-  cache.store(entry("/q", 3.0));
-  EXPECT_EQ(cache.uris(), (std::vector<std::string>{"/q", "/z"}));
-  ASSERT_NE(cache.find(ids[3]), nullptr);
-  EXPECT_EQ(cache.find(ids[3])->refresh_count, 1u);
-  ASSERT_NE(cache.find(ids[0]), nullptr);
-  EXPECT_DOUBLE_EQ(cache.find(ids[0])->snapshot_time, 2.0);
-  EXPECT_EQ(cache.find(ids[2]), nullptr);
-}
-
-TEST(ProxyCache, RejectsAnonymousEntry) {
-  UriTable table;
-  ProxyCache cache(table);
-  CacheEntry anonymous;
-  EXPECT_THROW(cache.store(anonymous), CheckFailure);
 }
 
 }  // namespace

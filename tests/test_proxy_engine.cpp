@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <string_view>
 
 #include "consistency/fixed_poll.h"
@@ -30,6 +31,17 @@ struct Rig {
     return id_of(origin.uri_table(), uri);
   }
 };
+
+// The message of the CheckFailure `body` throws; "" when it throws none.
+template <typename F>
+std::string failure_of(F&& body) {
+  try {
+    body();
+  } catch (const CheckFailure& failure) {
+    return failure.what();
+  }
+  return "";
+}
 
 TEST(PollingEngine, InitialFetchPopulatesCache) {
   Rig rig;
@@ -96,7 +108,7 @@ TEST(PollingEngine, LimdBacksOffOnQuietObject) {
   rig.sim.run_until(3600.0);
   // LIMD grows TTR toward max: strictly fewer polls than fixed-Δ (60).
   EXPECT_LT(rig.engine.poll_log().polls_performed(rig.id("/quiet")), 30u);
-  const auto& series = rig.engine.ttr_series("/quiet");
+  const auto& series = rig.engine.ttr_series(rig.id("/quiet"));
   ASSERT_GE(series.size(), 3u);
   EXPECT_GT(series.back().second, series.front().second);
 }
@@ -188,10 +200,12 @@ TEST(PollingEngine, RegistrationValidation) {
   rig.origin.add_object("/a");
   rig.engine.add_temporal_object("/a",
                                  std::make_unique<FixedPollPolicy>(10.0));
-  // Duplicate registration rejected.
-  EXPECT_THROW(rig.engine.add_temporal_object(
-                   "/a", std::make_unique<FixedPollPolicy>(10.0)),
-               CheckFailure);
+  // Duplicate registration rejected, naming the uri.
+  EXPECT_NE(failure_of([&] {
+              rig.engine.add_temporal_object(
+                  "/a", std::make_unique<FixedPollPolicy>(10.0));
+            }).find("duplicate registration of /a"),
+            std::string::npos);
   rig.engine.start();
   EXPECT_THROW(rig.engine.start(), CheckFailure);  // double start
   // Late registration rejected.
@@ -204,7 +218,19 @@ TEST(PollingEngine, PollingUnknownObjectFailsLoudly) {
   Rig rig;
   rig.engine.add_temporal_object("/ghost",
                                  std::make_unique<FixedPollPolicy>(10.0));
-  EXPECT_THROW(rig.engine.start(), CheckFailure);  // 404 from origin
+  // 404 from origin.
+  EXPECT_NE(failure_of([&] { rig.engine.start(); })
+                .find("/ghost not present at origin"),
+            std::string::npos);
+}
+
+TEST(PollingEngine, ValueObjectWithoutAValueFailsLoudly) {
+  Rig rig;
+  rig.origin.add_object("/page");  // a temporal-domain object: no value
+  rig.engine.add_value_object("/page", AdaptiveValueTtrPolicy::Config{});
+  EXPECT_NE(failure_of([&] { rig.engine.start(); })
+                .find("/page is not a value-domain object"),
+            std::string::npos);
 }
 
 TEST(PollingEngine, RttShiftsCompletionTimes) {

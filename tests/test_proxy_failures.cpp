@@ -75,7 +75,8 @@ TEST(CrashRecovery, ResetsTtrToMin) {
   engine.start();
   sim.run_until(3000.0);
   // TTR has grown well beyond the minimum by now.
-  const auto& series_before = engine.ttr_series("/quiet");
+  const auto& series_before =
+      engine.ttr_series(id_of(engine.uri_table(), "/quiet"));
   ASSERT_FALSE(series_before.empty());
   EXPECT_GT(series_before.back().second, 120.0);
 

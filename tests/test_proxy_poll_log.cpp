@@ -229,14 +229,18 @@ TEST(PollLog, EngineAccessorsMatchBruteForceScan) {
   EXPECT_EQ(engine.demand_fills(), log.demand_fills());
 
   // ttr_series over a mixed registry: self-scheduled objects have series,
-  // group-polled members and unknown uris answer empty instead of
+  // group-polled members and unknown ids answer empty instead of
   // aborting the run.
-  EXPECT_FALSE(engine.ttr_series("/t1").empty());
-  EXPECT_FALSE(engine.ttr_series("/v1").empty());
-  EXPECT_FALSE(engine.ttr_series("/p1").empty());
-  EXPECT_TRUE(engine.ttr_series("/g1").empty());
-  EXPECT_TRUE(engine.ttr_series("/g2").empty());
-  EXPECT_TRUE(engine.ttr_series("/absent").empty());
+  const auto series = [&](const char* uri) {
+    return engine.ttr_series(id_of(engine.uri_table(), uri));
+  };
+  EXPECT_FALSE(series("/t1").empty());
+  EXPECT_FALSE(series("/v1").empty());
+  EXPECT_FALSE(series("/p1").empty());
+  EXPECT_TRUE(series("/g1").empty());
+  EXPECT_TRUE(series("/g2").empty());
+  EXPECT_TRUE(series("/absent").empty());
+  EXPECT_TRUE(engine.ttr_series(kInvalidObjectId).empty());
 }
 
 // ---- windowed retention ----------------------------------------------------

@@ -181,7 +181,8 @@ TEST(ValueEngine, CrashRecoveryResetsValuePolicies) {
   engine.start();
   sim.run_until(600.0);
   // Flat object: TTR has grown well beyond the minimum.
-  const auto& series = engine.ttr_series(flat.name());
+  const auto& series =
+      engine.ttr_series(id_of(engine.uri_table(), flat.name()));
   ASSERT_FALSE(series.empty());
   EXPECT_GT(series.back().second, 10.0);
 

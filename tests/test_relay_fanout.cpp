@@ -27,6 +27,7 @@
 #include "fleet/proxy_fleet.h"
 #include "fleet/sharded_fleet.h"
 #include "golden_digest.h"
+#include "id_of.h"
 #include "origin/origin_server.h"
 #include "sim/simulator.h"
 #include "trace/generators.h"
@@ -113,7 +114,8 @@ TEST(RelayFanOutGolden, SingleSimulatorFleet) {
   for (std::size_t p = 0; p < fleet.size(); ++p) {
     digest.records(fleet.proxy(p).poll_log().records());
     for (const UpdateTrace& trace : traces) {
-      digest.series(fleet.proxy(p).ttr_series(trace.name()));
+      digest.series(fleet.proxy(p).ttr_series(
+          id_of(fleet.proxy(p).uri_table(), trace.name())));
     }
   }
   digest.u64(origin.requests_served());
@@ -152,7 +154,8 @@ TEST(RelayFanOutGolden, FourShardFleet) {
   digest.records(fleet.merged_poll_records());
   for (std::size_t p = 0; p < fleet.size(); ++p) {
     for (const UpdateTrace& trace : traces) {
-      digest.series(fleet.proxy(p).ttr_series(trace.name()));
+      digest.series(fleet.proxy(p).ttr_series(
+          id_of(fleet.proxy(p).uri_table(), trace.name())));
     }
   }
   digest.u64(fleet.origin_requests());

@@ -18,6 +18,7 @@
 #include "consistency/limd.h"
 #include "fleet/proxy_fleet.h"
 #include "golden_digest.h"
+#include "id_of.h"
 #include "origin/origin_server.h"
 #include "proxy/polling_engine.h"
 #include "sim/simulator.h"
@@ -94,7 +95,8 @@ TEST(TraceReplayGolden, CooperativeFleet) {
     digest.records(fleet.proxy(p).poll_log().records());
     records += fleet.proxy(p).poll_log().records().size();
     for (const UpdateTrace& trace : traces) {
-      digest.series(fleet.proxy(p).ttr_series(trace.name()));
+      digest.series(fleet.proxy(p).ttr_series(
+          id_of(fleet.proxy(p).uri_table(), trace.name())));
     }
   }
   digest.u64(origin.requests_served());
@@ -130,7 +132,8 @@ TEST(TraceReplayGolden, ValueDomainEngine) {
 
   Digest digest;
   digest.records(proxy.poll_log().records());
-  digest.series(proxy.ttr_series(trace.name()));
+  digest.series(
+      proxy.ttr_series(id_of(proxy.uri_table(), trace.name())));
   digest.u64(proxy.polls_performed());
   digest.u64(origin.requests_served());
 

@@ -307,10 +307,11 @@ TEST(ShardLayout, ShardedFaultsShapeWholeProxy) {
 
 // Bad groups fail where they are registered, with the coordinator's own
 // checks, instead of surfacing later from start().
-ShardedFleet two_proxy_fleet() {
+ShardedFleet two_proxy_fleet(std::size_t shards = 0) {
   ShardedFleetConfig config;
   config.fleet.proxies = 2;
   config.fleet.relay_latency = 1.0;
+  config.shards = shards;
   config.origin_setup = [](OriginServer& origin) {
     origin.add_object("/a");
     origin.add_object("/b");
@@ -344,6 +345,31 @@ TEST(ShardedDeltaGroupValidation, ProxyOutOfRangeFailsAtRegistration) {
   ShardedFleet fleet = two_proxy_fleet();
   EXPECT_THROW(fleet.add_delta_group({{0, "/a"}, {2, "/b"}}, 60.0),
                CheckFailure);
+}
+
+// Membership needs the registrations, so it is checked at start(), when
+// the layout pairs each member with its proxy's registered objects: a
+// member whose uri the origin hosts, and another proxy tracks, but which
+// its own proxy never registered fails there in both layouts.
+TEST(ShardedDeltaGroupValidation, UnregisteredMemberFailsAtStart) {
+  for (const std::size_t shards : {0u, 4u}) {
+    SCOPED_TRACE(shards);
+    ShardedFleet fleet = two_proxy_fleet(shards);
+    const auto policy = [] { return std::make_unique<FixedPollPolicy>(60.0); };
+    fleet.add_temporal_object(0, "/a", policy);
+    fleet.add_temporal_object(0, "/b", policy);
+    fleet.add_temporal_object(1, "/a", policy);
+    fleet.add_delta_group({{0, "/a"}, {1, "/b"}}, 60.0);
+    try {
+      fleet.start();
+      ADD_FAILURE() << "a group member its proxy never registered started";
+    } catch (const CheckFailure& failure) {
+      EXPECT_NE(std::string(failure.what())
+                    .find("/b is not a registered object of proxy 1"),
+                std::string::npos)
+          << failure.what();
+    }
+  }
 }
 
 TEST(ShardedDeltaGroupValidation, ValidGroupIsAccepted) {

@@ -29,6 +29,7 @@
 #include "fleet/faults.h"
 #include "fleet/proxy_fleet.h"
 #include "fleet/sharded_fleet.h"
+#include "id_of.h"
 #include "metrics/accounting.h"
 #include "origin/origin_server.h"
 #include "proxy/polling_engine.h"
@@ -220,8 +221,10 @@ Artifacts reference_run(const Topology& topo, Duration horizon,
   for (std::size_t p = 0; p < fleet.size(); ++p) {
     artifacts.records_by_proxy.push_back(
         resolved(fleet.proxy(p).poll_log().records()));
+    const PollingEngine& proxy = fleet.proxy(p);
     for (const UpdateTrace& trace : topo.traces) {
-      artifacts.ttr_series.push_back(fleet.proxy(p).ttr_series(trace.name()));
+      artifacts.ttr_series.push_back(
+          proxy.ttr_series(id_of(proxy.uri_table(), trace.name())));
     }
     logs.push_back({p, &fleet.proxy(p).poll_log().records()});
   }
@@ -271,8 +274,10 @@ Artifacts collect(const ShardedFleet& fleet, const Topology& topo) {
   for (std::size_t p = 0; p < fleet.size(); ++p) {
     artifacts.records_by_proxy.push_back(
         resolved(fleet.proxy(p).poll_log().records()));
+    const PollingEngine& proxy = fleet.proxy(p);
     for (const UpdateTrace& trace : topo.traces) {
-      artifacts.ttr_series.push_back(fleet.proxy(p).ttr_series(trace.name()));
+      artifacts.ttr_series.push_back(
+          proxy.ttr_series(id_of(proxy.uri_table(), trace.name())));
     }
   }
   artifacts.merged = resolved(fleet.merged_poll_records());

@@ -14,6 +14,7 @@
 //    hashed to the same value.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <string>
@@ -204,13 +205,21 @@ struct RunDigest {
                   const std::vector<std::string>& series_uris) {
     digest.records(engine.poll_log().records());
     records += engine.poll_log().records().size();
+    const UriTable& table = engine.uri_table();
     for (const std::string& uri : series_uris) {
-      digest.series(engine.ttr_series(uri));
+      digest.series(engine.ttr_series(id_of(table, uri)));
     }
-    for (const std::string& uri : engine.cache().uris()) {
-      const CacheEntry& entry =
-          *engine.cache().find(id_of(engine.uri_table(), uri));
-      digest.text(entry.uri);
+    // Cached entries in uri order.
+    std::vector<ObjectId> cached;
+    for (ObjectId id = 0; id < table.size(); ++id) {
+      if (engine.cache().find(id) != nullptr) cached.push_back(id);
+    }
+    std::sort(cached.begin(), cached.end(), [&](ObjectId a, ObjectId b) {
+      return table.uri(a) < table.uri(b);
+    });
+    for (const ObjectId id : cached) {
+      const CacheEntry& entry = *engine.cache().find(id);
+      digest.text(table.uri(id));
       digest.text(entry.body);
       digest.f64(entry.snapshot_time);
       digest.f64(entry.stored_time);
