@@ -110,26 +110,47 @@ BENCHMARK(BM_SimulatorScheduleRun)->Arg(1000)->Arg(10000);
 // the shape of a fleet poll schedule, where the event at the queue head
 // constantly re-enqueues itself somewhere in the near future.  Arg =
 // timer count.
+class SweepTimers : private TimerOwner {
+ public:
+  SweepTimers(Simulator& sim, int count)
+      : timers_(static_cast<std::size_t>(count)),
+        state_(static_cast<std::size_t>(count)) {
+    for (int i = 0; i < count; ++i) {
+      const auto index = static_cast<std::uint32_t>(i);
+      state_[index] = 0x9e3779b97f4a7c15ull * (index + 1ull);
+      timers_[index].bind(sim, *this, /*kind=*/0, index);
+      timers_[index].start(static_cast<double>(i % 101) * 0.5);
+    }
+  }
+
+  Timer& timer(std::size_t i) { return timers_[i]; }
+
+  /// 1–100 s periods, deterministic per timer; the modulus also
+  /// manufactures same-instant collisions across timers.
+  Duration next_period(std::size_t i) {
+    std::uint64_t& x = state_[i];
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    return 1.0 + static_cast<double>(x % 991) / 10.0;
+  }
+
+ private:
+  void on_timer(Timer& timer) override {
+    timer.reschedule(next_period(timer.subject()));
+  }
+
+  std::vector<Timer> timers_;  // sized once: timers never move
+  std::vector<std::uint64_t> state_;
+};
+
 void BM_SchedulerSweep(benchmark::State& state) {
   const int timers = static_cast<int>(state.range(0));
   constexpr TimePoint kHorizon = 2000.0;
   std::int64_t events = 0;
   for (auto _ : state) {
     Simulator sim;
-    std::vector<std::unique_ptr<PeriodicTask>> tasks;
-    tasks.reserve(static_cast<std::size_t>(timers));
-    for (int i = 0; i < timers; ++i) {
-      std::uint64_t x = 0x9e3779b97f4a7c15ull * static_cast<std::uint64_t>(i + 1);
-      tasks.push_back(std::make_unique<PeriodicTask>(sim, [x]() mutable {
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        // 1–100 s periods, deterministic per timer; the modulus also
-        // manufactures same-instant collisions across timers.
-        return 1.0 + static_cast<double>(x % 991) / 10.0;
-      }));
-      tasks.back()->start(static_cast<double>(i % 101) * 0.5);
-    }
+    SweepTimers sweep(sim, timers);
     sim.run_until(kHorizon);
     events += static_cast<std::int64_t>(sim.executed());
     benchmark::DoNotOptimize(sim.now());
@@ -140,6 +161,37 @@ BENCHMARK(BM_SchedulerSweep)
     ->Arg(256)
     ->Arg(4096)
     ->Unit(benchmark::kMillisecond);
+
+// The triggered-poll shape of paper_mutual: 8 192 self-rescheduling
+// timers, and after each firing about 0.7 pull-forwards of another timer
+// to now + its next period (a triggered poll re-arms the member's
+// schedule from the poll instant).  paper_mutual fires 305 k events per
+// repetition and re-arms 232 k pending timers: 0.76 per firing.  Items =
+// firings.
+void BM_TimerPullForwardStorm(benchmark::State& state) {
+  constexpr int kTimers = 8192;
+  constexpr std::size_t kFirings = 200'000;
+  std::int64_t firings = 0;
+  for (auto _ : state) {
+    Simulator sim;
+    SweepTimers sweep(sim, kTimers);
+    std::uint64_t x = 0x2545f4914f6cdd1dull;
+    for (std::size_t i = 0; i < kFirings; ++i) {
+      sim.step();
+      x ^= x << 13;
+      x ^= x >> 7;
+      x ^= x << 17;
+      if (x % 10 < 7) {
+        const std::size_t target = (x >> 8) % kTimers;
+        sweep.timer(target).reschedule(sweep.next_period(target));
+      }
+    }
+    firings += static_cast<std::int64_t>(sim.executed());
+    benchmark::DoNotOptimize(sim.now());
+  }
+  state.SetItemsProcessed(firings);
+}
+BENCHMARK(BM_TimerPullForwardStorm)->Unit(benchmark::kMillisecond);
 
 // The per-poll observation-history build + restriction, exactly as
 // TemporalObject::on_response performs it.  Arg = wire history length:

@@ -97,9 +97,8 @@ FleetClientTraffic::FleetClientTraffic(Simulator& sim,
     auto stream = std::make_unique<Stream>(config_.seed + binding.global_id);
     stream->engine = binding.engine;
     stream->global_id = binding.global_id;
-    Stream* raw = stream.get();
-    stream->task = std::make_unique<PeriodicTask>(
-        sim_, [this, raw] { return fire(*raw); });
+    stream->timer.bind(sim_, *this, /*kind=*/0,
+                       static_cast<std::uint32_t>(streams_.size()));
     streams_.push_back(std::move(stream));
   }
 }
@@ -152,13 +151,18 @@ void FleetClientTraffic::start() {
   const std::uint32_t outer = sim_.schedule_tag();
   for (auto& stream : streams_) {
     sim_.set_schedule_tag(static_cast<std::uint32_t>(stream->global_id));
-    stream->task->start(stream->rng.exponential(peak_rate_));
+    stream->timer.start(stream->rng.exponential(peak_rate_));
   }
   sim_.set_schedule_tag(outer);
 }
 
 void FleetClientTraffic::stop() {
-  for (auto& stream : streams_) stream->task->stop();
+  for (auto& stream : streams_) stream->timer.stop();
+}
+
+void FleetClientTraffic::on_timer(Timer& timer) {
+  Stream& stream = *streams_[timer.subject()];
+  stream.timer.reschedule(fire(stream));
 }
 
 Duration FleetClientTraffic::fire(Stream& stream) {
@@ -173,7 +177,7 @@ Duration FleetClientTraffic::fire(Stream& stream) {
     const Duration gap = stream.rng.exponential(peak_rate_);
     // Run ahead while the next candidate would be the simulator's very
     // next event anyway; on a tie, at the run's bound or with anything
-    // else due first, hand it to the queue (the task arms now + gap, the
+    // else due first, hand it to the queue (the timer arms now + gap, the
     // same instant).
     if (!sim_.try_advance(sim_.now() + gap)) return gap;
   }
@@ -278,7 +282,7 @@ std::uint64_t FleetClientTraffic::requests_issued() const {
 TimePoint FleetClientTraffic::next_fire() const {
   TimePoint next = kTimeInfinity;
   for (const auto& stream : streams_) {
-    next = std::min(next, stream->task->next_fire_time());
+    next = std::min(next, stream->timer.next_fire_time());
   }
   return next;
 }

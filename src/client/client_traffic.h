@@ -40,7 +40,6 @@
 #include "client/client_metrics.h"
 #include "origin/origin_server.h"
 #include "proxy/polling_engine.h"
-#include "sim/periodic.h"
 #include "sim/simulator.h"
 #include "trace/diurnal.h"
 #include "util/rng.h"
@@ -115,7 +114,7 @@ class PopularityCdf {
 /// Aggregated client streams over a set of proxies (a whole fleet, or one
 /// shard's slice).  Construct with the engines to drive, `start()` after
 /// the engines started, run the simulator, read metrics.
-class FleetClientTraffic {
+class FleetClientTraffic : private TimerOwner {
  public:
   /// One proxy to drive.  `global_id` is the fleet-wide proxy id (equal
   /// to the local index for a whole fleet; the shard's slice passes the
@@ -183,7 +182,7 @@ class FleetClientTraffic {
     Rng rng;
     ClientMetrics metrics;
     std::vector<ClientRequestRecord> records;
-    std::unique_ptr<PeriodicTask> task;
+    Timer timer;  // the next candidate; subject = index in streams_
 
     Stream(std::uint64_t seed) : rng(seed) {}
   };
@@ -191,7 +190,8 @@ class FleetClientTraffic {
   Simulator& sim_;
   const OriginServer& origin_;
   ClientTrafficConfig config_;
-  // unique_ptr elements: the periodic tasks capture raw Stream pointers.
+  // unique_ptr elements: the simulator's heap points at each stream's
+  // timer.
   std::vector<std::unique_ptr<Stream>> streams_;
   std::vector<ObjectId> objects_;      // universe, popularity-rank order
   PopularityCdf cdf_;                  // over objects_
@@ -203,6 +203,8 @@ class FleetClientTraffic {
   /// One stream firing: thin against the diurnal envelope, maybe issue a
   /// request, return the gap to the next candidate.
   Duration fire(Stream& stream);
+  /// A stream's timer fired: fire it and re-arm it at the next candidate.
+  void on_timer(Timer& timer) override;
   void issue(Stream& stream);
   /// CDF-inverse of u in [0, 1): the object whose cumulative mass first
   /// exceeds u.  Fails fast on an out-of-range draw.

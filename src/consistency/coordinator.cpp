@@ -30,10 +30,9 @@ bool MutualCoordinator::outside_delta_window(const CoordinatorHooks& hooks,
   // copy already originated within δ of the updated object; a poll in the
   // near future will restore that soon enough to stay within the user's
   // tolerance (Eq. 4).
-  const TimePoint last = hooks.last_poll_time(object);
-  if (now - last <= delta_mutual) return false;
-  const TimePoint next = hooks.next_poll_time(object);
-  if (next - now <= delta_mutual) return false;
+  const PollWindow window = hooks.schedule->poll_window(object);
+  if (now - window.last <= delta_mutual) return false;
+  if (window.next - now <= delta_mutual) return false;
   return true;
 }
 

@@ -33,17 +33,33 @@
 
 namespace broadway {
 
+/// The two poll instants of one object that the δ-window test reads.
+struct PollWindow {
+  /// Absolute time of the object's most recent completed poll.
+  TimePoint last = 0.0;
+  /// Absolute time of its next scheduled poll (kTimeInfinity if none is
+  /// pending).
+  TimePoint next = kTimeInfinity;
+};
+
+/// An engine's poll schedule, as the δ-window test sees it: one virtual
+/// call per member reads both instants.
+class PollSchedule {
+ public:
+  virtual PollWindow poll_window(ObjectId object) const = 0;
+
+ protected:
+  ~PollSchedule() = default;
+};
+
 /// Engine facilities a coordinator may use.  All keyed by interned
 /// ObjectId; `resolve` translates a member uri once at bind time (and must
 /// fail loudly for uris that are not registered temporal objects).
 struct CoordinatorHooks {
   /// Interned id of a registered temporal object's uri.
   std::function<ObjectId(const std::string&)> resolve;
-  /// Absolute time of the object's next scheduled poll (kTimeInfinity if
-  /// none pending).
-  std::function<TimePoint(ObjectId)> next_poll_time;
-  /// Absolute time of the object's most recent completed poll.
-  std::function<TimePoint(ObjectId)> last_poll_time;
+  /// The engine's schedule (not owned; outlives the coordinator's use).
+  const PollSchedule* schedule = nullptr;
   /// Force an immediate poll of the object (recorded as PollCause::
   /// kTriggered; the object's schedule continues from the new poll).
   std::function<void(ObjectId)> trigger_poll;

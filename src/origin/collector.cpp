@@ -13,19 +13,21 @@ TraceCollector::TraceCollector(Simulator& sim, OriginServer& origin,
       origin_(origin),
       uri_(std::move(uri)),
       period_(period),
-      task_(sim, [this] {
-        poll();
-        return period_;
-      }) {
+      timer_(sim, *this) {
   BROADWAY_CHECK_MSG(period_ > 0.0, "period " << period_);
 }
 
 void TraceCollector::start() {
   last_poll_ = sim_.now();
-  task_.start(period_);
+  timer_.start(period_);
 }
 
-void TraceCollector::stop() { task_.stop(); }
+void TraceCollector::stop() { timer_.stop(); }
+
+void TraceCollector::on_timer(Timer&) {
+  poll();
+  timer_.reschedule(period_);
+}
 
 void TraceCollector::poll() {
   ++polls_;

@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "origin/origin_server.h"
-#include "sim/periodic.h"
 #include "sim/simulator.h"
 #include "trace/update_trace.h"
 #include "util/time.h"
@@ -25,7 +24,7 @@ namespace broadway {
 
 /// Polls one object periodically and records observed modification
 /// instants.  Start it, run the simulator, then take the trace.
-class TraceCollector {
+class TraceCollector : private TimerOwner {
  public:
   /// Poll `uri` at `origin` every `period` (the paper used one minute).
   TraceCollector(Simulator& sim, OriginServer& origin, std::string uri,
@@ -60,12 +59,14 @@ class TraceCollector {
   OriginServer& origin_;
   std::string uri_;
   Duration period_;
-  PeriodicTask task_;
+  Timer timer_;
   std::vector<TimePoint> observations_;
   TimePoint last_poll_ = 0.0;
   std::size_t polls_ = 0;
 
   void poll();
+  /// The sampling timer fired: poll, then re-arm one period later.
+  void on_timer(Timer& timer) override;
 };
 
 /// How faithfully a reconstruction captured the truth: the fraction of

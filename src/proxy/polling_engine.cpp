@@ -1,6 +1,7 @@
 #include "proxy/polling_engine.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "http/extensions.h"
 #include "util/check.h"
@@ -44,12 +45,7 @@ TrackedObject& PollingEngine::register_object(
                                             uris_.uri(b->id());
                                    }),
                   raw);
-  if (self_scheduled) {
-    raw->attach_task(std::make_unique<PeriodicTask>(sim_, [this, raw] {
-      poll_self(*raw, PollCause::kScheduled);
-      return -1.0;  // the pipeline reschedules explicitly
-    }));
-  }
+  if (self_scheduled) raw->timer().bind(sim_, *this, kObjectPoll, id);
   return *raw;
 }
 
@@ -98,11 +94,8 @@ void PollingEngine::add_virtual_group(
     group->members.push_back(static_cast<VirtualMemberObject*>(&member));
   }
   group->policy = std::move(policy);
-  VirtualGroup* raw = group.get();
-  raw->task = std::make_unique<PeriodicTask>(sim_, [this, raw] {
-    poll_group(*raw, PollCause::kScheduled);
-    return -1.0;
-  });
+  group->timer.bind(sim_, *this, kGroupPoll,
+                    static_cast<std::uint32_t>(virtual_groups_.size()));
   virtual_groups_.push_back(std::move(group));
 }
 
@@ -157,10 +150,11 @@ void PollingEngine::crash() {
   // the schedules from scratch.
   for (TrackedObject* object : ordered_) {
     object->clear_pending_retries();
-    if (object->task() != nullptr) object->task()->stop();
+    object->timer().stop();
   }
   for (auto& group : virtual_groups_) {
-    group->task->stop();
+    group->timer.stop();
+    group->retry_member = nullptr;
   }
 }
 
@@ -174,12 +168,12 @@ void PollingEngine::recover() {
   }
   for (TrackedObject* object : ordered_) {
     if (const auto ttr = object->reset()) {
-      object->task()->reschedule(*ttr);
+      object->timer().reschedule(*ttr);
     }
   }
   for (auto& group : virtual_groups_) {
     group->policy->reset();
-    group->task->reschedule(group->policy->initial_ttr());
+    group->timer.reschedule(group->policy->initial_ttr());
   }
   for (auto& coordinator : coordinators_) coordinator->reset();
 }
@@ -219,24 +213,35 @@ void PollingEngine::store_response(const TrackedObject& object,
 }
 
 void PollingEngine::schedule_retry(TrackedObject& object,
-                                   const std::function<void()>& retry) {
+                                   VirtualGroup* group) {
   // The firing callback removes itself from the pending set by asking the
   // simulator which event is running — no per-retry id box to allocate.
   // The object keeps its own fire-time FIFO so next_send_time() can see
   // pending retries; the constant delay makes schedule order fire order.
   object.push_pending_retry(sim_.now() + config_.retry_delay);
-  TrackedObject* raw = &object;
-  const EventId id =
-      sim_.schedule_after(config_.retry_delay, [this, raw, retry] {
-        pending_retries_.erase(sim_.current_event());
-        raw->pop_pending_retry();
-        retry();
-      });
+  EventId id;
+  if (group == nullptr) {
+    TrackedObject* raw = &object;
+    id = sim_.schedule_after(config_.retry_delay, [this, raw] {
+      pending_retries_.erase(sim_.current_event());
+      raw->pop_pending_retry();
+      poll_self(*raw, PollCause::kRetry);
+    });
+  } else {
+    BROADWAY_CHECK_MSG(group->retry_member == nullptr,
+                       "second retry of one virtual group");
+    group->retry_member = &object;
+    id = sim_.schedule_after(config_.retry_delay, [this, group] {
+      pending_retries_.erase(sim_.current_event());
+      std::exchange(group->retry_member, nullptr)->pop_pending_retry();
+      poll_group(*group, PollCause::kRetry);
+    });
+  }
   pending_retries_.insert(id);
 }
 
 bool PollingEngine::poll_object(TrackedObject& object, PollCause cause,
-                                const std::function<void()>& retry) {
+                                VirtualGroup* group) {
   const TimePoint now = sim_.now();
   const TimePoint previous = object.last_poll_completion();
   const bool initial = cause == PollCause::kInitial;
@@ -254,7 +259,7 @@ bool PollingEngine::poll_object(TrackedObject& object, PollCause cause,
     // shared by every object kind, lost and successful alike.
     poll_log_.append(object.id(), cause, /*modified=*/false, /*failed=*/true,
                      now, now + config_.rtt);
-    schedule_retry(object, retry);
+    schedule_retry(object, group);
     return false;
   }
 
@@ -418,7 +423,7 @@ PollOutcome PollingEngine::apply_outcome(TrackedObject& object,
   object.set_last_poll_completion(snapshot);
   if (outcome.ttr) {
     object.record_ttr(snapshot, *outcome.ttr);
-    object.task()->reschedule(*outcome.ttr);
+    object.timer().reschedule(*outcome.ttr);
   }
 
   // Stage 6: coordinators see every non-initial temporal poll — including
@@ -442,24 +447,20 @@ void PollingEngine::poll_self(TrackedObject& object, PollCause cause) {
   // Defensive: the fleet's failover routing keeps triggers away from dark
   // proxies, but a crashed engine must never poll regardless of caller.
   if (dark_) return;
-  TrackedObject* raw = &object;
-  poll_object(object, cause,
-              [this, raw] { poll_self(*raw, PollCause::kRetry); });
+  poll_object(object, cause, /*group=*/nullptr);
 }
 
 void PollingEngine::poll_group(VirtualGroup& group, PollCause cause) {
   if (dark_) return;
   const TimePoint now = sim_.now();
   const bool initial = cause == PollCause::kInitial;
-  VirtualGroup* raw = &group;
-  const auto retry = [this, raw] { poll_group(*raw, PollCause::kRetry); };
 
   // A joint poll fetches every member; each fetch is one poll in the
   // paper's accounting (Fig. 7 counts individual server polls).
   std::vector<double>& values = group.values_scratch;
   values.clear();
   for (VirtualMemberObject* member : group.members) {
-    if (!poll_object(*member, cause, retry)) {
+    if (!poll_object(*member, cause, &group)) {
       return;  // lost: the whole joint poll retries
     }
     values.push_back(member->last_value());
@@ -467,7 +468,15 @@ void PollingEngine::poll_group(VirtualGroup& group, PollCause cause) {
 
   const Duration ttr = initial ? group.policy->initial_ttr()
                                : group.policy->next_ttr(now, values);
-  group.task->reschedule(ttr);
+  group.timer.reschedule(ttr);
+}
+
+void PollingEngine::on_timer(Timer& timer) {
+  if (timer.kind() == kGroupPoll) {
+    poll_group(*virtual_groups_[timer.subject()], PollCause::kScheduled);
+  } else {
+    poll_self(*tracked(timer.subject()), PollCause::kScheduled);
+  }
 }
 
 // ---- coordinator hooks -----------------------------------------------------
@@ -482,20 +491,20 @@ CoordinatorHooks PollingEngine::make_hooks() {
     BROADWAY_CHECK_MSG(tracks_temporal(id), "unknown temporal object " << uri);
     return id;
   };
-  hooks.next_poll_time = [this](ObjectId id) {
-    return temporal_object(id).task()->next_fire_time();
-  };
-  hooks.last_poll_time = [this](ObjectId id) {
-    return temporal_object(id).last_poll_completion();
-  };
+  hooks.schedule = this;
   hooks.trigger_poll = [this](ObjectId id) {
     poll_self(temporal_object(id), PollCause::kTriggered);
   };
   return hooks;
 }
 
-TrackedObject& PollingEngine::temporal_object(ObjectId id) {
-  TrackedObject* object = tracked(id);
+PollWindow PollingEngine::poll_window(ObjectId id) const {
+  const TrackedObject& object = temporal_object(id);
+  return {object.last_poll_completion(), object.timer().next_fire_time()};
+}
+
+const TrackedObject& PollingEngine::temporal_object(ObjectId id) const {
+  const TrackedObject* object = tracked(id);
   BROADWAY_CHECK_MSG(object != nullptr && object->temporal(),
                      "unknown temporal object id " << id);
   return *object;

@@ -71,7 +71,6 @@
 #include "proxy/cache.h"
 #include "proxy/poll_log.h"
 #include "proxy/tracked_object.h"
-#include "sim/periodic.h"
 #include "sim/simulator.h"
 #include "util/id_slots.h"
 #include "util/rng.h"
@@ -114,8 +113,9 @@ struct PollEvent {
   const TemporalPollObservation* observation;
 };
 
-/// The polling engine.
-class PollingEngine {
+/// The polling engine.  It owns the poll timers of its objects and
+/// groups, and answers the δ-window test of its coordinators.
+class PollingEngine : private TimerOwner, private PollSchedule {
  public:
   using PollListener = std::function<void(const PollEvent&)>;
 
@@ -188,11 +188,8 @@ class PollingEngine {
   TimePoint next_send_time(ObjectId id) const {
     const TrackedObject* object = tracked(id);
     if (object == nullptr) return kTimeInfinity;
-    TimePoint bound = object->next_pending_retry();
-    if (object->task() != nullptr) {
-      bound = std::min(bound, object->task()->next_fire_time());
-    }
-    return bound;
+    return std::min(object->next_pending_retry(),
+                    object->timer().next_fire_time());
   }
 
   /// Observe every *successful origin poll* of this engine (relay
@@ -367,9 +364,17 @@ class PollingEngine {
   struct VirtualGroup {
     std::vector<VirtualMemberObject*> members;  // owned by objects_by_id_
     std::unique_ptr<VirtualObjectPolicy> policy;
-    std::unique_ptr<PeriodicTask> task;
+    Timer timer;  // the joint poll; subject = index in virtual_groups_
+    // The member whose lost fetch the pending retry re-polls the group
+    // for.  A group has at most one retry pending: a lost joint poll
+    // re-arms nothing until its retry succeeds.
+    TrackedObject* retry_member = nullptr;
     std::vector<double> values_scratch;  // reused across joint polls
   };
+
+  // Timer kinds of this engine (Timer::kind); the subject is the object's
+  // id or the group's index.
+  enum TimerKind : std::uint32_t { kObjectPoll, kGroupPoll };
 
   // A partitioned-tolerance group: members self-schedule against the
   // shared policy; the group record owns that policy.
@@ -387,8 +392,9 @@ class PollingEngine {
   // refuses new work (polls, fills, triggers).
   bool dark_ = false;
 
-  // unique_ptr elements: scheduled tasks and groups capture raw object
-  // pointers, which must survive container growth.  Keyed by ObjectId in
+  // unique_ptr elements: timers and groups live at fixed addresses (the
+  // simulator's heap and the groups point at them), which must survive
+  // container growth.  Keyed by ObjectId in
   // sparse slots, so an engine slice pays for the objects it tracks, not
   // for every id of the shared table; ordered_ repeats them sorted by
   // their uris, read from uris_ (an object holds only its id), for
@@ -419,14 +425,15 @@ class PollingEngine {
 
   // ---- the poll pipeline ----
 
-  // Poll one object through the shared pipeline.  `retry` is invoked
-  // (after retry_delay) when loss injection eats the poll: for
-  // self-scheduled objects it re-polls the object, for virtual-group
-  // members it re-polls the whole group.  Returns false on loss.
+  // Poll one object through the shared pipeline.  `group` is the virtual
+  // group whose joint poll this fetch belongs to, null for a
+  // self-scheduled object.  When loss injection eats the poll, a retry
+  // after retry_delay re-polls the object, or the whole group.  Returns
+  // false on loss.
   bool poll_object(TrackedObject& object, PollCause cause,
-                   const std::function<void()>& retry);
+                   VirtualGroup* group);
 
-  // Poll a self-scheduled object (retry closure re-polls it).
+  // Poll a self-scheduled object.
   void poll_self(TrackedObject& object, PollCause cause);
 
   // Jointly poll every member of a virtual group, then reschedule it.
@@ -459,11 +466,13 @@ class PollingEngine {
   void store_response(const TrackedObject& object, const Response& response,
                       TimePoint snapshot, TimePoint visible);
 
-  void schedule_retry(TrackedObject& object,
-                      const std::function<void()>& retry);
+  // Schedule the retry of `object`'s lost poll (of `group`'s joint poll
+  // when non-null).  The closure captures two pointers, which
+  // std::function stores in place: no allocation per retry.
+  void schedule_retry(TrackedObject& object, VirtualGroup* group);
 
   // Register an object under its id (the add_* call interned its uri);
-  // attaches a self-scheduling task unless the object is group-polled.
+  // binds its poll timer unless the object is group-polled.
   TrackedObject& register_object(std::unique_ptr<TrackedObject> object,
                                  bool self_scheduled);
 
@@ -476,8 +485,18 @@ class PollingEngine {
     return object == nullptr ? nullptr : object->get();
   }
 
+  // A poll timer fired: poll its object (or group) on schedule.
+  void on_timer(Timer& timer) override;
+
+  // The δ-window test's read of one temporal object's schedule.
+  PollWindow poll_window(ObjectId id) const override;
+
   CoordinatorHooks make_hooks();
-  TrackedObject& temporal_object(ObjectId id);
+  const TrackedObject& temporal_object(ObjectId id) const;
+  TrackedObject& temporal_object(ObjectId id) {
+    return const_cast<TrackedObject&>(
+        static_cast<const PollingEngine*>(this)->temporal_object(id));
+  }
 };
 
 }  // namespace broadway

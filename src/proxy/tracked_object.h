@@ -20,7 +20,7 @@
 #include "consistency/types.h"
 #include "consistency/value_ttr.h"
 #include "http/message.h"
-#include "sim/periodic.h"
+#include "sim/simulator.h"
 #include "util/small_vector.h"
 #include "util/uri_table.h"
 
@@ -46,7 +46,7 @@ class TrackedObject {
   explicit TrackedObject(ObjectId id) : id_(id) {}
   virtual ~TrackedObject() = default;
 
-  // Scheduled tasks and groups capture raw pointers to tracked objects.
+  // The simulator's heap and the engine's groups point at tracked objects.
   TrackedObject(const TrackedObject&) = delete;
   TrackedObject& operator=(const TrackedObject&) = delete;
 
@@ -66,12 +66,12 @@ class TrackedObject {
     ttr_series_.emplace_back(now, ttr);
   }
 
-  /// The object's own refresh timer; null for group-polled members.
-  PeriodicTask* task() const { return task_.get(); }
-  void attach_task(std::unique_ptr<PeriodicTask> task) {
-    task_ = std::move(task);
-  }
-  bool self_scheduled() const { return task_ != nullptr; }
+  /// The object's own refresh timer, bound by the engine at registration
+  /// (its "next poll at" entry in the simulator's queue).  Group-polled
+  /// members leave it unbound: their schedule is the group's.
+  Timer& timer() { return timer_; }
+  const Timer& timer() const { return timer_; }
+  bool self_scheduled() const { return timer_.bound(); }
 
   /// Coordinators watching this object's polls — the engine's per-object
   /// subscriber index, built at add_coordinator time from the
@@ -130,7 +130,7 @@ class TrackedObject {
   ObjectId id_;
   TimePoint last_poll_completion_ = 0.0;
   std::vector<std::pair<TimePoint, Duration>> ttr_series_;
-  std::unique_ptr<PeriodicTask> task_;
+  Timer timer_;
   Subscribers subscribers_;
   std::uint64_t loss_draws_ = 0;
   std::uint64_t client_reads_ = 0;

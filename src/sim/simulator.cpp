@@ -6,42 +6,126 @@
 
 namespace broadway {
 
+// ---- timers ----------------------------------------------------------------
+
+void Timer::bind(Simulator& sim, TimerOwner& owner, std::uint32_t kind,
+                 std::uint32_t subject) {
+  BROADWAY_CHECK_MSG(!active(), "Timer rebound while pending");
+  sim_ = &sim;
+  owner_ = &owner;
+  kind_ = kind;
+  subject_ = subject;
+}
+
+void Timer::start(Duration delay) {
+  BROADWAY_CHECK_MSG(!active(), "Timer started twice");
+  reschedule(delay);
+}
+
+void Timer::reschedule(Duration delay) {
+  BROADWAY_CHECK_MSG(bound(), "Timer armed before bind()");
+  BROADWAY_CHECK_MSG(delay >= 0.0, "Timer delay " << delay);
+  const TimePoint t = sim_->now() + delay;
+  sim_->check_schedulable(t);
+  sim_->arm(*this, t);
+}
+
+void Timer::stop() {
+  if (active()) sim_->remove_at(pos_);
+}
+
+// ---- the indexed heap ------------------------------------------------------
+
+Simulator::~Simulator() {
+  for (const Entry& entry : heap_) entry.node->pos_ = Timer::kIdle;
+}
+
+void Simulator::sift_up(std::size_t pos, const Entry& entry) {
+  while (pos > 0) {
+    const std::size_t parent = (pos - 1) / 2;
+    if (!fires_before(entry, heap_[parent])) break;
+    place(pos, heap_[parent]);
+    pos = parent;
+  }
+  place(pos, entry);
+}
+
+void Simulator::sift_down(std::size_t pos, const Entry& entry) {
+  const std::size_t size = heap_.size();
+  while (true) {
+    std::size_t child = 2 * pos + 1;
+    if (child >= size) break;
+    if (child + 1 < size && fires_before(heap_[child + 1], heap_[child])) {
+      ++child;
+    }
+    if (!fires_before(heap_[child], entry)) break;
+    place(pos, heap_[child]);
+    pos = child;
+  }
+  place(pos, entry);
+}
+
+void Simulator::remove_at(std::size_t pos) {
+  heap_[pos].node->pos_ = Timer::kIdle;
+  const Entry last = heap_.back();
+  heap_.pop_back();
+  if (pos == heap_.size()) return;  // the removed entry was the last one
+  if (pos > 0 && fires_before(last, heap_[(pos - 1) / 2])) {
+    sift_up(pos, last);
+  } else {
+    sift_down(pos, last);
+  }
+}
+
+void Simulator::check_schedulable(TimePoint t) const {
+  BROADWAY_CHECK_MSG(std::isfinite(t), "schedule_at(" << t << ")");
+  BROADWAY_CHECK_MSG(t >= now_,
+                     "schedule_at in the past: t=" << t << " now=" << now_);
+}
+
+void Simulator::arm(Timer& node, TimePoint t) {
+  node.time_ = t;
+  node.scheduled_at_ = now_;
+  node.tag_ = schedule_tag_;
+  const Entry entry{t, next_seq_++, &node};
+  if (!node.active()) {
+    BROADWAY_CHECK_MSG(heap_.size() < Timer::kIdle, "event queue full");
+    heap_.push_back(entry);
+    sift_up(heap_.size() - 1, entry);
+    return;
+  }
+  // Re-key in place.  The fresh seq is the largest issued, so the new key
+  // sorts after the old one unless the time moved earlier.
+  const std::size_t pos = node.pos_;
+  if (fires_before(entry, heap_[pos])) {
+    sift_up(pos, entry);
+  } else {
+    sift_down(pos, entry);
+  }
+}
+
+// ---- one-off callbacks -----------------------------------------------------
+
 const Simulator::Slot* Simulator::live_slot(EventId id) const {
   const std::uint32_t index = slot_of(id);
   if (index >= slots_.size()) return nullptr;
   const Slot& slot = slots_[index];
-  if (!slot.live || slot.generation != generation_of(id)) return nullptr;
+  if (!slot.node.active() || slot.generation != generation_of(id)) {
+    return nullptr;
+  }
   return &slot;
-}
-
-Simulator::Slot* Simulator::live_slot(EventId id) {
-  return const_cast<Slot*>(
-      static_cast<const Simulator*>(this)->live_slot(id));
 }
 
 void Simulator::release(std::uint32_t index) {
   Slot& slot = slots_[index];
-  slot.live = false;
   ++slot.generation;
   if (slot.generation == 0) ++slot.generation;  // skip 0 on wrap
   slot.fn = nullptr;  // drop captured state promptly
   free_slots_.push_back(index);
-  --pending_count_;
 }
-
-const EventEntry* Simulator::peek_live() {
-  while (!heap_.empty() && live_slot(heap_.top().id) == nullptr) {
-    heap_.pop();
-  }
-  return heap_.empty() ? nullptr : &heap_.top();
-}
-
-// ---- scheduling ------------------------------------------------------------
 
 EventId Simulator::schedule_at(TimePoint t, Callback fn) {
-  BROADWAY_CHECK_MSG(std::isfinite(t), "schedule_at(" << t << ")");
-  BROADWAY_CHECK_MSG(t >= now_,
-                     "schedule_at in the past: t=" << t << " now=" << now_);
+  check_schedulable(t);
   BROADWAY_CHECK(fn != nullptr);
   std::uint32_t index;
   if (!free_slots_.empty()) {
@@ -50,18 +134,14 @@ EventId Simulator::schedule_at(TimePoint t, Callback fn) {
   } else {
     BROADWAY_CHECK_MSG(slots_.size() < 0xffffffffu, "event pool full");
     index = static_cast<std::uint32_t>(slots_.size());
-    slots_.emplace_back();
+    Slot& fresh = slots_.emplace_back();
+    fresh.node.sim_ = this;
+    fresh.node.subject_ = index;
   }
   Slot& slot = slots_[index];
+  arm(slot.node, t);
   slot.fn = std::move(fn);
-  slot.time = t;
-  slot.scheduled_at = now_;
-  slot.tag = schedule_tag_;
-  slot.live = true;
-  ++pending_count_;
-  const EventId id = make_id(index, slot.generation);
-  heap_.push(EventEntry{t, next_seq_++, id});
-  return id;
+  return make_id(index, slot.generation);
 }
 
 EventId Simulator::schedule_after(Duration d, Callback fn) {
@@ -70,8 +150,9 @@ EventId Simulator::schedule_after(Duration d, Callback fn) {
 }
 
 bool Simulator::cancel(EventId id) {
-  Slot* slot = live_slot(id);
+  const Slot* slot = live_slot(id);
   if (slot == nullptr) return false;
+  remove_at(slot->node.pos_);
   release(slot_of(id));
   return true;
 }
@@ -82,57 +163,59 @@ bool Simulator::is_pending(EventId id) const {
 
 TimePoint Simulator::fire_time(EventId id) const {
   const Slot* slot = live_slot(id);
-  return slot == nullptr ? kTimeInfinity : slot->time;
+  return slot == nullptr ? kTimeInfinity : slot->node.time_;
 }
 
 // ---- execution -------------------------------------------------------------
 
 bool Simulator::step() {
-  if (peek_live() == nullptr) return false;
-  const EventEntry entry = heap_.top();
-  heap_.pop();
-  Slot* slot = live_slot(entry.id);
-  BROADWAY_CHECK(slot != nullptr);
-  Callback fn = std::move(slot->fn);
-  const std::uint32_t tag = slot->tag;
-  release(slot_of(entry.id));
-  BROADWAY_CHECK_MSG(entry.time >= now_, "event time went backwards");
-  now_ = entry.time;
+  if (heap_.empty()) return false;
+  const Entry head = heap_.front();
+  remove_at(0);
+  BROADWAY_CHECK_MSG(head.time >= now_, "event time went backwards");
+  now_ = head.time;
   entered_ = now_;
   ++executed_;
-  // Expose the running event's id for the duration of the callback
+  // Expose the running callback's id for the duration of the call
   // (callbacks nest only through step()-free paths, so a plain save and
   // restore covers reentrant step() calls too).  The schedule tag reverts
   // to the firing event's tag so follow-on schedules inherit its owner.
+  Timer& node = *head.node;
   const EventId outer = current_event_;
   const std::uint32_t outer_tag = schedule_tag_;
-  current_event_ = entry.id;
-  schedule_tag_ = tag;
-  fn();
+  schedule_tag_ = node.tag_;
+  if (node.owner_ != nullptr) {
+    current_event_ = kInvalidEventId;
+    node.owner_->on_timer(node);
+  } else {
+    const std::uint32_t index = node.subject_;
+    Slot& slot = slots_[index];
+    Callback fn = std::move(slot.fn);
+    current_event_ = make_id(index, slot.generation);
+    release(index);
+    fn();
+  }
   schedule_tag_ = outer_tag;
   current_event_ = outer;
   return true;
 }
 
-Simulator::NextEvent Simulator::next_event_info() {
+Simulator::NextEvent Simulator::next_event_info() const {
   NextEvent info;
-  const EventEntry* head = peek_live();
-  if (head == nullptr) return info;
-  const Slot* slot = live_slot(head->id);
-  BROADWAY_CHECK(slot != nullptr);
+  if (heap_.empty()) return info;
+  const Entry& head = heap_.front();
   info.valid = true;
-  info.time = head->time;
-  info.scheduled_at = slot->scheduled_at;
-  info.tag = slot->tag;
-  info.seq = head->seq;
+  info.time = head.time;
+  info.scheduled_at = head.node->scheduled_at_;
+  info.tag = head.node->tag_;
+  info.seq = head.seq;
   return info;
 }
 
 void Simulator::advance_clock(TimePoint t) {
   BROADWAY_CHECK_MSG(t >= now_, "advance_clock into the past: t="
                                     << t << " now=" << now_);
-  const EventEntry* head = peek_live();
-  BROADWAY_CHECK_MSG(head == nullptr || head->time >= t,
+  BROADWAY_CHECK_MSG(heap_.empty() || heap_.front().time >= t,
                      "advance_clock would skip a pending event");
   now_ = t;
   entered_ = t;
@@ -154,12 +237,9 @@ std::size_t Simulator::run_bounded(TimePoint bound, bool inclusive) {
   } scope{run_bound_, run_bound_};
   run_bound_ = bound;
   std::size_t executed = 0;
-  while (true) {
-    const EventEntry* head = peek_live();
-    if (head == nullptr || head->time > bound ||
-        (!inclusive && head->time == bound)) {
-      break;
-    }
+  while (!heap_.empty()) {
+    const TimePoint next = heap_.front().time;
+    if (next > bound || (!inclusive && next == bound)) break;
     step();
     ++executed;
   }
@@ -183,8 +263,7 @@ bool Simulator::try_advance(TimePoint t) {
   BROADWAY_CHECK_MSG(t >= now_,
                      "try_advance into the past: t=" << t << " now=" << now_);
   if (!(t < run_bound_)) return false;
-  const EventEntry* head = peek_live();
-  if (head != nullptr && !(t < head->time)) return false;
+  if (!heap_.empty() && !(t < heap_.front().time)) return false;
   now_ = t;
   entered_ = t;
   return true;

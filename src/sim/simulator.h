@@ -8,24 +8,35 @@
 // Ordering guarantees:
 //  * events fire in non-decreasing time order;
 //  * events scheduled for the same instant fire in the order they were
-//    scheduled (FIFO tie-break), which makes runs reproducible.
+//    scheduled (FIFO tie-break), which makes runs reproducible.  Re-arming
+//    a timer schedules it anew: it fires after every same-instant event
+//    scheduled before the re-arm.
 //
 // Events may schedule or cancel other events while running.  Cancelling an
 // already-fired or unknown event is a no-op and reported via the return
 // value, never an error — timers race with the actions that obsolete them
 // in every real proxy, and the engine absorbs that race.
 //
-// Storage: pending callbacks live in a generation-tagged slot pool (an
-// EventId encodes slot index + generation), so scheduling an event is a
-// slot reuse plus a queue push — no per-event node allocation, no hashing
-// — and cancellation just bumps the slot's generation, turning the queue
-// entry into a tombstone that the next peek pops and discards.  The
-// ordered queue itself is a binary heap (std::priority_queue) of small
-// (time, seq, id) entries: O(log n) per operation, and at this codebase's
-// pending-set sizes the cheapest structure measured end to end.  It is the
-// only one; tests/test_sim_event_queue.cpp pins its fire order against a
-// naive scan-for-the-minimum model.  At fleet scale every poll is at least
-// one event; this is the floor under the whole simulation.
+// Storage: the pending set is an indexed binary heap of small
+// (time, seq, node) entries, and every node records its own heap
+// position.  Cancelling removes an entry in place and re-arming a timer
+// moves its entry (a re-key), so the heap holds live entries only and its
+// head is always the next event: O(log n) per operation, no tombstones.
+// A node is either
+//  * a Timer — an owner-held record that lives inside the object it
+//    wakes (a tracked object's poll timer, a client stream's tick).  Its
+//    firing calls the owner through a pointer plus an owner-defined kind
+//    and subject, and re-arming it re-keys the same entry: no slot, no
+//    closure, no allocation; or
+//  * a one-off Callback (schedule_at), held in a generation-tagged slot
+//    pool addressed by EventId, for crash/recover edges, push deliveries,
+//    relays, retries and tests.
+// Either way the key is (time, seq) with one fresh seq per schedule or
+// re-key, so the fire order does not depend on which kind a node is or
+// where the heap keeps it.  tests/test_sim_event_queue.cpp pins that
+// order against a naive scan-for-the-minimum model.  At fleet scale every
+// poll is at least one event; this is the floor under the whole
+// simulation.
 //
 // Entered instants: a freshly constructed simulator sits at time 0
 // without having *entered* it — nothing has fired there yet.  reached()
@@ -48,34 +59,96 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
-#include <queue>
 #include <vector>
 
 #include "util/time.h"
 
 namespace broadway {
 
-/// Handle for a scheduled event; valid until the event fires or is
-/// cancelled.  Layout (slot index + generation) is the Simulator's.
+class Simulator;
+class Timer;
+
+/// Handle for a scheduled one-off callback; valid until the event fires or
+/// is cancelled.  Layout (slot index + generation) is the Simulator's.
 using EventId = std::uint64_t;
 
 /// Sentinel returned by APIs that may have nothing scheduled.
 inline constexpr EventId kInvalidEventId = 0;
 
-/// One pending queue entry: fire time, FIFO tie-break, event handle.
-struct EventEntry {
-  TimePoint time;
-  std::uint64_t seq;
-  EventId id;
+/// Receives the firings of the timers it owns.
+class TimerOwner {
+ public:
+  /// `timer` fired at the simulator's now().  It is no longer pending, so
+  /// re-arming it here schedules its next firing.
+  virtual void on_timer(Timer& timer) = 0;
+
+ protected:
+  ~TimerOwner() = default;
 };
 
-/// Strict event ordering: earlier time first, then lower sequence number
-/// (same-instant FIFO).
-inline bool fires_before(const EventEntry& a, const EventEntry& b) {
-  if (a.time != b.time) return a.time < b.time;
-  return a.seq < b.seq;
-}
+/// An owner-held event: a re-keyable queue entry that lives inside the
+/// object it wakes.  At most one firing is pending at a time; arming a
+/// pending timer moves its entry instead of adding one, so a timer pulled
+/// forward (a triggered poll, paper §3.2) leaves nothing behind.  When it
+/// fires, the simulator calls `owner.on_timer(*this)`; `kind` and
+/// `subject` are the owner's to define (say, what the timer polls and the
+/// index of its target).  The record must not move while bound (the
+/// simulator's heap points at it), so it is neither copyable nor movable.
+class Timer {
+ public:
+  /// An unbound timer (never pending); bind() before arming it.
+  Timer() = default;
+  Timer(Simulator& sim, TimerOwner& owner, std::uint32_t kind = 0,
+        std::uint32_t subject = 0) {
+    bind(sim, owner, kind, subject);
+  }
+  ~Timer() { stop(); }
+
+  Timer(const Timer&) = delete;
+  Timer& operator=(const Timer&) = delete;
+
+  /// Attach the timer to its simulator and owner.  Not while pending.
+  void bind(Simulator& sim, TimerOwner& owner, std::uint32_t kind = 0,
+            std::uint32_t subject = 0);
+  bool bound() const { return owner_ != nullptr; }
+
+  /// Arm the first firing `delay` from now; the timer must not be pending.
+  void start(Duration delay);
+
+  /// Fire `delay` from now, replacing the pending firing if there is one.
+  /// Stamps the key exactly as a fresh schedule_after would: a new
+  /// sequence number, scheduled-at = now(), the current schedule tag.
+  void reschedule(Duration delay);
+
+  /// Cancel the pending firing, if any.
+  void stop();
+
+  /// True if a firing is pending.
+  bool active() const { return pos_ != kIdle; }
+
+  /// Absolute time of the pending firing; kTimeInfinity if inactive.
+  TimePoint next_fire_time() const { return active() ? time_ : kTimeInfinity; }
+
+  std::uint32_t kind() const { return kind_; }
+  std::uint32_t subject() const { return subject_; }
+
+ private:
+  friend class Simulator;
+  static constexpr std::uint32_t kIdle = 0xffffffffu;
+
+  Simulator* sim_ = nullptr;
+  // Null for the simulator's own callback slots, whose subject_ is the
+  // slot index.
+  TimerOwner* owner_ = nullptr;
+  TimePoint time_ = 0.0;          // fire time while pending
+  TimePoint scheduled_at_ = 0.0;  // now() when last armed
+  std::uint32_t pos_ = kIdle;     // heap position; kIdle when not pending
+  std::uint32_t tag_ = 0;         // schedule tag in force when last armed
+  std::uint32_t kind_ = 0;
+  std::uint32_t subject_ = 0;
+};
 
 /// The simulation engine.  Not thread-safe: a simulation is a single
 /// logical timeline.
@@ -95,9 +168,12 @@ class Simulator {
   };
 
   Simulator() = default;
+  /// Timers still pending are detached (left unarmed), so their owners
+  /// may outlive the simulator.
+  ~Simulator();
 
-  // A simulation owns its pending callbacks; copying one timeline into
-  // another has no meaningful semantics.
+  // A simulation owns its pending events, and timers point at it; copying
+  // one timeline into another has no meaningful semantics.
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
@@ -148,7 +224,7 @@ class Simulator {
   std::size_t run_before(TimePoint fence);
 
   /// Run ahead to `t` (>= now()) from inside a bounded run: if `t` is
-  /// strictly before the earliest live event and strictly before the
+  /// strictly before the earliest pending event and strictly before the
   /// run's bound, move the clock to `t`, enter it and return true;
   /// otherwise change nothing and return false.  Always false outside
   /// run_until / run_before.  The caller does at `t` exactly what an
@@ -160,7 +236,7 @@ class Simulator {
   /// A parallel driver interleaving an external message stream with the
   /// local queue needs exactly this triple to decide which side fires
   /// next under the canonical (fire, scheduled, tag) order.
-  NextEvent next_event_info();
+  NextEvent next_event_info() const;
 
   /// Jump the clock forward to `t` without running anything.  `t` must
   /// not be in the past and no pending event may fire before it — this is
@@ -168,22 +244,24 @@ class Simulator {
   /// messages) between events, not for skipping them.
   void advance_clock(TimePoint t);
 
-  /// Tag stamped on events scheduled from now on.  While an event runs,
-  /// the tag reverts to the one it was scheduled under, so chains of
-  /// events (timers rescheduling themselves, retries) inherit the tag of
-  /// the action that started them.  The fleet uses proxy ids as tags to
-  /// give every event a stable owner for deterministic cross-shard
-  /// ordering; standalone simulations can ignore tags entirely (tag 0).
+  /// Tag stamped on events scheduled (and timers armed) from now on.
+  /// While an event runs, the tag reverts to the one it was scheduled
+  /// under, so chains of events (timers rescheduling themselves, retries)
+  /// inherit the tag of the action that started them.  The fleet uses
+  /// proxy ids as tags to give every event a stable owner for
+  /// deterministic cross-shard ordering; standalone simulations can ignore
+  /// tags entirely (tag 0).
   void set_schedule_tag(std::uint32_t tag) { schedule_tag_ = tag; }
   std::uint32_t schedule_tag() const { return schedule_tag_; }
 
-  /// Number of pending events.
-  std::size_t pending() const { return pending_count_; }
+  /// Number of pending events (callbacks and armed timers).
+  std::size_t pending() const { return heap_.size(); }
 
-  /// Id of the event whose callback is currently executing;
-  /// kInvalidEventId outside any callback.  Lets a callback deregister
-  /// itself from caller-side bookkeeping (e.g. the polling engine's
-  /// pending-retry set) without capturing its own id at schedule time.
+  /// Id of the one-off callback currently executing; kInvalidEventId
+  /// outside any callback and while a Timer fires.  Lets a callback
+  /// deregister itself from caller-side bookkeeping (e.g. the polling
+  /// engine's pending-retry set) without capturing its own id at schedule
+  /// time.
   EventId current_event() const { return current_event_; }
 
   /// Total queue events executed over the lifetime of the simulator.
@@ -192,21 +270,29 @@ class Simulator {
   std::uint64_t executed() const { return executed_; }
 
  private:
-  struct Later {
-    bool operator()(const EventEntry& a, const EventEntry& b) const {
-      return fires_before(b, a);
-    }
+  friend class Timer;
+
+  // One heap entry: the ordering key inline, plus the node it schedules.
+  struct Entry {
+    TimePoint time;
+    std::uint64_t seq;
+    Timer* node;
   };
-  // One pooled event slot.  `generation` advances every time the slot is
-  // released (fire or cancel), so a stale EventId — and the queue entry
-  // carrying it — can never address a reused slot.
+  // Strict event ordering: earlier time first, then lower sequence number
+  // (same-instant FIFO).
+  static bool fires_before(const Entry& a, const Entry& b) {
+    if (a.time != b.time) return a.time < b.time;
+    return a.seq < b.seq;
+  }
+
+  // One pooled one-off callback.  `generation` advances every time the
+  // slot is released (fire or cancel), so a stale EventId can never
+  // address a reused slot.  The node's owner is null and its subject is
+  // the slot's index.
   struct Slot {
+    Timer node;
     Callback fn;
-    TimePoint time = 0.0;
-    TimePoint scheduled_at = 0.0;  // now() when the event was scheduled
     std::uint32_t generation = 1;  // generation 0 never exists: see below
-    std::uint32_t tag = 0;         // schedule tag in force at schedule time
-    bool live = false;
   };
 
   // EventId layout: generation (high 32 bits) | slot index (low 32 bits).
@@ -221,16 +307,31 @@ class Simulator {
     return static_cast<std::uint32_t>(id >> 32);
   }
 
-  /// The slot addressed by `id` iff it is live and the generation matches.
+  /// The slot addressed by `id` iff it is pending and the generation
+  /// matches.
   const Slot* live_slot(EventId id) const;
-  Slot* live_slot(EventId id);
 
-  /// Release a slot back to the free list (bumps the generation).
+  /// Release a fired or cancelled slot to the free list (bumps the
+  /// generation).
   void release(std::uint32_t index);
 
-  /// Earliest live entry, or nullptr when nothing is pending.  Tombstones
-  /// (entries of cancelled events) at the head are popped on the way.
-  const EventEntry* peek_live();
+  /// Fail unless `t` is finite and not in the past.
+  void check_schedulable(TimePoint t) const;
+
+  /// Key `node` to fire at `t` with a fresh seq, scheduled-at and tag:
+  /// a push when it is idle, a re-key of its entry when it is pending.
+  void arm(Timer& node, TimePoint t);
+
+  // Indexed-heap primitives; every entry placed records its position in
+  // its node.
+  void place(std::size_t pos, const Entry& entry) {
+    heap_[pos] = entry;
+    entry.node->pos_ = static_cast<std::uint32_t>(pos);
+  }
+  void sift_up(std::size_t pos, const Entry& entry);
+  void sift_down(std::size_t pos, const Entry& entry);
+  /// Remove the entry at `pos` and mark its node idle.
+  void remove_at(std::size_t pos);
 
   /// Fire events due by `bound` (strictly before it unless `inclusive`)
   /// with `bound` as the run bound.
@@ -246,9 +347,9 @@ class Simulator {
   std::uint32_t schedule_tag_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
-  std::size_t pending_count_ = 0;
-  std::priority_queue<EventEntry, std::vector<EventEntry>, Later> heap_;
-  std::vector<Slot> slots_;
+  std::vector<Entry> heap_;
+  // A deque: slot nodes must keep their addresses as the pool grows.
+  std::deque<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
 };
 

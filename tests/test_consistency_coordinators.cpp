@@ -18,25 +18,27 @@ namespace {
 // the real ones (ids interned into a local table), while the test bodies
 // keep scripting state by uri string and resolve a polled uri with id_of
 // (a member is interned at bind).
-struct FakeEngine {
+struct FakeEngine : PollSchedule {
   UriTable table;
   std::map<std::string, TimePoint> next_poll;
   std::map<std::string, TimePoint> last_poll;
   std::vector<std::string> triggered;
+
+  PollWindow poll_window(ObjectId id) const override {
+    PollWindow window;
+    const auto last = last_poll.find(table.uri(id));
+    if (last != last_poll.end()) window.last = last->second;
+    const auto next = next_poll.find(table.uri(id));
+    if (next != next_poll.end()) window.next = next->second;
+    return window;
+  }
 
   CoordinatorHooks hooks() {
     CoordinatorHooks out;
     out.resolve = [this](const std::string& uri) {
       return table.intern(uri);
     };
-    out.next_poll_time = [this](ObjectId id) {
-      auto it = next_poll.find(table.uri(id));
-      return it == next_poll.end() ? kTimeInfinity : it->second;
-    };
-    out.last_poll_time = [this](ObjectId id) {
-      auto it = last_poll.find(table.uri(id));
-      return it == last_poll.end() ? 0.0 : it->second;
-    };
+    out.schedule = this;
     out.trigger_poll = [this](ObjectId id) {
       triggered.push_back(table.uri(id));
     };

@@ -1,5 +1,6 @@
 // Deterministic memory gate: a per-object table costs what it tracks, not
-// one payload per id of the shared intern table.
+// one payload per id of the shared intern table; and the event queue's
+// steady state allocates nothing.
 //
 // Sharded engine slices share one origin UriTable, so a slice tracking a
 // handful of objects sees ids up to the size of the whole namespace.  This
@@ -332,6 +333,74 @@ TEST(MemoryBounds, ShardedStartIsProportionalToTrackedPairs) {
   EXPECT_LE(per_untracked_id(padded.bytes, bare.bytes, padded.slices,
                              "ShardedFleet::start (16 shards)"),
             kMaxBytesPerUntrackedId);
+}
+
+// Steady-state timer churn allocates nothing.  kStormTimers timers are
+// armed outside the counted region; then, kStormFirings times, the queue
+// head fires (its owner re-arms it one period later) and with probability
+// 0.7 another timer is re-armed from now — the pull-forward of a
+// triggered poll, at paper_mutual's ratio.  The bound is derived, not
+// measured: arming 8 192 = 2^13 timers grows the heap vector by doubling
+// to a capacity of exactly 8 192 entries.  A firing pops one entry and
+// its re-arm pushes it back; a pull-forward moves a pending entry in
+// place.  So the heap never holds more than 8 192 entries, no slot or
+// closure is involved, and the counted region allocates 0 B.  A queue
+// that cancels by tombstone (the pulled timer's old entry stays in the
+// heap until its instant comes up) needs an 8 193rd entry at the first
+// pull-forward: a 16 384-entry reallocation, 393 216 B of 24 B entries.
+constexpr std::size_t kStormTimers = 8192;
+constexpr std::size_t kStormFirings = 100'000;
+
+class StormTimers : private TimerOwner {
+ public:
+  StormTimers(Simulator& sim, std::size_t count) : timers_(count) {
+    for (std::size_t i = 0; i < count; ++i) {
+      timers_[i].bind(sim, *this, 0, static_cast<std::uint32_t>(i));
+      timers_[i].start(period(i));
+    }
+  }
+
+  void pull_forward(std::size_t i) { timers_[i].reschedule(period(i)); }
+
+ private:
+  // 1–100 s, deterministic per timer and firing.
+  Duration period(std::size_t i) {
+    x_ ^= x_ << 13;
+    x_ ^= x_ >> 7;
+    x_ ^= x_ << 17;
+    return 1.0 + static_cast<double>((x_ + i) % 991) / 10.0;
+  }
+
+  void on_timer(Timer& timer) override {
+    timer.reschedule(period(timer.subject()));
+  }
+
+  std::vector<Timer> timers_;  // sized once: timers never move
+  std::uint64_t x_ = 0x9e3779b97f4a7c15ull;
+};
+
+TEST(MemoryBounds, TimerPullForwardStormAllocatesNothing) {
+  Simulator sim;
+  StormTimers storm(sim, kStormTimers);
+  std::uint64_t x = 0x2545f4914f6cdd1dull;
+  std::size_t pulls = 0;
+  const std::size_t bytes = bytes_allocated_by([&] {
+    for (std::size_t i = 0; i < kStormFirings; ++i) {
+      x ^= x << 13;
+      x ^= x >> 7;
+      x ^= x << 17;
+      if (x % 10 < 7) {
+        storm.pull_forward((x >> 8) % kStormTimers);
+        ++pulls;
+      }
+      sim.step();
+    }
+  });
+  std::cout << "Timer storm: " << kStormFirings << " firings, " << pulls
+            << " pull-forwards, " << bytes << " B allocated\n";
+  EXPECT_EQ(sim.executed(), kStormFirings);
+  EXPECT_EQ(sim.pending(), kStormTimers);
+  EXPECT_EQ(bytes, 0u);
 }
 
 }  // namespace

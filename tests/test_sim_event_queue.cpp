@@ -1,7 +1,8 @@
 // Ordering contract of the Simulator's event queue: a naive
-// scan-for-the-minimum model as the ordering oracle for random op mixes,
-// including bounded runs (run_until, run_before) and run-ahead
-// (try_advance) from inside firing callbacks.
+// scan-for-the-minimum model as the ordering oracle for random op mixes of
+// one-off callbacks and owner-held timers (armed, re-keyed, stopped and
+// re-arming themselves), including bounded runs (run_until, run_before)
+// and run-ahead (try_advance) from inside firings.
 #include "sim/simulator.h"
 
 #include <gtest/gtest.h>
@@ -22,9 +23,10 @@ namespace {
 
 // Reference model of the ordering contract: a flat vector of live
 // (time, seq, tag) entries, and firing scans for the (time, seq) minimum.
-// No heap, no slot pool, no tombstones — too slow for real runs, and
+// No heap, no slot pool, no positions — too slow for real runs, and
 // obviously correct.  Sequence numbers advance exactly as the Simulator's
-// do (one per schedule), so the model and the engine agree on every
+// do (one per schedule, and one per timer re-key, modelled as a cancel
+// plus a schedule), so the model and the engine agree on every
 // same-instant tie-break.
 class NaiveScheduler {
  public:
@@ -42,6 +44,17 @@ class NaiveScheduler {
   }
 
   bool is_pending(int tag) const { return find(tag) != entries_.end(); }
+
+  TimePoint fire_time(int tag) const {
+    const auto it = find(tag);
+    return it == entries_.end() ? kTimeInfinity : it->time;
+  }
+
+  /// A timer re-key: the entry moves to `t` with a fresh seq.
+  void rekey(TimePoint t, int tag) {
+    cancel(tag);
+    schedule(t, tag);
+  }
 
   bool cancel(int tag) {
     const auto it = find(tag);
@@ -157,15 +170,54 @@ using FireLog = std::vector<Observation>;
 // firing callback; they never chain further.
 constexpr int kFollowUpTag = 1 << 20;
 
+// Timer k of the lockstep fires under tag kTimerTag + k.  Odd timers re-arm
+// themselves from their own firing (a periodic owner), the others wait
+// for the script to re-key them.
+constexpr int kTimerTag = 1 << 19;
+constexpr int kTimers = 6;
+bool is_timer(int tag) { return tag >= kTimerTag && tag < kTimerTag + kTimers; }
+bool rearms(int tag) { return is_timer(tag) && (tag - kTimerTag) % 2 == 1; }
+// Never 0: a timer re-arming at its own instant would never let the
+// clock move on.
+Duration rearm_delay(int tag) { return (1 + (tag - kTimerTag) % 3) * 0.25; }
+
+// The lockstep's timer owner: every firing runs the shared observation
+// body under the timer's tag, then odd timers re-arm themselves.
+class LockstepTimers : private TimerOwner {
+ public:
+  LockstepTimers(Simulator& sim, std::function<void(int)>& fire)
+      : sim_(sim), fire_(fire) {
+    for (int k = 0; k < kTimers; ++k) {
+      timers_[k].bind(sim, *this, /*kind=*/0, static_cast<std::uint32_t>(k));
+    }
+  }
+
+  Timer& operator[](int k) { return timers_[k]; }
+
+ private:
+  void on_timer(Timer& timer) override {
+    // Timers are not callbacks: they carry no EventId.
+    BROADWAY_CHECK(sim_.current_event() == kInvalidEventId);
+    const int tag = kTimerTag + static_cast<int>(timer.subject());
+    fire_(tag);
+    if (rearms(tag)) timer.reschedule(rearm_delay(tag));
+  }
+
+  Simulator& sim_;
+  std::function<void(int)>& fire_;
+  Timer timers_[kTimers];
+};
+
 // Drive a Simulator and the naive model in lockstep through one seeded op
 // mix — schedules with quantised delays (same-instant ties), cancels,
-// reschedules, same-instant bursts, callbacks that schedule follow-ups
-// (some at the current instant) and try to run ahead, and advances by
-// step count, to a horizon or to a fence that often lands exactly on
-// pending event times.  Every cancel, is_pending and fire_time answer
-// and every phase-end clock / pending / executed / reached reading is
-// compared on the way; the two observation logs are returned for
-// comparison.
+// reschedules, same-instant bursts, timer re-keys (arming an idle timer
+// or moving a pending one) and timer stops, firings that schedule
+// follow-ups (some at the current instant), re-arm themselves and try to
+// run ahead, and advances by step count, to a horizon or to a fence that
+// often lands exactly on pending event times.  Every cancel, is_pending
+// and fire_time answer, every timer's state and every phase-end clock /
+// pending / executed / reached reading is compared on the way; the two
+// observation logs are returned for comparison.
 std::pair<FireLog, FireLog> run_lockstep(std::uint64_t seed) {
   Simulator sim;
   NaiveScheduler model;
@@ -194,7 +246,6 @@ std::pair<FireLog, FireLog> run_lockstep(std::uint64_t seed) {
   };
 
   std::function<void(int)> sim_fire = [&](int tag) {
-    BROADWAY_CHECK(sim.current_event() != kInvalidEventId);
     sim_log.push_back({sim.now(), tag, Observation::kFired,
                        sim.reached(sim.now())});
     if (follows_up(tag)) {
@@ -213,7 +264,7 @@ std::pair<FireLog, FireLog> run_lockstep(std::uint64_t seed) {
       if (!advanced) break;
     }
   };
-  const NaiveScheduler::FireFn model_fire = [&](int tag) {
+  const NaiveScheduler::FireFn model_observe = [&](int tag) {
     model_log.push_back({model.now(), tag, Observation::kFired,
                          model.entered_now()});
     if (follows_up(tag)) {
@@ -230,10 +281,20 @@ std::pair<FireLog, FireLog> run_lockstep(std::uint64_t seed) {
       if (!advanced) break;
     }
   };
+  // A model timer re-arms after its observation body, as LockstepTimers
+  // does.
+  const NaiveScheduler::FireFn model_fire = [&](int tag) {
+    model_observe(tag);
+    if (rearms(tag)) model.schedule(model.now() + rearm_delay(tag), tag);
+  };
+  LockstepTimers timers(sim, sim_fire);
 
   const auto schedule = [&](TimePoint t) {
     const int tag = next_tag++;
-    const EventId id = sim.schedule_at(t, [&sim_fire, tag] { sim_fire(tag); });
+    const EventId id = sim.schedule_at(t, [&sim, &sim_fire, tag] {
+      BROADWAY_CHECK(sim.current_event() != kInvalidEventId);
+      sim_fire(tag);
+    });
     pending.emplace_back(id, tag);
     model.schedule(t, tag);
   };
@@ -246,13 +307,30 @@ std::pair<FireLog, FireLog> run_lockstep(std::uint64_t seed) {
     EXPECT_FALSE(sim.cancel(id));  // cancelling twice is a no-op
     pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(victim));
   };
+  const auto check_timers = [&] {
+    for (int k = 0; k < kTimers; ++k) {
+      EXPECT_EQ(timers[k].active(), model.is_pending(kTimerTag + k));
+      EXPECT_EQ(timers[k].next_fire_time(), model.fire_time(kTimerTag + k));
+    }
+  };
 
   for (int phase = 0; phase < 30; ++phase) {
     const int ops = static_cast<int>(rng.uniform_int(5, 40));
     for (int op = 0; op < ops; ++op) {
-      // Scaled so every op keeps its original share of the mix.
-      const double dice = rng.uniform01() * 0.87;
-      if (dice < 0.45 || pending.empty()) {
+      const double dice = rng.uniform01();
+      if (dice >= 0.87) {
+        const int k = static_cast<int>(rng.uniform_int(0, kTimers - 1));
+        if (dice < 0.96) {
+          // Re-key: pull the timer forward, push it back or arm it.
+          const Duration delay = rng.uniform_int(0, 40) * 0.25;
+          timers[k].reschedule(delay);
+          model.rekey(sim.now() + delay, kTimerTag + k);
+        } else {
+          timers[k].stop();
+          model.cancel(kTimerTag + k);
+        }
+        check_timers();
+      } else if (dice < 0.45 || pending.empty()) {
         schedule(sim.now() + rng.uniform_int(0, 40) * 0.25);
       } else if (dice < 0.62) {
         cancel_random();
@@ -298,6 +376,12 @@ std::pair<FireLog, FireLog> run_lockstep(std::uint64_t seed) {
     };
     pending.erase(std::remove_if(pending.begin(), pending.end(), fired),
                   pending.end());
+    check_timers();
+  }
+  // Self-re-arming timers never drain: stop them all first.
+  for (int k = 0; k < kTimers; ++k) {
+    timers[k].stop();
+    model.cancel(kTimerTag + k);
   }
   EXPECT_EQ(sim.run(), model.run(SIZE_MAX, model_fire));
   EXPECT_EQ(sim.pending(), 0u);
@@ -307,6 +391,7 @@ std::pair<FireLog, FireLog> run_lockstep(std::uint64_t seed) {
 TEST(SimulatorOracle, RandomOpMixFiresLikeTheNaiveModel) {
   std::size_t advanced = 0;
   std::size_t refused = 0;
+  std::size_t timer_firings = 0;
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     const auto [sim_log, model_log] = run_lockstep(seed);
     ASSERT_FALSE(model_log.empty());
@@ -315,11 +400,63 @@ TEST(SimulatorOracle, RandomOpMixFiresLikeTheNaiveModel) {
     for (const Observation& seen : model_log) {
       advanced += seen.kind == Observation::kAdvanced;
       refused += seen.kind == Observation::kRefused;
+      timer_firings += seen.kind == Observation::kFired && is_timer(seen.tag);
     }
   }
-  // The mix must exercise both answers of the run-ahead contract.
+  // The mix must exercise both answers of the run-ahead contract, and
+  // timers must fire (not just be re-keyed and stopped).
   EXPECT_GT(advanced, 50u);
   EXPECT_GT(refused, 50u);
+  EXPECT_GT(timer_firings, 50u);
+}
+
+// ---- timer re-keys ---------------------------------------------------------
+
+class Recorder : public TimerOwner {
+ public:
+  explicit Recorder(std::vector<int>& order) : order_(order) {}
+  void on_timer(Timer& timer) override {
+    order_.push_back(static_cast<int>(timer.subject()));
+  }
+
+ private:
+  std::vector<int>& order_;
+};
+
+TEST(SimulatorTimers, ReKeyedEntryFiresAfterEarlierScheduledSameInstantEvents) {
+  Simulator sim;
+  std::vector<int> order;
+  Recorder recorder(order);
+  Timer timer(sim, recorder, /*kind=*/0, /*subject=*/100);
+  timer.start(5.0);  // first in line at t = 5 ...
+  sim.schedule_at(5.0, [&] { order.push_back(1); });
+  sim.schedule_at(5.0, [&] { order.push_back(2); });
+  timer.reschedule(5.0);  // ... until re-keyed: now it queues behind both
+  sim.schedule_at(5.0, [&] { order.push_back(3); });
+  EXPECT_EQ(sim.pending(), 4u);
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 100, 3}));
+}
+
+TEST(SimulatorTimers, PullForwardAndPushBackKeepOneEntry) {
+  Simulator sim;
+  std::vector<int> order;
+  Recorder recorder(order);
+  Timer early(sim, recorder, 0, 1);
+  Timer late(sim, recorder, 0, 2);
+  early.start(10.0);
+  late.start(20.0);
+  late.reschedule(3.0);   // pulled forward past `early`
+  early.reschedule(30.0);  // pushed back past `late`
+  EXPECT_EQ(sim.pending(), 2u);
+  EXPECT_EQ(late.next_fire_time(), 3.0);
+  EXPECT_EQ(early.next_fire_time(), 30.0);
+  const Simulator::NextEvent head = sim.next_event_info();
+  EXPECT_EQ(head.time, 3.0);
+  EXPECT_EQ(head.seq, 2u);  // the re-key drew a fresh sequence number
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{2, 1}));
+  EXPECT_EQ(sim.executed(), 2u);
 }
 
 // ---- run-ahead edges -------------------------------------------------------
