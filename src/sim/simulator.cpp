@@ -69,12 +69,23 @@ void Simulator::remove_at(std::size_t pos) {
   heap_[pos].node->pos_ = Timer::kIdle;
   const Entry last = heap_.back();
   heap_.pop_back();
-  if (pos == heap_.size()) return;  // the removed entry was the last one
-  if (pos > 0 && fires_before(last, heap_[(pos - 1) / 2])) {
-    sift_up(pos, last);
-  } else {
-    sift_down(pos, last);
+  const std::size_t size = heap_.size();
+  if (pos == size) return;  // the removed entry was the last one
+  // Floyd's deletion, as std::pop_heap does it: walk the hole down to a
+  // leaf along the earlier children (one comparison per level), then sift
+  // the last entry up from there.  Every entry below `pos` fires after
+  // every ancestor of `pos`, so the sift-up also covers a last entry that
+  // belongs above `pos`.
+  std::size_t hole = pos;
+  for (std::size_t child = 2 * hole + 1; child < size;
+       child = 2 * hole + 1) {
+    if (child + 1 < size && fires_before(heap_[child + 1], heap_[child])) {
+      ++child;
+    }
+    place(hole, heap_[child]);
+    hole = child;
   }
+  sift_up(hole, last);
 }
 
 void Simulator::check_schedulable(TimePoint t) const {
@@ -108,19 +119,19 @@ void Simulator::arm(Timer& node, TimePoint t) {
 
 const Simulator::Slot* Simulator::live_slot(EventId id) const {
   const std::uint32_t index = slot_of(id);
-  if (index >= slots_.size()) return nullptr;
-  const Slot& slot = slots_[index];
-  if (!slot.node.active() || slot.generation != generation_of(id)) {
+  if (index >= slot_count_) return nullptr;
+  const Slot& live = slot(index);
+  if (!live.node.active() || live.generation != generation_of(id)) {
     return nullptr;
   }
-  return &slot;
+  return &live;
 }
 
 void Simulator::release(std::uint32_t index) {
-  Slot& slot = slots_[index];
-  ++slot.generation;
-  if (slot.generation == 0) ++slot.generation;  // skip 0 on wrap
-  slot.fn = nullptr;  // drop captured state promptly
+  Slot& released = slot(index);
+  ++released.generation;
+  if (released.generation == 0) ++released.generation;  // skip 0 on wrap
+  released.fn = nullptr;  // drop captured state promptly
   free_slots_.push_back(index);
 }
 
@@ -132,16 +143,21 @@ EventId Simulator::schedule_at(TimePoint t, Callback fn) {
     index = free_slots_.back();
     free_slots_.pop_back();
   } else {
-    BROADWAY_CHECK_MSG(slots_.size() < 0xffffffffu, "event pool full");
-    index = static_cast<std::uint32_t>(slots_.size());
-    Slot& fresh = slots_.emplace_back();
-    fresh.node.sim_ = this;
-    fresh.node.subject_ = index;
+    BROADWAY_CHECK_MSG(slot_count_ < 0xffffffffu - kSlotChunk,
+                       "event pool full");
+    index = slot_count_++;
+    if (index % kSlotChunk == 0) {
+      slot_chunks_.push_back(std::make_unique<Slot[]>(kSlotChunk));
+      for (std::uint32_t i = 0; i < kSlotChunk; ++i) {
+        slot_chunks_.back()[i].node.sim_ = this;
+        slot_chunks_.back()[i].node.subject_ = index + i;
+      }
+    }
   }
-  Slot& slot = slots_[index];
-  arm(slot.node, t);
-  slot.fn = std::move(fn);
-  return make_id(index, slot.generation);
+  Slot& taken = slot(index);
+  arm(taken.node, t);
+  taken.fn = std::move(fn);
+  return make_id(index, taken.generation);
 }
 
 EventId Simulator::schedule_after(Duration d, Callback fn) {
@@ -189,9 +205,9 @@ bool Simulator::step() {
     node.owner_->on_timer(node);
   } else {
     const std::uint32_t index = node.subject_;
-    Slot& slot = slots_[index];
-    Callback fn = std::move(slot.fn);
-    current_event_ = make_id(index, slot.generation);
+    Slot& fired = slot(index);
+    Callback fn = std::move(fired.fn);
+    current_event_ = make_id(index, fired.generation);
     release(index);
     fn();
   }

@@ -59,8 +59,8 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "util/time.h"
@@ -348,8 +348,17 @@ class Simulator {
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
   std::vector<Entry> heap_;
-  // A deque: slot nodes must keep their addresses as the pool grows.
-  std::deque<Slot> slots_;
+  // Slots come in fixed chunks, so a slot's node keeps its address as the
+  // pool grows.
+  static constexpr std::uint32_t kSlotChunk = 256;
+  Slot& slot(std::uint32_t index) {
+    return slot_chunks_[index / kSlotChunk][index % kSlotChunk];
+  }
+  const Slot& slot(std::uint32_t index) const {
+    return slot_chunks_[index / kSlotChunk][index % kSlotChunk];
+  }
+  std::vector<std::unique_ptr<Slot[]>> slot_chunks_;
+  std::uint32_t slot_count_ = 0;  // slots ever handed out
   std::vector<std::uint32_t> free_slots_;
 };
 
