@@ -335,8 +335,7 @@ std::pair<FireLog, FireLog> run_lockstep(std::uint64_t seed) {
       } else if (dice < 0.62) {
         cancel_random();
       } else if (dice < 0.77) {
-        // Reschedule: cancel + schedule at a fresh instant, like
-        // PeriodicTask::reschedule does.
+        // Reschedule a callback: cancel + schedule at a fresh instant.
         cancel_random();
         schedule(sim.now() + rng.uniform_int(0, 40) * 0.25);
       } else {

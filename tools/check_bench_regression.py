@@ -53,6 +53,9 @@ GATED = [
     "BM_FleetFaultSweep/proxies:4",
     # Raw scheduler sweep: self-rescheduling timers on the event queue.
     "BM_SchedulerSweep/4096",
+    # Timers pulled forward between firings (paper_mutual's triggered
+    # polls): re-keys of pending heap entries.
+    "BM_TimerPullForwardStorm",
     # Coordinator dispatch: fan-out isolation at 8 and 64 groups plus the
     # end-to-end grouped sweep.  Baselines were measured on the legacy
     # string-keyed broadcast path, so these also record the routing win.
