@@ -12,9 +12,9 @@ TraceCollector::TraceCollector(Simulator& sim, OriginServer& origin,
     : sim_(sim),
       origin_(origin),
       uri_(std::move(uri)),
-      period_(period),
-      timer_(sim, *this) {
+      period_(period) {
   BROADWAY_CHECK_MSG(period_ > 0.0, "period " << period_);
+  timer_.bind(sim, *this);
 }
 
 void TraceCollector::start() {

@@ -149,8 +149,7 @@ EventId Simulator::schedule_at(TimePoint t, Callback fn) {
     if (index % kSlotChunk == 0) {
       slot_chunks_.push_back(std::make_unique<Slot[]>(kSlotChunk));
       for (std::uint32_t i = 0; i < kSlotChunk; ++i) {
-        slot_chunks_.back()[i].node.sim_ = this;
-        slot_chunks_.back()[i].node.subject_ = index + i;
+        slot_chunks_.back()[i].node.bind(*this, *this, /*kind=*/0, index + i);
       }
     }
   }
@@ -192,28 +191,29 @@ bool Simulator::step() {
   now_ = head.time;
   entered_ = now_;
   ++executed_;
-  // Expose the running callback's id for the duration of the call
-  // (callbacks nest only through step()-free paths, so a plain save and
-  // restore covers reentrant step() calls too).  The schedule tag reverts
-  // to the firing event's tag so follow-on schedules inherit its owner.
+  // A timer carries no id; a callback's slot exposes the running
+  // callback's id for the duration of the call (callbacks nest only
+  // through step()-free paths, so a plain save and restore covers
+  // reentrant step() calls too).  The schedule tag reverts to the firing
+  // event's tag so follow-on schedules inherit its owner.
   Timer& node = *head.node;
   const EventId outer = current_event_;
   const std::uint32_t outer_tag = schedule_tag_;
   schedule_tag_ = node.tag_;
-  if (node.owner_ != nullptr) {
-    current_event_ = kInvalidEventId;
-    node.owner_->on_timer(node);
-  } else {
-    const std::uint32_t index = node.subject_;
-    Slot& fired = slot(index);
-    Callback fn = std::move(fired.fn);
-    current_event_ = make_id(index, fired.generation);
-    release(index);
-    fn();
-  }
+  current_event_ = kInvalidEventId;
+  node.owner_->on_timer(node);
   schedule_tag_ = outer_tag;
   current_event_ = outer;
   return true;
+}
+
+void Simulator::on_timer(Timer& node) {
+  const std::uint32_t index = node.subject_;
+  Slot& fired = slot(index);
+  Callback fn = std::move(fired.fn);
+  current_event_ = make_id(index, fired.generation);
+  release(index);
+  fn();
 }
 
 Simulator::NextEvent Simulator::next_event_info() const {

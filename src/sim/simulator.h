@@ -22,15 +22,16 @@
 // position.  Cancelling removes an entry in place and re-arming a timer
 // moves its entry (a re-key), so the heap holds live entries only and its
 // head is always the next event: O(log n) per operation, no tombstones.
-// A node is either
-//  * a Timer — an owner-held record that lives inside the object it
-//    wakes (a tracked object's poll timer, a client stream's tick).  Its
-//    firing calls the owner through a pointer plus an owner-defined kind
-//    and subject, and re-arming it re-keys the same entry: no slot, no
-//    closure, no allocation; or
-//  * a one-off Callback (schedule_at), held in a generation-tagged slot
-//    pool addressed by EventId, for crash/recover edges, push deliveries,
-//    relays, retries and tests.
+// Every node is a Timer, and every firing calls the node's owner through
+// a pointer plus an owner-defined kind and subject.  A node is either
+//  * owner-held — it lives inside the object it wakes (a tracked object's
+//    poll timer, a client stream's tick), and re-arming it re-keys the
+//    same entry: no slot, no closure, no allocation; or
+//  * the node of a one-off Callback (schedule_at), held in a
+//    generation-tagged slot pool addressed by EventId, for crash/recover
+//    edges, push deliveries, relays, retries and tests.  The simulator
+//    owns these nodes (subject = slot index) and runs the callback from
+//    its own on_timer.
 // Either way the key is (time, seq) with one fresh seq per schedule or
 // re-key, so the fire order does not depend on which kind a node is or
 // where the heap keeps it.  tests/test_sim_event_queue.cpp pins that
@@ -100,10 +101,6 @@ class Timer {
  public:
   /// An unbound timer (never pending); bind() before arming it.
   Timer() = default;
-  Timer(Simulator& sim, TimerOwner& owner, std::uint32_t kind = 0,
-        std::uint32_t subject = 0) {
-    bind(sim, owner, kind, subject);
-  }
   ~Timer() { stop(); }
 
   Timer(const Timer&) = delete;
@@ -139,8 +136,6 @@ class Timer {
   static constexpr std::uint32_t kIdle = 0xffffffffu;
 
   Simulator* sim_ = nullptr;
-  // Null for the simulator's own callback slots, whose subject_ is the
-  // slot index.
   TimerOwner* owner_ = nullptr;
   TimePoint time_ = 0.0;          // fire time while pending
   TimePoint scheduled_at_ = 0.0;  // now() when last armed
@@ -151,8 +146,9 @@ class Timer {
 };
 
 /// The simulation engine.  Not thread-safe: a simulation is a single
-/// logical timeline.
-class Simulator {
+/// logical timeline.  It owns the nodes of its one-off callbacks, so every
+/// firing dispatches the same way: through the node's owner.
+class Simulator : private TimerOwner {
  public:
   using Callback = std::function<void()>;
 
@@ -287,8 +283,8 @@ class Simulator {
 
   // One pooled one-off callback.  `generation` advances every time the
   // slot is released (fire or cancel), so a stale EventId can never
-  // address a reused slot.  The node's owner is null and its subject is
-  // the slot's index.
+  // address a reused slot.  The node is bound to this simulator, with the
+  // slot's index as its subject.
   struct Slot {
     Timer node;
     Callback fn;
@@ -310,6 +306,9 @@ class Simulator {
   /// The slot addressed by `id` iff it is pending and the generation
   /// matches.
   const Slot* live_slot(EventId id) const;
+
+  /// A callback slot's node fired: release the slot and run its callback.
+  void on_timer(Timer& node) override;
 
   /// Release a fired or cancelled slot to the free list (bumps the
   /// generation).

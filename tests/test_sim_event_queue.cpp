@@ -250,8 +250,10 @@ std::pair<FireLog, FireLog> run_lockstep(std::uint64_t seed) {
                        sim.reached(sim.now())});
     if (follows_up(tag)) {
       const int child = tag + kFollowUpTag;
-      sim.schedule_after(follow_up_delay(tag),
-                         [&sim_fire, child] { sim_fire(child); });
+      sim.schedule_after(follow_up_delay(tag), [&sim, &sim_fire, child] {
+        BROADWAY_CHECK(sim.current_event() != kInvalidEventId);
+        sim_fire(child);
+      });
     }
     if (!runs_ahead(tag)) return;
     for (int attempt = 0; attempt < 3; ++attempt) {
@@ -426,7 +428,8 @@ TEST(SimulatorTimers, ReKeyedEntryFiresAfterEarlierScheduledSameInstantEvents) {
   Simulator sim;
   std::vector<int> order;
   Recorder recorder(order);
-  Timer timer(sim, recorder, /*kind=*/0, /*subject=*/100);
+  Timer timer;
+  timer.bind(sim, recorder, /*kind=*/0, /*subject=*/100);
   timer.start(5.0);  // first in line at t = 5 ...
   sim.schedule_at(5.0, [&] { order.push_back(1); });
   sim.schedule_at(5.0, [&] { order.push_back(2); });
@@ -441,8 +444,10 @@ TEST(SimulatorTimers, PullForwardAndPushBackKeepOneEntry) {
   Simulator sim;
   std::vector<int> order;
   Recorder recorder(order);
-  Timer early(sim, recorder, 0, 1);
-  Timer late(sim, recorder, 0, 2);
+  Timer early;
+  Timer late;
+  early.bind(sim, recorder, 0, 1);
+  late.bind(sim, recorder, 0, 2);
   early.start(10.0);
   late.start(20.0);
   late.reschedule(3.0);   // pulled forward past `early`

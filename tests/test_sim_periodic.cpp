@@ -23,7 +23,9 @@ namespace {
 class Repeater : private TimerOwner {
  public:
   Repeater(Simulator& sim, std::function<Duration()> body)
-      : timer(sim, *this), body_(std::move(body)) {}
+      : body_(std::move(body)) {
+    timer.bind(sim, *this);
+  }
 
   Timer timer;
 
@@ -182,8 +184,10 @@ TEST(Timer, OwnerDispatchesByKindAndSubject) {
     }
   } owner;
   Simulator sim;
-  Timer a(sim, owner, /*kind=*/1, /*subject=*/7);
-  Timer b(sim, owner, /*kind=*/2, /*subject=*/9);
+  Timer a;
+  Timer b;
+  a.bind(sim, owner, /*kind=*/1, /*subject=*/7);
+  b.bind(sim, owner, /*kind=*/2, /*subject=*/9);
   b.start(1.0);
   a.start(2.0);
   sim.run();
@@ -214,7 +218,8 @@ TEST(Timer, FiringCarriesTheTagItWasArmedUnder) {
   } owner;
   Simulator sim;
   owner.sim = &sim;
-  Timer timer(sim, owner);
+  Timer timer;
+  timer.bind(sim, owner);
   sim.set_schedule_tag(4);
   timer.start(1.0);
   sim.set_schedule_tag(9);
